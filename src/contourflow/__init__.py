@@ -4,7 +4,7 @@ learning, and segmentation metrics."""
 
 from .autoinit import (circle_to_contour, circumscribed_circle, inscribed_circle,
                        iterative_circle_fit, minimal_enclosing_circle)
-from .edt import edt_brute, edt_exact, edt_from_sites, mask_to_dt
+from .edt import edt_from_sites, mask_to_dt
 from .fields import (Circle, Contour, bilinear_sample, bilinear_sample_many,
                      boundary_mask, boundary_pixels, central_gradient, rasterize,
                      resample_closed, signed_area)
@@ -23,8 +23,8 @@ __all__ = [
     "SubgradientMaps", "TraceStep", "align_cyclic", "assemble_internal_system",
     "balloon_force", "bilinear_sample", "bilinear_sample_many", "boundary_mask",
     "boundary_pixels", "boundf", "central_gradient", "circle_to_contour",
-    "circumscribed_circle", "contour_from_mask", "dice", "dvf", "edt_brute",
-    "edt_exact", "edt_from_sites", "energy_eval", "energy_gradient_field",
+    "circumscribed_circle", "contour_from_mask", "dice", "dvf",
+    "edt_from_sites", "energy_eval", "energy_gradient_field",
     "evaluate", "evolve", "evolve_step", "fit_parameters", "inscribed_circle",
     "iou", "iterative_circle_fit", "lcdvf", "mask_to_dt",
     "minimal_enclosing_circle", "rasterize", "resample_closed", "signed_area",

@@ -77,6 +77,11 @@ class RunConfig:
     out_dir: str | None = None
     dump_frames: str | None = None
 
+    def snake_config(self) -> SnakeConfig:
+        return SnakeConfig(iterations=self.iterations, time_step=self.tau,
+                           node_count=self.nodes, resample_each_step=self.resample,
+                           clip_norm=self.clip)
+
 
 @dataclass
 class RunResult:
@@ -102,6 +107,12 @@ def _json_line(obj) -> str:
     return json.dumps(_round6(obj), separators=(", ", ": "))
 
 
+# settings a config file or a flag can give; a config file may also name the profile
+_RUN_KEYS = ("mask", "gt", "image", "field", "init", "iters", "tau", "nodes",
+             "resample", "clip", "alpha", "beta", "kappa", "out", "dump_frames")
+_CONFIG_FILE_KEYS = ("profile",) + _RUN_KEYS
+
+
 def _parse_config_file(path: str) -> dict:
     settings = {}
     try:
@@ -115,6 +126,9 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_FILE_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r} "
+                           f"(accepted: {', '.join(_CONFIG_FILE_KEYS)})")
         settings[key] = value
     return settings
 
@@ -126,10 +140,13 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 def _coerce(key: str, value):
     if value is None:
         return None
-    if key in ("iters", "nodes", "jobs", "epochs"):
-        return int(value)
-    if key in ("tau", "clip", "alpha", "lr"):
-        return float(value)
+    try:
+        if key in ("iters", "nodes"):
+            return int(value)
+        if key in ("tau", "clip", "alpha"):
+            return float(value)
+    except ValueError as exc:
+        raise CliError(f"bad value for {key}: {value!r}") from exc
     if key == "resample":
         if isinstance(value, bool):
             return value
@@ -156,8 +173,7 @@ def resolve_run_config(args) -> RunConfig:
         if key == "profile":
             continue
         settings[key] = _coerce(key, value)
-    for key in ("mask", "gt", "image", "field", "init", "iters", "tau", "nodes",
-                "resample", "clip", "alpha", "beta", "kappa", "out", "dump_frames"):
+    for key in _RUN_KEYS:
         value = getattr(args, key, None)
         if value is not None and value is not False:
             settings[key] = _coerce(key, value)
@@ -166,7 +182,7 @@ def resolve_run_config(args) -> RunConfig:
     if not mask_path:
         raise CliError("a mask file is required (--mask)")
     try:
-        return RunConfig(
+        cfg = RunConfig(
             mask_path=str(mask_path),
             gt_path=str(settings["gt"]) if settings.get("gt") else None,
             image_path=str(settings["image"]) if settings.get("image") else None,
@@ -184,8 +200,10 @@ def resolve_run_config(args) -> RunConfig:
             out_dir=str(settings["out"]) if settings.get("out") else None,
             dump_frames=str(settings["dump_frames"]) if settings.get("dump_frames") else None,
         )
+        cfg.snake_config()  # rejects bad iterations, tau, nodes and clip up front
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad configuration value: {exc}") from exc
+    return cfg
 
 
 def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -260,9 +278,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     try:
         force = _build_force(cfg, mask)
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
-        config = SnakeConfig(iterations=cfg.iterations, time_step=cfg.tau,
-                             node_count=cfg.nodes, resample_each_step=cfg.resample,
-                             clip_norm=cfg.clip)
+        config = cfg.snake_config()
         circle = _build_init_circle(cfg, mask)
         start = circle_to_contour(circle, cfg.nodes, width, height)
         final, trace = evolve(start, force, params, config)
@@ -370,6 +386,8 @@ def _cmd_dt(args) -> int:
 def _cmd_learn(args) -> int:
     if args.gt is None:
         raise CliError("learn requires a ground-truth mask (--gt)")
+    if args.epochs < 1:
+        raise CliError("epochs must be >= 1")
     if args.mask is None:
         args.mask = args.gt  # the ground truth drives the force field
     cfg = resolve_run_config(args)
@@ -381,11 +399,8 @@ def _cmd_learn(args) -> int:
         raise CliError("learn supports inscribed or circumscribed initialization only")
     try:
         force = _build_force(cfg, gt)
-        config = SnakeConfig(iterations=cfg.iterations, time_step=cfg.tau,
-                             node_count=cfg.nodes, resample_each_step=cfg.resample,
-                             clip_norm=cfg.clip)
-        fit = fit_parameters(gt, force, config, learn_rate=args.lr, epochs=args.epochs,
-                             init_mode=cfg.init)
+        fit = fit_parameters(gt, force, cfg.snake_config(), learn_rate=args.lr,
+                             epochs=args.epochs, init_mode=cfg.init)
     except CliError:
         raise
     except (ValueError, RuntimeError) as exc:

@@ -1,10 +1,16 @@
-"""Exact Euclidean distance transform to a set of seed pixels.
+"""Exact Euclidean distance transform to a set of site pixels.
 
-``edt_brute`` is the definitional exhaustive scan kept as an oracle;
-``edt_exact`` is the production separable transform: a two-sweep column
-pass for per-column row distances, then a per-row lower envelope of
-parabolas over the squared distances. Both measure distances between
-pixel centers, so they agree to the last bit on integer seed sets.
+``edt_from_sites`` is the separable transform of Felzenszwalb &
+Huttenlocher ("Distance Transforms of Sampled Functions", ToC 2012): a
+two-sweep column pass for per-column row distances, then the lower
+envelope of parabolas over the squared distances of each row. The
+envelope runs in lockstep over all rows: each row keeps its own parabola
+stack, the Python loops run over columns only, and the rows that still
+have to pop a parabola (or, in the read-out, move to the next one) are
+handled together until none is left. Distances are measured between
+pixel centers and every squared distance is an exact integer, so the
+result equals the exhaustive scan ``edt_brute`` in ``tests/oracles.py``
+to the last bit.
 """
 
 from __future__ import annotations
@@ -16,85 +22,68 @@ from .fields import as_mask, boundary_mask
 _FAR = 1e20  # plays infinity inside the squared-distance passes
 
 
-def _validate_boundary(boundary, width: int, height: int) -> np.ndarray:
-    pts = np.asarray(boundary, dtype=np.float64)
-    if pts.size == 0:
-        raise ValueError("no boundary: mask is empty or full-frame degenerate")
-    pts = pts.reshape(-1, 2)
-    u, v = pts[:, 0], pts[:, 1]
-    if (u < 0).any() or (u >= width).any() or (v < 0).any() or (v >= height).any():
-        raise ValueError("boundary pixel outside the image")
-    return pts
-
-
-def edt_brute(boundary, width: int, height: int) -> np.ndarray:
-    """O(pixels x seeds) reference: per pixel, the minimum Euclidean
-    distance to any seed pixel center."""
-    pts = _validate_boundary(boundary, width, height)
-    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    best = np.full((height, width), np.inf)
-    chunk = 256
-    for start in range(0, len(pts), chunk):
-        block = pts[start:start + chunk]
-        du = uu[..., None] - block[None, None, :, 0]
-        dv = vv[..., None] - block[None, None, :, 1]
-        np.minimum(best, (du * du + dv * dv).min(axis=2), out=best)
-    return np.sqrt(best)
-
-
-def edt_exact(boundary, width: int, height: int) -> np.ndarray:
-    """Separable exact transform, O(pixels) up to the envelope constant."""
-    pts = _validate_boundary(boundary, width, height)
-    seeds = np.zeros((height, width), dtype=bool)
-    seeds[pts[:, 1].astype(np.intp), pts[:, 0].astype(np.intp)] = True
-    return edt_from_sites(seeds)
-
-
 def edt_from_sites(sites) -> np.ndarray:
     """Exact Euclidean distance of every pixel to the nearest True pixel."""
     sites = as_mask(sites)
     if not sites.any():
         raise ValueError("no boundary: mask is empty or full-frame degenerate")
-    height, width = sites.shape
+    height = sites.shape[0]
 
-    # pass 1: per-column distance (in rows) to the nearest seed of that column
-    drow = np.where(sites, 0.0, _FAR)
+    # pass 1: per-column distance (in rows) to the nearest site of that
+    # column, squared in place; columns without a site stay at _FAR
+    f = np.where(sites, 0.0, _FAR)
     for r in range(1, height):
-        np.minimum(drow[r], drow[r - 1] + 1.0, out=drow[r])
+        np.minimum(f[r], f[r - 1] + 1.0, out=f[r])
     for r in range(height - 2, -1, -1):
-        np.minimum(drow[r], drow[r + 1] + 1.0, out=drow[r])
-    f = np.where(drow < 1e19, drow * drow, _FAR)
+        np.minimum(f[r], f[r + 1] + 1.0, out=f[r])
+    far = f >= 1e19
+    f *= f
+    f[far] = _FAR
 
     # pass 2: per-row lower envelope of parabolas over columns
-    out = np.empty_like(f)
-    for r in range(height):
-        out[r] = _parabola_envelope(f[r])
-    return np.sqrt(out)
+    d = _lower_envelopes(f)
+    return np.sqrt(d, out=d)
 
 
-def _parabola_envelope(f: np.ndarray) -> np.ndarray:
-    n = f.shape[0]
-    d = np.empty(n, dtype=np.float64)
-    v = np.zeros(n, dtype=np.intp)
-    z = np.empty(n + 1, dtype=np.float64)
-    k = 0
-    z[0] = -np.inf
-    z[1] = np.inf
-    for q in range(1, n):
-        fq = f[q] + q * q
-        s = (fq - (f[v[k]] + v[k] * v[k])) / (2.0 * (q - v[k]))
-        while s <= z[k]:
-            k -= 1
-            s = (fq - (f[v[k]] + v[k] * v[k])) / (2.0 * (q - v[k]))
+def _lower_envelopes(f: np.ndarray) -> np.ndarray:
+    """``min over p of (q - p)**2 + f[r, p]`` for every row ``r`` and
+    column ``q``. Each row has its own stack: vertex columns ``v``,
+    breakpoints ``z`` and top index ``k``."""
+    height, width = f.shape
+    rows = np.arange(height)
+    g = f + np.arange(width) ** 2  # f[p] + p*p for every vertex column p
+    v = np.zeros((height, width), dtype=np.intp)
+    z = np.empty((height, width + 1))  # z[k] is where parabola k takes over
+    z[:, 0] = -np.inf
+    z[:, 1] = np.inf
+    k = np.zeros(height, dtype=np.intp)
+    s = np.full(height, -np.inf)
+    for q in range(1, width):
+        # every row's top parabola is column q - 1, pushed by the last step
+        # with breakpoint s, so the first intersection needs no gather
+        top = s
+        s = (g[:, q] - g[:, q - 1]) / 2.0
+        pop = (s <= top).nonzero()[0]
+        while pop.size:
+            k[pop] -= 1
+            vk = v[pop, k[pop]]
+            s[pop] = (g[pop, q] - g[pop, vk]) / (2.0 * (q - vk))
+            pop = pop[s[pop] <= z[pop, k[pop]]]
         k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
+        v[rows, k] = q
+        z[rows, k] = s
+        z[rows, k + 1] = np.inf
+    del g  # so that no more than four (height, width) arrays are alive at once
+
+    d = np.empty_like(f)
+    k[:] = 0
+    for q in range(width):
+        step = (z[rows, k + 1] < q).nonzero()[0]
+        while step.size:
+            k[step] += 1
+            step = step[z[step, k[step] + 1] < q]
+        vk = v[rows, k]
+        d[:, q] = (q - vk) ** 2 + f[rows, vk]
     return d
 
 

@@ -161,6 +161,8 @@ def fit_parameters(gt_mask, force: ForceField, config: SnakeConfig,
     lowering kappa where ground truth is uncovered would push the contour
     further away from it.
     """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     gt_mask = as_mask(gt_mask)
     height, width = gt_mask.shape
     if initial_params is None:

@@ -14,6 +14,14 @@ def random_star_polygon(rng: np.random.Generator, center=(16.0, 16.0),
                      center[1] + radii * np.sin(angles)], axis=1)
 
 
+def site_mask(points, width: int, height: int) -> np.ndarray:
+    """(height, width) boolean mask that is True at each (u, v) point."""
+    sites = np.zeros((height, width), dtype=bool)
+    for u, v in points:
+        sites[int(v), int(u)] = True
+    return sites
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)

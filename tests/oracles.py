@@ -139,6 +139,32 @@ def boundf_reference(pred, gt, thresholds=(1, 2, 3, 4, 5)):
     return float(np.mean(per)), tuple(per)
 
 
+def _validate_boundary(boundary, width: int, height: int) -> np.ndarray:
+    pts = np.asarray(boundary, dtype=np.float64)
+    if pts.size == 0:
+        raise ValueError("no boundary: mask is empty or full-frame degenerate")
+    pts = pts.reshape(-1, 2)
+    u, v = pts[:, 0], pts[:, 1]
+    if (u < 0).any() or (u >= width).any() or (v < 0).any() or (v >= height).any():
+        raise ValueError("boundary pixel outside the image")
+    return pts
+
+
+def edt_brute(boundary, width: int, height: int) -> np.ndarray:
+    """O(pixels x seeds) reference: per pixel, the minimum Euclidean
+    distance to any seed pixel center, seeds given as (u, v) points."""
+    pts = _validate_boundary(boundary, width, height)
+    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+    best = np.full((height, width), np.inf)
+    chunk = 256
+    for start in range(0, len(pts), chunk):
+        block = pts[start:start + chunk]
+        du = uu[..., None] - block[None, None, :, 0]
+        dv = vv[..., None] - block[None, None, :, 1]
+        np.minimum(best, (du * du + dv * dv).min(axis=2), out=best)
+    return np.sqrt(best)
+
+
 def fd_gradient(fn, x0: np.ndarray, step: float = 1e-4) -> np.ndarray:
     """Central finite-difference gradient of a scalar function of a flat
     float vector."""

@@ -18,8 +18,9 @@ import pytest
 
 from contourflow.autoinit import (circle_to_contour, circumscribed_circle,
                                   inscribed_circle, minimal_enclosing_circle)
-from contourflow.edt import edt_brute, edt_exact, mask_to_dt
-from contourflow.fields import Circle, Contour, boundary_pixels, rasterize, signed_area
+from contourflow.edt import edt_from_sites, mask_to_dt
+from contourflow.fields import (Circle, Contour, boundary_mask, boundary_pixels, rasterize,
+                               signed_area)
 from contourflow.flow import dvf, energy_gradient_field, lcdvf
 from contourflow.learning import (fit_parameters, subgrad_alpha, subgrad_beta,
                                   subgrad_kappa)
@@ -27,7 +28,7 @@ from contourflow.metrics import boundf, dice, iou
 from contourflow.shapes import full_suite, random_blob_mask, u_shape_mask
 from contourflow.snake import ParameterSet, SnakeConfig, assemble_internal_system, evolve
 
-from oracles import mec_reference, rasterize_reference, boundf_reference
+from oracles import boundf_reference, edt_brute, mec_reference, rasterize_reference
 from conftest import random_star_polygon
 
 SUITE_NODES = 60
@@ -80,12 +81,12 @@ def test_ac1_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(11)
 
-    worst_edt = 0.0
+    edt_mismatches = 0
     for _ in range(200):
         mask = random_blob_mask(rng, 64, 64)
-        seeds = boundary_pixels(mask)
-        delta = np.abs(edt_exact(seeds, 64, 64) - edt_brute(seeds, 64, 64)).max()
-        worst_edt = max(worst_edt, float(delta))
+        got = edt_from_sites(boundary_mask(mask))
+        want = edt_brute(boundary_pixels(mask), 64, 64)
+        edt_mismatches += int(not np.array_equal(got, want))
 
     mismatches = 0
     for _ in range(100):
@@ -103,9 +104,9 @@ def test_ac1_oracle_equivalence():
         worst_mec = max(worst_mec, abs(got_r - want_r))
 
     elapsed = time.perf_counter() - started
-    ok = worst_edt <= 1e-9 and mismatches == 0 and worst_mec <= 1e-6 and elapsed < 60.0
+    ok = edt_mismatches == 0 and mismatches == 0 and worst_mec <= 1e-6 and elapsed < 60.0
     report("AC-1 oracle equivalence", ok,
-           f"edt max|d|={worst_edt:.2e}, raster mismatches={mismatches}, "
+           f"edt inexact fields={edt_mismatches}/200, raster mismatches={mismatches}, "
            f"mec max|dr|={worst_mec:.2e}, {elapsed:.1f}s")
 
 

@@ -121,6 +121,33 @@ class TestRun:
         _, mask_path = disk_paths
         assert main(["run", "--mask", str(mask_path), "--field", "bogus"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--nodes", "2"], ["--tau", "-1"],
+                                       ["--iters", "-1"], ["--clip", "0"]])
+    def test_bad_solver_setting_is_usage_error(self, tmp_path, disk_paths, capsys, flags):
+        _, mask_path = disk_paths
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), "--out", str(out)] + flags) == 2
+        assert not out.exists()
+        assert "bad configuration value" in capsys.readouterr().err
+
+    def test_non_numeric_config_value_names_key(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("iters=abc\n")
+        code = main(["run", "--mask", str(mask_path), "--config", str(config)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert "iters" in error and "abc" in error
+
+    def test_unknown_config_key_lists_accepted_keys(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("iter=500\n")
+        code = main(["run", "--mask", str(mask_path), "--config", str(config)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert "'iter'" in error and "iters" in error and "profile" in error
+
     def test_image_dimension_mismatch_fails_fast(self, tmp_path, disk_paths):
         _, mask_path = disk_paths
         image = tmp_path / "img.pgm"
@@ -183,6 +210,16 @@ class TestLearnCommand:
         assert {"baseline_iou", "best_iou", "epochs"} <= set(summary)
 
 
+    def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.pgm"
+        write_mask_pgm(gt_path, suite(64)[0].mask)
+        out = tmp_path / "params"
+        code = main(["learn", "--gt", str(gt_path), "--epochs", "0", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "epochs must be >= 1" in capsys.readouterr().err
+
+
 class TestBatchCommand:
     def _manifest(self, tmp_path, entries):
         lines = [f"{img} {mask}" for img, mask in entries]
@@ -220,6 +257,13 @@ class TestBatchCommand:
         assert "error" in lines[1]
         assert lines[-1]["failed"] == 1
         assert lines[-1]["miou"] == lines[0]["iou"]  # aggregate over successes
+
+    def test_bad_solver_setting_stops_before_any_item(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        manifest = self._manifest(tmp_path, [(mask_path, mask_path)] * 2)
+        code = main(["batch", "--manifest", str(manifest), "--nodes", "2"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
 
     def test_report_file_deterministic(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
@@ -288,6 +332,15 @@ class TestSweepCommand:
         assert code == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert rows[1].startswith("lcdvf,") and rows[2].startswith("dvf,")
+
+    def test_bad_iteration_value_leaves_error_row(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        code = main(["sweep", "--mask", str(mask_path), "--axis", "iterations",
+                     "--values", "3,-1"])
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[1].split(",")[4] == ""
+        assert rows[2].startswith("-1,,,,") and "iterations must be >= 0" in rows[2]
 
     def test_bad_value_leaves_error_row(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths

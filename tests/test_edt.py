@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from contourflow.edt import edt_brute, edt_exact, edt_from_sites, mask_to_dt
+from contourflow.edt import edt_from_sites, mask_to_dt
 from contourflow.fields import boundary_mask, boundary_pixels
 from contourflow.shapes import disk_mask, random_blob_mask
+
+from conftest import site_mask
+from oracles import edt_brute
+
+
+def brute_from_sites(sites):
+    height, width = sites.shape
+    vv, uu = np.nonzero(sites)
+    return edt_brute(np.stack([uu, vv], axis=1), width, height)
 
 
 class TestBrute:
@@ -40,15 +50,15 @@ class TestBrute:
 class TestExact:
     def test_matches_brute_on_small_cases(self):
         for seeds in ([(0, 0)], [(0, 0), (4, 4)], [(2, 1), (0, 3), (4, 0)]):
-            assert np.allclose(edt_exact(seeds, 5, 5), edt_brute(seeds, 5, 5), atol=0)
+            assert np.array_equal(edt_from_sites(site_mask(seeds, 5, 5)), edt_brute(seeds, 5, 5))
 
     def test_matches_brute_on_random_masks(self, rng):
         for _ in range(30):
             mask = random_blob_mask(rng, 48, 48)
             seeds = boundary_pixels(mask)
-            got = edt_exact(seeds, 48, 48)
+            got = edt_from_sites(boundary_mask(mask))
             want = edt_brute(seeds, 48, 48)
-            assert np.abs(got - want).max() <= 1e-9
+            assert np.array_equal(got, want)
 
     def test_disk_interior_max_at_center(self):
         mask = disk_mask(49, 49, (24.0, 24.0), 15.0)
@@ -58,9 +68,9 @@ class TestExact:
 
     def test_wide_and_flat_fields(self):
         # exercises the column pass (height 1) and envelope pass (width 1)
-        assert np.allclose(edt_exact([(3, 0)], 8, 1),
+        assert np.allclose(edt_from_sites(site_mask([(3, 0)], 8, 1)),
                            np.abs(np.arange(8.0) - 3.0)[None, :])
-        assert np.allclose(edt_exact([(0, 5)], 1, 8),
+        assert np.allclose(edt_from_sites(site_mask([(0, 5)], 1, 8)),
                            np.abs(np.arange(8.0) - 5.0)[:, None])
 
 
@@ -116,9 +126,50 @@ class TestProperties:
     def test_adding_seed_never_increases(self, rng):
         for _ in range(10):
             mask = random_blob_mask(rng, 32, 32)
-            seeds = boundary_pixels(mask)
-            base = edt_exact(seeds, 32, 32)
+            seeds = boundary_mask(mask)
+            base = edt_from_sites(seeds)
             extra_u = int(rng.integers(0, 32))
             extra_v = int(rng.integers(0, 32))
-            grown = np.vstack([seeds, [[extra_u, extra_v]]])
-            assert (edt_exact(grown, 32, 32) <= base + 1e-12).all()
+            grown = seeds.copy()
+            grown[extra_v, extra_u] = True
+            assert (edt_from_sites(grown) <= base + 1e-12).all()
+
+
+def _column_pattern():
+    # row 0 is all sites and row 7 has one at the right end, so the vertical
+    # distances of rows 4..7 drop sharply in the last column: those rows pop
+    # 2, 4, 5 and 6 parabolas in that one column step while rows 0..3 pop none
+    sites = np.zeros((8, 12), dtype=bool)
+    sites[0, :] = True
+    sites[7, 11] = True
+    return sites
+
+
+@st.composite
+def site_masks(draw):
+    height = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 40))
+    sites = draw(arrays(np.bool_, (height, width), elements=st.booleans()))
+    # clear some columns so their squared distances stay at infinity
+    for col in draw(st.sets(st.integers(0, width - 1), max_size=width)):
+        sites[:, col] = False
+    sites[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+    return sites
+
+
+class TestLockstepEnvelope:
+    @settings(max_examples=150, deadline=None)
+    @given(sites=site_masks())
+    @example(sites=np.ones((1, 1), dtype=bool))
+    @example(sites=site_mask([(0, 0), (6, 0), (30, 0)], 37, 1))  # 1 x n
+    @example(sites=site_mask([(0, 4), (0, 21)], 1, 29))  # n x 1
+    @example(sites=site_mask([(17, 23)], 40, 40))  # a single site
+    @example(sites=np.ones((13, 40), dtype=bool))  # every pixel a site
+    @example(sites=site_mask([(2, 0), (2, 9), (7, 5)], 12, 10))  # site-free columns
+    @example(sites=_column_pattern())
+    def test_equals_brute_oracle(self, sites):
+        assert np.array_equal(edt_from_sites(sites), brute_from_sites(sites))
+
+    def test_empty_site_mask_rejected(self):
+        with pytest.raises(ValueError, match="no boundary"):
+            edt_from_sites(np.zeros((4, 5), dtype=bool))

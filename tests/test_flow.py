@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from contourflow.edt import edt_exact, mask_to_dt
+from contourflow.edt import edt_from_sites, mask_to_dt
 from contourflow.fields import boundary_mask
 from contourflow.flow import clip_vectors, dvf, energy_gradient_field, lcdvf
 from contourflow.shapes import random_blob_mask
 
+from conftest import site_mask
+
 
 def radial_dt(width=11, height=11, center=(5.0, 5.0)):
-    return edt_exact([center], width, height)
+    return edt_from_sites(site_mask([center], width, height))
 
 
 class TestDvf:
@@ -19,7 +21,7 @@ class TestDvf:
 
     def test_flat_ridge_cancels(self):
         # medial pixel between two seeds: symmetric central difference is zero
-        dist = edt_exact([(1, 3), (5, 3)], 7, 7)
+        dist = edt_from_sites(site_mask([(1, 3), (5, 3)], 7, 7))
         field = dvf(dist, clip_norm=np.inf)
         assert abs(field.vectors[3, 3, 0]) < 1e-12
 

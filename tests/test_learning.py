@@ -185,3 +185,9 @@ class TestFitParameters:
         assert fit.params.alpha >= 0.0
         assert (fit.params.beta >= 0.0).all()
         assert fit.best_iou >= fit.baseline_iou
+
+    def test_zero_epochs_rejected(self):
+        from contourflow.learning import fit_parameters
+        mask, force, config = self._setup()
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            fit_parameters(mask, force, config, epochs=0)
