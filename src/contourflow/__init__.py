@@ -3,15 +3,14 @@ circle initialization, semi-implicit evolution, per-image parameter
 learning, and segmentation metrics."""
 
 from .autoinit import (circle_to_contour, circumscribed_circle, inscribed_circle,
-                       iterative_circle_fit, minimal_enclosing_circle)
+                       minimal_enclosing_circle)
 from .edt import edt_from_sites, mask_to_dt
-from .fields import (Circle, Contour, bilinear_sample, bilinear_sample_many,
-                     boundary_mask, boundary_pixels, central_gradient, rasterize,
-                     resample_closed, signed_area)
+from .fields import (Circle, Contour, bilinear_sample_many, boundary_mask,
+                     boundary_pixels, central_gradient, rasterize, resample_closed,
+                     signed_area)
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
-from .learning import (FitResult, SubgradientMaps, align_cyclic, contour_from_mask,
-                       fit_parameters, subgrad_alpha, subgrad_beta, subgrad_kappa,
-                       subgrad_mask)
+from .learning import (FitResult, align_cyclic, contour_from_mask, fit_parameters,
+                       subgrad_alpha, subgrad_beta, subgrad_kappa)
 from .metrics import MetricsReport, boundf, dice, evaluate, iou
 from .snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
                     TraceStep, assemble_internal_system, balloon_force,
@@ -20,13 +19,13 @@ from .snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
 __all__ = [
     "Circle", "Contour", "EvolutionTrace", "EvolveError", "FitResult",
     "ForceField", "MetricsReport", "ParameterSet", "SnakeConfig",
-    "SubgradientMaps", "TraceStep", "align_cyclic", "assemble_internal_system",
-    "balloon_force", "bilinear_sample", "bilinear_sample_many", "boundary_mask",
+    "TraceStep", "align_cyclic", "assemble_internal_system",
+    "balloon_force", "bilinear_sample_many", "boundary_mask",
     "boundary_pixels", "boundf", "central_gradient", "circle_to_contour",
     "circumscribed_circle", "contour_from_mask", "dice", "dvf",
     "edt_from_sites", "energy_eval", "energy_gradient_field",
     "evaluate", "evolve", "evolve_step", "fit_parameters", "inscribed_circle",
-    "iou", "iterative_circle_fit", "lcdvf", "mask_to_dt",
+    "iou", "lcdvf", "mask_to_dt",
     "minimal_enclosing_circle", "rasterize", "resample_closed", "signed_area",
-    "subgrad_alpha", "subgrad_beta", "subgrad_kappa", "subgrad_mask",
+    "subgrad_alpha", "subgrad_beta", "subgrad_kappa",
 ]

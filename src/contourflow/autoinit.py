@@ -1,8 +1,7 @@
 """Automatic contour initialization from a mask.
 
-Two exact constructions (largest interior circle via the distance
-transform argmax, minimal enclosing circle of the foreground) plus a
-raster-domain coordinate-descent fit that is checked against them.
+Two exact constructions: the largest interior circle via the distance
+transform argmax, and the minimal enclosing circle of the foreground.
 """
 
 from __future__ import annotations
@@ -131,66 +130,6 @@ def _circumcircle(p0, p1, p2):
 
 def _cross(x0, y0, x1, y1, x2, y2):
     return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-
-
-def iterative_circle_fit(mask, mode: str) -> Circle:
-    """Raster-domain coordinate descent on (center_u, center_v, radius)
-    minimizing the symmetric difference with the mask.
-
-    ``inscribed`` keeps the circle raster inside the foreground,
-    ``circumscribed`` keeps the foreground inside the circle raster.
-    Starts from the exact constructions and stops when no single
-    half-pixel parameter move improves.
-    """
-    mask = as_mask(mask)
-    if not mask.any():
-        raise ValueError("mask has no foreground")
-    if mode not in ("inscribed", "circumscribed"):
-        raise ValueError(f"unknown fit mode {mode!r}")
-    height, width = mask.shape
-    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64),
-                         np.arange(height, dtype=np.float64))
-
-    def raster(cu, cv, r):
-        return (uu - cu) ** 2 + (vv - cv) ** 2 <= r * r
-
-    def feasible(disk):
-        if mode == "inscribed":
-            return not (disk & ~mask).any()
-        return not (mask & ~disk).any()
-
-    def cost(disk):
-        return int((disk ^ mask).sum())
-
-    start = inscribed_circle(mask) if mode == "inscribed" else circumscribed_circle(mask)
-    cu, cv = start.center
-    r = start.radius
-    max_r = float(np.hypot(width, height))
-    # nudge into feasibility: raster containment is a little stricter than
-    # the continuous definition at exact-tie pixel centers
-    for _ in range(64):
-        if feasible(raster(cu, cv, r)):
-            break
-        r = max(r - 0.5, 0.5) if mode == "inscribed" else min(r + 0.5, max_r)
-
-    best = cost(raster(cu, cv, r))
-    moves = ((0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.5, 0.0),
-             (0.0, -0.5, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, -0.5))
-    for _ in range(10_000):
-        for du, dv, dr in moves:
-            ncu, ncv, nr = cu + du, cv + dv, r + dr
-            if nr < 0.5 or nr > max_r:
-                continue
-            disk = raster(ncu, ncv, nr)
-            if not feasible(disk):
-                continue
-            c = cost(disk)
-            if c < best:
-                best, cu, cv, r = c, ncu, ncv, nr
-                break
-        else:
-            break
-    return Circle((cu, cv), r)
 
 
 def circle_to_contour(circle: Circle, count: int, width: int, height: int) -> Contour:

@@ -5,6 +5,10 @@ Subcommands: run, batch, metrics, dt, learn, sweep. Exit codes: 0 on
 success, 1 on computation failure, 2 on usage or I/O errors. All output
 files are written atomically and contain no timestamps, so reruns with
 identical inputs are byte-identical; wall-clock timing goes to stderr.
+
+`batch` runs its manifest items one after another in manifest order; the
+image column of a manifest only labels each report row and is never
+read, and `--jobs` is accepted for compatibility but has no effect.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,8 +25,8 @@ import numpy as np
 from .autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from .edt import mask_to_dt
 from .fields import Circle, Contour, boundary_mask, rasterize
-from .fileio import (atomic_write_text, read_mask_pgm, read_pgm, read_pfm,
-                     write_mask_pgm, write_pfm, write_pgm)
+from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
+                     write_pfm, write_pgm)
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import fit_parameters
 from .metrics import MetricsReport, evaluate
@@ -62,7 +65,6 @@ class CliError(Exception):
 class RunConfig:
     mask_path: str
     gt_path: str | None = None
-    image_path: str | None = None
     profile: str = "building"
     field: str = "lcdvf"
     init: str = "circumscribed"
@@ -108,7 +110,7 @@ def _json_line(obj) -> str:
 
 
 # settings a config file or a flag can give; a config file may also name the profile
-_RUN_KEYS = ("mask", "gt", "image", "field", "init", "iters", "tau", "nodes",
+_RUN_KEYS = ("mask", "gt", "field", "init", "iters", "tau", "nodes",
              "resample", "clip", "alpha", "beta", "kappa", "out", "dump_frames")
 _CONFIG_FILE_KEYS = ("profile",) + _RUN_KEYS
 
@@ -185,7 +187,6 @@ def resolve_run_config(args) -> RunConfig:
         cfg = RunConfig(
             mask_path=str(mask_path),
             gt_path=str(settings["gt"]) if settings.get("gt") else None,
-            image_path=str(settings["image"]) if settings.get("image") else None,
             profile=profile,
             field=str(settings["field"]),
             init=str(settings["init"]),
@@ -264,13 +265,10 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     try:
         mask = read_mask_pgm(cfg.mask_path)
         gt = read_mask_pgm(cfg.gt_path) if cfg.gt_path else mask
-        image = read_pgm(cfg.image_path) if cfg.image_path else None
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     if gt.shape != mask.shape:
         raise CliError(f"ground-truth shape {gt.shape} does not match mask {mask.shape}")
-    if image is not None and image.shape != mask.shape:
-        raise CliError(f"image shape {image.shape} does not match mask {mask.shape}")
     height, width = mask.shape
     beta = _load_weight_map(cfg.beta, (height, width), "beta")
     kappa = _load_weight_map(cfg.kappa, (height, width), "kappa")
@@ -388,6 +386,8 @@ def _cmd_learn(args) -> int:
         raise CliError("learn requires a ground-truth mask (--gt)")
     if args.epochs < 1:
         raise CliError("epochs must be >= 1")
+    if not (np.isfinite(args.lr) and args.lr > 0.0):
+        raise CliError(f"lr must be finite and > 0, got {args.lr}")
     if args.mask is None:
         args.mask = args.gt  # the ground truth drives the force field
     cfg = resolve_run_config(args)
@@ -437,29 +437,23 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
 
 
 def _cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise CliError("jobs must be >= 1")
     cfg_template = resolve_run_config_for_batch(args)
     pairs = _parse_manifest(args.manifest)
 
-    def run_item(item):
-        index, (image, mask) = item
-        cfg = replace(cfg_template, mask_path=mask, image_path=image,
-                      out_dir=None, dump_frames=None)
+    rows = []
+    for index, (image, mask) in enumerate(pairs):
+        cfg = replace(cfg_template, mask_path=mask, out_dir=None, dump_frames=None)
+        row = {"index": index, "image": image, "mask": mask}
         try:
             result = run_pipeline(cfg)
         except CliError as exc:
-            return {"index": index, "image": image, "mask": mask, "error": str(exc)}
-        return {"index": index, "image": image, "mask": mask,
-                "iou": result.report.iou, "dice": result.report.dice,
-                "boundf": result.report.boundf}
-
-    jobs = max(1, args.jobs)
-    items = list(enumerate(pairs))
-    if jobs == 1:
-        rows = [run_item(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_item, items))
-    rows.sort(key=lambda r: r["index"])
+            row["error"] = str(exc)
+        else:
+            row.update(iou=result.report.iou, dice=result.report.dice,
+                       boundf=result.report.boundf)
+        rows.append(row)
 
     successes = [r for r in rows if "error" not in r]
     aggregate = {
@@ -532,7 +526,6 @@ def _cmd_sweep(args) -> int:
 def _add_run_options(parser: argparse.ArgumentParser, need_mask: bool = True) -> None:
     parser.add_argument("--mask", required=need_mask, help="driving mask (PGM)")
     parser.add_argument("--gt", help="ground-truth mask (PGM); defaults to --mask")
-    parser.add_argument("--image", help="optional image (PGM), carried for rendering")
     parser.add_argument("--profile", choices=sorted(PROFILES))
     parser.add_argument("--field", help="lcdvf | dvf | energy:<file.pfm>")
     parser.add_argument("--init", help="inscribed | circumscribed | circle:<cu>,<cv>,<r>")
@@ -579,10 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "alpha.json, beta.pfm, kappa.pfm")
     p_learn.set_defaults(func=_cmd_learn)
 
-    p_batch = sub.add_parser("batch", help="run a manifest of (image, mask) pairs")
+    p_batch = sub.add_parser("batch", help="run a manifest of (image, mask) pairs; "
+                             "the image column only labels each row")
     _add_run_options(p_batch, need_mask=False)
     p_batch.add_argument("--manifest", required=True)
-    p_batch.add_argument("--jobs", type=int, default=1)
+    p_batch.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility (must be >= 1); items always "
+                         "run one at a time")
     p_batch.add_argument("--out", help="also write the JSONL report here")
     p_batch.set_defaults(func=_cmd_batch)
 

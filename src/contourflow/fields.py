@@ -63,10 +63,6 @@ def bilinear_sample_many(field, points) -> np.ndarray:
     return top * (1.0 - fv) + bottom * fv
 
 
-def bilinear_sample(field, point) -> float:
-    return float(bilinear_sample_many(field, np.asarray(point, dtype=np.float64).reshape(1, 2))[0])
-
-
 def central_gradient(field) -> np.ndarray:
     """Per-pixel gradient as an (H, W, 2) array of (d/du, d/dv) components.
 

@@ -8,13 +8,12 @@ vanish identically when the two coincide node for node.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
-from .fields import Contour, as_field, as_mask, rasterize, resample_closed
+from .fields import Contour, as_mask, rasterize, resample_closed
 from .flow import ForceField
 from .metrics import iou
 from .snake import EvolveError, ParameterSet, SnakeConfig, evolve
@@ -22,14 +21,6 @@ from .snake import EvolveError, ParameterSet, SnakeConfig, evolve
 # 8-neighborhood scan order for boundary tracing (clockwise, from west)
 _MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
 _MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
-
-
-@dataclass
-class SubgradientMaps:
-    d_alpha: float
-    d_beta: np.ndarray
-    d_kappa: np.ndarray
-    d_mask: np.ndarray | None = None
 
 
 @dataclass
@@ -76,19 +67,6 @@ def subgrad_kappa(gt_contour: Contour, pred_contour: Contour,
     gt = rasterize(gt_contour, width, height)
     pred = rasterize(pred_contour, width, height)
     return gt.astype(np.float64) - pred.astype(np.float64)
-
-
-def subgrad_mask(predicted_soft_mask, gt_mask) -> np.ndarray:
-    """Elementwise soft-mask minus ground-truth mask; soft values outside
-    [0, 1] are clamped with a warning."""
-    soft = as_field(predicted_soft_mask)
-    gt = as_mask(gt_mask)
-    if soft.shape != gt.shape:
-        raise ValueError(f"mask dimensions differ: {soft.shape} vs {gt.shape}")
-    if soft.min() < 0.0 or soft.max() > 1.0:
-        warnings.warn("soft mask values outside [0, 1]; clamping", RuntimeWarning)
-        soft = np.clip(soft, 0.0, 1.0)
-    return soft - gt.astype(np.float64)
 
 
 def trace_boundary(mask) -> list[tuple[int, int]]:
@@ -159,10 +137,13 @@ def fit_parameters(gt_mask, force: ForceField, config: SnakeConfig,
     The balloon force acts along +kappa times the outward normal, so for
     kappa the descent direction is applied with the opposite sign:
     lowering kappa where ground truth is uncovered would push the contour
-    further away from it.
+    further away from it. A ``learn_rate`` of 0 only scores the starting
+    parameters.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if not (np.isfinite(learn_rate) and learn_rate >= 0.0):
+        raise ValueError(f"learn_rate must be finite and >= 0, got {learn_rate}")
     gt_mask = as_mask(gt_mask)
     height, width = gt_mask.shape
     if initial_params is None:

@@ -1,7 +1,9 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (per-pixel loops, exhaustive
-enumeration) and shares no code with the production paths it checks.
+enumeration) and shares no code with the production paths it checks,
+except ``iterative_circle_fit``, which starts from the exact circle
+constructions and cross-checks them by local search on the raster.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from contourflow.autoinit import circumscribed_circle, inscribed_circle
+from contourflow.fields import Circle
 
 
 def point_in_polygon(point, nodes) -> bool:
@@ -101,6 +106,66 @@ def mec_reference(points) -> tuple[float, float, float]:
     assert best is not None
     assert all(math.hypot(best[0] - p[0], best[1] - p[1]) <= best[2] + slack for p in pts)
     return best
+
+
+def iterative_circle_fit(mask, mode: str) -> Circle:
+    """Raster-domain coordinate descent on (center_u, center_v, radius)
+    minimizing the symmetric difference with the mask.
+
+    ``inscribed`` keeps the circle raster inside the foreground,
+    ``circumscribed`` keeps the foreground inside the circle raster.
+    Starts from the exact constructions and stops when no single
+    half-pixel parameter move improves.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        raise ValueError("mask has no foreground")
+    if mode not in ("inscribed", "circumscribed"):
+        raise ValueError(f"unknown fit mode {mode!r}")
+    height, width = mask.shape
+    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64),
+                         np.arange(height, dtype=np.float64))
+
+    def raster(cu, cv, r):
+        return (uu - cu) ** 2 + (vv - cv) ** 2 <= r * r
+
+    def feasible(disk):
+        if mode == "inscribed":
+            return not (disk & ~mask).any()
+        return not (mask & ~disk).any()
+
+    def cost(disk):
+        return int((disk ^ mask).sum())
+
+    start = inscribed_circle(mask) if mode == "inscribed" else circumscribed_circle(mask)
+    cu, cv = start.center
+    r = start.radius
+    max_r = float(np.hypot(width, height))
+    # nudge into feasibility: raster containment is a little stricter than
+    # the continuous definition at exact-tie pixel centers
+    for _ in range(64):
+        if feasible(raster(cu, cv, r)):
+            break
+        r = max(r - 0.5, 0.5) if mode == "inscribed" else min(r + 0.5, max_r)
+
+    best = cost(raster(cu, cv, r))
+    moves = ((0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.5, 0.0),
+             (0.0, -0.5, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, -0.5))
+    for _ in range(10_000):
+        for du, dv, dr in moves:
+            ncu, ncv, nr = cu + du, cv + dv, r + dr
+            if nr < 0.5 or nr > max_r:
+                continue
+            disk = raster(ncu, ncv, nr)
+            if not feasible(disk):
+                continue
+            c = cost(disk)
+            if c < best:
+                best, cu, cv, r = c, ncu, ncv, nr
+                break
+        else:
+            break
+    return Circle((cu, cv), r)
 
 
 def boundary_pixels_reference(mask) -> list[tuple[int, int]]:

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from contourflow.autoinit import (circle_to_contour, circumscribed_circle,
-                                  inscribed_circle, iterative_circle_fit,
-                                  minimal_enclosing_circle)
+                                  inscribed_circle, minimal_enclosing_circle)
 from contourflow.edt import edt_from_sites
 from contourflow.fields import rasterize
 from contourflow.shapes import disk_mask, random_blob_mask, rectangle_mask
 
-from oracles import mec_reference
+from oracles import iterative_circle_fit, mec_reference
 
 
 def dilate8(mask):

@@ -148,15 +148,22 @@ class TestRun:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert "'iter'" in error and "iters" in error and "profile" in error
 
-    def test_image_dimension_mismatch_fails_fast(self, tmp_path, disk_paths):
+    def test_image_flag_rejected(self, tmp_path, disk_paths):
         _, mask_path = disk_paths
-        image = tmp_path / "img.pgm"
-        write_pgm(image, np.zeros((8, 8), dtype=np.uint8))
         out = tmp_path / "out"
-        code = main(["run", "--mask", str(mask_path), "--image", str(image),
-                     "--out", str(out)])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mask", str(mask_path), "--image", "x.pgm", "--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
+
+    def test_image_config_key_rejected(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("image=x.pgm\n")
+        code = main(["run", "--mask", str(mask_path), "--config", str(config)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert "'image'" in error and "accepted: profile, mask, gt, field" in error
 
 
 class TestMetricsCommand:
@@ -219,6 +226,17 @@ class TestLearnCommand:
         assert not out.exists()
         assert "epochs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-5"])
+    def test_bad_learning_rate_is_usage_error(self, tmp_path, capsys, lr):
+        gt_path = tmp_path / "gt.pgm"
+        write_mask_pgm(gt_path, suite(64)[0].mask)
+        out = tmp_path / "params"
+        code = main(["learn", "--gt", str(gt_path), "--epochs", "1", "--lr", lr,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "lr must be finite and > 0" in capsys.readouterr().err
+
 
 class TestBatchCommand:
     def _manifest(self, tmp_path, entries):
@@ -264,6 +282,25 @@ class TestBatchCommand:
         code = main(["batch", "--manifest", str(manifest), "--nodes", "2"])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, disk_paths, capsys, jobs):
+        _, mask_path = disk_paths
+        manifest = self._manifest(tmp_path, [(mask_path, mask_path)])
+        code = main(["batch", "--manifest", str(manifest), "--jobs", jobs])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "jobs must be >= 1" in captured.err
+
+    def test_image_column_is_a_label_only(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        missing = tmp_path / "missing.pgm"
+        manifest = self._manifest(tmp_path, [(missing, mask_path)])
+        assert main(["batch", "--manifest", str(manifest)]) == 0
+        item, agg = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert item["image"] == str(missing) and "error" not in item
+        assert agg["failed"] == 0
 
     def test_report_file_deterministic(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths

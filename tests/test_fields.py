@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contourflow.fields import (Circle, Contour, bilinear_sample, bilinear_sample_many,
-                                boundary_mask, boundary_pixels, central_gradient,
-                                rasterize, resample_closed, signed_area)
+from contourflow.fields import (Circle, Contour, bilinear_sample_many, boundary_mask,
+                                boundary_pixels, central_gradient, rasterize,
+                                resample_closed, signed_area)
 
 from oracles import point_in_polygon, rasterize_reference
 from conftest import random_star_polygon
@@ -15,16 +15,16 @@ class TestBilinearSample:
         field = np.full((9, 7), 3.25)
         for _ in range(20):
             pt = (rng.uniform(0, 6), rng.uniform(0, 8))
-            assert bilinear_sample(field, pt) == pytest.approx(3.25, abs=1e-12)
+            assert bilinear_sample_many(field, [pt])[0] == pytest.approx(3.25, abs=1e-12)
 
     def test_exact_on_linear_ramp(self):
         # f(u, v) = u, so any interpolated value equals the u coordinate
         field = np.tile(np.arange(16.0), (16, 1))
-        assert bilinear_sample(field, (2.5, 7.0)) == pytest.approx(2.5, abs=1e-12)
+        assert bilinear_sample_many(field, [(2.5, 7.0)])[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_hand_evaluated_2x2(self):
         field = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert bilinear_sample(field, (0.5, 0.5)) == pytest.approx(1.5, abs=1e-12)
+        assert bilinear_sample_many(field, [(0.5, 0.5)])[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_reproduces_stored_values_at_integer_points(self, rng):
         # 1000 random (field, point) probes across shapes
@@ -39,14 +39,14 @@ class TestBilinearSample:
     def test_non_finite_point_rejected(self):
         field = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            bilinear_sample(field, (np.nan, 1.0))
+            bilinear_sample_many(field, [(np.nan, 1.0)])
         with pytest.raises(ValueError):
-            bilinear_sample(field, (1.0, np.inf))
+            bilinear_sample_many(field, [(1.0, np.inf)])
 
     def test_out_of_bounds_clamps(self):
         field = np.arange(16.0).reshape(4, 4)
-        assert bilinear_sample(field, (-3.0, 0.0)) == field[0, 0]
-        assert bilinear_sample(field, (9.0, 9.0)) == field[3, 3]
+        assert bilinear_sample_many(field, [(-3.0, 0.0)])[0] == field[0, 0]
+        assert bilinear_sample_many(field, [(9.0, 9.0)])[0] == field[3, 3]
 
 
 class TestCentralGradient:

@@ -3,9 +3,8 @@ import pytest
 
 from contourflow.fields import Contour, rasterize
 from contourflow.learning import (align_cyclic, contour_from_mask, subgrad_alpha,
-                                  subgrad_beta, subgrad_kappa, subgrad_mask,
-                                  trace_boundary)
-from contourflow.shapes import disk_mask, random_blob_mask
+                                  subgrad_beta, subgrad_kappa, trace_boundary)
+from contourflow.shapes import disk_mask
 
 from oracles import rasterize_reference, sum_first_diff_sq, sum_second_diff_sq
 from conftest import random_star_polygon
@@ -95,29 +94,6 @@ class TestSubgradKappa:
             assert grad.sum() == want
 
 
-class TestSubgradMask:
-    def test_zero_at_fixed_point(self, rng):
-        gt = random_blob_mask(rng, 16, 16)
-        assert np.abs(subgrad_mask(gt.astype(float), gt)).max() == 0.0
-
-    def test_uniform_half_against_ones(self):
-        soft = np.full((8, 8), 0.5)
-        gt = np.ones((8, 8), dtype=bool)
-        assert np.allclose(subgrad_mask(soft, gt), -0.5)
-
-    def test_elementwise_subtraction(self, rng):
-        soft = rng.uniform(0.0, 1.0, size=(12, 12))
-        gt = random_blob_mask(rng, 12, 12)
-        assert np.allclose(subgrad_mask(soft, gt), soft - gt.astype(float), atol=0)
-
-    def test_out_of_range_clamped_with_warning(self):
-        soft = np.full((4, 4), 1.5)
-        gt = np.zeros((4, 4), dtype=bool)
-        with pytest.warns(RuntimeWarning):
-            grad = subgrad_mask(soft, gt)
-        assert np.allclose(grad, 1.0)
-
-
 class TestContourFromMask:
     def test_boundary_trace_closed_loop(self):
         mask = disk_mask(32, 32, (16.0, 16.0), 8.0)
@@ -191,3 +167,10 @@ class TestFitParameters:
         mask, force, config = self._setup()
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             fit_parameters(mask, force, config, epochs=0)
+
+    @pytest.mark.parametrize("learn_rate", [np.nan, np.inf, -np.inf, -5.0])
+    def test_bad_learn_rate_rejected(self, learn_rate):
+        from contourflow.learning import fit_parameters
+        mask, force, config = self._setup()
+        with pytest.raises(ValueError, match="learn_rate must be finite and >= 0"):
+            fit_parameters(mask, force, config, learn_rate=learn_rate, epochs=1)
