@@ -42,8 +42,7 @@ def run_once(mask, init_mode, field="lcdvf", iterations=50, kappa=KAPPA,
     start = circle_to_contour(init_circle, NODES, width, height)
     params = ParameterSet.uniform(width, height, alpha=ALPHA, beta=BETA, kappa=kappa)
     final, _ = evolve(start, force, params,
-                      SnakeConfig(iterations=iterations, node_count=NODES,
-                                  clip_norm=np.inf))
+                      SnakeConfig(iterations=iterations, node_count=NODES))
     return evaluate(rasterize(final, width, height), mask)
 
 

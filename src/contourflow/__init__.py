@@ -13,13 +13,13 @@ from .learning import (FitResult, align_cyclic, contour_from_mask, fit_parameter
                        subgrad_alpha, subgrad_beta, subgrad_kappa)
 from .metrics import MetricsReport, boundf, dice, evaluate, iou
 from .snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
-                    TraceStep, assemble_internal_system, balloon_force,
-                    energy_eval, evolve, evolve_step)
+                    assemble_internal_system, balloon_force, energy_eval, evolve,
+                    evolve_step)
 
 __all__ = [
     "Circle", "Contour", "EvolutionTrace", "EvolveError", "FitResult",
     "ForceField", "MetricsReport", "ParameterSet", "SnakeConfig",
-    "TraceStep", "align_cyclic", "assemble_internal_system",
+    "align_cyclic", "assemble_internal_system",
     "balloon_force", "bilinear_sample_many", "boundary_mask",
     "boundary_pixels", "boundf", "central_gradient", "circle_to_contour",
     "circumscribed_circle", "contour_from_mask", "dice", "dvf",

@@ -81,8 +81,7 @@ class RunConfig:
 
     def snake_config(self) -> SnakeConfig:
         return SnakeConfig(iterations=self.iterations, time_step=self.tau,
-                           node_count=self.nodes, resample_each_step=self.resample,
-                           clip_norm=self.clip)
+                           node_count=self.nodes, resample_each_step=self.resample)
 
 
 @dataclass
@@ -201,7 +200,9 @@ def resolve_run_config(args) -> RunConfig:
             out_dir=str(settings["out"]) if settings.get("out") else None,
             dump_frames=str(settings["dump_frames"]) if settings.get("dump_frames") else None,
         )
-        cfg.snake_config()  # rejects bad iterations, tau, nodes and clip up front
+        cfg.snake_config()  # rejects bad iterations, tau and nodes up front
+        if not cfg.clip > 0.0:
+            raise ValueError("clip must be positive (inf disables clipping)")
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad configuration value: {exc}") from exc
     return cfg
@@ -337,9 +338,9 @@ def write_run_outputs(cfg: RunConfig, result: RunResult) -> None:
     if cfg.dump_frames:
         frames = Path(cfg.dump_frames)
         frames.mkdir(parents=True, exist_ok=True)
-        for i, step in enumerate(result.trace.steps):
-            write_pgm(frames / f"frame_{i:04d}.pgm", _render_frame(result.mask, step.contour))
-            atomic_write_text(frames / f"frame_{i:04d}.json", _contour_json(step.contour))
+        for i, contour in enumerate(result.trace.contours):
+            write_pgm(frames / f"frame_{i:04d}.pgm", _render_frame(result.mask, contour))
+            atomic_write_text(frames / f"frame_{i:04d}.json", _contour_json(contour))
 
 
 def _cmd_run(args) -> int:
@@ -388,8 +389,7 @@ def _cmd_learn(args) -> int:
         raise CliError("epochs must be >= 1")
     if not (np.isfinite(args.lr) and args.lr > 0.0):
         raise CliError(f"lr must be finite and > 0, got {args.lr}")
-    if args.mask is None:
-        args.mask = args.gt  # the ground truth drives the force field
+    args.mask = args.gt  # the ground truth drives the force field
     cfg = resolve_run_config(args)
     try:
         gt = read_mask_pgm(cfg.mask_path)
@@ -439,7 +439,8 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be >= 1")
-    cfg_template = resolve_run_config_for_batch(args)
+    args.mask = "<manifest>"  # placeholder; each item sets its own mask
+    cfg_template = resolve_run_config(args)
     pairs = _parse_manifest(args.manifest)
 
     rows = []
@@ -470,12 +471,6 @@ def _cmd_batch(args) -> int:
     if args.out:
         atomic_write_text(args.out, report_text)
     return EXIT_OK if aggregate["failed"] == 0 else EXIT_COMPUTE
-
-
-def resolve_run_config_for_batch(args) -> RunConfig:
-    if getattr(args, "mask", None) is None:
-        args.mask = "<manifest>"  # placeholder; replaced per item
-    return resolve_run_config(args)
 
 
 _SWEEP_AXES = ("radius", "iterations", "field", "init")
@@ -523,9 +518,12 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_run_options(parser: argparse.ArgumentParser, need_mask: bool = True) -> None:
-    parser.add_argument("--mask", required=need_mask, help="driving mask (PGM)")
-    parser.add_argument("--gt", help="ground-truth mask (PGM); defaults to --mask")
+def _add_run_options(parser: argparse.ArgumentParser, with_mask: bool = True) -> None:
+    if with_mask:
+        parser.add_argument("--mask", required=True, help="driving mask (PGM)")
+        parser.add_argument("--gt", help="ground-truth mask (PGM); defaults to --mask")
+    else:
+        parser.add_argument("--gt", help="ground-truth mask (PGM)")
     parser.add_argument("--profile", choices=sorted(PROFILES))
     parser.add_argument("--field", help="lcdvf | dvf | energy:<file.pfm>")
     parser.add_argument("--init", help="inscribed | circumscribed | circle:<cu>,<cv>,<r>")
@@ -565,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dt.set_defaults(func=_cmd_dt)
 
     p_learn = sub.add_parser("learn", help="fit parameter maps on one image")
-    _add_run_options(p_learn, need_mask=False)
+    _add_run_options(p_learn, with_mask=False)
     p_learn.add_argument("--epochs", type=int, default=100)
     p_learn.add_argument("--lr", type=float, default=1e-3)
     p_learn.add_argument("--out", required=True, help="output directory for "
@@ -574,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="run a manifest of (image, mask) pairs; "
                              "the image column only labels each row")
-    _add_run_options(p_batch, need_mask=False)
+    _add_run_options(p_batch, with_mask=False)
     p_batch.add_argument("--manifest", required=True)
     p_batch.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility (must be >= 1); items always "

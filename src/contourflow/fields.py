@@ -159,23 +159,18 @@ class Contour:
         return Contour(pts)
 
 
-def rasterize(contour, width: int, height: int) -> np.ndarray:
+def rasterize(contour: Contour, width: int, height: int) -> np.ndarray:
     """Pixel-center even-odd rasterization of a closed polygon.
 
     A pixel center is inside when an odd number of edges cross the
     horizontal ray extending to its right; an edge contributes over the
     half-open row interval [min(v), max(v)), which resolves
     boundary-grazing centers deterministically (top-left convention).
-    Degenerate polygons rasterize to an all-zero mask.
+    Degenerate contours rasterize to an all-zero mask.
     """
-    if isinstance(contour, Contour):
-        if contour.is_degenerate:
-            return np.zeros((height, width), dtype=bool)
-        pts = contour.nodes
-    else:
-        pts = np.asarray(contour, dtype=np.float64)
-        if abs(signed_area(pts)) < DEGENERATE_AREA:
-            return np.zeros((height, width), dtype=bool)
+    if contour.is_degenerate:
+        return np.zeros((height, width), dtype=bool)
+    pts = contour.nodes
 
     crossings: list[list[float]] = [[] for _ in range(height)]
     nxt = np.roll(pts, -1, axis=0)

@@ -9,15 +9,11 @@ external-energy map (``energy_gradient_field``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import as_field, bilinear_sample_many, central_gradient
-
-KIND_DVF = "dvf"
-KIND_LCDVF = "lcdvf"
-KIND_ENERGY = "energy_gradient"
 
 
 def clip_vectors(vectors: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -38,15 +34,13 @@ def clip_vectors(vectors: np.ndarray, clip_norm: float) -> np.ndarray:
 class ForceField:
     """Per-pixel force vectors plus the energy map they descend.
 
-    ``potential`` is the external-energy field consistent with the
-    vectors (used when tracing total contour energy); it is None only
-    for hand-built fields.
+    ``vectors`` are already clipped by the constructor that built them.
+    ``potential`` is the (H, W) external-energy field consistent with the
+    vectors; the evolution trace scores contour energies against it.
     """
 
     vectors: np.ndarray  # (H, W, 2)
-    kind: str
-    clip_norm: float
-    potential: np.ndarray | None = dc_field(default=None)
+    potential: np.ndarray  # (H, W)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -68,7 +62,7 @@ def dvf(dt, clip_norm: float = 2.0) -> ForceField:
     toward the nearest boundary."""
     dt = as_field(dt)
     vectors = clip_vectors(-central_gradient(dt), clip_norm)
-    return ForceField(vectors, KIND_DVF, clip_norm, potential=dt.copy())
+    return ForceField(vectors, dt.copy())
 
 
 def lcdvf(dt, clip_norm: float = 2.0) -> ForceField:
@@ -77,11 +71,11 @@ def lcdvf(dt, clip_norm: float = 2.0) -> ForceField:
     boundary. The matching potential is half the squared distance."""
     dt = as_field(dt)
     vectors = clip_vectors(-dt[..., None] * central_gradient(dt), clip_norm)
-    return ForceField(vectors, KIND_LCDVF, clip_norm, potential=0.5 * dt * dt)
+    return ForceField(vectors, 0.5 * dt * dt)
 
 
 def energy_gradient_field(energy, clip_norm: float = 2.0) -> ForceField:
     """Steepest-descent force of an arbitrary external-energy map."""
     energy = as_field(energy)
     vectors = clip_vectors(-central_gradient(energy), clip_norm)
-    return ForceField(vectors, KIND_ENERGY, clip_norm, potential=energy.copy())
+    return ForceField(vectors, energy.copy())

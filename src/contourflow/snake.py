@@ -14,11 +14,11 @@ stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Contour, as_field, bilinear_sample_many, rasterize
+from .fields import Contour, as_field, bilinear_sample_many, rasterize, resample_closed
 from .flow import ForceField
 
 _TINY = 1e-12
@@ -67,7 +67,6 @@ class SnakeConfig:
     time_step: float = 0.1
     node_count: int = 60
     resample_each_step: bool = False
-    clip_norm: float = 2.0
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -76,31 +75,36 @@ class SnakeConfig:
             raise ValueError("time_step must be positive")
         if self.node_count < 3:
             raise ValueError("node_count must be >= 3")
-        if not self.clip_norm > 0.0:
-            raise ValueError("clip_norm must be positive (inf disables clipping)")
-
-
-@dataclass
-class TraceStep:
-    contour: Contour
-    energy: float
-    mean_displacement: float
 
 
 @dataclass
 class EvolutionTrace:
-    steps: list[TraceStep] = dc_field(default_factory=list)
+    """The contours of one evolution, the clamped start first.
+
+    ``potential`` and ``params`` are the external-energy map and weights
+    the run used, held by reference, not copied. Energies and mean node
+    displacements are computed from the contours each time they are read,
+    so a caller that never reads them never pays for them.
+    """
+
+    contours: list[Contour]
+    potential: np.ndarray
+    params: ParameterSet
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.contours)
 
     @property
     def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.steps])
+        return np.array([energy_eval(c, self.potential, self.params) for c in self.contours])
 
     @property
     def displacements(self) -> np.ndarray:
-        return np.array([s.mean_displacement for s in self.steps])
+        moved = [0.0]
+        for prev, cur in zip(self.contours, self.contours[1:]):
+            delta = cur.nodes - prev.nodes
+            moved.append(float(np.hypot(delta[:, 0], delta[:, 1]).mean()))
+        return np.array(moved)
 
 
 def energy_eval(contour: Contour, external, params: ParameterSet) -> float:
@@ -184,8 +188,6 @@ def evolve_step(contour: Contour, force: ForceField, params: ParameterSet,
     new_pts[:, 0] = np.clip(new_pts[:, 0], 0.0, width - 1.0)
     new_pts[:, 1] = np.clip(new_pts[:, 1], 0.0, height - 1.0)
     if config.resample_each_step:
-        from .fields import resample_closed
-
         new_pts = resample_closed(new_pts, len(pts))
     return Contour(new_pts)
 
@@ -194,26 +196,23 @@ def evolve(initial: Contour, force: ForceField, params: ParameterSet,
            config: SnakeConfig) -> tuple[Contour, EvolutionTrace]:
     """Run ``config.iterations`` evolution steps and record a trace.
 
-    The trace has iterations + 1 entries (the clamped initial state
-    first); the run is deterministic for fixed inputs. Trace energies use
-    the force field's potential map, or zero if the field has none.
+    The trace holds iterations + 1 contours (the clamped initial state
+    first, ``final`` last); the run is deterministic for fixed inputs. The
+    loop computes no energies: the trace evaluates them against the force
+    field's potential map when they are read.
     """
     height, width = force.shape
     if params.beta.shape != (height, width):
         raise ValueError(f"parameter maps {params.beta.shape} do not match "
                          f"the force field {(height, width)}")
-    potential = force.potential if force.potential is not None else np.zeros((height, width))
     current = initial.clamped(width, height)
-    steps = [TraceStep(current, energy_eval(current, potential, params), 0.0)]
+    contours = [current]
     for i in range(config.iterations):
         try:
-            nxt = evolve_step(current, force, params, config)
+            current = evolve_step(current, force, params, config)
         except EvolveError:
             raise
         except Exception as exc:
             raise EvolveError(f"evolution failed at iteration {i + 1}: {exc}") from exc
-        delta = nxt.nodes - current.nodes
-        moved = float(np.hypot(delta[:, 0], delta[:, 1]).mean())
-        steps.append(TraceStep(nxt, energy_eval(nxt, potential, params), moved))
-        current = nxt
-    return current, EvolutionTrace(steps)
+        contours.append(current)
+    return current, EvolutionTrace(contours, force.potential, params)

@@ -55,8 +55,7 @@ def suite_prediction(fixture, iterations=50, field="lcdvf", kappa=SUITE_KAPPA,
     start = circle_to_contour(init_circle, SUITE_NODES, width, height)
     params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
                                   beta=SUITE_BETA, kappa=kappa)
-    config = SnakeConfig(iterations=iterations, node_count=SUITE_NODES,
-                         clip_norm=np.inf)
+    config = SnakeConfig(iterations=iterations, node_count=SUITE_NODES)
     final, _ = evolve(start, force, params, config)
     return rasterize(final, width, height)
 
@@ -145,7 +144,7 @@ def test_ac3_capture_range():
             params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
                                           beta=SUITE_BETA, kappa=0.0)
             final, _ = evolve(start, force, params,
-                              SnakeConfig(iterations=50, clip_norm=np.inf))
+                              SnakeConfig(iterations=50))
             scores.append(iou(rasterize(final, width, height), mask))
         return scores
 
@@ -236,7 +235,7 @@ def test_ac6_gradient_and_energy_checks():
         run_params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
                                           beta=SUITE_BETA, kappa=0.0)
         _, trace = evolve(start, flow, run_params,
-                          SnakeConfig(iterations=50, time_step=0.1, clip_norm=np.inf))
+                          SnakeConfig(iterations=50, time_step=0.1))
         worst_rise = max(worst_rise, float(np.diff(trace.energies).max()))
 
     ok = worst_rel <= 1e-3 and worst_rise <= 1e-6
@@ -260,7 +259,7 @@ def test_ac7_learning_fixed_point_and_progress():
     # progress: a mis-signed uniform balloon start must be improved upon
     mask = u_shape_mask(64, 64, (32.0, 32.0), 19.0, 16.0, 10.0, 2.0, 12.0)
     force = lcdvf(mask_to_dt(mask), np.inf)
-    config = SnakeConfig(iterations=50, node_count=SUITE_NODES, clip_norm=np.inf)
+    config = SnakeConfig(iterations=50, node_count=SUITE_NODES)
     start_params = ParameterSet.uniform(64, 64, alpha=SUITE_ALPHA,
                                         beta=SUITE_BETA, kappa=-0.05)
     fit = fit_parameters(mask, force, config, learn_rate=1e-3, epochs=100,

@@ -122,7 +122,8 @@ class TestRun:
         assert main(["run", "--mask", str(mask_path), "--field", "bogus"]) == 2
 
     @pytest.mark.parametrize("flags", [["--nodes", "2"], ["--tau", "-1"],
-                                       ["--iters", "-1"], ["--clip", "0"]])
+                                       ["--iters", "-1"], ["--clip", "0"],
+                                       ["--clip", "nan"], ["--clip", "-1"]])
     def test_bad_solver_setting_is_usage_error(self, tmp_path, disk_paths, capsys, flags):
         _, mask_path = disk_paths
         out = tmp_path / "out"
@@ -237,6 +238,19 @@ class TestLearnCommand:
         assert not out.exists()
         assert "lr must be finite and > 0" in capsys.readouterr().err
 
+    def test_mask_flag_rejected(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.pgm"
+        mask_path = tmp_path / "other.pgm"
+        write_mask_pgm(gt_path, suite(64)[0].mask)
+        write_mask_pgm(mask_path, suite(64)[3].mask)
+        out = tmp_path / "params"
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--gt", str(gt_path), "--mask", str(mask_path),
+                  "--epochs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestBatchCommand:
     def _manifest(self, tmp_path, entries):
@@ -279,9 +293,21 @@ class TestBatchCommand:
     def test_bad_solver_setting_stops_before_any_item(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         manifest = self._manifest(tmp_path, [(mask_path, mask_path)] * 2)
-        code = main(["batch", "--manifest", str(manifest), "--nodes", "2"])
-        assert code == 2
+        for flags in (["--nodes", "2"], ["--clip", "0"], ["--clip", "nan"], ["--clip", "-1"]):
+            code = main(["batch", "--manifest", str(manifest)] + flags)
+            assert code == 2
+            assert capsys.readouterr().out == ""
+
+    def test_mask_flag_rejected(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        manifest = self._manifest(tmp_path, [(mask_path, mask_path)])
+        out = tmp_path / "report.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--manifest", str(manifest), "--mask", str(mask_path),
+                  "--out", str(out)])
+        assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, disk_paths, capsys, jobs):

@@ -138,7 +138,7 @@ class TestFitParameters:
         from contourflow.snake import SnakeConfig
         mask = disk_mask(48, 48, (24.0, 24.0), 14.0)
         force = lcdvf(mask_to_dt(mask), np.inf)
-        config = SnakeConfig(iterations=20, node_count=40, clip_norm=np.inf)
+        config = SnakeConfig(iterations=20, node_count=40)
         return mask, force, config
 
     def test_zero_learning_rate_leaves_params_unchanged(self):

@@ -29,8 +29,7 @@ def square_contour(side, center=(10.0, 10.0)):
 
 
 def zero_force(width, height):
-    return ForceField(np.zeros((height, width, 2)), "energy_gradient", np.inf,
-                      potential=np.zeros((height, width)))
+    return ForceField(np.zeros((height, width, 2)), np.zeros((height, width)))
 
 
 class TestEnergyEval:
@@ -170,7 +169,7 @@ class TestEvolveStep:
         vectors = np.zeros((32, 32, 2))
         vectors[..., 0] = 0.75
         vectors[..., 1] = -0.25
-        force = ForceField(vectors, "energy_gradient", np.inf)
+        force = ForceField(vectors, np.zeros((32, 32)))
         contour = square_contour(4.0, center=(16.0, 16.0))
         params = uniform_params(32, 32)
         stepped = evolve_step(contour, force, params, SnakeConfig(time_step=0.1))
@@ -191,7 +190,7 @@ class TestEvolveStep:
 
     def test_clamps_to_bounds(self):
         vectors = np.full((16, 16, 2), 100.0)
-        force = ForceField(vectors, "energy_gradient", np.inf)
+        force = ForceField(vectors, np.zeros((16, 16)))
         contour = square_contour(4.0, center=(8.0, 8.0))
         stepped = evolve_step(contour, force, uniform_params(16, 16),
                               SnakeConfig(time_step=1.0))
@@ -221,7 +220,7 @@ class TestEvolve:
         final, trace = evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2), cfg)
         assert len(trace) == 24
         assert len(final) == 60
-        assert trace.steps[0].mean_displacement == 0.0
+        assert trace.displacements[0] == 0.0
 
     def test_deterministic(self):
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
@@ -248,7 +247,7 @@ class TestEvolve:
         force = lcdvf(mask_to_dt(mask), np.inf)
         start = circle_to_contour(circumscribed_circle(mask), 60, 64, 64)
         final, _ = evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
-                          SnakeConfig(clip_norm=np.inf))
+                          SnakeConfig())
         from contourflow.metrics import iou
         assert iou(rasterize(final, 64, 64), mask) >= 0.90
 
@@ -259,6 +258,29 @@ class TestEvolve:
         assert isinstance(trace, EvolutionTrace)
         assert trace.energies.shape == (4,)
         assert trace.displacements.shape == (4,)
+
+    def test_energies_are_computed_only_when_read(self, monkeypatch):
+        import contourflow.snake as snake_module
+
+        calls = []
+        original = snake_module.energy_eval
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(snake_module, "energy_eval", counting)
+        mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
+        force = lcdvf(mask_to_dt(mask), 2.0)
+        start = circle_to_contour(inscribed_circle(mask), 60, 64, 64)
+        params = ParameterSet.uniform(64, 64, kappa=0.2)
+        final, trace = evolve(start, force, params, SnakeConfig(iterations=7))
+        assert calls == []
+        energies = trace.energies
+        assert len(calls) == 8
+        assert trace.contours[-1] is final
+        for contour, energy in zip(trace.contours, energies):
+            assert energy == original(contour, force.potential, params)
 
 
 class TestConfigValidation:
