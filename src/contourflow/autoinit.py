@@ -11,7 +11,7 @@ import random
 import numpy as np
 
 from .edt import edt_from_sites
-from .fields import Circle, Contour, as_mask, boundary_pixels
+from .fields import Circle, Contour, as_mask, boundary_pixels, bounding_box
 
 _MULT_EPS = 1.0 + 1e-14
 
@@ -19,16 +19,26 @@ _MULT_EPS = 1.0 + 1e-14
 def inscribed_circle(mask) -> Circle:
     """Largest circle fully contained in the foreground: center at the
     argmax of the distance to background (outside the frame counts as
-    background), ties broken by smallest (row, column)."""
+    background), ties broken by smallest (row, column).
+
+    The distance transform runs on the foreground's bounding box padded
+    by one background pixel, not on the whole frame. That is exact: the
+    nearest point of the padded ring to a background pixel outside it is
+    itself background and no farther from any foreground pixel, and the
+    transform's squared distances are exact integers. A translation keeps
+    the row-major order, so the tie-break is unchanged too.
+    """
     mask = as_mask(mask)
     if not mask.any():
         raise ValueError("mask has no foreground")
-    padded = np.pad(mask, 1, mode="constant", constant_values=False)
+    rows, cols = bounding_box(mask)
+    crop = mask[rows, cols]
+    padded = np.pad(crop, 1, mode="constant", constant_values=False)
     interior = edt_from_sites(~padded)[1:-1, 1:-1]
-    scored = np.where(mask, interior, -1.0)
+    scored = np.where(crop, interior, -1.0)
     best = int(np.argmax(scored))  # row-major argmax = smallest (row, col) tie-break
-    cv, cu = divmod(best, mask.shape[1])
-    return Circle((float(cu), float(cv)), float(scored[cv, cu]))
+    cv, cu = divmod(best, crop.shape[1])
+    return Circle((float(cols.start + cu), float(rows.start + cv)), float(scored[cv, cu]))
 
 
 def circumscribed_circle(mask) -> Circle:

@@ -112,6 +112,9 @@ def _json_line(obj) -> str:
 _RUN_KEYS = ("mask", "gt", "field", "init", "iters", "tau", "nodes",
              "resample", "clip", "alpha", "beta", "kappa", "out", "dump_frames")
 _CONFIG_FILE_KEYS = ("profile",) + _RUN_KEYS
+# commands without --mask: learn fits --gt and batch takes each item's mask,
+# so a config file's mask key would be read and then ignored
+_MASKLESS_COMMANDS = ("learn", "batch")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -164,6 +167,8 @@ def resolve_run_config(args) -> RunConfig:
     """Merge profile defaults, config file entries and explicit flags,
     in that precedence order (flags win)."""
     file_settings = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    if "mask" in file_settings and args.command in _MASKLESS_COMMANDS:
+        raise CliError(f"{args.config}: key 'mask' is not accepted by {args.command}")
     profile = getattr(args, "profile", None) or file_settings.get("profile") or "building"
     if profile not in PROFILES:
         raise CliError(f"unknown profile {profile!r} (choose from {sorted(PROFILES)})")
@@ -408,6 +413,8 @@ def _cmd_learn(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "alpha.json", json.dumps({"alpha": _round6(fit.params.alpha)}) + "\n")
+    atomic_write_text(out / "history.json",
+                      json.dumps({"iou_history": _round6(fit.iou_history)}) + "\n")
     write_pfm(out / "beta.pfm", fit.params.beta)
     write_pfm(out / "kappa.pfm", fit.params.kappa)
     print(_json_line({"baseline_iou": fit.baseline_iou, "best_iou": fit.best_iou,
@@ -567,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--epochs", type=int, default=100)
     p_learn.add_argument("--lr", type=float, default=1e-3)
     p_learn.add_argument("--out", required=True, help="output directory for "
-                         "alpha.json, beta.pfm, kappa.pfm")
+                         "alpha.json, beta.pfm, kappa.pfm, history.json")
     p_learn.set_defaults(func=_cmd_learn)
 
     p_batch = sub.add_parser("batch", help="run a manifest of (image, mask) pairs; "

@@ -87,6 +87,14 @@ def boundary_mask(mask) -> np.ndarray:
     return mask & ~has_all_neighbors
 
 
+def bounding_box(mask) -> tuple[slice, slice]:
+    """Row and column slices of the smallest box holding every True pixel
+    of a mask that has at least one."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
 def boundary_pixels(mask) -> np.ndarray:
     """(K, 2) int array of boundary (u, v) coordinates, in row-major order."""
     rows, cols = np.nonzero(boundary_mask(mask))
@@ -167,36 +175,32 @@ def rasterize(contour: Contour, width: int, height: int) -> np.ndarray:
     half-open row interval [min(v), max(v)), which resolves
     boundary-grazing centers deterministically (top-left convention).
     Degenerate contours rasterize to an all-zero mask.
+
+    All edge x row crossings are computed in one array, with the same
+    ``t = (row - av) / (bv - av)``, ``x = au + t * (bu - au)`` arithmetic
+    per crossing as a per-edge loop. A crossing lies strictly right of
+    the integer column ``c`` exactly when ``ceil(x) > c``, so a histogram
+    of ``clip(ceil(x), 0, width)`` per row, summed from the right, counts
+    the crossings right of every pixel center without sorting. Each
+    crossing is the same float as in that loop and is only compared with
+    integers afterwards, so the mask equals the loop's (kept as
+    ``rasterize_loop`` in ``tests/oracles.py``) bit for bit.
     """
     if contour.is_degenerate:
         return np.zeros((height, width), dtype=bool)
-    pts = contour.nodes
-
-    crossings: list[list[float]] = [[] for _ in range(height)]
-    nxt = np.roll(pts, -1, axis=0)
-    for (au, av), (bu, bv) in zip(pts, nxt):
-        if av == bv:
-            continue
-        lo, hi = (av, bv) if av < bv else (bv, av)
-        r0 = max(int(np.ceil(lo)), 0)
-        r1 = min(int(np.ceil(hi)), height)
-        if r0 >= r1:
-            continue
-        rows = np.arange(r0, r1, dtype=np.float64)
-        t = (rows - av) / (bv - av)
-        xs = au + t * (bu - au)
-        for r, x in zip(range(r0, r1), xs):
-            crossings[r].append(float(x))
-
-    out = np.zeros((height, width), dtype=bool)
-    cols = np.arange(width, dtype=np.float64)
-    for r, xs in enumerate(crossings):
-        if not xs:
-            continue
-        xs_sorted = np.sort(np.asarray(xs, dtype=np.float64))
-        strictly_right = len(xs_sorted) - np.searchsorted(xs_sorted, cols, side="right")
-        out[r] = (strictly_right % 2).astype(bool)
-    return out
+    au, av = contour.nodes[:, 0], contour.nodes[:, 1]
+    bu, bv = np.roll(au, -1), np.roll(av, -1)
+    r0 = np.clip(np.ceil(np.minimum(av, bv)), 0, height).astype(np.intp)
+    r1 = np.clip(np.ceil(np.maximum(av, bv)), 0, height).astype(np.intp)
+    counts = r1 - r0  # 0 for horizontal edges and edges outside the rows
+    edge = np.repeat(np.arange(len(counts)), counts)
+    rows = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts) + r0[edge]
+    t = (rows - av[edge]) / (bv[edge] - av[edge])
+    xs = au[edge] + t * (bu[edge] - au[edge])
+    bins = np.clip(np.ceil(xs), 0, width).astype(np.intp)
+    hist = np.bincount(rows * (width + 1) + bins, minlength=height * (width + 1))
+    right = np.cumsum(hist.reshape(height, width + 1)[:, ::-1], axis=1)[:, ::-1]
+    return (right[:, 1:] & 1).astype(bool)
 
 
 def resample_closed(nodes, count: int) -> np.ndarray:

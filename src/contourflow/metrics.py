@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edt import edt_from_sites
-from .fields import as_mask, boundary_mask
+from .fields import as_mask, boundary_mask, bounding_box
 
 BOUNDF_THRESHOLDS = (1, 2, 3, 4, 5)
 
@@ -45,6 +45,12 @@ def boundf(pred, gt) -> tuple[float, tuple[float, ...]]:
     Precision at threshold t is the fraction of predicted boundary pixels
     within Euclidean distance t of some ground-truth boundary pixel;
     recall is symmetric. Returns (mean, per-threshold scores).
+
+    Both distance transforms run on the bounding box of the two boundary
+    sets, not on the whole frame. Every site and every pixel read lies in
+    that box, and the transform is exact (integer squared distances), so
+    each distance is the same minimum over the same sites as on the full
+    frame.
     """
     pred, gt = _pair(pred, gt)
     pred_b = boundary_mask(pred)
@@ -52,6 +58,8 @@ def boundf(pred, gt) -> tuple[float, tuple[float, ...]]:
     if not pred_b.any() or not gt_b.any():
         score = 1.0 if (not pred.any() and not gt.any()) else 0.0
         return score, (score,) * len(BOUNDF_THRESHOLDS)
+    box = bounding_box(pred_b | gt_b)
+    pred_b, gt_b = pred_b[box], gt_b[box]
     d_pred_to_gt = edt_from_sites(gt_b)[pred_b]
     d_gt_to_pred = edt_from_sites(pred_b)[gt_b]
     per = []

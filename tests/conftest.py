@@ -22,6 +22,40 @@ def site_mask(points, width: int, height: int) -> np.ndarray:
     return sites
 
 
+def edge_case_masks(height: int = 20, width: int = 24) -> dict[str, np.ndarray]:
+    """Masks whose bounding box touches each frame edge, a single pixel,
+    the full frame and two far-apart blobs, by name."""
+    def blank():
+        return np.zeros((height, width), dtype=bool)
+
+    masks = {name: blank() for name in ("top", "bottom", "left", "right", "pixel",
+                                         "corner_pixel", "two_blobs")}
+    masks["top"][:5, 6:14] = True
+    masks["bottom"][height - 4:, 3:9] = True
+    masks["left"][7:15, :6] = True
+    masks["right"][2:9, width - 7:] = True
+    masks["pixel"][9, 11] = True
+    masks["corner_pixel"][height - 1, width - 1] = True
+    masks["two_blobs"][1:4, 1:5] = True
+    masks["two_blobs"][height - 6:height - 1, width - 5:width - 2] = True
+    masks["full"] = np.ones((height, width), dtype=bool)
+    return masks
+
+
+def random_boxes_mask(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
+    """Union of one to three random rectangles, often clipped by the frame,
+    with a few pixels knocked out."""
+    mask = np.zeros((height, width), dtype=bool)
+    for _ in range(int(rng.integers(1, 4))):
+        r0, c0 = int(rng.integers(-3, height)), int(rng.integers(-3, width))
+        r1 = r0 + int(rng.integers(1, height + 1))
+        c1 = c0 + int(rng.integers(1, width + 1))
+        mask[max(r0, 0):r1, max(c0, 0):c1] = True
+    if rng.random() < 0.5:
+        mask &= rng.random((height, width)) < 0.85
+    return mask
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)

@@ -2,8 +2,12 @@
 
 Everything here is deliberately naive (per-pixel loops, exhaustive
 enumeration) and shares no code with the production paths it checks,
-except ``iterative_circle_fit``, which starts from the exact circle
-constructions and cross-checks them by local search on the raster.
+with three exceptions. ``iterative_circle_fit`` starts from the exact
+circle constructions and cross-checks them by local search on the
+raster. ``rasterize_loop`` and ``inscribed_circle_full_frame`` are the
+former production implementations (per-edge and per-row loops; a
+distance transform over the whole frame), kept so that the vectorized
+and cropped versions can be required to match them exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import math
 import numpy as np
 
 from contourflow.autoinit import circumscribed_circle, inscribed_circle
-from contourflow.fields import Circle
+from contourflow.edt import edt_from_sites
+from contourflow.fields import Circle, as_mask
 
 
 def point_in_polygon(point, nodes) -> bool:
@@ -39,6 +44,55 @@ def rasterize_reference(nodes, width: int, height: int) -> np.ndarray:
         for c in range(width):
             out[r, c] = point_in_polygon((c, r), nodes)
     return out
+
+
+def rasterize_loop(contour, width: int, height: int) -> np.ndarray:
+    """Per-edge, per-row even-odd rasterization: each edge appends its
+    crossings to the rows it spans, and each row counts the crossings
+    strictly right of every pixel center by a sorted search."""
+    if contour.is_degenerate:
+        return np.zeros((height, width), dtype=bool)
+    pts = contour.nodes
+
+    crossings: list[list[float]] = [[] for _ in range(height)]
+    nxt = np.roll(pts, -1, axis=0)
+    for (au, av), (bu, bv) in zip(pts, nxt):
+        if av == bv:
+            continue
+        lo, hi = (av, bv) if av < bv else (bv, av)
+        r0 = max(int(np.ceil(lo)), 0)
+        r1 = min(int(np.ceil(hi)), height)
+        if r0 >= r1:
+            continue
+        rows = np.arange(r0, r1, dtype=np.float64)
+        t = (rows - av) / (bv - av)
+        xs = au + t * (bu - au)
+        for r, x in zip(range(r0, r1), xs):
+            crossings[r].append(float(x))
+
+    out = np.zeros((height, width), dtype=bool)
+    cols = np.arange(width, dtype=np.float64)
+    for r, xs in enumerate(crossings):
+        if not xs:
+            continue
+        xs_sorted = np.sort(np.asarray(xs, dtype=np.float64))
+        strictly_right = len(xs_sorted) - np.searchsorted(xs_sorted, cols, side="right")
+        out[r] = (strictly_right % 2).astype(bool)
+    return out
+
+
+def inscribed_circle_full_frame(mask) -> Circle:
+    """Argmax of the distance to background over the whole frame padded
+    by one background pixel, ties broken by smallest (row, column)."""
+    mask = as_mask(mask)
+    if not mask.any():
+        raise ValueError("mask has no foreground")
+    padded = np.pad(mask, 1, mode="constant", constant_values=False)
+    interior = edt_from_sites(~padded)[1:-1, 1:-1]
+    scored = np.where(mask, interior, -1.0)
+    best = int(np.argmax(scored))
+    cv, cu = divmod(best, mask.shape[1])
+    return Circle((float(cu), float(cv)), float(scored[cv, cu]))
 
 
 def convex_hull(points) -> list[tuple[float, float]]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from contourflow.autoinit import (circle_to_contour, circumscribed_circle,
                                   inscribed_circle, minimal_enclosing_circle)
@@ -7,7 +8,8 @@ from contourflow.edt import edt_from_sites
 from contourflow.fields import rasterize
 from contourflow.shapes import disk_mask, random_blob_mask, rectangle_mask
 
-from oracles import iterative_circle_fit, mec_reference
+from oracles import inscribed_circle_full_frame, iterative_circle_fit, mec_reference
+from conftest import edge_case_masks, random_boxes_mask
 
 
 def dilate8(mask):
@@ -53,6 +55,29 @@ class TestInscribed:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             inscribed_circle(np.zeros((8, 8), dtype=bool))
+
+
+class TestInscribedCropped:
+    """``inscribed_circle`` takes its distance transform on the padded
+    foreground bounding box; center and radius must equal the full-frame
+    construction exactly."""
+
+    @pytest.mark.parametrize("name", sorted(edge_case_masks()))
+    def test_equals_full_frame_on_edge_cases(self, name):
+        mask = edge_case_masks()[name]
+        got = inscribed_circle(mask)
+        want = inscribed_circle_full_frame(mask)
+        assert got.center == want.center and got.radius == want.radius
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 100_000), height=st.integers(1, 30),
+           width=st.integers(1, 30))
+    def test_equals_full_frame_on_random_boxes(self, seed, height, width):
+        mask = random_boxes_mask(np.random.default_rng(seed), height, width)
+        assume(mask.any())
+        got = inscribed_circle(mask)
+        want = inscribed_circle_full_frame(mask)
+        assert got.center == want.center and got.radius == want.radius
 
 
 class TestCircumscribed:

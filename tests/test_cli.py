@@ -217,6 +217,34 @@ class TestLearnCommand:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert {"baseline_iou", "best_iou", "epochs"} <= set(summary)
 
+    def test_history_has_one_iou_per_epoch(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.pgm"
+        write_mask_pgm(gt_path, suite(64)[3].mask)
+        out = tmp_path / "params"
+        code = main(["learn", "--gt", str(gt_path), "--epochs", "4", "--lr", "1e-3",
+                     "--clip", "inf", "--out", str(out)])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        history = json.loads((out / "history.json").read_text())["iou_history"]
+        assert len(history) == 4
+        assert max(history) == summary["best_iou"]
+        assert history[0] == summary["baseline_iou"]
+
+    def test_mask_config_key_rejected(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.pgm"
+        mask_path = tmp_path / "other.pgm"
+        write_mask_pgm(gt_path, suite(64)[0].mask)
+        write_mask_pgm(mask_path, suite(64)[3].mask)
+        config = tmp_path / "learn.cfg"
+        config.write_text(f"mask={mask_path}\n")
+        out = tmp_path / "params"
+        code = main(["learn", "--gt", str(gt_path), "--config", str(config),
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'mask'" in json.loads(captured.err.strip().splitlines()[-1])["error"]
+        assert not out.exists()
 
     def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.pgm"
@@ -307,6 +335,20 @@ class TestBatchCommand:
                   "--out", str(out)])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_mask_config_key_rejected(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        manifest = self._manifest(tmp_path, [(mask_path, mask_path)])
+        config = tmp_path / "batch.cfg"
+        config.write_text(f"mask={mask_path}\n")
+        out = tmp_path / "report.jsonl"
+        code = main(["batch", "--manifest", str(manifest), "--config", str(config),
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'mask'" in json.loads(captured.err.strip().splitlines()[-1])["error"]
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contourflow.fields import (Circle, Contour, bilinear_sample_many, boundary_mask,
                                 boundary_pixels, central_gradient, rasterize,
                                 resample_closed, signed_area)
 
-from oracles import point_in_polygon, rasterize_reference
+from oracles import point_in_polygon, rasterize_loop, rasterize_reference
 from conftest import random_star_polygon
 
 
@@ -197,6 +197,45 @@ class TestRasterize:
             got = rasterize(contour, 12, 12)
             want = rasterize_reference(contour.nodes, 12, 12)
             assert np.array_equal(got, want)
+
+
+# pixel centers, half-integers (edges through rows and centers) and generic
+# reals, reaching past every side of the frames drawn below
+_COORDS = st.one_of(st.integers(-6, 30).map(float),
+                    st.integers(-12, 60).map(lambda k: k / 2.0),
+                    st.floats(-6.0, 30.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _polygons(draw):
+    nodes = draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=3, max_size=12))
+    # copying the previous node's row makes horizontal edges
+    flat = draw(st.lists(st.booleans(), min_size=len(nodes), max_size=len(nodes)))
+    for i in range(1, len(nodes)):
+        if flat[i]:
+            nodes[i] = (nodes[i][0], nodes[i - 1][1])
+    return np.array(nodes, dtype=np.float64)
+
+
+class TestRasterizeVectorized:
+    """The whole-array rasterizer must equal the per-edge loop it replaced
+    and the per-pixel point-in-polygon test, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes=_polygons(), width=st.integers(1, 24), height=st.integers(1, 24))
+    @example(nodes=np.array([[2.0, 3.0], [9.0, 3.0], [9.0, 8.0], [2.0, 8.0]]),
+             width=12, height=12)  # horizontal edges on pixel-center rows
+    @example(nodes=np.array([[-4.0, -2.5], [30.0, 4.0], [6.0, 40.0]]),
+             width=10, height=14)  # every node outside the frame
+    @example(nodes=np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 5.0], [0.0, 5.0]]),
+             width=5, height=5)  # edges on the first row and column
+    def test_matches_loop_and_point_in_polygon(self, nodes, width, height):
+        contour = Contour(nodes)
+        got = rasterize(contour, width, height)
+        assert got.dtype == bool and got.shape == (height, width)
+        assert np.array_equal(got, rasterize_loop(contour, width, height))
+        if not contour.is_degenerate:
+            assert np.array_equal(got, rasterize_reference(contour.nodes, width, height))
 
 
 class TestResample:

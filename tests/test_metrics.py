@@ -6,6 +6,7 @@ from contourflow.metrics import boundf, dice, evaluate, iou
 from contourflow.shapes import random_blob_mask, rectangle_mask
 
 from oracles import boundf_reference
+from conftest import edge_case_masks, random_boxes_mask
 
 
 def random_pair(seed, size=24):
@@ -96,6 +97,28 @@ class TestBoundF:
             want_mean, want_per = boundf_reference(pred, gt)
             assert got_per == pytest.approx(want_per, abs=1e-12)
             assert got_mean == pytest.approx(want_mean, abs=1e-12)
+
+
+class TestBoundFCropped:
+    """``boundf`` runs its distance transforms on the bounding box of the
+    two boundaries; the scores must equal the full brute force exactly."""
+
+    @pytest.mark.parametrize("pred_name", sorted(edge_case_masks()))
+    def test_equals_bruteforce_on_edge_cases(self, pred_name):
+        masks = edge_case_masks()
+        pred = masks[pred_name]
+        for gt in masks.values():
+            assert boundf(pred, gt) == boundf_reference(pred, gt)
+            assert boundf(gt, pred) == boundf_reference(gt, pred)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), height=st.integers(1, 30),
+           width=st.integers(1, 30))
+    def test_equals_bruteforce_on_random_boxes(self, seed, height, width):
+        rng = np.random.default_rng(seed)
+        pred = random_boxes_mask(rng, height, width)
+        gt = random_boxes_mask(rng, height, width)
+        assert boundf(pred, gt) == boundf_reference(pred, gt)
 
 
 class TestSymmetryAndInvariance:
