@@ -28,7 +28,7 @@ from .fields import Circle, Contour, boundary_mask, rasterize
 from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
                      write_pfm, write_pgm)
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
-from .learning import fit_parameters
+from .learning import INIT_MODES, fit_parameters
 from .metrics import MetricsReport, evaluate
 from .snake import EvolutionTrace, ParameterSet, SnakeConfig, evolve
 
@@ -400,8 +400,9 @@ def _cmd_learn(args) -> int:
         gt = read_mask_pgm(cfg.mask_path)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    if cfg.init.startswith("circle:"):
-        raise CliError("learn supports inscribed or circumscribed initialization only")
+    if cfg.init not in INIT_MODES:
+        raise CliError(f"learn supports inscribed or circumscribed initialization only, "
+                       f"got {cfg.init!r}")
     try:
         force = _build_force(cfg, gt)
         fit = fit_parameters(gt, force, cfg.snake_config(), learn_rate=args.lr,

@@ -10,12 +10,15 @@ Conventions used everywhere, without exception:
 * masks are bool arrays of shape (height, width)
 * contours are closed polygons whose node order is normalized to
   positive signed area (shoelace in (u, v)) at construction; the last
-  node connects back to the first
+  node connects back to the first. Solver output is the one exception
+  (``Contour.solved``): it keeps the solver's order, so that a reversal
+  shows as a negative area instead of being normalized away
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,28 +42,53 @@ def as_mask(bits) -> np.ndarray:
     return mask.astype(bool)
 
 
-def bilinear_sample_many(field, points) -> np.ndarray:
-    """Bilinear interpolation of ``field`` at an (N, 2) array of (u, v) points.
+class BilinearCorners(NamedTuple):
+    """Where N points fall on an (H, W) grid.
 
-    Points are clamped to the field rectangle, so the lookup is total;
-    exact pixel centers return the stored values.
+    ``index`` is a (4, N) array of flat pixel indices ``v * W + u``, one
+    row per corner in the order (v0, u0), (v0, u1), (v1, u0), (v1, u1).
+    ``frac`` holds each point's (fu, fv) offsets from (u0, v0) as an
+    (N, 2) array, and ``rest`` holds 1 - frac.
     """
-    field = np.asarray(field, dtype=np.float64)
+
+    index: np.ndarray
+    frac: np.ndarray
+    rest: np.ndarray
+
+
+def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
+    """Corner pixels and fractions of an (N, 2) array of (u, v) points.
+
+    Points are clamped to the field rectangle, so the lookup is total.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
-    height, width = field.shape
-    u = np.clip(pts[..., 0], 0.0, width - 1.0)
-    v = np.clip(pts[..., 1], 0.0, height - 1.0)
-    u0 = np.clip(np.floor(u).astype(np.intp), 0, max(width - 2, 0))
-    v0 = np.clip(np.floor(v).astype(np.intp), 0, max(height - 2, 0))
+    uv = np.clip(pts, 0.0, (width - 1.0, height - 1.0))
+    uv0 = np.clip(np.floor(uv).astype(np.intp), 0, (max(width - 2, 0), max(height - 2, 0)))
+    frac = uv - uv0
+    u0 = uv0[..., 0]
     u1 = np.minimum(u0 + 1, width - 1)
-    v1 = np.minimum(v0 + 1, height - 1)
-    fu = u - u0
-    fv = v - v0
-    top = field[v0, u0] * (1.0 - fu) + field[v0, u1] * fu
-    bottom = field[v1, u0] * (1.0 - fu) + field[v1, u1] * fu
-    return top * (1.0 - fv) + bottom * fv
+    row0 = uv0[..., 1] * width
+    row1 = np.minimum(row0 + width, (height - 1) * width)
+    index = np.stack([row0 + u0, row0 + u1, row1 + u0, row1 + u1])
+    return BilinearCorners(index, frac, 1.0 - frac)
+
+
+def bilinear_blend(flat_field: np.ndarray, corners: BilinearCorners) -> np.ndarray:
+    """Bilinear values at the points ``corners`` describes, from a field
+    flattened to (H * W,) or, for a vector field, (H * W, C); one gather
+    reads all four corners of every point and every channel."""
+    c00, c01, c10, c11 = flat_field[corners.index]
+    if flat_field.ndim == 1:
+        fu, fv = corners.frac[..., 0], corners.frac[..., 1]
+        gu, gv = corners.rest[..., 0], corners.rest[..., 1]
+    else:
+        fu, fv = corners.frac[:, 0:1], corners.frac[:, 1:2]
+        gu, gv = corners.rest[:, 0:1], corners.rest[:, 1:2]
+    top = c00 * gu + c01 * fu
+    bottom = c10 * gu + c11 * fu
+    return top * gv + bottom * fv
 
 
 def central_gradient(field) -> np.ndarray:
@@ -103,9 +131,8 @@ def boundary_pixels(mask) -> np.ndarray:
 
 def signed_area(nodes) -> float:
     pts = np.asarray(nodes, dtype=np.float64)
-    u = pts[:, 0]
-    v = pts[:, 1]
-    return 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
+    nxt = np.concatenate((pts[1:], pts[:1]))  # np.roll(pts, -1, axis=0)
+    return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
 
 
 @dataclass
@@ -143,6 +170,14 @@ class Contour:
         if signed_area(pts) < 0.0:
             pts = np.concatenate([pts[:1], pts[-1:0:-1]])  # reverse, keep node 0 first
         self.nodes = pts
+
+    @classmethod
+    def solved(cls, nodes: np.ndarray) -> "Contour":
+        """Wrap a solver's freshly computed node array as is: no copy, no
+        validation and no orientation normalization."""
+        contour = object.__new__(cls)
+        contour.nodes = nodes
+        return contour
 
     def __len__(self) -> int:
         return self.nodes.shape[0]

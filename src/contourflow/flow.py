@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import as_field, bilinear_sample_many, central_gradient
+from .fields import as_field, central_gradient
 
 
 def clip_vectors(vectors: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -45,16 +45,6 @@ class ForceField:
     @property
     def shape(self) -> tuple[int, int]:
         return self.vectors.shape[0], self.vectors.shape[1]
-
-    def at(self, points) -> np.ndarray:
-        """Bilinear sample of the force at an (N, 2) array of points."""
-        return np.stack(
-            [
-                bilinear_sample_many(self.vectors[..., 0], points),
-                bilinear_sample_many(self.vectors[..., 1], points),
-            ],
-            axis=1,
-        )
 
 
 def dvf(dt, clip_norm: float = 2.0) -> ForceField:

@@ -22,6 +22,8 @@ from .snake import EvolveError, ParameterSet, SnakeConfig, evolve
 _MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
 _MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
 
+INIT_MODES = ("inscribed", "circumscribed")
+
 
 @dataclass
 class FitResult:
@@ -144,6 +146,8 @@ def fit_parameters(gt_mask, force: ForceField, config: SnakeConfig,
         raise ValueError("epochs must be >= 1")
     if not (np.isfinite(learn_rate) and learn_rate >= 0.0):
         raise ValueError(f"learn_rate must be finite and >= 0, got {learn_rate}")
+    if init_mode not in INIT_MODES:
+        raise ValueError(f"unknown init mode {init_mode!r} (use inscribed or circumscribed)")
     gt_mask = as_mask(gt_mask)
     height, width = gt_mask.shape
     if initial_params is None:

@@ -2,12 +2,17 @@
 
 Everything here is deliberately naive (per-pixel loops, exhaustive
 enumeration) and shares no code with the production paths it checks,
-with three exceptions. ``iterative_circle_fit`` starts from the exact
+with the exceptions below. ``iterative_circle_fit`` starts from the exact
 circle constructions and cross-checks them by local search on the
 raster. ``rasterize_loop`` and ``inscribed_circle_full_frame`` are the
 former production implementations (per-edge and per-row loops; a
 distance transform over the whole frame), kept so that the vectorized
-and cropped versions can be required to match them exactly.
+and cropped versions can be required to match them exactly. Likewise
+``evolve_reference`` is the former solver loop: one bilinear lookup per
+field and force component, and a system matrix rebuilt every step
+(``force_at``, ``balloon_force``, ``assemble_internal_system``); it
+reuses the production ``Contour``, ``resample_closed`` and
+``signed_area``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ import numpy as np
 
 from contourflow.autoinit import circumscribed_circle, inscribed_circle
 from contourflow.edt import edt_from_sites
-from contourflow.fields import Circle, as_mask
+from contourflow.fields import (DEGENERATE_AREA, Circle, Contour, as_mask, resample_closed,
+                                signed_area)
+from contourflow.snake import EvolveError
 
 
 def point_in_polygon(point, nodes) -> bool:
@@ -316,3 +323,111 @@ def sum_second_diff_sq(nodes) -> float:
         dv = nodes[(s + 1) % count][1] - 2 * nodes[s][1] + nodes[(s - 1) % count][1]
         total += du * du + dv * dv
     return total
+
+
+def bilinear_sample_reference(field, points) -> np.ndarray:
+    """Bilinear lookup of one scalar field, indexed ``field[v, u]`` per corner."""
+    field = np.asarray(field, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
+    height, width = field.shape
+    u = np.clip(pts[..., 0], 0.0, width - 1.0)
+    v = np.clip(pts[..., 1], 0.0, height - 1.0)
+    u0 = np.clip(np.floor(u).astype(np.intp), 0, max(width - 2, 0))
+    v0 = np.clip(np.floor(v).astype(np.intp), 0, max(height - 2, 0))
+    u1 = np.minimum(u0 + 1, width - 1)
+    v1 = np.minimum(v0 + 1, height - 1)
+    fu = u - u0
+    fv = v - v0
+    top = field[v0, u0] * (1.0 - fu) + field[v0, u1] * fu
+    bottom = field[v1, u0] * (1.0 - fu) + field[v1, u1] * fu
+    return top * (1.0 - fv) + bottom * fv
+
+
+def force_at(force, points) -> np.ndarray:
+    """Bilinear sample of a force field at an (N, 2) array of points, one
+    lookup per component."""
+    return np.stack(
+        [
+            bilinear_sample_reference(force.vectors[..., 0], points),
+            bilinear_sample_reference(force.vectors[..., 1], points),
+        ],
+        axis=1,
+    )
+
+
+def assemble_internal_system(contour, params) -> np.ndarray:
+    """Stiffness matrix of the internal energy at the current nodes.
+
+    Returns the exact Hessian of
+    alpha * sum |y_{s+1}-y_s|^2 + sum b_s |y_{s+1}-2y_s+y_{s-1}|^2 with the
+    curvature weights b_s frozen at the current node samples, built from
+    fresh D1 and D2 matrices on every call.
+    """
+    pts = contour.nodes
+    n = len(pts)
+    idx = np.arange(n)
+    d1 = np.zeros((n, n))
+    d1[idx, idx] = -1.0
+    d1[idx, (idx + 1) % n] += 1.0
+    d2 = np.zeros((n, n))
+    d2[idx, idx] = -2.0
+    d2[idx, (idx + 1) % n] += 1.0
+    d2[idx, (idx - 1) % n] += 1.0
+    b = bilinear_sample_reference(params.beta, pts)
+    return 2.0 * params.alpha * (d1.T @ d1) + 2.0 * (d2.T * b) @ d2
+
+
+def balloon_force(contour, kappa) -> np.ndarray:
+    """Per-node force kappa(y_s) * outward unit normal.
+
+    The normal is perpendicular to the central-difference tangent; nodes
+    with coincident neighbors (zero tangent) get zero force.
+    """
+    kappa = np.asarray(kappa, dtype=np.float64)
+    pts = contour.nodes
+    tangent = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    # for positive-signed-area node order, (t_v, -t_u) points outward
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    norm = np.hypot(normal[:, 0], normal[:, 1])
+    unit = np.zeros_like(normal)
+    ok = norm > 1e-12
+    unit[ok] = normal[ok] / norm[ok, None]
+    k = bilinear_sample_reference(kappa, pts)
+    return k[:, None] * unit
+
+
+def evolve_step_reference(contour, force, params, config) -> np.ndarray:
+    """One semi-implicit update with per-call lookups and a fresh system
+    matrix; returns the raw node array, before any orientation handling."""
+    pts = contour.nodes
+    height, width = force.shape
+    system = assemble_internal_system(contour, params)
+    rhs = pts + config.time_step * (force_at(force, pts) + balloon_force(contour, params.kappa))
+    lhs = np.eye(len(pts)) + config.time_step * system
+    new_pts = np.linalg.solve(lhs, rhs)
+    new_pts[:, 0] = np.clip(new_pts[:, 0], 0.0, width - 1.0)
+    new_pts[:, 1] = np.clip(new_pts[:, 1], 0.0, height - 1.0)
+    if config.resample_each_step:
+        new_pts = resample_closed(new_pts, len(pts))
+    return new_pts
+
+
+def evolve_reference(initial, force, params, config) -> list:
+    """Every contour of an evolution, the clamped start first, stepped by
+    ``evolve_step_reference``; raises ``EvolveError`` with the message
+    ``evolve`` gives when a step's signed area falls below
+    ``DEGENERATE_AREA``."""
+    height, width = force.shape
+    current = initial.clamped(width, height)
+    contours = [current]
+    for i in range(config.iterations):
+        new_pts = evolve_step_reference(current, force, params, config)
+        area = signed_area(new_pts)
+        if not area >= DEGENERATE_AREA:
+            raise EvolveError(f"contour collapsed or reversed at iteration {i + 1} "
+                              f"(signed area {area:.6g})")
+        current = Contour(new_pts)
+        contours.append(current)
+    return contours

@@ -26,9 +26,10 @@ from contourflow.learning import (fit_parameters, subgrad_alpha, subgrad_beta,
                                   subgrad_kappa)
 from contourflow.metrics import boundf, dice, iou
 from contourflow.shapes import full_suite, random_blob_mask, u_shape_mask
-from contourflow.snake import ParameterSet, SnakeConfig, assemble_internal_system, evolve
+from contourflow.snake import ParameterSet, SnakeConfig, evolve
 
-from oracles import boundf_reference, edt_brute, mec_reference, rasterize_reference
+from oracles import (assemble_internal_system, boundf_reference, edt_brute, force_at,
+                     mec_reference, rasterize_reference)
 from conftest import random_star_polygon
 
 SUITE_NODES = 60
@@ -207,7 +208,7 @@ def test_ac6_gradient_and_energy_checks():
     worst_rel = 0.0
     for contour in integer_star_contours(rng, 20):
         system = assemble_internal_system(contour, params)
-        node_force = -(system @ contour.nodes) + force.at(contour.nodes)
+        node_force = -(system @ contour.nodes) + force_at(force, contour.nodes)
         step = 1e-4
         grad = np.zeros_like(contour.nodes)
         flat = contour.nodes.ravel()

@@ -167,6 +167,35 @@ class TestRun:
         assert "'image'" in error and "accepted: profile, mask, gt, field" in error
 
 
+class TestCollapse:
+    """A deflating balloon that folds the contour through itself stops the
+    run with a computation failure naming the iteration."""
+
+    ARGS = ["--init", "circumscribed", "--kappa", "-5", "--iters", "200", "--nodes", "60"]
+
+    @pytest.fixture
+    def collapse_mask(self, tmp_path):
+        path = tmp_path / "disk20.pgm"
+        write_mask_pgm(path, disk_mask(64, 64, (32, 32), 20))
+        return path
+
+    def test_run_exits_one(self, tmp_path, collapse_mask, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--mask", str(collapse_mask), *self.ARGS, "--out", str(out)])
+        assert code == 1
+        assert not (out / "result.json").exists()
+        assert "reversed at iteration 47" in capsys.readouterr().err
+
+    def test_batch_reports_the_item_and_exits_one(self, tmp_path, collapse_mask, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{collapse_mask} {collapse_mask}\n")
+        code = main(["batch", "--manifest", str(manifest), *self.ARGS])
+        assert code == 1
+        item, agg = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert "reversed at iteration 47" in item["error"]
+        assert agg["failed"] == 1
+
+
 class TestMetricsCommand:
     def test_json_output(self, tmp_path, disk_paths, capsys):
         mask, mask_path = disk_paths
@@ -265,6 +294,19 @@ class TestLearnCommand:
         assert code == 2
         assert not out.exists()
         assert "lr must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("init", ["bogus", "circle:32,32,10"])
+    def test_unknown_init_mode_is_usage_error(self, tmp_path, capsys, init):
+        gt_path = tmp_path / "gt.pgm"
+        write_mask_pgm(gt_path, suite(64)[0].mask)
+        out = tmp_path / "params"
+        code = main(["learn", "--gt", str(gt_path), "--init", init, "--epochs", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "inscribed or circumscribed" in captured.err
 
     def test_mask_flag_rejected(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.pgm"

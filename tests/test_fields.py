@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contourflow.fields import (Circle, Contour, bilinear_sample_many, boundary_mask,
-                                boundary_pixels, central_gradient, rasterize,
+from contourflow.fields import (Circle, Contour, bilinear_blend, bilinear_corners,
+                                boundary_mask, boundary_pixels, central_gradient, rasterize,
                                 resample_closed, signed_area)
 
-from oracles import point_in_polygon, rasterize_loop, rasterize_reference
+from oracles import (bilinear_sample_reference, point_in_polygon, rasterize_loop,
+                     rasterize_reference)
 from conftest import random_star_polygon
+
+
+def sample(field, points):
+    """A scalar field at (N, 2) points, through the solver's corner lookup."""
+    return bilinear_blend(field.reshape(-1), bilinear_corners(points, *field.shape))
 
 
 class TestBilinearSample:
@@ -15,16 +21,16 @@ class TestBilinearSample:
         field = np.full((9, 7), 3.25)
         for _ in range(20):
             pt = (rng.uniform(0, 6), rng.uniform(0, 8))
-            assert bilinear_sample_many(field, [pt])[0] == pytest.approx(3.25, abs=1e-12)
+            assert sample(field, [pt])[0] == pytest.approx(3.25, abs=1e-12)
 
     def test_exact_on_linear_ramp(self):
         # f(u, v) = u, so any interpolated value equals the u coordinate
         field = np.tile(np.arange(16.0), (16, 1))
-        assert bilinear_sample_many(field, [(2.5, 7.0)])[0] == pytest.approx(2.5, abs=1e-12)
+        assert sample(field, [(2.5, 7.0)])[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_hand_evaluated_2x2(self):
         field = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert bilinear_sample_many(field, [(0.5, 0.5)])[0] == pytest.approx(1.5, abs=1e-12)
+        assert sample(field, [(0.5, 0.5)])[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_reproduces_stored_values_at_integer_points(self, rng):
         # 1000 random (field, point) probes across shapes
@@ -33,20 +39,40 @@ class TestBilinearSample:
             field = rng.normal(size=(h, w))
             us = rng.integers(0, w, size=20)
             vs = rng.integers(0, h, size=20)
-            got = bilinear_sample_many(field, np.stack([us, vs], axis=1).astype(float))
+            got = sample(field, np.stack([us, vs], axis=1).astype(float))
             assert np.array_equal(got, field[vs, us])
 
     def test_non_finite_point_rejected(self):
         field = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            bilinear_sample_many(field, [(np.nan, 1.0)])
+            sample(field, [(np.nan, 1.0)])
         with pytest.raises(ValueError):
-            bilinear_sample_many(field, [(1.0, np.inf)])
+            sample(field, [(1.0, np.inf)])
 
     def test_out_of_bounds_clamps(self):
         field = np.arange(16.0).reshape(4, 4)
-        assert bilinear_sample_many(field, [(-3.0, 0.0)])[0] == field[0, 0]
-        assert bilinear_sample_many(field, [(9.0, 9.0)])[0] == field[3, 3]
+        assert sample(field, [(-3.0, 0.0)])[0] == field[0, 0]
+        assert sample(field, [(9.0, 9.0)])[0] == field[3, 3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 12),
+           width=st.integers(1, 12), count=st.integers(1, 40))
+    def test_shared_corners_match_per_field_lookups(self, seed, height, width, count):
+        # one corner computation serves a scalar field and both channels of
+        # a vector field, with the floats of a lookup per field
+        rng = np.random.default_rng(seed)
+        scalar = rng.normal(size=(height, width))
+        vectors = rng.normal(size=(height, width, 2))
+        pts = np.stack([rng.uniform(-2.0, width + 1.0, count),
+                        rng.uniform(-2.0, height + 1.0, count)], axis=1)
+        on_grid = rng.random(count) < 0.3  # pixel centers, the border and beyond
+        pts[on_grid] = np.round(pts[on_grid])
+        corners = bilinear_corners(pts, height, width)
+        want = bilinear_sample_reference(scalar, pts)
+        assert np.array_equal(bilinear_blend(scalar.reshape(-1), corners), want)
+        both = bilinear_blend(vectors.reshape(-1, 2), corners)
+        assert np.array_equal(both[:, 0], bilinear_sample_reference(vectors[..., 0], pts))
+        assert np.array_equal(both[:, 1], bilinear_sample_reference(vectors[..., 1], pts))
 
 
 class TestCentralGradient:

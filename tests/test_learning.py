@@ -174,3 +174,22 @@ class TestFitParameters:
         mask, force, config = self._setup()
         with pytest.raises(ValueError, match="learn_rate must be finite and >= 0"):
             fit_parameters(mask, force, config, learn_rate=learn_rate, epochs=1)
+
+    @pytest.mark.parametrize("init_mode", ["bogus", "Inscribed", "circle:24,24,10"])
+    def test_unknown_init_mode_rejected(self, init_mode):
+        from contourflow.learning import fit_parameters
+        mask, force, config = self._setup()
+        with pytest.raises(ValueError, match="unknown init mode"):
+            fit_parameters(mask, force, config, epochs=1, init_mode=init_mode)
+
+    def test_collapsing_fit_aborts_with_epoch_and_iteration(self):
+        from contourflow.edt import mask_to_dt
+        from contourflow.flow import lcdvf
+        from contourflow.learning import fit_parameters
+        from contourflow.snake import ParameterSet, SnakeConfig
+        mask = disk_mask(64, 64, (32, 32), 20)
+        force = lcdvf(mask_to_dt(mask), 2.0)
+        start = ParameterSet.uniform(64, 64, kappa=-5.0)
+        with pytest.raises(RuntimeError, match="fit aborted at epoch 1: .*iteration 47"):
+            fit_parameters(mask, force, SnakeConfig(iterations=200), epochs=2,
+                           initial_params=start)

@@ -1,16 +1,20 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contourflow.autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from contourflow.edt import mask_to_dt
-from contourflow.fields import Contour, bilinear_sample_many, rasterize
+from contourflow.fields import DEGENERATE_AREA, Contour, rasterize
 from contourflow.flow import ForceField, lcdvf
-from contourflow.shapes import disk_mask, u_shape_mask
-from contourflow.snake import (EvolutionTrace, ParameterSet, SnakeConfig,
-                               assemble_internal_system, balloon_force,
+from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
+from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
                                energy_eval, evolve, evolve_step)
 
-from oracles import fd_gradient, rasterize_reference
+from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
+                     evolve_reference, evolve_step_reference, fd_gradient,
+                     rasterize_reference)
 from conftest import random_star_polygon
 
 
@@ -57,6 +61,13 @@ class TestEnergyEval:
         # region term must vanish; continuity sums the collinear hops
         want = (16.0 + 16.0 + 64.0)
         assert energy_eval(flat, np.zeros((16, 16)), params) == pytest.approx(want)
+
+
+    def test_external_map_must_match_parameter_maps(self):
+        # one corner lookup serves both maps, so their frames must agree
+        params = uniform_params(16, 16, alpha=1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            energy_eval(square_contour(3.0), np.zeros((16, 20)), params)
 
 
 class TestInternalSystem:
@@ -112,7 +123,7 @@ class TestInternalSystem:
             contour = Contour(poly)
             beta = rng.uniform(0.0, 0.5, size=(32, 32))
             params = ParameterSet(alpha=0.3, beta=beta, kappa=np.zeros((32, 32)))
-            frozen_b = bilinear_sample_many(beta, contour.nodes)
+            frozen_b = bilinear_sample_reference(beta, contour.nodes)
 
             def internal(flat):
                 pts = flat.reshape(-1, 2)
@@ -184,8 +195,8 @@ class TestEvolveStep:
         contour = Contour(np.stack([32 + 9 * np.cos(theta), 32 + 9 * np.sin(theta)], axis=1))
         params = uniform_params(64, 64)
         stepped = evolve_step(contour, force, params, SnakeConfig())
-        before = bilinear_sample_many(dist, contour.nodes)
-        after = bilinear_sample_many(dist, stepped.nodes)
+        before = bilinear_sample_reference(dist, contour.nodes)
+        after = bilinear_sample_reference(dist, stepped.nodes)
         assert (after < before).all()
 
     def test_clamps_to_bounds(self):
@@ -281,6 +292,130 @@ class TestEvolve:
         assert trace.contours[-1] is final
         for contour, energy in zip(trace.contours, energies):
             assert energy == original(contour, force.potential, params)
+
+
+def _evolve_outcome(traced_contours):
+    """The node arrays of the contours an evolution traces, or the message
+    it raised."""
+    try:
+        return [c.nodes for c in traced_contours()]
+    except EvolveError as exc:
+        return str(exc)
+
+
+class TestSolverMatchesReference:
+    """``evolve`` looks up each node's corners once per step and builds its
+    difference operators once per run; the former per-call loop, kept as
+    ``oracles.evolve_reference``, must give the very same floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 24),
+           width=st.integers(1, 24), nodes=st.integers(3, 120),
+           iterations=st.integers(1, 6), resample=st.booleans(),
+           alpha=st.floats(0.0, 1.0), tau=st.floats(0.05, 1.0))
+    @example(seed=0, height=1, width=17, nodes=12, iterations=3, resample=False,
+             alpha=0.1, tau=0.5)
+    @example(seed=1, height=19, width=1, nodes=5, iterations=3, resample=True,
+             alpha=0.0, tau=0.3)
+    @example(seed=2, height=24, width=24, nodes=120, iterations=6, resample=True,
+             alpha=0.2, tau=0.2)
+    @example(seed=3, height=20, width=16, nodes=3, iterations=6, resample=False,
+             alpha=0.0, tau=1.0)
+    def test_traced_contours_are_bit_identical(self, seed, height, width, nodes,
+                                               iterations, resample, alpha, tau):
+        rng = np.random.default_rng(seed)
+        force = ForceField(rng.uniform(-2.0, 2.0, size=(height, width, 2)),
+                           np.zeros((height, width)))
+        beta = rng.uniform(0.0, 1.0, size=(height, width))
+        beta[rng.random((height, width)) < 0.2] = 0.0
+        params = ParameterSet(alpha=alpha, beta=beta,
+                              kappa=rng.uniform(-1.0, 1.0, size=(height, width)))
+        # a star around a point of the frame; radii past the frame put
+        # nodes on the border once the start is clamped
+        center = (rng.uniform(0.0, width - 1.0), rng.uniform(0.0, height - 1.0))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=nodes))
+        angles += np.linspace(0.0, 1e-3, nodes)
+        radii = rng.uniform(1.0, 0.75 * max(height, width) + 1.0, size=nodes)
+        start = Contour(np.stack([center[0] + radii * np.cos(angles),
+                                  center[1] + radii * np.sin(angles)], axis=1))
+        config = SnakeConfig(iterations=iterations, time_step=tau, node_count=nodes,
+                             resample_each_step=resample)
+
+        clamped = start.clamped(width, height)
+        assert np.array_equal(evolve_step(clamped, force, params, config).nodes,
+                              evolve_step_reference(clamped, force, params, config))
+        got = _evolve_outcome(lambda: evolve(start, force, params, config)[1].contours)
+        want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want) == iterations + 1
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_evolve_calls_evolve_step_once_per_iteration(self, monkeypatch):
+        import contourflow.snake as snake_module
+
+        calls = []
+        original = snake_module.evolve_step
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(snake_module, "evolve_step", counting)
+        mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
+        force = lcdvf(mask_to_dt(mask), 2.0)
+        start = circle_to_contour(inscribed_circle(mask), 60, 64, 64)
+        evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
+               SnakeConfig(iterations=13))
+        assert len(calls) == 13
+
+
+class TestCollapseGuard:
+    def test_deflating_disk_aborts_at_the_reversal(self):
+        # a strong deflating balloon folds the contour through itself; the
+        # step that reverses it must stop the run rather than flip the
+        # outward normal and carry on
+        mask = disk_mask(64, 64, (32, 32), 20)
+        force = lcdvf(mask_to_dt(mask), 2.0)
+        start = circle_to_contour(circumscribed_circle(mask), 60, 64, 64)
+        params = ParameterSet.uniform(64, 64, kappa=-5.0)
+        with pytest.raises(EvolveError, match=r"reversed at iteration 47 \(signed area -"):
+            evolve(start, force, params, SnakeConfig(iterations=200))
+
+    def test_degenerate_step_aborts(self):
+        # every node is pushed into the same corner: zero area at step 1
+        force = ForceField(np.full((16, 16, 2), 100.0), np.zeros((16, 16)))
+        start = square_contour(4.0, center=(8.0, 8.0))
+        with pytest.raises(EvolveError, match="collapsed or reversed at iteration 1 "):
+            evolve(start, force, uniform_params(16, 16), SnakeConfig(time_step=1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000), kappa=st.floats(-5.0, 5.0),
+           circumscribed=st.booleans())
+    def test_raises_with_iteration_or_keeps_invariants(self, seed, kappa, circumscribed):
+        rng = np.random.default_rng(seed)
+        size = 40
+        mask = random_blob_mask(rng, size, size)
+        force = lcdvf(mask_to_dt(mask), 2.0)
+        circle = (circumscribed_circle if circumscribed else inscribed_circle)(mask)
+        start = circle_to_contour(circle, 30, size, size)
+        params = ParameterSet.uniform(size, size, kappa=kappa)
+        config = SnakeConfig(iterations=60, node_count=30)
+        try:
+            _, trace = evolve(start, force, params, config)
+        except EvolveError as exc:
+            found = re.search(r"at iteration (\d+)", str(exc))
+            assert found and 1 <= int(found.group(1)) <= config.iterations
+            return
+        assert len(trace) == config.iterations + 1
+        for contour in trace.contours:
+            assert contour.area >= DEGENERATE_AREA
+            assert np.isfinite(contour.nodes).all()
+            assert (contour.nodes >= 0.0).all()
+            assert (contour.nodes[:, 0] <= size - 1.0).all()
+            assert (contour.nodes[:, 1] <= size - 1.0).all()
 
 
 class TestConfigValidation:
