@@ -2,9 +2,11 @@
 initialization, contour evolution, metrics out.
 
 Subcommands: run, batch, metrics, dt, learn, sweep. Exit codes: 0 on
-success, 1 on computation failure, 2 on usage or I/O errors. All output
-files are written atomically and contain no timestamps, so reruns with
-identical inputs are byte-identical; wall-clock timing goes to stderr.
+success, 1 on computation failure, 2 on usage or I/O errors (an output
+that cannot be written included). All output files are written
+atomically and contain no timestamps, so reruns with identical inputs
+are byte-identical; wall-clock timing goes to stderr, for `run` as one
+JSON line of milliseconds per pipeline stage.
 
 `batch` runs its manifest items one after another in manifest order; the
 image column of a manifest only labels each report row and is never
@@ -17,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -84,6 +87,21 @@ class RunConfig:
                            node_count=self.nodes, resample_each_step=self.resample)
 
 
+class StageTimer:
+    """Wall milliseconds per pipeline stage, in the order the stages ran.
+    Timing goes to stderr only, so output files stay deterministic."""
+
+    def __init__(self):
+        self.ms: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        """Charge the time since the previous lap (or since creation) to ``stage``."""
+        now = time.perf_counter()
+        self.ms[stage] = (now - self._last) * 1e3
+        self._last = now
+
+
 @dataclass
 class RunResult:
     contour: Contour
@@ -91,7 +109,7 @@ class RunResult:
     report: MetricsReport
     trace: EvolutionTrace
     mask: np.ndarray
-    wall_ms: float
+    timer: StageTimer
 
 
 def _round6(value):
@@ -206,6 +224,8 @@ def resolve_run_config(args) -> RunConfig:
             dump_frames=str(settings["dump_frames"]) if settings.get("dump_frames") else None,
         )
         cfg.snake_config()  # rejects bad iterations, tau and nodes up front
+        if not (np.isfinite(cfg.alpha) and cfg.alpha >= 0.0):
+            raise ValueError("alpha must be finite and >= 0")
         if not cfg.clip > 0.0:
             raise ValueError("clip must be positive (inf disables clipping)")
     except (TypeError, ValueError) as exc:
@@ -213,18 +233,26 @@ def resolve_run_config(args) -> RunConfig:
     return cfg
 
 
-def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray:
+def _load_weight_map(spec: str, shape: tuple[int, int], name: str,
+                     nonnegative: bool) -> np.ndarray:
+    """A constant or a PFM weight map; every value must be finite, and
+    >= 0 when ``nonnegative``."""
     try:
         const = float(spec)
     except ValueError:
         try:
-            field = read_pfm(spec)
+            field = read_pfm(spec)  # rejects non-finite values
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load {name} map {spec!r}: {exc}") from exc
         if field.shape != shape:
             raise CliError(f"{name} map {spec!r} has shape {field.shape}, expected {shape}")
-        return field
-    return np.full(shape, const)
+    else:
+        if not np.isfinite(const):
+            raise CliError(f"{name} must be finite, got {spec!r}")
+        field = np.full(shape, const)
+    if nonnegative and (field < 0.0).any():
+        raise CliError(f"{name} must be >= 0 everywhere, got {spec!r}")
+    return field
 
 
 def _build_force(cfg: RunConfig, mask: np.ndarray) -> ForceField:
@@ -266,7 +294,7 @@ def _build_init_circle(cfg: RunConfig, mask: np.ndarray) -> Circle:
 
 
 def run_pipeline(cfg: RunConfig) -> RunResult:
-    started = time.perf_counter()
+    timer = StageTimer()
     # ingest everything up front so failures never leave partial outputs
     try:
         mask = read_mask_pgm(cfg.mask_path)
@@ -276,25 +304,30 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     if gt.shape != mask.shape:
         raise CliError(f"ground-truth shape {gt.shape} does not match mask {mask.shape}")
     height, width = mask.shape
-    beta = _load_weight_map(cfg.beta, (height, width), "beta")
-    kappa = _load_weight_map(cfg.kappa, (height, width), "kappa")
+    beta = _load_weight_map(cfg.beta, (height, width), "beta", nonnegative=True)
+    kappa = _load_weight_map(cfg.kappa, (height, width), "kappa", nonnegative=False)
+    timer.lap("read")
 
     try:
         force = _build_force(cfg, mask)
+        timer.lap("field")
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
         config = cfg.snake_config()
         circle = _build_init_circle(cfg, mask)
         start = circle_to_contour(circle, cfg.nodes, width, height)
+        timer.lap("init")
         final, trace = evolve(start, force, params, config)
+        timer.lap("evolve")
         prediction = rasterize(final, width, height)
+        timer.lap("rasterize")
         report = evaluate(prediction, gt)
+        timer.lap("metrics")
     except CliError:
         raise
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc), EXIT_COMPUTE) from exc
-    wall_ms = (time.perf_counter() - started) * 1e3
     return RunResult(contour=final, prediction=prediction, report=report,
-                     trace=trace, mask=mask, wall_ms=wall_ms)
+                     trace=trace, mask=mask, timer=timer)
 
 
 def _contour_json(contour: Contour) -> str:
@@ -333,27 +366,40 @@ def _render_frame(mask: np.ndarray, contour: Contour) -> np.ndarray:
     return img
 
 
+@contextmanager
+def _writing(path):
+    """Turn a failed output write into a usage error that names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def write_run_outputs(cfg: RunConfig, result: RunResult) -> None:
     if cfg.out_dir:
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_mask_pgm(out / "prediction.pgm", result.prediction)
-        atomic_write_text(out / "contour.json", _contour_json(result.contour))
-        atomic_write_text(out / "result.json", _result_json(cfg, result))
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
+            write_mask_pgm(out / "prediction.pgm", result.prediction)
+            atomic_write_text(out / "contour.json", _contour_json(result.contour))
+            atomic_write_text(out / "result.json", _result_json(cfg, result))
     if cfg.dump_frames:
         frames = Path(cfg.dump_frames)
-        frames.mkdir(parents=True, exist_ok=True)
-        for i, contour in enumerate(result.trace.contours):
-            write_pgm(frames / f"frame_{i:04d}.pgm", _render_frame(result.mask, contour))
-            atomic_write_text(frames / f"frame_{i:04d}.json", _contour_json(contour))
+        with _writing(frames):
+            frames.mkdir(parents=True, exist_ok=True)
+            for i, contour in enumerate(result.trace.contours):
+                write_pgm(frames / f"frame_{i:04d}.pgm", _render_frame(result.mask, contour))
+                atomic_write_text(frames / f"frame_{i:04d}.json", _contour_json(contour))
 
 
 def _cmd_run(args) -> int:
     cfg = resolve_run_config(args)
     result = run_pipeline(cfg)
     write_run_outputs(cfg, result)
+    result.timer.lap("write")
     print(_json_line(result.report.as_dict()))
-    print(f"run completed in {result.wall_ms:.1f} ms", file=sys.stderr)
+    stage_ms = {stage: round(ms, 3) for stage, ms in result.timer.ms.items()}
+    print(json.dumps({"stage_ms": stage_ms}), file=sys.stderr)
     return EXIT_OK
 
 
@@ -382,7 +428,8 @@ def _cmd_dt(args) -> int:
         field = mask_to_dt(mask)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_COMPUTE) from exc
-    write_pfm(args.out, field)
+    with _writing(args.out):
+        write_pfm(args.out, field)
     print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -412,12 +459,14 @@ def _cmd_learn(args) -> int:
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc), EXIT_COMPUTE) from exc
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "alpha.json", json.dumps({"alpha": _round6(fit.params.alpha)}) + "\n")
-    atomic_write_text(out / "history.json",
-                      json.dumps({"iou_history": _round6(fit.iou_history)}) + "\n")
-    write_pfm(out / "beta.pfm", fit.params.beta)
-    write_pfm(out / "kappa.pfm", fit.params.kappa)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(out / "alpha.json",
+                          json.dumps({"alpha": _round6(fit.params.alpha)}) + "\n")
+        atomic_write_text(out / "history.json",
+                          json.dumps({"iou_history": _round6(fit.iou_history)}) + "\n")
+        write_pfm(out / "beta.pfm", fit.params.beta)
+        write_pfm(out / "kappa.pfm", fit.params.kappa)
     print(_json_line({"baseline_iou": fit.baseline_iou, "best_iou": fit.best_iou,
                       "epochs": args.epochs}))
     return EXIT_OK
@@ -477,7 +526,8 @@ def _cmd_batch(args) -> int:
     report_text = "\n".join(lines) + "\n"
     sys.stdout.write(report_text)
     if args.out:
-        atomic_write_text(args.out, report_text)
+        with _writing(args.out):
+            atomic_write_text(args.out, report_text)
     return EXIT_OK if aggregate["failed"] == 0 else EXIT_COMPUTE
 
 
@@ -522,7 +572,8 @@ def _cmd_sweep(args) -> int:
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
     if args.out:
-        atomic_write_text(args.out, table)
+        with _writing(args.out):
+            atomic_write_text(args.out, table)
     return EXIT_OK
 
 

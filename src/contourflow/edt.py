@@ -11,6 +11,13 @@ handled together until none is left. Distances are measured between
 pixel centers and every squared distance is an exact integer, so the
 result equals the exhaustive scan ``edt_brute`` in ``tests/oracles.py``
 to the last bit.
+
+The column pass and the envelope build cover only the span of columns
+that hold a site; the read-out still covers every column. This is
+exact: the column pass gives every row a finite value in each site
+column, a site-free column keeps the value ``_FAR``, whose parabola
+never beats a finite one inside the frame, and each output is the same
+exact-integer minimum over the same finite parabolas.
 """
 
 from __future__ import annotations
@@ -28,37 +35,46 @@ def edt_from_sites(sites) -> np.ndarray:
     if not sites.any():
         raise ValueError("no boundary: mask is empty or full-frame degenerate")
     height = sites.shape[0]
+    cols = np.flatnonzero(sites.any(axis=0))
+    c0, c1 = cols[0], cols[-1] + 1
 
     # pass 1: per-column distance (in rows) to the nearest site of that
-    # column, squared in place; columns without a site stay at _FAR
+    # column, squared in place; columns without a site stay at _FAR.
+    # Only the site columns' span c0..c1 can hold anything else.
     f = np.where(sites, 0.0, _FAR)
+    band = f[:, c0:c1]
     for r in range(1, height):
-        np.minimum(f[r], f[r - 1] + 1.0, out=f[r])
+        np.minimum(band[r], band[r - 1] + 1.0, out=band[r])
     for r in range(height - 2, -1, -1):
-        np.minimum(f[r], f[r + 1] + 1.0, out=f[r])
-    far = f >= 1e19
-    f *= f
-    f[far] = _FAR
+        np.minimum(band[r], band[r + 1] + 1.0, out=band[r])
+    far = band >= 1e19
+    band *= band
+    band[far] = _FAR
 
     # pass 2: per-row lower envelope of parabolas over columns
-    d = _lower_envelopes(f)
+    d = _lower_envelopes(f, c0, c1)
     return np.sqrt(d, out=d)
 
 
-def _lower_envelopes(f: np.ndarray) -> np.ndarray:
+def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
     """``min over p of (q - p)**2 + f[r, p]`` for every row ``r`` and
-    column ``q``. Each row has its own stack: vertex columns ``v``,
-    breakpoints ``z`` and top index ``k``."""
+    column ``q``, where columns outside ``c0..c1`` hold only ``_FAR``.
+
+    Each row has its own stack: vertex columns ``v``, breakpoints ``z``
+    and top index ``k``. Only the columns ``c0..c1`` are pushed, starting
+    from ``c0``, where every row is finite. The work arrays stay
+    (height, width): band-shaped ones measured a higher peak RSS."""
     height, width = f.shape
     rows = np.arange(height)
     g = f + np.arange(width) ** 2  # f[p] + p*p for every vertex column p
     v = np.zeros((height, width), dtype=np.intp)
+    v[:, 0] = c0
     z = np.empty((height, width + 1))  # z[k] is where parabola k takes over
     z[:, 0] = -np.inf
     z[:, 1] = np.inf
     k = np.zeros(height, dtype=np.intp)
     s = np.full(height, -np.inf)
-    for q in range(1, width):
+    for q in range(c0 + 1, c1):
         # every row's top parabola is column q - 1, pushed by the last step
         # with breakpoint s, so the first intersection needs no gather
         top = s

@@ -220,22 +220,39 @@ def rasterize(contour: Contour, width: int, height: int) -> np.ndarray:
     crossing is the same float as in that loop and is only compared with
     integers afterwards, so the mask equals the loop's (kept as
     ``rasterize_loop`` in ``tests/oracles.py``) bit for bit.
+
+    The histogram covers only the box of the crossings: the rows that
+    have one, and the columns from the smallest to the largest bin. A
+    pixel left of that column span has all of its row's crossings to its
+    right, and there is an even number of them: an edge crosses row r
+    exactly when one end has v <= r and the other v > r, which a closed
+    polygon does an even number of times. A pixel right of the span has
+    no crossing to its right. Both are outside, as in the loop. The box
+    is not taken from the nodes' ``ceil(min u)..ceil(max u)``: rounding
+    can carry ``x`` across an integer just outside that range.
     """
+    out = np.zeros((height, width), dtype=bool)
     if contour.is_degenerate:
-        return np.zeros((height, width), dtype=bool)
+        return out
     au, av = contour.nodes[:, 0], contour.nodes[:, 1]
     bu, bv = np.roll(au, -1), np.roll(av, -1)
     r0 = np.clip(np.ceil(np.minimum(av, bv)), 0, height).astype(np.intp)
     r1 = np.clip(np.ceil(np.maximum(av, bv)), 0, height).astype(np.intp)
     counts = r1 - r0  # 0 for horizontal edges and edges outside the rows
     edge = np.repeat(np.arange(len(counts)), counts)
+    if not edge.size:
+        return out
     rows = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts) + r0[edge]
     t = (rows - av[edge]) / (bv[edge] - av[edge])
     xs = au[edge] + t * (bu[edge] - au[edge])
     bins = np.clip(np.ceil(xs), 0, width).astype(np.intp)
-    hist = np.bincount(rows * (width + 1) + bins, minlength=height * (width + 1))
-    right = np.cumsum(hist.reshape(height, width + 1)[:, ::-1], axis=1)[:, ::-1]
-    return (right[:, 1:] & 1).astype(bool)
+    top, bottom = rows.min(), rows.max() + 1
+    left, right = bins.min(), bins.max()
+    span = right - left + 1
+    hist = np.bincount((rows - top) * span + (bins - left), minlength=(bottom - top) * span)
+    crossings = np.cumsum(hist.reshape(bottom - top, span)[:, ::-1], axis=1)[:, ::-1]
+    out[top:bottom, left:right] = crossings[:, 1:] & 1
+    return out
 
 
 def resample_closed(nodes, count: int) -> np.ndarray:

@@ -82,8 +82,8 @@ class SnakeConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if not self.time_step > 0.0:
-            raise ValueError("time_step must be positive")
+        if not 0.0 < self.time_step < np.inf:
+            raise ValueError("time_step must be positive and finite")
         if self.node_count < 3:
             raise ValueError("node_count must be >= 3")
 

@@ -5,7 +5,7 @@ import pytest
 
 from contourflow.cli import main
 from contourflow.edt import mask_to_dt
-from contourflow.fileio import read_mask_pgm, read_pfm, write_mask_pgm, write_pgm
+from contourflow.fileio import read_mask_pgm, read_pfm, write_mask_pgm, write_pfm, write_pgm
 from contourflow.metrics import evaluate
 from contourflow.shapes import disk_mask, suite
 
@@ -39,13 +39,25 @@ class TestRun:
         assert result["metrics"]["iou"] == round(report.iou, 6)
         assert result["metrics"]["boundf"] == round(report.boundf, 6)
 
-    def test_rerun_is_byte_identical(self, tmp_path, disk_paths):
+    def test_rerun_is_byte_identical(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
+        stdouts = []
         for out in (out_a, out_b):
             assert main(["run", "--mask", str(mask_path), "--out", str(out)]) == 0
-        for name in ("prediction.pgm", "contour.json", "result.json"):
+            captured = capsys.readouterr()
+            stdouts.append(captured.out)
+            # timing goes to stderr only, as one JSON line of per-stage wall ms
+            stage_ms = json.loads(captured.err)["stage_ms"]
+            assert list(stage_ms) == ["read", "field", "init", "evolve", "rasterize",
+                                      "metrics", "write"]
+            assert all(ms >= 0.0 for ms in stage_ms.values())
+        assert stdouts[0] == stdouts[1]
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == ["contour.json", "prediction.pgm", "result.json"]
+        assert sorted(p.name for p in out_b.iterdir()) == names
+        for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_zero_iterations_returns_init_raster(self, tmp_path, disk_paths):
@@ -123,13 +135,32 @@ class TestRun:
 
     @pytest.mark.parametrize("flags", [["--nodes", "2"], ["--tau", "-1"],
                                        ["--iters", "-1"], ["--clip", "0"],
-                                       ["--clip", "nan"], ["--clip", "-1"]])
+                                       ["--clip", "nan"], ["--clip", "-1"],
+                                       ["--tau", "inf"], ["--alpha", "-1"],
+                                       ["--alpha", "nan"]])
     def test_bad_solver_setting_is_usage_error(self, tmp_path, disk_paths, capsys, flags):
         _, mask_path = disk_paths
         out = tmp_path / "out"
         assert main(["run", "--mask", str(mask_path), "--out", str(out)] + flags) == 2
         assert not out.exists()
-        assert "bad configuration value" in capsys.readouterr().err
+        # one JSON line: no warning may reach stderr first
+        assert "bad configuration value" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("flag, value", [("--beta", "-1"), ("--beta", "nan"),
+                                             ("--kappa", "nan"), ("--kappa", "inf"),
+                                             ("--beta", "negative.pfm")])
+    def test_bad_weight_map_is_usage_error(self, tmp_path, disk_paths, capsys, flag, value):
+        mask, mask_path = disk_paths
+        beta = np.full(mask.shape, 0.1)
+        beta[5, 7] = -0.5
+        write_pfm(tmp_path / "negative.pfm", beta)
+        if value.endswith(".pfm"):
+            value = str(tmp_path / value)
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), "--out", str(out), flag, value]) == 2
+        assert not out.exists()
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert flag[2:] in error and value in error
 
     def test_non_numeric_config_value_names_key(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
@@ -497,3 +528,49 @@ class TestSweepCommand:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[2].split(",")[1] == ""  # blank metrics
         assert "unknown field kind" in rows[2]
+
+class TestWriteFailures:
+    """An output that cannot be written is an I/O error: exit 2 and one JSON
+    error line naming the path. The target sits under a regular file, so
+    no user, root included, can create it."""
+
+    @pytest.fixture
+    def blocked(self, tmp_path):
+        (tmp_path / "file").write_text("not a directory\n")
+        return tmp_path / "file" / "sub"
+
+    def _assert_names(self, capsys, path):
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error.startswith(f"cannot write {path}")
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-frames"])
+    def test_run(self, disk_paths, blocked, capsys, flag):
+        _, mask_path = disk_paths
+        assert main(["run", "--mask", str(mask_path), "--iters", "2", flag, str(blocked)]) == 2
+        self._assert_names(capsys, blocked)
+
+    def test_dt(self, disk_paths, blocked, capsys):
+        _, mask_path = disk_paths
+        target = blocked / "dist.pfm"
+        assert main(["dt", "--mask", str(mask_path), "--out", str(target)]) == 2
+        self._assert_names(capsys, target)
+
+    def test_learn(self, disk_paths, blocked, capsys):
+        _, mask_path = disk_paths
+        assert main(["learn", "--gt", str(mask_path), "--epochs", "1", "--iters", "2",
+                     "--out", str(blocked)]) == 2
+        self._assert_names(capsys, blocked)
+
+    def test_batch(self, tmp_path, disk_paths, blocked, capsys):
+        _, mask_path = disk_paths
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{mask_path} {mask_path}\n")
+        assert main(["batch", "--manifest", str(manifest), "--iters", "2",
+                     "--out", str(blocked)]) == 2
+        self._assert_names(capsys, blocked)
+
+    def test_sweep(self, disk_paths, blocked, capsys):
+        _, mask_path = disk_paths
+        assert main(["sweep", "--mask", str(mask_path), "--axis", "iterations",
+                     "--values", "1", "--out", str(blocked)]) == 2
+        self._assert_names(capsys, blocked)

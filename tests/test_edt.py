@@ -173,3 +173,32 @@ class TestLockstepEnvelope:
     def test_empty_site_mask_rejected(self):
         with pytest.raises(ValueError, match="no boundary"):
             edt_from_sites(np.zeros((4, 5), dtype=bool))
+
+
+@st.composite
+def banded_site_masks(draw):
+    """Sites confined to a narrow column band, with site-free columns left
+    and right of it and some cleared inside it."""
+    height = draw(st.integers(1, 30))
+    width = draw(st.integers(3, 60))
+    c0 = draw(st.integers(1, width - 2))
+    c1 = draw(st.integers(c0 + 1, min(c0 + 6, width - 1)))
+    sites = np.zeros((height, width), dtype=bool)
+    sites[:, c0:c1] = draw(arrays(np.bool_, (height, c1 - c0), elements=st.booleans()))
+    for col in draw(st.sets(st.integers(c0, c1 - 1), max_size=c1 - c0)):
+        sites[:, col] = False
+    sites[draw(st.integers(0, height - 1)), draw(st.integers(c0, c1 - 1))] = True
+    return sites
+
+
+class TestSiteColumnSpan:
+    """The column pass and the envelope build run over the sites' column
+    span only; the read-out over every column must still be exact."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sites=banded_site_masks())
+    @example(sites=site_mask([(1, 0)], 3, 1))  # 1 x n, one free column each side
+    @example(sites=site_mask([(20, 0), (20, 9)], 41, 10))  # one column in the middle
+    @example(sites=site_mask([(5, 2), (9, 7)], 30, 12))  # a band with a free inner column
+    def test_equals_brute_oracle(self, sites):
+        assert np.array_equal(edt_from_sites(sites), brute_from_sites(sites))

@@ -277,3 +277,62 @@ class TestResample:
         before = Contour(poly).perimeter
         after = Contour(resample_closed(poly, 200)).perimeter
         assert after == pytest.approx(before, rel=0.05)
+
+
+# a node far from the others makes the rounding of x reach whole pixels
+_FAR_COORDS = st.one_of(_COORDS, st.floats(-1e17, 1e17, allow_nan=False),
+                        st.sampled_from([-1e6, 1e6, -1e17, 1e17]))
+
+
+@st.composite
+def _offframe_polygons(draw):
+    """Polygons moved partly or wholly off a (height, width) frame, some with
+    far nodes and some degenerate (collinear, repeated or zero net area)."""
+    height, width = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["moved", "far", "collinear", "bowtie"]))
+    if kind == "collinear":
+        a, b = draw(st.tuples(_COORDS, _COORDS)), draw(st.tuples(_COORDS, _COORDS))
+        ts = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=6))
+        nodes = np.array([a, b] + [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+                                   for t in ts])
+    elif kind == "bowtie":  # two lobes of opposite orientation: signed area 0
+        u, v, s = draw(_COORDS), draw(_COORDS), draw(st.floats(0.5, 20.0))
+        nodes = np.array([[u, v], [u + s, v + s], [u + s, v], [u, v + s]])
+    else:
+        coords = _COORDS if kind == "moved" else _FAR_COORDS
+        nodes = np.array(draw(st.lists(st.tuples(coords, coords), min_size=3, max_size=10)))
+        # shift by up to two frames in each direction: left of, over, right of
+        nodes = nodes + [draw(st.integers(-2, 2)) * width, draw(st.integers(-2, 2)) * height]
+    return nodes, width, height
+
+
+class TestRasterizeBoundingBox:
+    """``rasterize`` works on the box of its crossings; the mask must still
+    equal the full-frame loop everywhere, including off the frame and
+    where rounding carries a crossing past the nodes' u-range."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_offframe_polygons())
+    # a crossing at x = 0 while min u is just above 0: the loop sets pixel
+    # (4, 0), left of ceil(min u)
+    @example(case=(np.array([[3.0, 2.0], [7.0, 6.0], [6.321080386245348e-18, 4.0]]), 10, 10))
+    # a crossing a hair past max u = 6: the loop sets pixel (2, 6)
+    @example(case=(np.array([[-6.0453361813226705, 6.59216740356073], [6.0, 2.0],
+                             [4.2358364448968056, 7.6378585592912485]]), 10, 10))
+    @example(case=(np.array([[1.0, 0.0], [1.0, 1.0], [1.20256796e-113, 0.0]]), 1, 1))
+    @example(case=(np.array([[-1e17, -3.0], [1e17, 2.5], [4.5, 40.0]]), 9, 12))
+    def test_matches_loop(self, case):
+        nodes, width, height = case
+        contour = Contour(nodes)
+        got = rasterize(contour, width, height)
+        assert got.dtype == bool and got.shape == (height, width)
+        assert np.array_equal(got, rasterize_loop(contour, width, height))
+        if contour.is_degenerate:
+            assert not got.any()
+
+    def test_rounding_examples_reach_past_the_nodes(self):
+        left = Contour(np.array([[3.0, 2.0], [7.0, 6.0], [6.321080386245348e-18, 4.0]]))
+        assert rasterize(left, 10, 10)[4, 0]
+        right = Contour(np.array([[-6.0453361813226705, 6.59216740356073], [6.0, 2.0],
+                                  [4.2358364448968056, 7.6378585592912485]]))
+        assert rasterize(right, 10, 10)[2, 6]

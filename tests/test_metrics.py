@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contourflow.metrics import boundf, dice, evaluate, iou
 from contourflow.shapes import random_blob_mask, rectangle_mask
@@ -119,6 +119,60 @@ class TestBoundFCropped:
         pred = random_boxes_mask(rng, height, width)
         gt = random_boxes_mask(rng, height, width)
         assert boundf(pred, gt) == boundf_reference(pred, gt)
+
+
+def _pixels(height, width, *points):
+    mask = np.zeros((height, width), dtype=bool)
+    for v, u in points:
+        mask[v, u] = True
+    return mask
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two masks of one random frame (1 x N and N x 1 included), each empty,
+    full, random boxes, noise, or a box far from the frame's other corner."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def one(kind, at_origin):
+        mask = np.zeros((height, width), dtype=bool)
+        if kind == "full":
+            mask[:] = True
+        elif kind == "boxes":
+            mask = random_boxes_mask(rng, height, width)
+        elif kind == "noise":
+            mask = rng.random((height, width)) < rng.random()
+        elif kind == "corner":  # alternate corners, so pairs sit far apart
+            span_v, span_u = max(height // 4, 1), max(width // 4, 1)
+            rows = slice(0, span_v) if at_origin else slice(height - span_v, height)
+            cols = slice(0, span_u) if at_origin else slice(width - span_u, width)
+            mask[rows, cols] = True
+        return mask
+
+    kinds = st.sampled_from(["empty", "full", "boxes", "noise", "corner"])
+    first = draw(st.booleans())
+    return one(draw(kinds), first), one(draw(kinds), not first)
+
+
+class TestBoundFDisk:
+    """``boundf`` matches boundary pixels within the disk of offsets of
+    radius 5 instead of running distance transforms; the scores must be
+    tuple-equal to the brute-force pairwise distances."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=mask_pairs())
+    @example(pair=(_pixels(1, 40, (0, 0)), _pixels(1, 40, (0, 5))))  # 1 x N, d = 5
+    @example(pair=(_pixels(1, 40, (0, 0)), _pixels(1, 40, (0, 6))))  # 1 x N, d = 6
+    @example(pair=(_pixels(40, 1, (3, 0)), _pixels(40, 1, (30, 0))))  # N x 1, far apart
+    @example(pair=(_pixels(12, 12, (2, 2)), _pixels(12, 12, (5, 6))))  # d^2 = 25
+    @example(pair=(_pixels(12, 12, (2, 2)), _pixels(12, 12, (3, 7))))  # d^2 = 26
+    @example(pair=(np.zeros((5, 7), dtype=bool), np.ones((5, 7), dtype=bool)))
+    @example(pair=(np.ones((1, 1), dtype=bool), np.ones((1, 1), dtype=bool)))
+    def test_equals_bruteforce(self, pair):
+        pred, gt = pair
+        assert boundf(pred, gt) == boundf_reference(pred, gt)
+        assert boundf(gt, pred) == boundf_reference(gt, pred)
 
 
 class TestSymmetryAndInvariance:
