@@ -62,10 +62,9 @@ def boundf(pred, gt) -> tuple[float, tuple[float, ...]]:
     within Euclidean distance t of some ground-truth boundary pixel;
     recall is symmetric. Returns (mean, per-threshold scores).
 
-    Each boundary pixel gets its minimum squared distance to the other
-    boundary set over the disk offsets, capped at ``_BEYOND``, and passes
-    threshold t when that integer is <= t**2. The per-pixel pass/fail
-    flags are those of an exact distance transform, so the scores equal
+    A boundary pixel passes threshold t when its capped squared distance
+    to the other set is <= t**2 (see the module docstring); the pass/fail
+    flags are those of exact distances, so the scores equal
     ``boundf_reference`` in ``tests/oracles.py`` to the last bit.
     """
     pred, gt = _pair(pred, gt)
