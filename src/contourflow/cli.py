@@ -8,6 +8,13 @@ atomically and contain no timestamps, so reruns with identical inputs
 are byte-identical; wall-clock timing goes to stderr, for `run` as one
 JSON line of milliseconds per pipeline stage.
 
+`run`, `sweep`, `batch` and `learn` each read the settings that
+``COMMAND_SETTINGS`` lists for them and no others. Their flags and the
+keys their ``--config`` file accepts are built from ``SETTINGS``, which
+gives each setting's value type and help; ``RunConfig`` holds the only
+defaults, and a profile, the config file and the flags override them in
+that order.
+
 `batch` runs its manifest items one after another in manifest order; the
 image column of a manifest only labels each report row and is never
 read, and `--jobs` is accepted for compatibility but has no effect.
@@ -48,15 +55,6 @@ PROFILES = {
     "medical": {"nodes": 100, "iters": 10, "init": "inscribed", "kappa": "0.2"},
 }
 
-BASE_DEFAULTS = {
-    "field": "lcdvf",
-    "tau": 0.1,
-    "clip": 2.0,
-    "alpha": 0.01,
-    "beta": "0.1",
-    "resample": False,
-}
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -66,12 +64,14 @@ class CliError(Exception):
 
 @dataclass
 class RunConfig:
-    mask_path: str
-    gt_path: str | None = None
+    """One run's settings under their ``SETTINGS`` names; the defaults are
+    the building profile's."""
     profile: str = "building"
+    mask: str | None = None
+    gt: str | None = None
     field: str = "lcdvf"
     init: str = "circumscribed"
-    iterations: int = 50
+    iters: int = 50
     tau: float = 0.1
     nodes: int = 60
     resample: bool = False
@@ -79,12 +79,52 @@ class RunConfig:
     alpha: float = 0.01
     beta: str = "0.1"
     kappa: str = "0.2"
-    out_dir: str | None = None
+    out: str | None = None
     dump_frames: str | None = None
 
     def snake_config(self) -> SnakeConfig:
-        return SnakeConfig(iterations=self.iterations, time_step=self.tau,
+        return SnakeConfig(iterations=self.iters, time_step=self.tau,
                            node_count=self.nodes, resample_each_step=self.resample)
+
+
+def _boolean(text: str) -> bool:
+    low = text.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# every setting a command can read: the type that parses its value, and
+# its flag's help; a _boolean setting is a flag without a value
+SETTINGS = {
+    "mask": (str, "driving mask (PGM)"),
+    "gt": (str, "ground-truth mask (PGM); defaults to the segmented mask"),
+    "field": (str, "lcdvf | dvf | energy:<file.pfm>"),
+    "init": (str, "inscribed | circumscribed | circle:<cu>,<cv>,<r>"),
+    "iters": (int, "evolution iterations"),
+    "tau": (float, "time step"),
+    "nodes": (int, "contour node count"),
+    "resample": (_boolean, "resample nodes to uniform arc length each step"),
+    "clip": (float, "force magnitude clip (inf disables)"),
+    "alpha": (float, "continuity weight"),
+    "beta": (str, "curvature weight: constant or file.pfm"),
+    "kappa": (str, "balloon weight: constant or file.pfm"),
+    "out": (str, "output directory (prediction.pgm, contour.json, result.json)"),
+    "dump_frames": (str, "directory for per-iteration frame_%%04d.pgm/.json dumps"),
+}
+_SOLVER = ("field", "init", "iters", "tau", "nodes", "resample", "clip")
+_WEIGHTS = ("alpha", "beta", "kappa")
+# the settings each command reads, as flags and as config-file keys; batch
+# takes each item's mask from its manifest, and learn fits --gt starting
+# from fixed weights
+COMMAND_SETTINGS = {
+    "run": ("mask", "gt") + _SOLVER + _WEIGHTS + ("out", "dump_frames"),
+    "sweep": ("mask", "gt") + _SOLVER + _WEIGHTS,
+    "batch": ("gt",) + _SOLVER + _WEIGHTS,
+    "learn": ("gt",) + _SOLVER,
+}
 
 
 class StageTimer:
@@ -126,16 +166,10 @@ def _json_line(obj) -> str:
     return json.dumps(_round6(obj), separators=(", ", ": "))
 
 
-# settings a config file or a flag can give; a config file may also name the profile
-_RUN_KEYS = ("mask", "gt", "field", "init", "iters", "tau", "nodes",
-             "resample", "clip", "alpha", "beta", "kappa", "out", "dump_frames")
-_CONFIG_FILE_KEYS = ("profile",) + _RUN_KEYS
-# commands without --mask: learn fits --gt and batch takes each item's mask,
-# so a config file's mask key would be read and then ignored
-_MASKLESS_COMMANDS = ("learn", "batch")
-
-
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
+    """The ``key=value`` lines of ``path``: ``profile`` or a setting that
+    ``command`` reads, its value parsed with the setting's type."""
+    accepted = ("profile",) + COMMAND_SETTINGS[command]
     settings = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -148,110 +182,72 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FILE_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r} "
-                           f"(accepted: {', '.join(_CONFIG_FILE_KEYS)})")
+        if key not in accepted:
+            raise CliError(f"{path}:{lineno}: {command} does not read key {key!r} "
+                           f"(accepted: {', '.join(accepted)})")
+        if key != "profile":
+            try:
+                value = SETTINGS[key][0](value)
+            except ValueError as exc:
+                raise CliError(f"bad value for {key}: {value!r}") from exc
         settings[key] = value
     return settings
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    try:
-        if key in ("iters", "nodes"):
-            return int(value)
-        if key in ("tau", "clip", "alpha"):
-            return float(value)
-    except ValueError as exc:
-        raise CliError(f"bad value for {key}: {value!r}") from exc
-    if key == "resample":
-        if isinstance(value, bool):
-            return value
-        low = str(value).lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise CliError(f"bad boolean for resample: {value!r}")
-    return value
-
-
 def resolve_run_config(args) -> RunConfig:
-    """Merge profile defaults, config file entries and explicit flags,
-    in that precedence order (flags win)."""
-    file_settings = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    if "mask" in file_settings and args.command in _MASKLESS_COMMANDS:
-        raise CliError(f"{args.config}: key 'mask' is not accepted by {args.command}")
-    profile = getattr(args, "profile", None) or file_settings.get("profile") or "building"
+    """Override ``RunConfig``'s defaults with the profile, then the config
+    file, then explicit flags (flags win), reading only the settings
+    ``args.command`` reads."""
+    settings = _parse_config_file(args.config, args.command) if args.config else {}
+    file_profile = settings.pop("profile", None)
+    profile = args.profile or file_profile or "building"
     if profile not in PROFILES:
         raise CliError(f"unknown profile {profile!r} (choose from {sorted(PROFILES)})")
-
-    settings = dict(BASE_DEFAULTS)
-    settings.update(PROFILES[profile])
-    for key, value in file_settings.items():
-        if key == "profile":
-            continue
-        settings[key] = _coerce(key, value)
-    for key in _RUN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            settings[key] = _coerce(key, value)
-
-    mask_path = settings.get("mask")
-    if not mask_path:
+    keys = COMMAND_SETTINGS[args.command]
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    cfg = RunConfig(profile=profile, **{**PROFILES[profile], **settings, **flags})
+    if "mask" in keys and not cfg.mask:
         raise CliError("a mask file is required (--mask)")
     try:
-        cfg = RunConfig(
-            mask_path=str(mask_path),
-            gt_path=str(settings["gt"]) if settings.get("gt") else None,
-            profile=profile,
-            field=str(settings["field"]),
-            init=str(settings["init"]),
-            iterations=int(settings["iters"]),
-            tau=float(settings["tau"]),
-            nodes=int(settings["nodes"]),
-            resample=bool(settings["resample"]),
-            clip=float(settings["clip"]),
-            alpha=float(settings["alpha"]),
-            beta=str(settings["beta"]),
-            kappa=str(settings["kappa"]),
-            out_dir=str(settings["out"]) if settings.get("out") else None,
-            dump_frames=str(settings["dump_frames"]) if settings.get("dump_frames") else None,
-        )
         cfg.snake_config()  # rejects bad iterations, tau and nodes up front
         if not (np.isfinite(cfg.alpha) and cfg.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
         if not cfg.clip > 0.0:
             raise ValueError("clip must be positive (inf disables clipping)")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad configuration value: {exc}") from exc
+    for name in ("beta", "kappa"):
+        spec = getattr(cfg, name)
+        try:
+            const = float(spec)
+        except ValueError:
+            continue  # a PFM map, checked against each mask in run_pipeline
+        _check_weight(name, spec, const)
     return cfg
 
 
-def _load_weight_map(spec: str, shape: tuple[int, int], name: str,
-                     nonnegative: bool) -> np.ndarray:
-    """A constant or a PFM weight map; every value must be finite, and
-    >= 0 when ``nonnegative``."""
-    try:
-        const = float(spec)
-    except ValueError:
-        try:
-            field = read_pfm(spec)  # rejects non-finite values
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot load {name} map {spec!r}: {exc}") from exc
-        if field.shape != shape:
-            raise CliError(f"{name} map {spec!r} has shape {field.shape}, expected {shape}")
-    else:
-        if not np.isfinite(const):
-            raise CliError(f"{name} must be finite, got {spec!r}")
-        field = np.full(shape, const)
-    if nonnegative and (field < 0.0).any():
+def _check_weight(name: str, spec: str, values) -> None:
+    """Every value of a weight must be finite, and every beta value >= 0."""
+    if not np.isfinite(values).all():
+        raise CliError(f"{name} must be finite, got {spec!r}")
+    if name == "beta" and (np.asarray(values) < 0.0).any():
         raise CliError(f"{name} must be >= 0 everywhere, got {spec!r}")
+
+
+def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A constant, already checked by ``resolve_run_config``, or a PFM
+    weight map held to ``_check_weight``'s rule."""
+    try:
+        return np.full(shape, float(spec))
+    except ValueError:
+        pass
+    try:
+        field = read_pfm(spec)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot load {name} map {spec!r}: {exc}") from exc
+    if field.shape != shape:
+        raise CliError(f"{name} map {spec!r} has shape {field.shape}, expected {shape}")
+    _check_weight(name, spec, field)
     return field
 
 
@@ -297,15 +293,15 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     timer = StageTimer()
     # ingest everything up front so failures never leave partial outputs
     try:
-        mask = read_mask_pgm(cfg.mask_path)
-        gt = read_mask_pgm(cfg.gt_path) if cfg.gt_path else mask
+        mask = read_mask_pgm(cfg.mask)
+        gt = read_mask_pgm(cfg.gt) if cfg.gt else mask
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     if gt.shape != mask.shape:
         raise CliError(f"ground-truth shape {gt.shape} does not match mask {mask.shape}")
     height, width = mask.shape
-    beta = _load_weight_map(cfg.beta, (height, width), "beta", nonnegative=True)
-    kappa = _load_weight_map(cfg.kappa, (height, width), "kappa", nonnegative=False)
+    beta = _load_weight_map(cfg.beta, (height, width), "beta")
+    kappa = _load_weight_map(cfg.kappa, (height, width), "kappa")
     timer.lap("read")
 
     try:
@@ -346,7 +342,7 @@ def _result_json(cfg: RunConfig, result: RunResult) -> str:
             "profile": cfg.profile,
             "field": cfg.field,
             "init": cfg.init,
-            "iterations": cfg.iterations,
+            "iterations": cfg.iters,
             "tau": cfg.tau,
             "nodes": cfg.nodes,
             "resample": cfg.resample,
@@ -376,8 +372,8 @@ def _writing(path):
 
 
 def write_run_outputs(cfg: RunConfig, result: RunResult) -> None:
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
+    if cfg.out:
+        out = Path(cfg.out)
         with _writing(out):
             out.mkdir(parents=True, exist_ok=True)
             write_mask_pgm(out / "prediction.pgm", result.prediction)
@@ -435,16 +431,15 @@ def _cmd_dt(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    if args.gt is None:
-        raise CliError("learn requires a ground-truth mask (--gt)")
     if args.epochs < 1:
         raise CliError("epochs must be >= 1")
     if not (np.isfinite(args.lr) and args.lr > 0.0):
         raise CliError(f"lr must be finite and > 0, got {args.lr}")
-    args.mask = args.gt  # the ground truth drives the force field
     cfg = resolve_run_config(args)
+    if not cfg.gt:
+        raise CliError("learn requires a ground-truth mask (--gt)")
     try:
-        gt = read_mask_pgm(cfg.mask_path)
+        gt = read_mask_pgm(cfg.gt)  # the ground truth also drives the force field
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     if cfg.init not in INIT_MODES:
@@ -496,13 +491,12 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be >= 1")
-    args.mask = "<manifest>"  # placeholder; each item sets its own mask
     cfg_template = resolve_run_config(args)
     pairs = _parse_manifest(args.manifest)
 
     rows = []
     for index, (image, mask) in enumerate(pairs):
-        cfg = replace(cfg_template, mask_path=mask, out_dir=None, dump_frames=None)
+        cfg = replace(cfg_template, mask=mask)
         row = {"index": index, "image": image, "mask": mask}
         try:
             result = run_pipeline(cfg)
@@ -535,8 +529,6 @@ _SWEEP_AXES = ("radius", "iterations", "field", "init")
 
 
 def _cmd_sweep(args) -> int:
-    if args.axis not in _SWEEP_AXES:
-        raise CliError(f"unknown sweep axis {args.axis!r} (choose from {_SWEEP_AXES})")
     cfg = resolve_run_config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -545,7 +537,7 @@ def _cmd_sweep(args) -> int:
     center = None
     if args.axis == "radius":
         try:
-            mask = read_mask_pgm(cfg.mask_path)
+            mask = read_mask_pgm(cfg.mask)
             center = circumscribed_circle(mask).center
         except (OSError, ValueError) as exc:
             raise CliError(str(exc), EXIT_USAGE) from exc
@@ -558,12 +550,11 @@ def _cmd_sweep(args) -> int:
                 radius = float(value)
                 item = replace(cfg, init=f"circle:{center[0]},{center[1]},{radius}")
             elif args.axis == "iterations":
-                item = replace(cfg, iterations=int(value))
+                item = replace(cfg, iters=int(value))
             elif args.axis == "field":
                 item = replace(cfg, field=value)
             else:
                 item = replace(cfg, init=value)
-            item = replace(item, out_dir=None, dump_frames=None)
             result = run_pipeline(item)
             rows.append(f"{value},{result.report.iou:.6f},{result.report.dice:.6f},"
                         f"{result.report.boundf:.6f},")
@@ -577,24 +568,17 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_run_options(parser: argparse.ArgumentParser, with_mask: bool = True) -> None:
-    if with_mask:
-        parser.add_argument("--mask", required=True, help="driving mask (PGM)")
-        parser.add_argument("--gt", help="ground-truth mask (PGM); defaults to --mask")
-    else:
-        parser.add_argument("--gt", help="ground-truth mask (PGM)")
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    """--profile, --config and a flag for each setting ``command`` reads."""
     parser.add_argument("--profile", choices=sorted(PROFILES))
-    parser.add_argument("--field", help="lcdvf | dvf | energy:<file.pfm>")
-    parser.add_argument("--init", help="inscribed | circumscribed | circle:<cu>,<cv>,<r>")
-    parser.add_argument("--iters", type=int, help="evolution iterations")
-    parser.add_argument("--tau", type=float, help="time step")
-    parser.add_argument("--nodes", type=int, help="contour node count")
-    parser.add_argument("--resample", action="store_true", default=None,
-                        help="resample nodes to uniform arc length each step")
-    parser.add_argument("--clip", type=float, help="force magnitude clip (inf disables)")
-    parser.add_argument("--alpha", type=float, help="continuity weight")
-    parser.add_argument("--beta", help="curvature weight: constant or file.pfm")
-    parser.add_argument("--kappa", help="balloon weight: constant or file.pfm")
+    for key in COMMAND_SETTINGS[command]:
+        kind, help_text = SETTINGS[key]
+        flag = "--" + key.replace("_", "-")
+        if kind is _boolean:
+            parser.add_argument(flag, dest=key, action="store_true", default=None,
+                                help=help_text)
+        else:
+            parser.add_argument(flag, dest=key, type=kind, help=help_text)
     parser.add_argument("--config", help="key=value config file")
 
 
@@ -604,10 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="segment one mask and report metrics")
-    _add_run_options(p_run)
-    p_run.add_argument("--out", help="output directory (prediction.pgm, contour.json, result.json)")
-    p_run.add_argument("--dump-frames", dest="dump_frames",
-                       help="directory for per-iteration frame_%%04d.pgm/.json dumps")
+    _add_settings(p_run, "run")
     p_run.set_defaults(func=_cmd_run)
 
     p_metrics = sub.add_parser("metrics", help="score a prediction against a ground truth")
@@ -622,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dt.set_defaults(func=_cmd_dt)
 
     p_learn = sub.add_parser("learn", help="fit parameter maps on one image")
-    _add_run_options(p_learn, with_mask=False)
+    _add_settings(p_learn, "learn")
     p_learn.add_argument("--epochs", type=int, default=100)
     p_learn.add_argument("--lr", type=float, default=1e-3)
     p_learn.add_argument("--out", required=True, help="output directory for "
@@ -631,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="run a manifest of (image, mask) pairs; "
                              "the image column only labels each row")
-    _add_run_options(p_batch, with_mask=False)
+    _add_settings(p_batch, "batch")
     p_batch.add_argument("--manifest", required=True)
     p_batch.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility (must be >= 1); items always "
@@ -640,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.set_defaults(func=_cmd_batch)
 
     p_sweep = sub.add_parser("sweep", help="rerun one config across an axis of values")
-    _add_run_options(p_sweep)
+    _add_settings(p_sweep, "sweep")
     p_sweep.add_argument("--axis", required=True, choices=_SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out", help="also write the CSV table here")

@@ -50,9 +50,7 @@ class ForceField:
 def dvf(dt, clip_norm: float = 2.0) -> ForceField:
     """Negative gradient of the distance transform: unit-magnitude pull
     toward the nearest boundary."""
-    dt = as_field(dt)
-    vectors = clip_vectors(-central_gradient(dt), clip_norm)
-    return ForceField(vectors, dt.copy())
+    return energy_gradient_field(dt, clip_norm)
 
 
 def lcdvf(dt, clip_norm: float = 2.0) -> ForceField:

@@ -197,6 +197,102 @@ class TestRun:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert "'image'" in error and "accepted: profile, mask, gt, field" in error
 
+    def test_mask_from_config_file_matches_flag(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text(f"mask={mask_path}\niters=3\n")
+        out_cfg, out_flag = tmp_path / "cfg", tmp_path / "flag"
+        assert main(["run", "--config", str(config), "--out", str(out_cfg)]) == 0
+        assert main(["run", "--mask", str(mask_path), "--iters", "3",
+                     "--out", str(out_flag)]) == 0
+        assert (out_cfg / "result.json").read_bytes() == (out_flag / "result.json").read_bytes()
+
+    def test_no_mask_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--iters", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a mask file is required" in json.loads(captured.err)["error"]
+        assert not out.exists()
+
+    def test_profile_flag_beats_config_profile(self, tmp_path, disk_paths):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("profile=medical\n")
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), "--config", str(config),
+                     "--profile", "building", "--iters", "2", "--out", str(out)]) == 0
+        result = read_result(out)
+        assert result["config"]["profile"] == "building"
+        assert result["config"]["nodes"] == 60
+
+    def test_zero_iters_flag_beats_config_file(self, tmp_path, disk_paths):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("iters=3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), "--config", str(config),
+                     "--iters", "0", "--out", str(out)]) == 0
+        assert read_result(out)["config"]["iterations"] == 0
+
+
+class TestSettingsEachCommandReads:
+    """A config key that names a setting the command does not read is a
+    usage error, like the flag that argparse never defines for it."""
+
+    def _argv(self, command, tmp_path, mask_path):
+        out = tmp_path / "report"
+        if command == "learn":
+            return ["learn", "--gt", str(mask_path), "--epochs", "1", "--out", str(out)], out
+        if command == "batch":
+            manifest = tmp_path / "manifest.txt"
+            manifest.write_text(f"{mask_path} {mask_path}\n")
+            return ["batch", "--manifest", str(manifest), "--out", str(out)], out
+        return ["sweep", "--mask", str(mask_path), "--axis", "iterations",
+                "--values", "1", "--out", str(out)], out
+
+    @pytest.mark.parametrize("command, key", [
+        ("learn", "alpha"), ("learn", "beta"), ("learn", "kappa"), ("learn", "out"),
+        ("learn", "dump_frames"), ("batch", "out"), ("batch", "dump_frames"),
+        ("sweep", "out"), ("sweep", "dump_frames")])
+    def test_unread_config_key_rejected(self, tmp_path, disk_paths, capsys, command, key):
+        _, mask_path = disk_paths
+        argv, out = self._argv(command, tmp_path, mask_path)
+        written = tmp_path / "from_config"
+        value = str(written) if key in ("out", "dump_frames") else "1"
+        config = tmp_path / "settings.cfg"
+        config.write_text(f"{key}={value}\n")
+        assert main(argv + ["--iters", "1", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{key}'" in json.loads(captured.err)["error"]
+        assert not out.exists() and not written.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "5"), ("--beta", "1"),
+                                             ("--kappa", "1")])
+    def test_learn_weight_flags_rejected(self, tmp_path, disk_paths, capsys, flag, value):
+        _, mask_path = disk_paths
+        argv, out = self._argv("learn", tmp_path, mask_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_learn_gt_from_config_file(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.pgm"
+        write_mask_pgm(gt_path, suite(64)[3].mask)
+        config = tmp_path / "learn.cfg"
+        config.write_text(f"gt={gt_path}\n")
+        out_cfg, out_flag = tmp_path / "cfg", tmp_path / "flag"
+        common = ["--epochs", "2", "--iters", "5", "--clip", "inf"]
+        assert main(["learn", "--config", str(config), "--out", str(out_cfg)] + common) == 0
+        assert main(["learn", "--gt", str(gt_path), "--out", str(out_flag)] + common) == 0
+        names = sorted(p.name for p in out_flag.iterdir())
+        assert sorted(p.name for p in out_cfg.iterdir()) == names
+        for name in names:
+            assert (out_cfg / name).read_bytes() == (out_flag / name).read_bytes()
+
 
 class TestCollapse:
     """A deflating balloon that folds the contour through itself stops the
@@ -394,7 +490,8 @@ class TestBatchCommand:
     def test_bad_solver_setting_stops_before_any_item(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         manifest = self._manifest(tmp_path, [(mask_path, mask_path)] * 2)
-        for flags in (["--nodes", "2"], ["--clip", "0"], ["--clip", "nan"], ["--clip", "-1"]):
+        for flags in (["--nodes", "2"], ["--clip", "0"], ["--clip", "nan"], ["--clip", "-1"],
+                      ["--beta", "-1"], ["--kappa", "nan"]):
             code = main(["batch", "--manifest", str(manifest)] + flags)
             assert code == 2
             assert capsys.readouterr().out == ""
