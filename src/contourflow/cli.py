@@ -2,11 +2,12 @@
 initialization, contour evolution, metrics out.
 
 Subcommands: run, batch, metrics, dt, learn, sweep. Exit codes: 0 on
-success, 1 on computation failure, 2 on usage or I/O errors (an output
-that cannot be written included). All output files are written
-atomically and contain no timestamps, so reruns with identical inputs
-are byte-identical; wall-clock timing goes to stderr, for `run` as one
-JSON line of milliseconds per pipeline stage.
+success, 1 on computation failure, 2 on usage or I/O errors. One rule
+maps a failure to its code, through ``_failing``: reading inputs and
+writing outputs fail with 2, computing fails with 1. All output files
+are written atomically and contain no timestamps, so reruns with
+identical inputs are byte-identical; wall-clock timing goes to stderr,
+for `run` as one JSON line of milliseconds per pipeline stage.
 
 `run`, `sweep`, `batch` and `learn` each read the settings that
 ``COMMAND_SETTINGS`` lists for them and no others. Their flags and the
@@ -15,9 +16,13 @@ gives each setting's value type and help; ``RunConfig`` holds the only
 defaults, and a profile, the config file and the flags override them in
 that order.
 
-`batch` runs its manifest items one after another in manifest order; the
-image column of a manifest only labels each report row and is never
-read, and `--jobs` is accepted for compatibility but has no effect.
+`batch` runs its manifest items one after another in manifest order and
+scores each against its own mask; the image column of a manifest only
+labels each report row and is never read, and `--jobs` is accepted for
+compatibility but has no effect. An item's own failure (an unreadable
+mask, a map that does not fit it, a failed computation) is a report row,
+while a ``SettingError`` (a setting no item can use) stops the batch
+with 2 before any row is printed.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .fields import Circle, Contour, boundary_mask, rasterize
 from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
                      write_pfm, write_pgm)
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
-from .learning import INIT_MODES, fit_parameters
+from .learning import fit_parameters
 from .metrics import MetricsReport, evaluate
 from .snake import EvolutionTrace, ParameterSet, SnakeConfig, evolve
 
@@ -60,6 +65,20 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
+
+
+class SettingError(CliError):
+    """A setting that fails whatever the mask: ``batch`` stops on it."""
+
+
+@contextmanager
+def _failing(code: int, prefix: str = "", error: type[CliError] = CliError):
+    """Turn an OSError, ValueError or RuntimeError raised inside into
+    ``error(prefix + message, code)``; a ``CliError`` passes unchanged."""
+    try:
+        yield
+    except (OSError, ValueError, RuntimeError) as exc:
+        raise error(f"{prefix}{exc}", code) from exc
 
 
 @dataclass
@@ -117,12 +136,12 @@ SETTINGS = {
 _SOLVER = ("field", "init", "iters", "tau", "nodes", "resample", "clip")
 _WEIGHTS = ("alpha", "beta", "kappa")
 # the settings each command reads, as flags and as config-file keys; batch
-# takes each item's mask from its manifest, and learn fits --gt starting
-# from fixed weights
+# takes each item's mask from its manifest and scores the item against it,
+# and learn fits --gt starting from fixed weights
 COMMAND_SETTINGS = {
     "run": ("mask", "gt") + _SOLVER + _WEIGHTS + ("out", "dump_frames"),
     "sweep": ("mask", "gt") + _SOLVER + _WEIGHTS,
-    "batch": ("gt",) + _SOLVER + _WEIGHTS,
+    "batch": _SOLVER + _WEIGHTS,
     "learn": ("gt",) + _SOLVER,
 }
 
@@ -171,10 +190,8 @@ def _parse_config_file(path: str, command: str) -> dict:
     ``command`` reads, its value parsed with the setting's type."""
     accepted = ("profile",) + COMMAND_SETTINGS[command]
     settings = {}
-    try:
+    with _failing(EXIT_USAGE, f"cannot read config file {path}: "):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,14 +225,12 @@ def resolve_run_config(args) -> RunConfig:
     cfg = RunConfig(profile=profile, **{**PROFILES[profile], **settings, **flags})
     if "mask" in keys and not cfg.mask:
         raise CliError("a mask file is required (--mask)")
-    try:
+    with _failing(EXIT_USAGE, "bad configuration value: "):
         cfg.snake_config()  # rejects bad iterations, tau and nodes up front
         if not (np.isfinite(cfg.alpha) and cfg.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
         if not cfg.clip > 0.0:
             raise ValueError("clip must be positive (inf disables clipping)")
-    except ValueError as exc:
-        raise CliError(f"bad configuration value: {exc}") from exc
     for name in ("beta", "kappa"):
         spec = getattr(cfg, name)
         try:
@@ -229,9 +244,9 @@ def resolve_run_config(args) -> RunConfig:
 def _check_weight(name: str, spec: str, values) -> None:
     """Every value of a weight must be finite, and every beta value >= 0."""
     if not np.isfinite(values).all():
-        raise CliError(f"{name} must be finite, got {spec!r}")
+        raise SettingError(f"{name} must be finite, got {spec!r}")
     if name == "beta" and (np.asarray(values) < 0.0).any():
-        raise CliError(f"{name} must be >= 0 everywhere, got {spec!r}")
+        raise SettingError(f"{name} must be >= 0 everywhere, got {spec!r}")
 
 
 def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -241,10 +256,8 @@ def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray
         return np.full(shape, float(spec))
     except ValueError:
         pass
-    try:
+    with _failing(EXIT_USAGE, f"cannot load {name} map {spec!r}: ", SettingError):
         field = read_pfm(spec)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load {name} map {spec!r}: {exc}") from exc
     if field.shape != shape:
         raise CliError(f"{name} map {spec!r} has shape {field.shape}, expected {shape}")
     _check_weight(name, spec, field)
@@ -258,15 +271,13 @@ def _build_force(cfg: RunConfig, mask: np.ndarray) -> ForceField:
         return dvf(mask_to_dt(mask), cfg.clip)
     if cfg.field.startswith("energy:"):
         path = cfg.field.split(":", 1)[1]
-        try:
+        with _failing(EXIT_USAGE, f"cannot load energy map {path!r}: ", SettingError):
             energy = read_pfm(path)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot load energy map {path!r}: {exc}") from exc
         if energy.shape != mask.shape:
             raise CliError(f"energy map {path!r} has shape {energy.shape}, "
                            f"expected {mask.shape}")
         return energy_gradient_field(energy, cfg.clip)
-    raise CliError(f"unknown field kind {cfg.field!r} "
+    raise SettingError(f"unknown field kind {cfg.field!r} "
                    "(use lcdvf, dvf, or energy:<file.pfm>)")
 
 
@@ -279,24 +290,20 @@ def _build_init_circle(cfg: RunConfig, mask: np.ndarray) -> Circle:
     if spec.startswith("circle:"):
         parts = spec.split(":", 1)[1].split(",")
         if len(parts) != 3:
-            raise CliError("circle init must be circle:<cu>,<cv>,<r>")
-        try:
+            raise SettingError("circle init must be circle:<cu>,<cv>,<r>")
+        with _failing(EXIT_USAGE, f"bad circle init {spec!r}: ", SettingError):
             cu, cv, r = (float(p) for p in parts)
             return Circle((cu, cv), r)
-        except ValueError as exc:
-            raise CliError(f"bad circle init {spec!r}: {exc}") from exc
-    raise CliError(f"unknown init mode {spec!r} "
+    raise SettingError(f"unknown init mode {spec!r} "
                    "(use inscribed, circumscribed, or circle:<cu>,<cv>,<r>)")
 
 
 def run_pipeline(cfg: RunConfig) -> RunResult:
     timer = StageTimer()
     # ingest everything up front so failures never leave partial outputs
-    try:
+    with _failing(EXIT_USAGE):
         mask = read_mask_pgm(cfg.mask)
         gt = read_mask_pgm(cfg.gt) if cfg.gt else mask
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
     if gt.shape != mask.shape:
         raise CliError(f"ground-truth shape {gt.shape} does not match mask {mask.shape}")
     height, width = mask.shape
@@ -304,7 +311,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     kappa = _load_weight_map(cfg.kappa, (height, width), "kappa")
     timer.lap("read")
 
-    try:
+    with _failing(EXIT_COMPUTE):
         force = _build_force(cfg, mask)
         timer.lap("field")
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
@@ -318,10 +325,6 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         timer.lap("rasterize")
         report = evaluate(prediction, gt)
         timer.lap("metrics")
-    except CliError:
-        raise
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc), EXIT_COMPUTE) from exc
     return RunResult(contour=final, prediction=prediction, report=report,
                      trace=trace, mask=mask, timer=timer)
 
@@ -362,26 +365,17 @@ def _render_frame(mask: np.ndarray, contour: Contour) -> np.ndarray:
     return img
 
 
-@contextmanager
-def _writing(path):
-    """Turn a failed output write into a usage error that names ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
-
-
 def write_run_outputs(cfg: RunConfig, result: RunResult) -> None:
     if cfg.out:
         out = Path(cfg.out)
-        with _writing(out):
+        with _failing(EXIT_USAGE, f"cannot write {out}: "):
             out.mkdir(parents=True, exist_ok=True)
             write_mask_pgm(out / "prediction.pgm", result.prediction)
             atomic_write_text(out / "contour.json", _contour_json(result.contour))
             atomic_write_text(out / "result.json", _result_json(cfg, result))
     if cfg.dump_frames:
         frames = Path(cfg.dump_frames)
-        with _writing(frames):
+        with _failing(EXIT_USAGE, f"cannot write {frames}: "):
             frames.mkdir(parents=True, exist_ok=True)
             for i, contour in enumerate(result.trace.contours):
                 write_pgm(frames / f"frame_{i:04d}.pgm", _render_frame(result.mask, contour))
@@ -400,12 +394,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    try:
+    with _failing(EXIT_USAGE):
         pred = read_mask_pgm(args.pred)
         gt = read_mask_pgm(args.gt)
         report = evaluate(pred, gt)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
     if args.json:
         print(_json_line(report.as_dict()))
     else:
@@ -416,15 +408,11 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_dt(args) -> int:
-    try:
+    with _failing(EXIT_USAGE):
         mask = read_mask_pgm(args.mask)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
-    try:
+    with _failing(EXIT_COMPUTE):
         field = mask_to_dt(mask)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_COMPUTE) from exc
-    with _writing(args.out):
+    with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
         write_pfm(args.out, field)
     print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -438,23 +426,16 @@ def _cmd_learn(args) -> int:
     cfg = resolve_run_config(args)
     if not cfg.gt:
         raise CliError("learn requires a ground-truth mask (--gt)")
-    try:
+    with _failing(EXIT_USAGE):
         gt = read_mask_pgm(cfg.gt)  # the ground truth also drives the force field
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
-    if cfg.init not in INIT_MODES:
-        raise CliError(f"learn supports inscribed or circumscribed initialization only, "
-                       f"got {cfg.init!r}")
-    try:
+    height, width = gt.shape
+    with _failing(EXIT_COMPUTE):
+        start = circle_to_contour(_build_init_circle(cfg, gt), cfg.nodes, width, height)
         force = _build_force(cfg, gt)
-        fit = fit_parameters(gt, force, cfg.snake_config(), learn_rate=args.lr,
-                             epochs=args.epochs, init_mode=cfg.init)
-    except CliError:
-        raise
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc), EXIT_COMPUTE) from exc
+        fit = fit_parameters(gt, force, start, cfg.snake_config(), learn_rate=args.lr,
+                             epochs=args.epochs)
     out = Path(args.out)
-    with _writing(out):
+    with _failing(EXIT_USAGE, f"cannot write {out}: "):
         out.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out / "alpha.json",
                           json.dumps({"alpha": _round6(fit.params.alpha)}) + "\n")
@@ -468,10 +449,8 @@ def _cmd_learn(args) -> int:
 
 
 def _parse_manifest(path: str) -> list[tuple[str, str]]:
-    try:
+    with _failing(EXIT_USAGE, f"cannot read manifest {path}: "):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read manifest {path}: {exc}") from exc
     pairs = []
     base = Path(path).parent
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -500,6 +479,8 @@ def _cmd_batch(args) -> int:
         row = {"index": index, "image": image, "mask": mask}
         try:
             result = run_pipeline(cfg)
+        except SettingError:
+            raise
         except CliError as exc:
             row["error"] = str(exc)
         else:
@@ -520,7 +501,7 @@ def _cmd_batch(args) -> int:
     report_text = "\n".join(lines) + "\n"
     sys.stdout.write(report_text)
     if args.out:
-        with _writing(args.out):
+        with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
             atomic_write_text(args.out, report_text)
     return EXIT_OK if aggregate["failed"] == 0 else EXIT_COMPUTE
 
@@ -536,11 +517,10 @@ def _cmd_sweep(args) -> int:
 
     center = None
     if args.axis == "radius":
-        try:
+        with _failing(EXIT_USAGE):
             mask = read_mask_pgm(cfg.mask)
+        with _failing(EXIT_COMPUTE):
             center = circumscribed_circle(mask).center
-        except (OSError, ValueError) as exc:
-            raise CliError(str(exc), EXIT_USAGE) from exc
 
     rows = ["axis_value,iou,dice,boundf,error"]
     for value in values:
@@ -563,7 +543,7 @@ def _cmd_sweep(args) -> int:
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
     if args.out:
-        with _writing(args.out):
+        with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
             atomic_write_text(args.out, table)
     return EXIT_OK
 

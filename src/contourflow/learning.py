@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from .fields import Contour, as_mask, rasterize, resample_closed
 from .flow import ForceField
 from .metrics import iou
@@ -21,8 +20,6 @@ from .snake import EvolveError, ParameterSet, SnakeConfig, evolve
 # 8-neighborhood scan order for boundary tracing (clockwise, from west)
 _MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
 _MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
-
-INIT_MODES = ("inscribed", "circumscribed")
 
 
 @dataclass
@@ -119,21 +116,19 @@ def align_cyclic(reference: Contour, target: Contour) -> Contour:
     b = target.nodes
     if len(a) != len(b):
         raise ValueError("contours must have equal node counts to align")
-    best_shift, best_cost = 0, np.inf
-    for k in range(len(b)):
-        d = np.roll(b, -k, axis=0) - a
-        cost = float(np.hypot(d[:, 0], d[:, 1]).mean())
-        if cost < best_cost:
-            best_shift, best_cost = k, cost
-    return Contour(np.roll(b, -best_shift, axis=0))
+    n = len(b)
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row k: b rolled by -k
+    d = b[shifts] - a
+    cost = np.hypot(d[..., 0], d[..., 1]).mean(axis=1)
+    return Contour(b[shifts[np.argmin(cost)]])  # argmin keeps the first tie
 
 
-def fit_parameters(gt_mask, force: ForceField, config: SnakeConfig,
+def fit_parameters(gt_mask, force: ForceField, start: Contour, config: SnakeConfig,
                    learn_rate: float = 1e-3, epochs: int = 100,
-                   init_mode: str = "circumscribed",
                    initial_params: ParameterSet | None = None) -> FitResult:
-    """Fit (alpha, beta, kappa) on one image by repeated inference and
-    subgradient steps; returns the parameters with the best IoU seen.
+    """Fit (alpha, beta, kappa) on one image by repeated inference from
+    ``start`` and subgradient steps; returns the parameters with the best
+    IoU seen.
 
     alpha and beta descend their subgradients (projected to stay >= 0).
     The balloon force acts along +kappa times the outward normal, so for
@@ -146,16 +141,12 @@ def fit_parameters(gt_mask, force: ForceField, config: SnakeConfig,
         raise ValueError("epochs must be >= 1")
     if not (np.isfinite(learn_rate) and learn_rate >= 0.0):
         raise ValueError(f"learn_rate must be finite and >= 0, got {learn_rate}")
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"unknown init mode {init_mode!r} (use inscribed or circumscribed)")
     gt_mask = as_mask(gt_mask)
     height, width = gt_mask.shape
     if initial_params is None:
         params = ParameterSet.uniform(width, height, kappa=0.0)  # no balloon prior
     else:
         params = initial_params.copy()
-    circle_fn = circumscribed_circle if init_mode == "circumscribed" else inscribed_circle
-    start = circle_to_contour(circle_fn(gt_mask), config.node_count, width, height)
     gt_base = contour_from_mask(gt_mask, config.node_count)
 
     history: list[float] = []

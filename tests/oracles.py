@@ -12,7 +12,8 @@ and cropped versions can be required to match them exactly. Likewise
 field and force component, and a system matrix rebuilt every step
 (``force_at``, ``balloon_force``, ``assemble_internal_system``); it
 reuses the production ``Contour``, ``resample_closed`` and
-``signed_area``.
+``signed_area``. ``align_cyclic_reference`` is the former per-shift loop
+of ``align_cyclic``.
 """
 
 from __future__ import annotations
@@ -303,6 +304,20 @@ def fd_gradient(fn, x0: np.ndarray, step: float = 1e-4) -> np.ndarray:
         lo[i] -= step
         grad[i] = (fn(hi) - fn(lo)) / (2.0 * step)
     return grad
+
+
+def align_cyclic_reference(reference, target) -> Contour:
+    """Try every cyclic shift of ``target``'s nodes in turn and keep the
+    first with the smallest mean node distance to ``reference``."""
+    a = reference.nodes
+    b = target.nodes
+    best_shift, best_cost = 0, np.inf
+    for k in range(len(b)):
+        d = np.roll(b, -k, axis=0) - a
+        cost = float(np.hypot(d[:, 0], d[:, 1]).mean())
+        if cost < best_cost:
+            best_shift, best_cost = k, cost
+    return Contour(np.roll(b, -best_shift, axis=0))
 
 
 def sum_first_diff_sq(nodes) -> float:

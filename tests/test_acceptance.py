@@ -263,8 +263,9 @@ def test_ac7_learning_fixed_point_and_progress():
     config = SnakeConfig(iterations=50, node_count=SUITE_NODES)
     start_params = ParameterSet.uniform(64, 64, alpha=SUITE_ALPHA,
                                         beta=SUITE_BETA, kappa=-0.05)
-    fit = fit_parameters(mask, force, config, learn_rate=1e-3, epochs=100,
-                         init_mode="circumscribed", initial_params=start_params)
+    start = circle_to_contour(circumscribed_circle(mask), SUITE_NODES, 64, 64)
+    fit = fit_parameters(mask, force, start, config, learn_rate=1e-3, epochs=100,
+                         initial_params=start_params)
     improved = fit.best_iou > fit.baseline_iou
     nonneg_beta = bool((fit.params.beta >= 0.0).all())
 

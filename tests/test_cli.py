@@ -253,8 +253,8 @@ class TestSettingsEachCommandReads:
 
     @pytest.mark.parametrize("command, key", [
         ("learn", "alpha"), ("learn", "beta"), ("learn", "kappa"), ("learn", "out"),
-        ("learn", "dump_frames"), ("batch", "out"), ("batch", "dump_frames"),
-        ("sweep", "out"), ("sweep", "dump_frames")])
+        ("learn", "dump_frames"), ("batch", "gt"), ("batch", "out"),
+        ("batch", "dump_frames"), ("sweep", "out"), ("sweep", "dump_frames")])
     def test_unread_config_key_rejected(self, tmp_path, disk_paths, capsys, command, key):
         _, mask_path = disk_paths
         argv, out = self._argv(command, tmp_path, mask_path)
@@ -422,7 +422,7 @@ class TestLearnCommand:
         assert not out.exists()
         assert "lr must be finite and > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("init", ["bogus", "circle:32,32,10"])
+    @pytest.mark.parametrize("init", ["bogus"])
     def test_unknown_init_mode_is_usage_error(self, tmp_path, capsys, init):
         gt_path = tmp_path / "gt.pgm"
         write_mask_pgm(gt_path, suite(64)[0].mask)
@@ -433,7 +433,17 @@ class TestLearnCommand:
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "inscribed or circumscribed" in captured.err
+        assert "unknown init mode" in captured.err
+
+    def test_circle_init_writes_parameter_maps(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.pgm"
+        write_mask_pgm(gt_path, suite(64)[0].mask)
+        out = tmp_path / "params"
+        code = main(["learn", "--gt", str(gt_path), "--init", "circle:32,32,10",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "alpha.json", "beta.pfm", "history.json", "kappa.pfm"]
 
     def test_mask_flag_rejected(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.pgm"
@@ -490,8 +500,11 @@ class TestBatchCommand:
     def test_bad_solver_setting_stops_before_any_item(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         manifest = self._manifest(tmp_path, [(mask_path, mask_path)] * 2)
+        missing = str(tmp_path / "missing.pfm")
         for flags in (["--nodes", "2"], ["--clip", "0"], ["--clip", "nan"], ["--clip", "-1"],
-                      ["--beta", "-1"], ["--kappa", "nan"]):
+                      ["--beta", "-1"], ["--kappa", "nan"], ["--field", "bogus"],
+                      ["--init", "bogus"], ["--init", "circle:1,2"], ["--beta", missing],
+                      ["--field", f"energy:{missing}"]):
             code = main(["batch", "--manifest", str(manifest)] + flags)
             assert code == 2
             assert capsys.readouterr().out == ""
@@ -625,6 +638,35 @@ class TestSweepCommand:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[2].split(",")[1] == ""  # blank metrics
         assert "unknown field kind" in rows[2]
+
+class TestExitCodes:
+    """Reading inputs fails with 2 and computing with 1, whichever command
+    reads or computes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["dt", "--out", "{tmp}/dist.pfm"],
+        ["learn", "--gt", "{mask}", "--epochs", "1", "--out", "{tmp}/params"],
+        ["sweep", "--axis", "radius", "--values", "5"]],
+        ids=["run", "dt", "learn", "sweep-radius"])
+    def test_mask_without_foreground_is_compute_error(self, tmp_path, capsys, argv):
+        empty = tmp_path / "empty.pgm"
+        write_mask_pgm(empty, np.zeros((16, 16), dtype=bool))
+        argv = [a.format(tmp=tmp_path, mask=empty) for a in argv]
+        if argv[0] != "learn":
+            argv += ["--mask", str(empty)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err.strip().splitlines()[-1])
+
+    def test_mask_without_foreground_is_a_sweep_row(self, tmp_path, capsys):
+        empty = tmp_path / "empty.pgm"
+        write_mask_pgm(empty, np.zeros((16, 16), dtype=bool))
+        assert main(["sweep", "--mask", str(empty), "--axis", "iterations",
+                     "--values", "1"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("1,,,,") and "foreground" in rows[1]
+
 
 class TestWriteFailures:
     """An output that cannot be written is an I/O error: exit 2 and one JSON

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from contourflow.autoinit import circle_to_contour, circumscribed_circle
 from contourflow.fields import Contour, rasterize
 from contourflow.learning import (align_cyclic, contour_from_mask, subgrad_alpha,
                                   subgrad_beta, subgrad_kappa, trace_boundary)
 from contourflow.shapes import disk_mask
 
-from oracles import rasterize_reference, sum_first_diff_sq, sum_second_diff_sq
+from oracles import (align_cyclic_reference, rasterize_reference, sum_first_diff_sq,
+                     sum_second_diff_sq)
 from conftest import random_star_polygon
 
 
@@ -130,6 +133,28 @@ class TestAlign:
         with pytest.raises(ValueError):
             align_cyclic(a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 80), shift=st.integers(0, 79))
+    def test_matches_the_shift_loop(self, seed, n, shift):
+        rng = np.random.default_rng(seed)
+        reference = Contour(random_star_polygon(rng, n_lo=n, n_hi=n))
+        target = Contour(np.roll(random_star_polygon(rng, n_lo=n, n_hi=n), shift % n, axis=0))
+        got = align_cyclic(reference, target)
+        assert np.array_equal(got.nodes, align_cyclic_reference(reference, target).nodes)
+
+    @settings(max_examples=50, deadline=None)
+    @given(center=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+           half=st.integers(1, 40), reach=st.integers(1, 40), shift=st.integers(0, 3))
+    def test_exact_tie_keeps_the_first_shift(self, center, half, reach, shift):
+        """Each square corner lies midway between two diamond tips, so two
+        different shifts cost exactly the same; the loop keeps the first."""
+        c = np.asarray(center, dtype=np.float64)
+        square = c + half * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        diamond = c + reach * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        reference, target = Contour(square), Contour(np.roll(diamond, shift, axis=0))
+        got = align_cyclic(reference, target)
+        assert np.array_equal(got.nodes, align_cyclic_reference(reference, target).nodes)
+
 
 class TestFitParameters:
     def _setup(self):
@@ -139,14 +164,15 @@ class TestFitParameters:
         mask = disk_mask(48, 48, (24.0, 24.0), 14.0)
         force = lcdvf(mask_to_dt(mask), np.inf)
         config = SnakeConfig(iterations=20, node_count=40)
-        return mask, force, config
+        start = circle_to_contour(circumscribed_circle(mask), 40, 48, 48)
+        return mask, force, start, config
 
     def test_zero_learning_rate_leaves_params_unchanged(self):
         from contourflow.learning import fit_parameters
         from contourflow.snake import ParameterSet
-        mask, force, config = self._setup()
+        mask, force, contour, config = self._setup()
         start = ParameterSet.uniform(48, 48, alpha=0.02, beta=0.3, kappa=0.1)
-        fit = fit_parameters(mask, force, config, learn_rate=0.0, epochs=3,
+        fit = fit_parameters(mask, force, contour, config, learn_rate=0.0, epochs=3,
                              initial_params=start)
         assert fit.params.alpha == start.alpha
         assert np.array_equal(fit.params.beta, start.beta)
@@ -156,31 +182,24 @@ class TestFitParameters:
 
     def test_best_params_stay_valid(self):
         from contourflow.learning import fit_parameters
-        mask, force, config = self._setup()
-        fit = fit_parameters(mask, force, config, learn_rate=1e-3, epochs=5)
+        mask, force, start, config = self._setup()
+        fit = fit_parameters(mask, force, start, config, learn_rate=1e-3, epochs=5)
         assert fit.params.alpha >= 0.0
         assert (fit.params.beta >= 0.0).all()
         assert fit.best_iou >= fit.baseline_iou
 
     def test_zero_epochs_rejected(self):
         from contourflow.learning import fit_parameters
-        mask, force, config = self._setup()
+        mask, force, start, config = self._setup()
         with pytest.raises(ValueError, match="epochs must be >= 1"):
-            fit_parameters(mask, force, config, epochs=0)
+            fit_parameters(mask, force, start, config, epochs=0)
 
     @pytest.mark.parametrize("learn_rate", [np.nan, np.inf, -np.inf, -5.0])
     def test_bad_learn_rate_rejected(self, learn_rate):
         from contourflow.learning import fit_parameters
-        mask, force, config = self._setup()
+        mask, force, start, config = self._setup()
         with pytest.raises(ValueError, match="learn_rate must be finite and >= 0"):
-            fit_parameters(mask, force, config, learn_rate=learn_rate, epochs=1)
-
-    @pytest.mark.parametrize("init_mode", ["bogus", "Inscribed", "circle:24,24,10"])
-    def test_unknown_init_mode_rejected(self, init_mode):
-        from contourflow.learning import fit_parameters
-        mask, force, config = self._setup()
-        with pytest.raises(ValueError, match="unknown init mode"):
-            fit_parameters(mask, force, config, epochs=1, init_mode=init_mode)
+            fit_parameters(mask, force, start, config, learn_rate=learn_rate, epochs=1)
 
     def test_collapsing_fit_aborts_with_epoch_and_iteration(self):
         from contourflow.edt import mask_to_dt
@@ -190,6 +209,7 @@ class TestFitParameters:
         mask = disk_mask(64, 64, (32, 32), 20)
         force = lcdvf(mask_to_dt(mask), 2.0)
         start = ParameterSet.uniform(64, 64, kappa=-5.0)
+        contour = circle_to_contour(circumscribed_circle(mask), 60, 64, 64)
         with pytest.raises(RuntimeError, match="fit aborted at epoch 1: .*iteration 47"):
-            fit_parameters(mask, force, SnakeConfig(iterations=200), epochs=2,
+            fit_parameters(mask, force, contour, SnakeConfig(iterations=200), epochs=2,
                            initial_params=start)
