@@ -41,8 +41,7 @@ def run_once(mask, init_mode, field="lcdvf", iterations=50, kappa=KAPPA,
                        else circumscribed_circle(mask))
     start = circle_to_contour(init_circle, NODES, width, height)
     params = ParameterSet.uniform(width, height, alpha=ALPHA, beta=BETA, kappa=kappa)
-    final, _ = evolve(start, force, params,
-                      SnakeConfig(iterations=iterations, node_count=NODES))
+    final, _ = evolve(start, force, params, SnakeConfig(iterations=iterations))
     return evaluate(rasterize(final, width, height), mask)
 
 

@@ -22,7 +22,9 @@ labels each report row and is never read, and `--jobs` is accepted for
 compatibility but has no effect. An item's own failure (an unreadable
 mask, a map that does not fit it, a failed computation) is a report row,
 while a ``SettingError`` (a setting no item can use) stops the batch
-with 2 before any row is printed.
+with 2 before any row is printed. `sweep` stops with 2 before any row
+on whatever makes `run` exit 2, a bad axis value included; a failed
+computation is a row and makes it exit 1.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class RunConfig:
 
     def snake_config(self) -> SnakeConfig:
         return SnakeConfig(iterations=self.iters, time_step=self.tau,
-                           node_count=self.nodes, resample_each_step=self.resample)
+                           resample_each_step=self.resample)
 
 
 def _boolean(text: str) -> bool:
@@ -203,10 +205,8 @@ def _parse_config_file(path: str, command: str) -> dict:
             raise CliError(f"{path}:{lineno}: {command} does not read key {key!r} "
                            f"(accepted: {', '.join(accepted)})")
         if key != "profile":
-            try:
+            with _failing(EXIT_USAGE, f"bad value for {key}: "):
                 value = SETTINGS[key][0](value)
-            except ValueError as exc:
-                raise CliError(f"bad value for {key}: {value!r}") from exc
         settings[key] = value
     return settings
 
@@ -226,7 +226,9 @@ def resolve_run_config(args) -> RunConfig:
     if "mask" in keys and not cfg.mask:
         raise CliError("a mask file is required (--mask)")
     with _failing(EXIT_USAGE, "bad configuration value: "):
-        cfg.snake_config()  # rejects bad iterations, tau and nodes up front
+        cfg.snake_config()  # rejects bad iterations and tau up front
+        if cfg.nodes < 3:
+            raise ValueError("nodes must be >= 3")
         if not (np.isfinite(cfg.alpha) and cfg.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
         if not cfg.clip > 0.0:
@@ -249,6 +251,15 @@ def _check_weight(name: str, spec: str, values) -> None:
         raise SettingError(f"{name} must be >= 0 everywhere, got {spec!r}")
 
 
+def _read_map(path: str, shape: tuple[int, int], name: str) -> np.ndarray:
+    """The PFM map at ``path``; unreadable is a ``SettingError``."""
+    with _failing(EXIT_USAGE, f"cannot load {name} map {path!r}: ", SettingError):
+        field = read_pfm(path)
+    if field.shape != shape:
+        raise CliError(f"{name} map {path!r} has shape {field.shape}, expected {shape}")
+    return field
+
+
 def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray:
     """A constant, already checked by ``resolve_run_config``, or a PFM
     weight map held to ``_check_weight``'s rule."""
@@ -256,10 +267,7 @@ def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray
         return np.full(shape, float(spec))
     except ValueError:
         pass
-    with _failing(EXIT_USAGE, f"cannot load {name} map {spec!r}: ", SettingError):
-        field = read_pfm(spec)
-    if field.shape != shape:
-        raise CliError(f"{name} map {spec!r} has shape {field.shape}, expected {shape}")
+    field = _read_map(spec, shape, name)
     _check_weight(name, spec, field)
     return field
 
@@ -270,12 +278,7 @@ def _build_force(cfg: RunConfig, mask: np.ndarray) -> ForceField:
     if cfg.field == "dvf":
         return dvf(mask_to_dt(mask), cfg.clip)
     if cfg.field.startswith("energy:"):
-        path = cfg.field.split(":", 1)[1]
-        with _failing(EXIT_USAGE, f"cannot load energy map {path!r}: ", SettingError):
-            energy = read_pfm(path)
-        if energy.shape != mask.shape:
-            raise CliError(f"energy map {path!r} has shape {energy.shape}, "
-                           f"expected {mask.shape}")
+        energy = _read_map(cfg.field.split(":", 1)[1], mask.shape, "energy")
         return energy_gradient_field(energy, cfg.clip)
     raise SettingError(f"unknown field kind {cfg.field!r} "
                    "(use lcdvf, dvf, or energy:<file.pfm>)")
@@ -506,7 +509,8 @@ def _cmd_batch(args) -> int:
     return EXIT_OK if aggregate["failed"] == 0 else EXIT_COMPUTE
 
 
-_SWEEP_AXES = ("radius", "iterations", "field", "init")
+# the setting each sweep axis replaces; a radius becomes a circle init
+_SWEEP_AXES = {"radius": "init", "iterations": "iters", "field": "field", "init": "init"}
 
 
 def _cmd_sweep(args) -> int:
@@ -515,37 +519,36 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise CliError("sweep needs at least one value")
 
-    center = None
     if args.axis == "radius":
         with _failing(EXIT_USAGE):
             mask = read_mask_pgm(cfg.mask)
         with _failing(EXIT_COMPUTE):
             center = circumscribed_circle(mask).center
 
-    rows = ["axis_value,iou,dice,boundf,error"]
+    rows, failed = ["axis_value,iou,dice,boundf,error"], 0
+    key = _SWEEP_AXES[args.axis]
     for value in values:
-        try:
-            item = cfg
+        with _failing(EXIT_USAGE, f"bad {args.axis} value {value!r}: "):
+            setting = SETTINGS[key][0](value)
             if args.axis == "radius":
-                radius = float(value)
-                item = replace(cfg, init=f"circle:{center[0]},{center[1]},{radius}")
-            elif args.axis == "iterations":
-                item = replace(cfg, iters=int(value))
-            elif args.axis == "field":
-                item = replace(cfg, field=value)
-            else:
-                item = replace(cfg, init=value)
-            result = run_pipeline(item)
-            rows.append(f"{value},{result.report.iou:.6f},{result.report.dice:.6f},"
-                        f"{result.report.boundf:.6f},")
-        except (CliError, ValueError) as exc:
+                setting = f"circle:{center[0]},{center[1]},{float(value)}"
+            item = replace(cfg, **{key: setting})
+            item.snake_config()  # rejects a negative iteration count
+        try:
+            report = run_pipeline(item).report
+        except CliError as exc:
+            if exc.code != EXIT_COMPUTE:
+                raise  # every row would fail the same way, as run does
             rows.append(f"{value},,,,{str(exc).replace(',', ';')}")
+            failed += 1
+        else:
+            rows.append(f"{value},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
     if args.out:
         with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
             atomic_write_text(args.out, table)
-    return EXIT_OK
+    return EXIT_COMPUTE if failed else EXIT_OK
 
 
 def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:

@@ -2,15 +2,13 @@
 
 ``edt_from_sites`` is the separable transform of Felzenszwalb &
 Huttenlocher ("Distance Transforms of Sampled Functions", ToC 2012): a
-two-sweep column pass for per-column row distances, then the lower
-envelope of parabolas over the squared distances of each row. The
-envelope runs in lockstep over all rows: each row keeps its own parabola
-stack, the Python loops run over columns only, and the rows that still
-have to pop a parabola (or, in the read-out, move to the next one) are
-handled together until none is left. Distances are measured between
-pixel centers and every squared distance is an exact integer, so the
-result equals the exhaustive scan ``edt_brute`` in ``tests/oracles.py``
-to the last bit.
+column pass for per-column row distances, then the lower envelope of
+parabolas over the squared distances of each row. The column pass is a
+running max and min of site rows along each column, the envelope build
+loops over columns only, and the read-out counts breakpoints instead of
+walking them. Distances are measured between pixel centers and every
+squared distance is an exact integer, so the result equals the
+exhaustive scan ``edt_brute`` in ``tests/oracles.py`` to the last bit.
 
 The column pass and the envelope build cover only the span of columns
 that hold a site; the read-out still covers every column. This is
@@ -38,18 +36,15 @@ def edt_from_sites(sites) -> np.ndarray:
     cols = np.flatnonzero(sites.any(axis=0))
     c0, c1 = cols[0], cols[-1] + 1
 
-    # pass 1: per-column distance (in rows) to the nearest site of that
-    # column, squared in place; columns without a site stay at _FAR.
-    # Only the site columns' span c0..c1 can hold anything else.
-    f = np.where(sites, 0.0, _FAR)
-    band = f[:, c0:c1]
-    for r in range(1, height):
-        np.minimum(band[r], band[r - 1] + 1.0, out=band[r])
-    for r in range(height - 2, -1, -1):
-        np.minimum(band[r], band[r + 1] + 1.0, out=band[r])
-    far = band >= 1e19
-    band *= band
-    band[far] = _FAR
+    # pass 1: squared row distance to the column's nearest site; the sentinels
+    # -height and 2 * height lose to any site, site-free columns stay at _FAR
+    band = sites[:, c0:c1]
+    rows = np.arange(height)[:, None]
+    above = rows - np.maximum.accumulate(np.where(band, rows, -height), axis=0)
+    below = np.minimum.accumulate(np.where(band, rows, 2 * height)[::-1], axis=0)[::-1] - rows
+    f = np.full(sites.shape, _FAR)
+    f[:, c0:c1] = np.where(band.any(axis=0), np.minimum(above, below) ** 2, _FAR)
+    del above, below
 
     # pass 2: per-row lower envelope of parabolas over columns
     d = _lower_envelopes(f, c0, c1)
@@ -63,15 +58,20 @@ def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
     Each row has its own stack: vertex columns ``v``, breakpoints ``z``
     and top index ``k``. Only the columns ``c0..c1`` are pushed, starting
     from ``c0``, where every row is finite. The work arrays stay
-    (height, width): band-shaped ones measured a higher peak RSS."""
+    (height, width): band-shaped ones measured a higher peak RSS.
+
+    The read-out counts: column ``q`` takes its row's parabola ``k`` with
+    ``z[k] < q <= z[k + 1]``, so ``k`` is the number of breakpoints
+    ``z[1..top]`` left of ``q``. For an integer ``q``, ``z < q`` exactly
+    when ``floor(z) + 1 <= q``, so a ``bincount`` of ``floor(z[j]) + 1``
+    per row, summed along it, gives every ``k``. Entries above a row's
+    final top were popped or never written and are masked to ``inf``."""
     height, width = f.shape
     rows = np.arange(height)
     g = f + np.arange(width) ** 2  # f[p] + p*p for every vertex column p
-    v = np.zeros((height, width), dtype=np.intp)
-    v[:, 0] = c0
+    v = np.full((height, width), c0, dtype=np.intp)  # column c0 is every row's first vertex
     z = np.empty((height, width + 1))  # z[k] is where parabola k takes over
     z[:, 0] = -np.inf
-    z[:, 1] = np.inf
     k = np.zeros(height, dtype=np.intp)
     s = np.full(height, -np.inf)
     for q in range(c0 + 1, c1):
@@ -88,19 +88,18 @@ def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
         k += 1
         v[rows, k] = q
         z[rows, k] = s
-        z[rows, k + 1] = np.inf
     del g  # so that no more than four (height, width) arrays are alive at once
 
-    d = np.empty_like(f)
-    k[:] = 0
-    for q in range(width):
-        step = (z[rows, k + 1] < q).nonzero()[0]
-        while step.size:
-            k[step] += 1
-            step = step[z[step, k[step] + 1] < q]
-        vk = v[rows, k]
-        d[:, q] = (q - vk) ** 2 + f[rows, vk]
-    return d
+    first = np.where(np.arange(1, width + 1) <= k[:, None], z[:, 1:], np.inf)
+    del z
+    first = np.clip(np.floor(first, out=first), -1, width - 1, out=first).astype(np.intp)
+    first += rows[:, None] * (width + 1) + 1  # slot (row, floor(z) + 1) of a bincount
+    k = np.bincount(first.ravel(), minlength=height * (width + 1))
+    del first
+    k = k.reshape(height, width + 1)[:, :width].cumsum(axis=1)
+    v = np.take_along_axis(v, k, axis=1)
+    del k
+    return (np.arange(width) - v) ** 2 + np.take_along_axis(f, v, axis=1)
 
 
 def mask_to_dt(mask) -> np.ndarray:

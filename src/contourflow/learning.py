@@ -147,7 +147,7 @@ def fit_parameters(gt_mask, force: ForceField, start: Contour, config: SnakeConf
         params = ParameterSet.uniform(width, height, kappa=0.0)  # no balloon prior
     else:
         params = initial_params.copy()
-    gt_base = contour_from_mask(gt_mask, config.node_count)
+    gt_base = contour_from_mask(gt_mask, len(start))
 
     history: list[float] = []
     best_score, best_params = -1.0, params.copy()

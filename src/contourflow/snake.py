@@ -76,7 +76,6 @@ class ParameterSet:
 class SnakeConfig:
     iterations: int = 50
     time_step: float = 0.1
-    node_count: int = 60
     resample_each_step: bool = False
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class SnakeConfig:
             raise ValueError("iterations must be >= 0")
         if not 0.0 < self.time_step < np.inf:
             raise ValueError("time_step must be positive and finite")
-        if self.node_count < 3:
-            raise ValueError("node_count must be >= 3")
 
 
 @dataclass

@@ -56,7 +56,7 @@ def suite_prediction(fixture, iterations=50, field="lcdvf", kappa=SUITE_KAPPA,
     start = circle_to_contour(init_circle, SUITE_NODES, width, height)
     params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
                                   beta=SUITE_BETA, kappa=kappa)
-    config = SnakeConfig(iterations=iterations, node_count=SUITE_NODES)
+    config = SnakeConfig(iterations=iterations)
     final, _ = evolve(start, force, params, config)
     return rasterize(final, width, height)
 
@@ -260,7 +260,7 @@ def test_ac7_learning_fixed_point_and_progress():
     # progress: a mis-signed uniform balloon start must be improved upon
     mask = u_shape_mask(64, 64, (32.0, 32.0), 19.0, 16.0, 10.0, 2.0, 12.0)
     force = lcdvf(mask_to_dt(mask), np.inf)
-    config = SnakeConfig(iterations=50, node_count=SUITE_NODES)
+    config = SnakeConfig(iterations=50)
     start_params = ParameterSet.uniform(64, 64, alpha=SUITE_ALPHA,
                                         beta=SUITE_BETA, kappa=-0.05)
     start = circle_to_contour(circumscribed_circle(mask), SUITE_NODES, 64, 64)

@@ -235,6 +235,59 @@ class TestRun:
                      "--iters", "0", "--out", str(out)]) == 0
         assert read_result(out)["config"]["iterations"] == 0
 
+    @pytest.mark.parametrize("text, value", [("yes", True), ("off", False)])
+    def test_boolean_config_value(self, tmp_path, disk_paths, text, value):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text(f"resample={text}\niters=2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert read_result(out)["config"]["resample"] is value
+
+    def test_bad_boolean_config_value_names_key(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("resample=maybe\n")
+        assert main(["run", "--mask", str(mask_path), "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert "resample" in error and "maybe" in error
+
+    def test_unknown_config_profile_is_usage_error(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("profile=bogus\n")
+        assert main(["run", "--mask", str(mask_path), "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown profile 'bogus'" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("flag", ["--beta", "--kappa", "--field"])
+    def test_map_of_another_shape_is_usage_error(self, tmp_path, disk_paths, capsys, flag):
+        _, mask_path = disk_paths
+        path = tmp_path / "small.pfm"
+        write_pfm(path, np.full((32, 48), 0.1))
+        value = f"energy:{path}" if flag == "--field" else str(path)
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert "has shape (32, 48), expected (64, 64)" in error
+
+    def test_gt_of_another_size_is_usage_error(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        gt = tmp_path / "small.pgm"
+        write_mask_pgm(gt, disk_mask(32, 48, (24.0, 16.0), 10.0))
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), "--gt", str(gt), "--out", str(out)]) == 2
+        assert not out.exists()
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "ground-truth shape (48, 32) does not match mask (64, 64)" in error
+
 
 class TestSettingsEachCommandReads:
     """A config key that names a setting the command does not read is a
@@ -340,6 +393,20 @@ class TestMetricsCommand:
         other = tmp_path / "small.pgm"
         write_mask_pgm(other, np.ones((8, 8), dtype=bool))
         assert main(["metrics", "--pred", str(mask_path), "--gt", str(other)]) == 2
+
+    def test_text_output_matches_json(self, tmp_path, disk_paths, capsys):
+        mask, mask_path = disk_paths
+        pred = tmp_path / "pred.pgm"
+        write_mask_pgm(pred, disk_mask(64, 64, (30.0, 33.0), 16.0))
+        argv = ["metrics", "--pred", str(pred), "--gt", str(mask_path)]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        words = capsys.readouterr().out.split()
+        assert words[0:6:2] == ["iou", "dice", "boundf"] and words[6] == "per-threshold"
+        assert [float(w) for w in words[1:6:2]] == [
+            payload["iou"], payload["dice"], payload["boundf"]]
+        assert [float(w) for w in words[7:]] == payload["boundf_per_threshold"]
 
 
 class TestDtCommand:
@@ -497,6 +564,34 @@ class TestBatchCommand:
         assert lines[-1]["failed"] == 1
         assert lines[-1]["miou"] == lines[0]["iou"]  # aggregate over successes
 
+    @pytest.mark.parametrize("flag", ["--beta", "--field"])
+    def test_map_fitting_one_item_fails_only_the_other(self, tmp_path, disk_paths, capsys,
+                                                        flag):
+        mask, mask_path = disk_paths
+        small = tmp_path / "small.pgm"
+        write_mask_pgm(small, disk_mask(48, 48, (24.0, 24.0), 14.0))
+        path = tmp_path / "map.pfm"
+        dist = mask_to_dt(mask)
+        write_pfm(path, 0.5 * dist * dist if flag == "--field" else np.full(mask.shape, 0.1))
+        value = f"energy:{path}" if flag == "--field" else str(path)
+        manifest = self._manifest(tmp_path, [(mask_path, mask_path), (small, small)])
+        assert main(["batch", "--manifest", str(manifest), "--iters", "5", flag, value]) == 1
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert len(lines) == 3 and "error" not in lines[0]
+        assert "has shape (64, 64), expected (48, 48)" in lines[1]["error"]
+        assert lines[2]["items"] == 2 and lines[2]["failed"] == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("a.pgm b.pgm\nonly_one_column.pgm\n", "manifest.txt:2: expected '<image> <mask>'"),
+        ("# nothing but a comment\n\n", "lists no items")], ids=["malformed", "empty"])
+    def test_bad_manifest_is_usage_error(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(text)
+        assert main(["batch", "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in json.loads(captured.err)["error"]
+
     def test_bad_solver_setting_stops_before_any_item(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         manifest = self._manifest(tmp_path, [(mask_path, mask_path)] * 2)
@@ -621,23 +716,63 @@ class TestSweepCommand:
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert rows[1].startswith("lcdvf,") and rows[2].startswith("dvf,")
 
-    def test_bad_iteration_value_leaves_error_row(self, tmp_path, disk_paths, capsys):
+    def test_bad_iteration_value_is_usage_error(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         code = main(["sweep", "--mask", str(mask_path), "--axis", "iterations",
                      "--values", "3,-1"])
-        assert code == 0
-        rows = capsys.readouterr().out.strip().splitlines()
-        assert rows[1].split(",")[4] == ""
-        assert rows[2].startswith("-1,,,,") and "iterations must be >= 0" in rows[2]
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error.startswith("bad iterations value '-1'") and "iterations must be >= 0" in error
 
-    def test_bad_value_leaves_error_row(self, tmp_path, disk_paths, capsys):
+    def test_bad_field_value_is_usage_error(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         code = main(["sweep", "--mask", str(mask_path), "--axis", "field",
                      "--values", "lcdvf,bogus"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown field kind" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--mask", "{tmp}/missing.pgm", "--axis", "iterations", "--values", "1,2"],
+        ["--field", "bogus", "--axis", "iterations", "--values", "1,2"],
+        ["--beta", "{tmp}/missing.pfm", "--axis", "iterations", "--values", "1,2"],
+        ["--axis", "iterations", "--values", "abc"],
+        ["--axis", "init", "--values", "inscribed,bogus"],
+        ["--axis", "radius", "--values", "0"],
+        ["--axis", "radius", "--values", "abc"]],
+        ids=["missing-mask", "field", "missing-beta", "iterations-abc", "init",
+             "radius-0", "radius-abc"])
+    def test_setting_every_row_shares_stops_the_sweep(self, tmp_path, disk_paths, capsys,
+                                                       flags):
+        """Whatever makes ``run`` exit 2 stops ``sweep`` with 2 before any row."""
+        _, mask_path = disk_paths
+        argv = ["sweep", "--mask", str(mask_path)] + [f.format(tmp=tmp_path) for f in flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+    def test_init_sweep_rows_equal_plain_runs(self, tmp_path, disk_paths, capsys):
+        _, mask_path = disk_paths
+        code = main(["sweep", "--mask", str(mask_path), "--axis", "init",
+                     "--values", "inscribed,circumscribed", "--iters", "5"])
         assert code == 0
-        rows = capsys.readouterr().out.strip().splitlines()
-        assert rows[2].split(",")[1] == ""  # blank metrics
-        assert "unknown field kind" in rows[2]
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["inscribed", "circumscribed"]
+        for row in rows:
+            init, iou, dice, boundf, error = row.split(",")
+            out = tmp_path / init
+            assert main(["run", "--mask", str(mask_path), "--init", init, "--iters", "5",
+                         "--out", str(out)]) == 0
+            capsys.readouterr()
+            metrics = read_result(out)["metrics"]
+            assert error == ""
+            assert [float(iou), float(dice), float(boundf)] == [
+                metrics["iou"], metrics["dice"], metrics["boundf"]]
+
 
 class TestExitCodes:
     """Reading inputs fails with 2 and computing with 1, whichever command
@@ -663,7 +798,7 @@ class TestExitCodes:
         empty = tmp_path / "empty.pgm"
         write_mask_pgm(empty, np.zeros((16, 16), dtype=bool))
         assert main(["sweep", "--mask", str(empty), "--axis", "iterations",
-                     "--values", "1"]) == 0
+                     "--values", "1"]) == 1
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 2 and rows[1].startswith("1,,,,") and "foreground" in rows[1]
 

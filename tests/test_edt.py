@@ -167,6 +167,12 @@ class TestLockstepEnvelope:
     @example(sites=np.ones((13, 40), dtype=bool))  # every pixel a site
     @example(sites=site_mask([(2, 0), (2, 9), (7, 5)], 12, 10))  # site-free columns
     @example(sites=_column_pattern())
+    # row 0 reads 9, 9, 9, 9, 0: column 4 pops it below the breakpoint 2.5
+    # it wrote at column 3, which stays behind in z above the final top
+    @example(sites=site_mask([(0, 3), (1, 3), (2, 3), (3, 3), (4, 0)], 5, 4))
+    @example(sites=site_mask([(0, 0), (4, 0)], 5, 1))  # a breakpoint exactly at column 2
+    # row 0 reads 100, 0, 0, 100: breakpoints -49.5 and 52.5 lie outside the frame
+    @example(sites=site_mask([(0, 10), (1, 0), (2, 0), (3, 10)], 4, 11))
     def test_equals_brute_oracle(self, sites):
         assert np.array_equal(edt_from_sites(sites), brute_from_sites(sites))
 
@@ -200,5 +206,9 @@ class TestSiteColumnSpan:
     @example(sites=site_mask([(1, 0)], 3, 1))  # 1 x n, one free column each side
     @example(sites=site_mask([(20, 0), (20, 9)], 41, 10))  # one column in the middle
     @example(sites=site_mask([(5, 2), (9, 7)], 30, 12))  # a band with a free inner column
+    # the three read-out cases of TestLockstepEnvelope, one column to the right
+    @example(sites=site_mask([(1, 3), (2, 3), (3, 3), (4, 3), (5, 0)], 7, 4))  # popped entry
+    @example(sites=site_mask([(1, 0), (5, 0)], 7, 1))  # a breakpoint exactly at column 3
+    @example(sites=site_mask([(1, 10), (2, 0), (3, 0), (4, 10)], 6, 11))  # -48.5 and 53.5
     def test_equals_brute_oracle(self, sites):
         assert np.array_equal(edt_from_sites(sites), brute_from_sites(sites))

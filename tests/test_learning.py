@@ -163,9 +163,19 @@ class TestFitParameters:
         from contourflow.snake import SnakeConfig
         mask = disk_mask(48, 48, (24.0, 24.0), 14.0)
         force = lcdvf(mask_to_dt(mask), np.inf)
-        config = SnakeConfig(iterations=20, node_count=40)
+        config = SnakeConfig(iterations=20)
         start = circle_to_contour(circumscribed_circle(mask), 40, 48, 48)
         return mask, force, start, config
+
+    def test_ground_truth_takes_the_start_node_count(self):
+        """The ground-truth contour is resampled to the start's node count,
+        whatever node count the default config would suggest."""
+        from contourflow.learning import fit_parameters
+        from contourflow.snake import SnakeConfig
+        mask, force, start, _ = self._setup()
+        assert len(start) == 40
+        fit = fit_parameters(mask, force, start, SnakeConfig(iterations=5), epochs=2)
+        assert len(fit.iou_history) == 2 and fit.best_iou > 0.5
 
     def test_zero_learning_rate_leaves_params_unchanged(self):
         from contourflow.learning import fit_parameters

@@ -338,7 +338,7 @@ class TestSolverMatchesReference:
         radii = rng.uniform(1.0, 0.75 * max(height, width) + 1.0, size=nodes)
         start = Contour(np.stack([center[0] + radii * np.cos(angles),
                                   center[1] + radii * np.sin(angles)], axis=1))
-        config = SnakeConfig(iterations=iterations, time_step=tau, node_count=nodes,
+        config = SnakeConfig(iterations=iterations, time_step=tau,
                              resample_each_step=resample)
 
         clamped = start.clamped(width, height)
@@ -402,7 +402,7 @@ class TestCollapseGuard:
         circle = (circumscribed_circle if circumscribed else inscribed_circle)(mask)
         start = circle_to_contour(circle, 30, size, size)
         params = ParameterSet.uniform(size, size, kappa=kappa)
-        config = SnakeConfig(iterations=60, node_count=30)
+        config = SnakeConfig(iterations=60)
         try:
             _, trace = evolve(start, force, params, config)
         except EvolveError as exc:
@@ -424,8 +424,6 @@ class TestConfigValidation:
             SnakeConfig(iterations=-1)
         with pytest.raises(ValueError):
             SnakeConfig(time_step=0.0)
-        with pytest.raises(ValueError):
-            SnakeConfig(node_count=2)
 
     def test_parameter_set_validation(self):
         with pytest.raises(ValueError):
