@@ -7,6 +7,9 @@ Reproduces three study families as CSV tables:
                       distance-potential baseline
   * ablation.csv    - force-field and balloon ablations per fixture
 
+Each run goes through the CLI's pipeline (``contourflow.cli.run_pipeline``)
+on one ``Prepared`` per fixture, scored against the fixture's own mask.
+
 Usage: python scripts/sensitivity_suite.py --out studies/
 """
 
@@ -15,41 +18,25 @@ from pathlib import Path
 
 import numpy as np
 
-from contourflow.autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
-from contourflow.edt import mask_to_dt
-from contourflow.fields import Circle, rasterize
-from contourflow.flow import dvf, energy_gradient_field, lcdvf
-from contourflow.metrics import evaluate
+from contourflow.autoinit import circumscribed_circle
+from contourflow.cli import Prepared, RunConfig, run_pipeline
 from contourflow.shapes import full_suite
-from contourflow.snake import ParameterSet, SnakeConfig, evolve
 
-NODES = 60
-ALPHA = 0.01
-BETA = 0.1
 KAPPA = 0.2
 
 
-def run_once(mask, init_mode, field="lcdvf", iterations=50, kappa=KAPPA,
-             init_circle=None):
-    height, width = mask.shape
-    dist = mask_to_dt(mask)
-    builders = {"lcdvf": lcdvf, "dvf": dvf,
-                "dt_potential": lambda d, c: energy_gradient_field(d, c)}
-    force = builders[field](dist, np.inf)
-    if init_circle is None:
-        init_circle = (inscribed_circle(mask) if init_mode == "inscribed"
-                       else circumscribed_circle(mask))
-    start = circle_to_contour(init_circle, NODES, width, height)
-    params = ParameterSet.uniform(width, height, alpha=ALPHA, beta=BETA, kappa=kappa)
-    final, _ = evolve(start, force, params, SnakeConfig(iterations=iterations))
-    return evaluate(rasterize(final, width, height), mask)
+def run_once(prep, init, field="lcdvf", iterations=50, kappa=KAPPA):
+    cfg = RunConfig(field=field, init=init, iters=iterations, nodes=60, clip=np.inf,
+                    alpha=0.01, beta="0.1", kappa=str(kappa))
+    return run_pipeline(prep, cfg).report
 
 
 def iteration_study(out_dir: Path) -> None:
     rows = ["fixture,size,iterations,iou,dice,boundf"]
     for fx in full_suite():
+        prep = Prepared(fx.mask, fx.mask)
         for iters in (5, 10, 25, 50, 100, 200):
-            r = run_once(fx.mask, fx.init_mode, iterations=iters)
+            r = run_once(prep, fx.init_mode, iterations=iters)
             rows.append(f"{fx.name},{fx.size},{iters},"
                         f"{r.iou:.6f},{r.dice:.6f},{r.boundf:.6f}")
     (out_dir / "iterations.csv").write_text("\n".join(rows) + "\n")
@@ -60,12 +47,14 @@ def radius_study(out_dir: Path) -> None:
     rows = ["fixture,size,field,radius_ratio,iou,dice,boundf"]
     disks = [fx for fx in full_suite() if fx.name == "disk"]
     for fx in disks:
+        prep = Prepared(fx.mask, fx.mask)
         circum = circumscribed_circle(fx.mask)
-        for field in ("lcdvf", "dt_potential"):
+        cu, cv = circum.center
+        # the unscaled distance-potential baseline descends the EDT itself: dvf
+        for field, kind in (("lcdvf", "lcdvf"), ("dt_potential", "dvf")):
             for ratio in np.linspace(0.25, 2.5, 10):
-                init = Circle(circum.center, float(ratio * circum.radius))
-                r = run_once(fx.mask, fx.init_mode, field=field, kappa=0.0,
-                             init_circle=init)
+                init = f"circle:{cu},{cv},{float(ratio * circum.radius)}"
+                r = run_once(prep, init, field=kind, kappa=0.0)
                 rows.append(f"{fx.name},{fx.size},{field},{ratio:.3f},"
                             f"{r.iou:.6f},{r.dice:.6f},{r.boundf:.6f}")
     (out_dir / "radius.csv").write_text("\n".join(rows) + "\n")
@@ -78,8 +67,9 @@ def ablation_study(out_dir: Path) -> None:
                 ("dvf", KAPPA, "dvf"),
                 ("lcdvf", 0.0, "no_balloon"))
     for fx in full_suite():
+        prep = Prepared(fx.mask, fx.mask)
         for field, kappa, label in variants:
-            r = run_once(fx.mask, fx.init_mode, field=field, kappa=kappa)
+            r = run_once(prep, fx.init_mode, field=field, kappa=kappa)
             rows.append(f"{fx.name},{fx.size},{label},"
                         f"{r.iou:.6f},{r.dice:.6f},{r.boundf:.6f}")
     (out_dir / "ablation.csv").write_text("\n".join(rows) + "\n")

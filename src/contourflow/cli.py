@@ -16,25 +16,30 @@ gives each setting's value type and help; ``RunConfig`` holds the only
 defaults, and a profile, the config file and the flags override them in
 that order.
 
+Every command reads its masks through ``prepare``, the one check that a
+ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
 `batch` runs its manifest items one after another in manifest order and
 scores each against its own mask; the image column of a manifest only
 labels each report row and is never read, and `--jobs` is accepted for
 compatibility but has no effect. An item's own failure (an unreadable
 mask, a map that does not fit it, a failed computation) is a report row,
 while a ``SettingError`` (a setting no item can use) stops the batch
-with 2 before any row is printed. `sweep` stops with 2 before any row
-on whatever makes `run` exit 2, a bad axis value included; a failed
-computation is a row and makes it exit 1.
+with 2 before any row is printed. `sweep` reads its masks once, computes
+one EDT for all rows and keeps ``circle:<cu>,<cv>,<r>`` values whole. It
+stops with 2 before any row on whatever makes `run` exit 2, a bad axis
+value included; a failed computation is a row and makes it exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -164,13 +169,31 @@ class StageTimer:
 
 
 @dataclass
+class Prepared:
+    """A mask and its ground truth, read once; ``dt`` is computed on first use."""
+    mask: np.ndarray
+    gt: np.ndarray
+
+    @cached_property
+    def dt(self) -> np.ndarray:
+        return mask_to_dt(self.mask)
+
+
+def prepare(mask_path: str, gt_path: str | None = None) -> Prepared:
+    """Read a mask and its ground truth, which defaults to the mask."""
+    with _failing(EXIT_USAGE):
+        mask = read_mask_pgm(mask_path)
+        gt = read_mask_pgm(gt_path) if gt_path else mask
+    if gt.shape != mask.shape:
+        raise CliError(f"ground-truth shape {gt.shape} does not match mask {mask.shape}")
+    return Prepared(mask, gt)
+
+
+@dataclass
 class RunResult:
-    contour: Contour
     prediction: np.ndarray
     report: MetricsReport
     trace: EvolutionTrace
-    mask: np.ndarray
-    timer: StageTimer
 
 
 def _round6(value):
@@ -272,13 +295,13 @@ def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray
     return field
 
 
-def _build_force(cfg: RunConfig, mask: np.ndarray) -> ForceField:
+def _build_force(cfg: RunConfig, prep: Prepared) -> ForceField:
     if cfg.field == "lcdvf":
-        return lcdvf(mask_to_dt(mask), cfg.clip)
+        return lcdvf(prep.dt, cfg.clip)
     if cfg.field == "dvf":
-        return dvf(mask_to_dt(mask), cfg.clip)
+        return dvf(prep.dt, cfg.clip)
     if cfg.field.startswith("energy:"):
-        energy = _read_map(cfg.field.split(":", 1)[1], mask.shape, "energy")
+        energy = _read_map(cfg.field.split(":", 1)[1], prep.mask.shape, "energy")
         return energy_gradient_field(energy, cfg.clip)
     raise SettingError(f"unknown field kind {cfg.field!r} "
                    "(use lcdvf, dvf, or energy:<file.pfm>)")
@@ -301,35 +324,30 @@ def _build_init_circle(cfg: RunConfig, mask: np.ndarray) -> Circle:
                    "(use inscribed, circumscribed, or circle:<cu>,<cv>,<r>)")
 
 
-def run_pipeline(cfg: RunConfig) -> RunResult:
-    timer = StageTimer()
-    # ingest everything up front so failures never leave partial outputs
-    with _failing(EXIT_USAGE):
-        mask = read_mask_pgm(cfg.mask)
-        gt = read_mask_pgm(cfg.gt) if cfg.gt else mask
-    if gt.shape != mask.shape:
-        raise CliError(f"ground-truth shape {gt.shape} does not match mask {mask.shape}")
-    height, width = mask.shape
+def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None) -> RunResult:
+    """Segment ``prep.mask`` with ``cfg`` and score it against ``prep.gt``."""
+    timer = timer or StageTimer()
+    # load the weight maps up front so failures never leave partial outputs
+    height, width = prep.mask.shape
     beta = _load_weight_map(cfg.beta, (height, width), "beta")
     kappa = _load_weight_map(cfg.kappa, (height, width), "kappa")
     timer.lap("read")
 
     with _failing(EXIT_COMPUTE):
-        force = _build_force(cfg, mask)
+        force = _build_force(cfg, prep)
         timer.lap("field")
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
         config = cfg.snake_config()
-        circle = _build_init_circle(cfg, mask)
+        circle = _build_init_circle(cfg, prep.mask)
         start = circle_to_contour(circle, cfg.nodes, width, height)
         timer.lap("init")
         final, trace = evolve(start, force, params, config)
         timer.lap("evolve")
         prediction = rasterize(final, width, height)
         timer.lap("rasterize")
-        report = evaluate(prediction, gt)
+        report = evaluate(prediction, prep.gt)
         timer.lap("metrics")
-    return RunResult(contour=final, prediction=prediction, report=report,
-                     trace=trace, mask=mask, timer=timer)
+    return RunResult(prediction=prediction, report=report, trace=trace)
 
 
 def _contour_json(contour: Contour) -> str:
@@ -368,39 +386,39 @@ def _render_frame(mask: np.ndarray, contour: Contour) -> np.ndarray:
     return img
 
 
-def write_run_outputs(cfg: RunConfig, result: RunResult) -> None:
+def write_run_outputs(cfg: RunConfig, prep: Prepared, result: RunResult) -> None:
     if cfg.out:
         out = Path(cfg.out)
         with _failing(EXIT_USAGE, f"cannot write {out}: "):
             out.mkdir(parents=True, exist_ok=True)
             write_mask_pgm(out / "prediction.pgm", result.prediction)
-            atomic_write_text(out / "contour.json", _contour_json(result.contour))
+            atomic_write_text(out / "contour.json", _contour_json(result.trace.contours[-1]))
             atomic_write_text(out / "result.json", _result_json(cfg, result))
     if cfg.dump_frames:
         frames = Path(cfg.dump_frames)
         with _failing(EXIT_USAGE, f"cannot write {frames}: "):
             frames.mkdir(parents=True, exist_ok=True)
             for i, contour in enumerate(result.trace.contours):
-                write_pgm(frames / f"frame_{i:04d}.pgm", _render_frame(result.mask, contour))
+                write_pgm(frames / f"frame_{i:04d}.pgm", _render_frame(prep.mask, contour))
                 atomic_write_text(frames / f"frame_{i:04d}.json", _contour_json(contour))
 
 
 def _cmd_run(args) -> int:
     cfg = resolve_run_config(args)
-    result = run_pipeline(cfg)
-    write_run_outputs(cfg, result)
-    result.timer.lap("write")
+    timer = StageTimer()  # "read" covers prepare
+    prep = prepare(cfg.mask, cfg.gt)
+    result = run_pipeline(prep, cfg, timer)
+    write_run_outputs(cfg, prep, result)
+    timer.lap("write")
     print(_json_line(result.report.as_dict()))
-    stage_ms = {stage: round(ms, 3) for stage, ms in result.timer.ms.items()}
+    stage_ms = {stage: round(ms, 3) for stage, ms in timer.ms.items()}
     print(json.dumps({"stage_ms": stage_ms}), file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_metrics(args) -> int:
-    with _failing(EXIT_USAGE):
-        pred = read_mask_pgm(args.pred)
-        gt = read_mask_pgm(args.gt)
-        report = evaluate(pred, gt)
+    prep = prepare(args.pred, args.gt)
+    report = evaluate(prep.mask, prep.gt)
     if args.json:
         print(_json_line(report.as_dict()))
     else:
@@ -411,10 +429,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_dt(args) -> int:
-    with _failing(EXIT_USAGE):
-        mask = read_mask_pgm(args.mask)
     with _failing(EXIT_COMPUTE):
-        field = mask_to_dt(mask)
+        field = prepare(args.mask).dt  # a read failure passes through with its 2
     with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
         write_pfm(args.out, field)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -429,13 +445,12 @@ def _cmd_learn(args) -> int:
     cfg = resolve_run_config(args)
     if not cfg.gt:
         raise CliError("learn requires a ground-truth mask (--gt)")
-    with _failing(EXIT_USAGE):
-        gt = read_mask_pgm(cfg.gt)  # the ground truth also drives the force field
-    height, width = gt.shape
+    prep = prepare(cfg.gt)  # the ground truth also drives the force field
+    height, width = prep.mask.shape
     with _failing(EXIT_COMPUTE):
-        start = circle_to_contour(_build_init_circle(cfg, gt), cfg.nodes, width, height)
-        force = _build_force(cfg, gt)
-        fit = fit_parameters(gt, force, start, cfg.snake_config(), learn_rate=args.lr,
+        start = circle_to_contour(_build_init_circle(cfg, prep.mask), cfg.nodes, width, height)
+        force = _build_force(cfg, prep)
+        fit = fit_parameters(prep.mask, force, start, cfg.snake_config(), learn_rate=args.lr,
                              epochs=args.epochs)
     out = Path(args.out)
     with _failing(EXIT_USAGE, f"cannot write {out}: "):
@@ -473,33 +488,25 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be >= 1")
-    cfg_template = resolve_run_config(args)
+    cfg = resolve_run_config(args)
     pairs = _parse_manifest(args.manifest)
 
     rows = []
     for index, (image, mask) in enumerate(pairs):
-        cfg = replace(cfg_template, mask=mask)
         row = {"index": index, "image": image, "mask": mask}
         try:
-            result = run_pipeline(cfg)
+            report = run_pipeline(prepare(mask), cfg).report
+            row.update(iou=report.iou, dice=report.dice, boundf=report.boundf)
         except SettingError:
             raise
         except CliError as exc:
             row["error"] = str(exc)
-        else:
-            row.update(iou=result.report.iou, dice=result.report.dice,
-                       boundf=result.report.boundf)
         rows.append(row)
 
     successes = [r for r in rows if "error" not in r]
-    aggregate = {
-        "aggregate": True,
-        "items": len(rows),
-        "failed": len(rows) - len(successes),
-        "miou": float(np.mean([r["iou"] for r in successes])) if successes else 0.0,
-        "mean_dice": float(np.mean([r["dice"] for r in successes])) if successes else 0.0,
-        "mean_boundf": float(np.mean([r["boundf"] for r in successes])) if successes else 0.0,
-    }
+    aggregate = {"aggregate": True, "items": len(rows), "failed": len(rows) - len(successes)}
+    for key, name in (("iou", "miou"), ("dice", "mean_dice"), ("boundf", "mean_boundf")):
+        aggregate[name] = float(np.mean([r[key] for r in successes])) if successes else 0.0
     lines = [_json_line(r) for r in rows] + [_json_line(aggregate)]
     report_text = "\n".join(lines) + "\n"
     sys.stdout.write(report_text)
@@ -515,15 +522,16 @@ _SWEEP_AXES = {"radius": "init", "iterations": "iters", "field": "field", "init"
 
 def _cmd_sweep(args) -> int:
     cfg = resolve_run_config(args)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    # a circle:<cu>,<cv>,<r> init spec is one value
+    values = re.findall(r"\s*circle:[^,]*,[^,]*,[^,]*|[^,]+", args.values)
+    values = [v.strip() for v in values if v.strip()]
     if not values:
         raise CliError("sweep needs at least one value")
 
+    prep = prepare(cfg.mask, cfg.gt)  # every row shares the mask and its EDT
     if args.axis == "radius":
-        with _failing(EXIT_USAGE):
-            mask = read_mask_pgm(cfg.mask)
         with _failing(EXIT_COMPUTE):
-            center = circumscribed_circle(mask).center
+            center = circumscribed_circle(prep.mask).center
 
     rows, failed = ["axis_value,iou,dice,boundf,error"], 0
     key = _SWEEP_AXES[args.axis]
@@ -534,15 +542,15 @@ def _cmd_sweep(args) -> int:
                 setting = f"circle:{center[0]},{center[1]},{float(value)}"
             item = replace(cfg, **{key: setting})
             item.snake_config()  # rejects a negative iteration count
+        cell = value.replace(",", ";")
         try:
-            report = run_pipeline(item).report
+            report = run_pipeline(prep, item).report
+            rows.append(f"{cell},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
         except CliError as exc:
             if exc.code != EXIT_COMPUTE:
                 raise  # every row would fail the same way, as run does
-            rows.append(f"{value},,,,{str(exc).replace(',', ';')}")
+            rows.append(f"{cell},,,,{str(exc).replace(',', ';')}")
             failed += 1
-        else:
-            rows.append(f"{value},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
     if args.out:

@@ -190,11 +190,6 @@ class Contour:
     def is_degenerate(self) -> bool:
         return abs(self.area) < DEGENERATE_AREA
 
-    @property
-    def perimeter(self) -> float:
-        d = np.roll(self.nodes, -1, axis=0) - self.nodes
-        return float(np.hypot(d[:, 0], d[:, 1]).sum())
-
     def clamped(self, width: int, height: int) -> "Contour":
         pts = self.nodes.copy()
         pts[:, 0] = np.clip(pts[:, 0], 0.0, width - 1.0)

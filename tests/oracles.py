@@ -320,6 +320,12 @@ def align_cyclic_reference(reference, target) -> Contour:
     return Contour(np.roll(b, -best_shift, axis=0))
 
 
+def perimeter(nodes) -> float:
+    """Length of the closed polygon through ``nodes``, back to the first."""
+    d = np.roll(nodes, -1, axis=0) - nodes
+    return float(np.hypot(d[:, 0], d[:, 1]).sum())
+
+
 def sum_first_diff_sq(nodes) -> float:
     total = 0.0
     count = len(nodes)

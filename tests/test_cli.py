@@ -388,11 +388,13 @@ class TestMetricsCommand:
         assert payload["boundf"] == 1.0
         assert payload["boundf_per_threshold"] == [1.0] * 5
 
-    def test_dimension_mismatch_is_usage_error(self, tmp_path, disk_paths):
+    def test_dimension_mismatch_is_usage_error(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         other = tmp_path / "small.pgm"
         write_mask_pgm(other, np.ones((8, 8), dtype=bool))
         assert main(["metrics", "--pred", str(mask_path), "--gt", str(other)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]  # the message run and sweep give
+        assert error == "ground-truth shape (8, 8) does not match mask (64, 64)"
 
     def test_text_output_matches_json(self, tmp_path, disk_paths, capsys):
         mask, mask_path = disk_paths
@@ -741,10 +743,11 @@ class TestSweepCommand:
         ["--beta", "{tmp}/missing.pfm", "--axis", "iterations", "--values", "1,2"],
         ["--axis", "iterations", "--values", "abc"],
         ["--axis", "init", "--values", "inscribed,bogus"],
+        ["--axis", "init", "--values", "inscribed,circle:30,30"],
         ["--axis", "radius", "--values", "0"],
         ["--axis", "radius", "--values", "abc"]],
         ids=["missing-mask", "field", "missing-beta", "iterations-abc", "init",
-             "radius-0", "radius-abc"])
+             "init-short-circle", "radius-0", "radius-abc"])
     def test_setting_every_row_shares_stops_the_sweep(self, tmp_path, disk_paths, capsys,
                                                        flags):
         """Whatever makes ``run`` exit 2 stops ``sweep`` with 2 before any row."""
@@ -755,23 +758,51 @@ class TestSweepCommand:
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
 
-    def test_init_sweep_rows_equal_plain_runs(self, tmp_path, disk_paths, capsys):
-        _, mask_path = disk_paths
-        code = main(["sweep", "--mask", str(mask_path), "--axis", "init",
-                     "--values", "inscribed,circumscribed", "--iters", "5"])
+    @staticmethod
+    def check_rows_equal_plain_runs(tmp_path, mask_path, capsys, axis, flag, values):
+        """Each row equals ``run`` with ``flag`` set to the row's value, though
+        the sweep reads its mask and computes its EDT once."""
+        common = ["--mask", str(mask_path)] + (["--iters", "5"] if axis != "iterations" else [])
+        code = main(["sweep", *common, "--axis", axis, "--values", ",".join(values)])
         assert code == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["inscribed", "circumscribed"]
-        for row in rows:
-            init, iou, dice, boundf, error = row.split(",")
-            out = tmp_path / init
-            assert main(["run", "--mask", str(mask_path), "--init", init, "--iters", "5",
-                         "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in rows] == [v.replace(",", ";") for v in values]
+        for index, (value, row) in enumerate(zip(values, rows)):
+            _, iou, dice, boundf, error = row.split(",")
+            out = tmp_path / f"run{index}"
+            assert main(["run", *common, flag, value, "--out", str(out)]) == 0
             capsys.readouterr()
             metrics = read_result(out)["metrics"]
             assert error == ""
             assert [float(iou), float(dice), float(boundf)] == [
                 metrics["iou"], metrics["dice"], metrics["boundf"]]
+
+    def test_init_sweep_rows_equal_plain_runs(self, tmp_path, disk_paths, capsys):
+        self.check_rows_equal_plain_runs(tmp_path, disk_paths[1], capsys, "init", "--init",
+                                         ["inscribed", "circumscribed", "circle:30,30,8"])
+
+    @pytest.mark.parametrize("axis, flag, values", [
+        ("iterations", "--iters", ["0", "3", "5"]), ("field", "--field", ["lcdvf", "dvf"])],
+        ids=["iterations", "field"])
+    def test_sweep_rows_equal_plain_runs(self, tmp_path, disk_paths, capsys, axis, flag,
+                                         values):
+        self.check_rows_equal_plain_runs(tmp_path, disk_paths[1], capsys, axis, flag, values)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("iterations", "1,2,3"), ("field", "lcdvf,dvf"), ("init", "inscribed,circumscribed"),
+        ("radius", "8,12")], ids=["iterations", "field", "init", "radius"])
+    def test_sweep_computes_one_edt(self, disk_paths, capsys, monkeypatch, axis, values):
+        calls = []
+
+        def counted(mask):
+            calls.append(mask.shape)
+            return mask_to_dt(mask)
+
+        monkeypatch.setattr("contourflow.cli.mask_to_dt", counted)
+        _, mask_path = disk_paths
+        assert main(["sweep", "--mask", str(mask_path), "--axis", axis,
+                     "--values", values]) == 0
+        assert len(calls) == 1
 
 
 class TestExitCodes:
