@@ -10,24 +10,21 @@ identical inputs are byte-identical; wall-clock timing goes to stderr,
 for `run` as one JSON line of milliseconds per pipeline stage.
 
 `run`, `sweep`, `batch` and `learn` each read the settings that
-``COMMAND_SETTINGS`` lists for them and no others. Their flags and the
-keys their ``--config`` file accepts are built from ``SETTINGS``, which
-gives each setting's value type and help; ``RunConfig`` holds the only
-defaults, and a profile, the config file and the flags override them in
-that order.
+``COMMAND_SETTINGS`` lists for them, as flags and ``--config`` keys
+built from ``SETTINGS``; ``RunConfig`` holds the only defaults, and a
+profile, the config file and the flags override them in that order.
+``_load`` then checks them and loads, once, what does not depend on the
+mask (weights and their PFM maps, the field, the init), so a bad setting
+or sweep axis value exits 2 before any mask is read.
 
 Every command reads its masks through ``prepare``, the one check that a
 ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
-`batch` runs its manifest items one after another in manifest order and
-scores each against its own mask; the image column of a manifest only
-labels each report row and is never read, and `--jobs` is accepted for
-compatibility but has no effect. An item's own failure (an unreadable
-mask, a map that does not fit it, a failed computation) is a report row,
-while a ``SettingError`` (a setting no item can use) stops the batch
-with 2 before any row is printed. `sweep` reads its masks once, computes
-one EDT for all rows and keeps ``circle:<cu>,<cv>,<r>`` values whole. It
-stops with 2 before any row on whatever makes `run` exit 2, a bad axis
-value included; a failed computation is a row and makes it exit 1.
+`batch` scores each manifest item, in manifest order, against its own
+mask; the image column only labels the report row, and `--jobs` has no
+effect. An item's own failure (an unreadable mask, a map that does not
+fit it, a failed computation) is a report row. `sweep` reads its masks
+once, computes one EDT for all rows and keeps ``circle:<cu>,<cv>,<r>``
+values whole; a failed computation is a row and makes it exit 1.
 """
 
 from __future__ import annotations
@@ -74,18 +71,14 @@ class CliError(Exception):
         self.code = code
 
 
-class SettingError(CliError):
-    """A setting that fails whatever the mask: ``batch`` stops on it."""
-
-
 @contextmanager
-def _failing(code: int, prefix: str = "", error: type[CliError] = CliError):
+def _failing(code: int, prefix: str = ""):
     """Turn an OSError, ValueError or RuntimeError raised inside into
-    ``error(prefix + message, code)``; a ``CliError`` passes unchanged."""
+    ``CliError(prefix + message, code)``; a ``CliError`` passes unchanged."""
     try:
         yield
     except (OSError, ValueError, RuntimeError) as exc:
-        raise error(f"{prefix}{exc}", code) from exc
+        raise CliError(f"{prefix}{exc}", code) from exc
 
 
 @dataclass
@@ -234,10 +227,9 @@ def _parse_config_file(path: str, command: str) -> dict:
     return settings
 
 
-def resolve_run_config(args) -> RunConfig:
-    """Override ``RunConfig``'s defaults with the profile, then the config
-    file, then explicit flags (flags win), reading only the settings
-    ``args.command`` reads."""
+def resolve_run_config(args) -> tuple[RunConfig, _Loaded]:
+    """The profile, then the config file, then the flags override ``RunConfig``'s
+    defaults for the settings ``args.command`` reads; ``_load`` checks and loads them."""
     settings = _parse_config_file(args.config, args.command) if args.config else {}
     file_profile = settings.pop("profile", None)
     profile = args.profile or file_profile or "building"
@@ -248,98 +240,111 @@ def resolve_run_config(args) -> RunConfig:
     cfg = RunConfig(profile=profile, **{**PROFILES[profile], **settings, **flags})
     if "mask" in keys and not cfg.mask:
         raise CliError("a mask file is required (--mask)")
+    return cfg, _load(cfg)
+
+
+@dataclass(frozen=True)
+class _Loaded:
+    """The settings that do not depend on the mask, loaded: each weight a
+    constant or a map, the field a kind or an energy map, the init a mode or a circle."""
+    beta: float | np.ndarray
+    kappa: float | np.ndarray
+    field: str | np.ndarray
+    init: str | Circle
+
+
+def _read_map(name: str, path: str) -> np.ndarray:
+    with _failing(EXIT_USAGE, f"cannot load {name} map {path!r}: "):
+        return read_pfm(path)
+
+
+def _load_weight(name: str, spec: str) -> float | np.ndarray:
+    """A constant or a PFM map; every value finite, and every beta value >= 0."""
+    try:
+        values = float(spec)
+    except ValueError:
+        values = _read_map(name, spec)
+    if not np.isfinite(values).all():
+        raise CliError(f"{name} must be finite, got {spec!r}")
+    if name == "beta" and (np.asarray(values) < 0.0).any():
+        raise CliError(f"{name} must be >= 0 everywhere, got {spec!r}")
+    return values
+
+
+def _load_field(spec: str) -> str | np.ndarray:
+    if spec.startswith("energy:"):
+        return _read_map("energy", spec.split(":", 1)[1])
+    if spec not in ("lcdvf", "dvf"):
+        raise CliError(f"unknown field kind {spec!r} (use lcdvf, dvf, or energy:<file.pfm>)")
+    return spec
+
+
+def _load_init(spec: str) -> str | Circle:
+    if spec.startswith("circle:"):
+        parts = spec.split(":", 1)[1].split(",")
+        if len(parts) != 3:
+            raise CliError("circle init must be circle:<cu>,<cv>,<r>")
+        with _failing(EXIT_USAGE, f"bad circle init {spec!r}: "):
+            cu, cv, r = (float(p) for p in parts)
+            return Circle((cu, cv), r)
+    if spec not in ("inscribed", "circumscribed"):
+        raise CliError(f"unknown init mode {spec!r} "
+                       "(use inscribed, circumscribed, or circle:<cu>,<cv>,<r>)")
+    return spec
+
+
+def _load(cfg: RunConfig) -> _Loaded:
+    """Check ``cfg`` and load what does not depend on the mask; a bad value exits 2."""
     with _failing(EXIT_USAGE, "bad configuration value: "):
-        cfg.snake_config()  # rejects bad iterations and tau up front
+        cfg.snake_config()  # rejects bad iterations and tau
         if cfg.nodes < 3:
             raise ValueError("nodes must be >= 3")
         if not (np.isfinite(cfg.alpha) and cfg.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
         if not cfg.clip > 0.0:
             raise ValueError("clip must be positive (inf disables clipping)")
-    for name in ("beta", "kappa"):
-        spec = getattr(cfg, name)
-        try:
-            const = float(spec)
-        except ValueError:
-            continue  # a PFM map, checked against each mask in run_pipeline
-        _check_weight(name, spec, const)
-    return cfg
+    return _Loaded(_load_weight("beta", cfg.beta), _load_weight("kappa", cfg.kappa),
+                   _load_field(cfg.field), _load_init(cfg.init))
 
 
-def _check_weight(name: str, spec: str, values) -> None:
-    """Every value of a weight must be finite, and every beta value >= 0."""
-    if not np.isfinite(values).all():
-        raise SettingError(f"{name} must be finite, got {spec!r}")
-    if name == "beta" and (np.asarray(values) < 0.0).any():
-        raise SettingError(f"{name} must be >= 0 everywhere, got {spec!r}")
+def _fit(name: str, values, spec: str, shape: tuple[int, int]) -> np.ndarray:
+    """A constant spread over ``shape``, or a map that must have it."""
+    if np.ndim(values) == 0:
+        return np.full(shape, values)
+    if values.shape != shape:
+        raise CliError(f"{name} map {spec!r} has shape {values.shape}, expected {shape}")
+    return values
 
 
-def _read_map(path: str, shape: tuple[int, int], name: str) -> np.ndarray:
-    """The PFM map at ``path``; unreadable is a ``SettingError``."""
-    with _failing(EXIT_USAGE, f"cannot load {name} map {path!r}: ", SettingError):
-        field = read_pfm(path)
-    if field.shape != shape:
-        raise CliError(f"{name} map {path!r} has shape {field.shape}, expected {shape}")
-    return field
+def _build_force(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> ForceField:
+    if isinstance(loaded.field, str):
+        return (lcdvf if loaded.field == "lcdvf" else dvf)(prep.dt, cfg.clip)
+    energy = _fit("energy", loaded.field, cfg.field.split(":", 1)[1], prep.mask.shape)
+    return energy_gradient_field(energy, cfg.clip)
 
 
-def _load_weight_map(spec: str, shape: tuple[int, int], name: str) -> np.ndarray:
-    """A constant, already checked by ``resolve_run_config``, or a PFM
-    weight map held to ``_check_weight``'s rule."""
-    try:
-        return np.full(shape, float(spec))
-    except ValueError:
-        pass
-    field = _read_map(spec, shape, name)
-    _check_weight(name, spec, field)
-    return field
+def _init_circle(init: str | Circle, mask: np.ndarray) -> Circle:
+    if isinstance(init, Circle):
+        return init
+    return (inscribed_circle if init == "inscribed" else circumscribed_circle)(mask)
 
 
-def _build_force(cfg: RunConfig, prep: Prepared) -> ForceField:
-    if cfg.field == "lcdvf":
-        return lcdvf(prep.dt, cfg.clip)
-    if cfg.field == "dvf":
-        return dvf(prep.dt, cfg.clip)
-    if cfg.field.startswith("energy:"):
-        energy = _read_map(cfg.field.split(":", 1)[1], prep.mask.shape, "energy")
-        return energy_gradient_field(energy, cfg.clip)
-    raise SettingError(f"unknown field kind {cfg.field!r} "
-                   "(use lcdvf, dvf, or energy:<file.pfm>)")
-
-
-def _build_init_circle(cfg: RunConfig, mask: np.ndarray) -> Circle:
-    spec = cfg.init
-    if spec == "inscribed":
-        return inscribed_circle(mask)
-    if spec == "circumscribed":
-        return circumscribed_circle(mask)
-    if spec.startswith("circle:"):
-        parts = spec.split(":", 1)[1].split(",")
-        if len(parts) != 3:
-            raise SettingError("circle init must be circle:<cu>,<cv>,<r>")
-        with _failing(EXIT_USAGE, f"bad circle init {spec!r}: ", SettingError):
-            cu, cv, r = (float(p) for p in parts)
-            return Circle((cu, cv), r)
-    raise SettingError(f"unknown init mode {spec!r} "
-                   "(use inscribed, circumscribed, or circle:<cu>,<cv>,<r>)")
-
-
-def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None) -> RunResult:
-    """Segment ``prep.mask`` with ``cfg`` and score it against ``prep.gt``."""
+def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None,
+                 loaded: _Loaded | None = None) -> RunResult:
+    """Segment ``prep.mask`` with ``cfg`` and score it against ``prep.gt``;
+    ``loaded`` is ``cfg`` checked and loaded, which is done here if not given."""
     timer = timer or StageTimer()
-    # load the weight maps up front so failures never leave partial outputs
+    loaded = loaded or _load(cfg)
     height, width = prep.mask.shape
-    beta = _load_weight_map(cfg.beta, (height, width), "beta")
-    kappa = _load_weight_map(cfg.kappa, (height, width), "kappa")
+    beta = _fit("beta", loaded.beta, cfg.beta, (height, width))
+    kappa = _fit("kappa", loaded.kappa, cfg.kappa, (height, width))
     timer.lap("read")
-
     with _failing(EXIT_COMPUTE):
-        force = _build_force(cfg, prep)
+        force = _build_force(cfg, loaded, prep)
         timer.lap("field")
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
         config = cfg.snake_config()
-        circle = _build_init_circle(cfg, prep.mask)
-        start = circle_to_contour(circle, cfg.nodes, width, height)
+        start = circle_to_contour(_init_circle(loaded.init, prep.mask), cfg.nodes, width, height)
         timer.lap("init")
         final, trace = evolve(start, force, params, config)
         timer.lap("evolve")
@@ -362,17 +367,9 @@ def _result_json(cfg: RunConfig, result: RunResult) -> str:
             "energies": [float(e) for e in result.trace.energies],
             "mean_displacements": [float(d) for d in result.trace.displacements],
         },
-        "config": {
-            "profile": cfg.profile,
-            "field": cfg.field,
-            "init": cfg.init,
-            "iterations": cfg.iters,
-            "tau": cfg.tau,
-            "nodes": cfg.nodes,
-            "resample": cfg.resample,
-            "clip": cfg.clip,
-            "alpha": cfg.alpha,
-        },
+        "config": {"profile": cfg.profile, "field": cfg.field, "init": cfg.init,
+                   "iterations": cfg.iters, "tau": cfg.tau, "nodes": cfg.nodes,
+                   "resample": cfg.resample, "clip": cfg.clip, "alpha": cfg.alpha},
     }
     return json.dumps(_round6(payload), indent=2) + "\n"
 
@@ -404,10 +401,10 @@ def write_run_outputs(cfg: RunConfig, prep: Prepared, result: RunResult) -> None
 
 
 def _cmd_run(args) -> int:
-    cfg = resolve_run_config(args)
+    cfg, loaded = resolve_run_config(args)
     timer = StageTimer()  # "read" covers prepare
     prep = prepare(cfg.mask, cfg.gt)
-    result = run_pipeline(prep, cfg, timer)
+    result = run_pipeline(prep, cfg, timer, loaded)
     write_run_outputs(cfg, prep, result)
     timer.lap("write")
     print(_json_line(result.report.as_dict()))
@@ -442,14 +439,14 @@ def _cmd_learn(args) -> int:
         raise CliError("epochs must be >= 1")
     if not (np.isfinite(args.lr) and args.lr > 0.0):
         raise CliError(f"lr must be finite and > 0, got {args.lr}")
-    cfg = resolve_run_config(args)
+    cfg, loaded = resolve_run_config(args)
     if not cfg.gt:
         raise CliError("learn requires a ground-truth mask (--gt)")
     prep = prepare(cfg.gt)  # the ground truth also drives the force field
     height, width = prep.mask.shape
     with _failing(EXIT_COMPUTE):
-        start = circle_to_contour(_build_init_circle(cfg, prep.mask), cfg.nodes, width, height)
-        force = _build_force(cfg, prep)
+        start = circle_to_contour(_init_circle(loaded.init, prep.mask), cfg.nodes, width, height)
+        force = _build_force(cfg, loaded, prep)
         fit = fit_parameters(prep.mask, force, start, cfg.snake_config(), learn_rate=args.lr,
                              epochs=args.epochs)
     out = Path(args.out)
@@ -488,17 +485,15 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be >= 1")
-    cfg = resolve_run_config(args)
+    cfg, loaded = resolve_run_config(args)
     pairs = _parse_manifest(args.manifest)
 
     rows = []
     for index, (image, mask) in enumerate(pairs):
         row = {"index": index, "image": image, "mask": mask}
         try:
-            report = run_pipeline(prepare(mask), cfg).report
+            report = run_pipeline(prepare(mask), cfg, loaded=loaded).report
             row.update(iou=report.iou, dice=report.dice, boundf=report.boundf)
-        except SettingError:
-            raise
         except CliError as exc:
             row["error"] = str(exc)
         rows.append(row)
@@ -516,46 +511,51 @@ def _cmd_batch(args) -> int:
     return EXIT_OK if aggregate["failed"] == 0 else EXIT_COMPUTE
 
 
-# the setting each sweep axis replaces; a radius becomes a circle init
-_SWEEP_AXES = {"radius": "init", "iterations": "iters", "field": "field", "init": "init"}
-
-
 def _cmd_sweep(args) -> int:
-    cfg = resolve_run_config(args)
+    cfg, loaded = resolve_run_config(args)
     # a circle:<cu>,<cv>,<r> init spec is one value
     values = re.findall(r"\s*circle:[^,]*,[^,]*,[^,]*|[^,]+", args.values)
     values = [v.strip() for v in values if v.strip()]
     if not values:
         raise CliError("sweep needs at least one value")
 
+    rows = []  # (value, config, loaded settings) per row, all checked before the mask is read
+    for value in values:
+        with _failing(EXIT_USAGE, f"bad {args.axis} value {value!r}: "):
+            if args.axis == "iterations":
+                item, row = replace(cfg, iters=int(value)), loaded
+                item.snake_config()  # rejects a negative iteration count
+            elif args.axis == "field":
+                item, row = replace(cfg, field=value), replace(loaded, field=_load_field(value))
+            elif args.axis == "init":
+                item, row = replace(cfg, init=value), replace(loaded, init=_load_init(value))
+            else:  # a radius, centred on the mask's circumscribed circle below
+                item, row = cfg, replace(loaded, init=Circle((0.0, 0.0), float(value)))
+        rows.append((value, item, row))
+
     prep = prepare(cfg.mask, cfg.gt)  # every row shares the mask and its EDT
     if args.axis == "radius":
         with _failing(EXIT_COMPUTE):
             center = circumscribed_circle(prep.mask).center
+        rows = [(value, item, replace(row, init=replace(row.init, center=center)))
+                for value, item, row in rows]
 
-    rows, failed = ["axis_value,iou,dice,boundf,error"], 0
-    key = _SWEEP_AXES[args.axis]
-    for value in values:
-        with _failing(EXIT_USAGE, f"bad {args.axis} value {value!r}: "):
-            setting = SETTINGS[key][0](value)
-            if args.axis == "radius":
-                setting = f"circle:{center[0]},{center[1]},{float(value)}"
-            item = replace(cfg, **{key: setting})
-            item.snake_config()  # rejects a negative iteration count
+    table, failed = ["axis_value,iou,dice,boundf,error"], 0
+    for value, item, row in rows:
         cell = value.replace(",", ";")
         try:
-            report = run_pipeline(prep, item).report
-            rows.append(f"{cell},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
+            report = run_pipeline(prep, item, loaded=row).report
+            table.append(f"{cell},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
         except CliError as exc:
             if exc.code != EXIT_COMPUTE:
-                raise  # every row would fail the same way, as run does
-            rows.append(f"{cell},,,,{str(exc).replace(',', ';')}")
+                raise  # a map that does not fit the mask: run would exit 2 too
+            table.append(f"{cell},,,,{str(exc).replace(',', ';')}")
             failed += 1
-    table = "\n".join(rows) + "\n"
-    sys.stdout.write(table)
+    text = "\n".join(table) + "\n"
+    sys.stdout.write(text)
     if args.out:
         with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
-            atomic_write_text(args.out, table)
+            atomic_write_text(args.out, text)
     return EXIT_COMPUTE if failed else EXIT_OK
 
 
@@ -605,15 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "the image column only labels each row")
     _add_settings(p_batch, "batch")
     p_batch.add_argument("--manifest", required=True)
-    p_batch.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility (must be >= 1); items always "
-                         "run one at a time")
+    p_batch.add_argument("--jobs", type=int, default=1, help="accepted for compatibility "
+                         "(must be >= 1); items always run one at a time")
     p_batch.add_argument("--out", help="also write the JSONL report here")
     p_batch.set_defaults(func=_cmd_batch)
 
     p_sweep = sub.add_parser("sweep", help="rerun one config across an axis of values")
     _add_settings(p_sweep, "sweep")
-    p_sweep.add_argument("--axis", required=True, choices=_SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True,
+                         choices=("radius", "iterations", "field", "init"))
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out", help="also write the CSV table here")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -622,8 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

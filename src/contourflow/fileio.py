@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import as_field, as_mask
 
-MASK_THRESHOLD = 128  # PGM value >= this reads as foreground
+MASK_THRESHOLD = 128  # out of 255: a PGM value >= 128/255 of its file's maxval is foreground
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
@@ -56,8 +56,8 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_pgm(path) -> np.ndarray:
-    """8-bit binary PGM as a uint8 (H, W) array."""
+def read_pgm(path) -> tuple[np.ndarray, int]:
+    """8-bit binary PGM as a uint8 (H, W) array and its maxval."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary (P5) PGM file")
@@ -78,7 +78,9 @@ def read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(data[pos:pos + width * height], dtype=np.uint8)
     if pixels.size != width * height:
         raise ValueError(f"{path}: truncated PGM pixel data")
-    return pixels.reshape(height, width).copy()
+    if pixels.max() > maxval:
+        raise ValueError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
+    return pixels.reshape(height, width).copy(), maxval
 
 
 def write_pgm(path, image) -> None:
@@ -92,7 +94,9 @@ def write_pgm(path, image) -> None:
 
 
 def read_mask_pgm(path) -> np.ndarray:
-    return read_pgm(path) >= MASK_THRESHOLD
+    pixels, maxval = read_pgm(path)
+    # value * 255 >= MASK_THRESHOLD * maxval, through the least value that meets it
+    return pixels >= -(-MASK_THRESHOLD * maxval // 255)
 
 
 def write_mask_pgm(path, mask) -> None:

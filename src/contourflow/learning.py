@@ -70,7 +70,9 @@ def subgrad_kappa(gt_contour: Contour, pred_contour: Contour,
 
 def trace_boundary(mask) -> list[tuple[int, int]]:
     """Ordered (u, v) loop of the outer boundary of the foreground
-    component containing the first foreground pixel (Moore tracing)."""
+    component containing the first foreground pixel (Moore tracing,
+    stopped by Jacob's criterion: when the first move repeats, so a start
+    pixel that the boundary passes twice does not cut the loop short)."""
     mask = as_mask(mask)
     height, width = mask.shape
     seeds = np.argwhere(mask)
@@ -79,11 +81,10 @@ def trace_boundary(mask) -> list[tuple[int, int]]:
     start = (int(seeds[0][1]), int(seeds[0][0]))
 
     loop: list[tuple[int, int]] = []
-    current = start
+    current, first = start, None
     back = 0  # backtrack direction index; west of the start pixel is background
     max_steps = int(4 * mask.sum() + 8)
     for _ in range(max_steps):
-        loop.append(current)
         for step in range(1, 9):
             d = (back + step) % 8
             nu, nv = current[0] + _MOORE[d][0], current[1] + _MOORE[d][1]
@@ -91,12 +92,15 @@ def trace_boundary(mask) -> list[tuple[int, int]]:
                 prev = (back + step - 1) % 8
                 pu, pv = current[0] + _MOORE[prev][0], current[1] + _MOORE[prev][1]
                 back = _MOORE_INDEX[(pu - nu, pv - nv)]
-                current = (nu, nv)
                 break
         else:
-            return loop  # isolated pixel
-        if current == start:
+            return [start]  # isolated pixel
+        move = (current, (nu, nv))
+        if move == first:
             return loop
+        first = first or move
+        loop.append(current)
+        current = (nu, nv)
     return loop
 
 

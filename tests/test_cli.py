@@ -568,7 +568,8 @@ class TestBatchCommand:
 
     @pytest.mark.parametrize("flag", ["--beta", "--field"])
     def test_map_fitting_one_item_fails_only_the_other(self, tmp_path, disk_paths, capsys,
-                                                        flag):
+                                                        monkeypatch, flag):
+        """The map is read once, however many items the batch has."""
         mask, mask_path = disk_paths
         small = tmp_path / "small.pgm"
         write_mask_pgm(small, disk_mask(48, 48, (24.0, 24.0), 14.0))
@@ -576,12 +577,21 @@ class TestBatchCommand:
         dist = mask_to_dt(mask)
         write_pfm(path, 0.5 * dist * dist if flag == "--field" else np.full(mask.shape, 0.1))
         value = f"energy:{path}" if flag == "--field" else str(path)
-        manifest = self._manifest(tmp_path, [(mask_path, mask_path), (small, small)])
+        reads = []
+
+        def counted(map_path):
+            reads.append(map_path)
+            return read_pfm(map_path)
+
+        monkeypatch.setattr("contourflow.cli.read_pfm", counted)
+        manifest = self._manifest(tmp_path, [(mask_path, mask_path), (small, small),
+                                             (mask_path, mask_path)])
         assert main(["batch", "--manifest", str(manifest), "--iters", "5", flag, value]) == 1
+        assert reads == [str(path)]
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
-        assert len(lines) == 3 and "error" not in lines[0]
+        assert len(lines) == 4 and "error" not in lines[0] and lines[2] == {**lines[0], "index": 2}
         assert "has shape (64, 64), expected (48, 48)" in lines[1]["error"]
-        assert lines[2]["items"] == 2 and lines[2]["failed"] == 1
+        assert lines[3]["items"] == 3 and lines[3]["failed"] == 1
 
     @pytest.mark.parametrize("text, message", [
         ("a.pgm b.pgm\nonly_one_column.pgm\n", "manifest.txt:2: expected '<image> <mask>'"),
@@ -743,20 +753,30 @@ class TestSweepCommand:
         ["--beta", "{tmp}/missing.pfm", "--axis", "iterations", "--values", "1,2"],
         ["--axis", "iterations", "--values", "abc"],
         ["--axis", "init", "--values", "inscribed,bogus"],
-        ["--axis", "init", "--values", "inscribed,circle:30,30"],
+        ["--axis", "init", "--values", "inscribed,circumscribed,circle:30,30"],
         ["--axis", "radius", "--values", "0"],
         ["--axis", "radius", "--values", "abc"]],
         ids=["missing-mask", "field", "missing-beta", "iterations-abc", "init",
              "init-short-circle", "radius-0", "radius-abc"])
     def test_setting_every_row_shares_stops_the_sweep(self, tmp_path, disk_paths, capsys,
-                                                       flags):
-        """Whatever makes ``run`` exit 2 stops ``sweep`` with 2 before any row."""
+                                                       monkeypatch, flags):
+        """Whatever makes ``run`` exit 2 stops ``sweep`` with 2 before any row
+        is computed."""
+        from contourflow.cli import run_pipeline
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr("contourflow.cli.run_pipeline", counted)
         _, mask_path = disk_paths
         argv = ["sweep", "--mask", str(mask_path)] + [f.format(tmp=tmp_path) for f in flags]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
+        assert calls == []
 
     @staticmethod
     def check_rows_equal_plain_runs(tmp_path, mask_path, capsys, axis, flag, values):

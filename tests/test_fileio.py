@@ -11,7 +11,8 @@ class TestPgm:
         img = rng.integers(0, 256, size=(13, 9)).astype(np.uint8)
         path = tmp_path / "img.pgm"
         write_pgm(path, img)
-        assert np.array_equal(read_pgm(path), img)
+        pixels, maxval = read_pgm(path)
+        assert np.array_equal(pixels, img) and maxval == 255
 
     def test_mask_roundtrip_and_threshold(self, tmp_path, rng):
         mask = random_blob_mask(rng, 16, 16)
@@ -23,11 +24,28 @@ class TestPgm:
         write_pgm(tmp_path / "gray.pgm", gray)
         assert read_mask_pgm(tmp_path / "gray.pgm").tolist() == [[False, False, True, True]]
 
+    def test_mask_threshold_scales_with_maxval(self, tmp_path):
+        # with maxval 1 the foreground is written as 1; the threshold is the
+        # same fraction of maxval as 128 is of 255
+        path = tmp_path / "binary.pgm"
+        path.write_bytes(b"P5\n4 1\n1\n" + bytes([0, 1, 1, 0]))
+        assert read_mask_pgm(path).tolist() == [[False, True, True, False]]
+        path.write_bytes(b"P5\n4 1\n7\n" + bytes([3, 4, 7, 0]))
+        assert read_mask_pgm(path).tolist() == [[False, True, True, False]]
+
+    def test_rejects_pixel_above_maxval(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 2\n7\n" + bytes([0, 7, 200, 1]))
+        with pytest.raises(ValueError, match="pixel value 200 exceeds maxval 7"):
+            read_pgm(path)
+        with pytest.raises(ValueError, match="exceeds maxval"):
+            read_mask_pgm(path)
+
     def test_header_comments_allowed(self, tmp_path):
         payload = b"P5\n# a comment\n3 2\n# another\n255\n" + bytes(6)
         path = tmp_path / "c.pgm"
         path.write_bytes(payload)
-        assert read_pgm(path).shape == (2, 3)
+        assert read_pgm(path)[0].shape == (2, 3)
 
     def test_rejects_ascii_pgm(self, tmp_path):
         path = tmp_path / "a.pgm"

@@ -118,6 +118,17 @@ class TestContourFromMask:
         with pytest.raises(ValueError):
             contour_from_mask(np.zeros((8, 8), dtype=bool), 20)
 
+    def test_start_pixel_passed_twice_keeps_the_whole_loop(self):
+        # the boundary leaves the start pixel (1, 0) twice: east, then back
+        # through it to the rest of the shape; stopping at its first return
+        # would keep only [(1, 0), (2, 0)]
+        mask = np.zeros((5, 7), dtype=bool)
+        for u, v in [(1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 2)]:
+            mask[v, u] = True
+        assert trace_boundary(mask) == [(1, 0), (2, 0), (1, 0), (0, 1), (1, 2), (2, 2),
+                                        (1, 2), (0, 2), (0, 1)]
+        assert len(contour_from_mask(mask, 12)) == 12
+
 
 class TestAlign:
     def test_recovers_known_shift(self, rng):
