@@ -1,7 +1,8 @@
 """Automatic contour initialization from a mask.
 
-Two exact constructions: the largest interior circle via the distance
-transform argmax, and the minimal enclosing circle of the foreground.
+Two exact constructions: the largest interior circle, read off the
+inner-boundary distance transform that also drives the force field, and
+the minimal enclosing circle of the foreground.
 """
 
 from __future__ import annotations
@@ -10,35 +11,57 @@ import random
 
 import numpy as np
 
-from .edt import edt_from_sites
 from .fields import Circle, Contour, as_mask, boundary_pixels, bounding_box
 
 _MULT_EPS = 1.0 + 1e-14
+_RIDGE_SLACK = 1e-6  # widens the candidate test past the EDT's rounding; scoring is exact
+_CHUNK = 1 << 16  # candidate x ring distances held at once
 
 
-def inscribed_circle(mask) -> Circle:
+def inscribed_circle(mask, dt) -> Circle:
     """Largest circle fully contained in the foreground: center at the
     argmax of the distance to background (outside the frame counts as
     background), ties broken by smallest (row, column).
 
-    The distance transform runs on the foreground's bounding box padded
-    by one background pixel, not on the whole frame. That is exact: the
-    nearest point of the padded ring to a background pixel outside it is
-    itself background and no farther from any foreground pixel, and the
-    transform's squared distances are exact integers. A translation keeps
-    the row-major order, so the tie-break is unchanged too.
+    ``dt`` is the EDT of the mask's inner boundary (``boundary_mask``),
+    which the force field uses too. For a foreground pixel p with
+    distance d_bnd to the inner boundary and d_bg to background,
+    d_bnd < d_bg <= d_bnd + 1: stepping one pixel from p's nearest
+    background pixel toward p reaches an inner-boundary pixel, and p's
+    nearest inner-boundary pixel has a background 4-neighbor. So the
+    argmax of d_bg lies among the pixels with d_bnd > max d_bnd - 1. Each
+    is scored by its exact integer squared distance to the outer ring:
+    the background or out-of-frame pixels 4-adjacent to the foreground,
+    where (by the same step) every nearest background pixel lies. The
+    first maximum in row-major order wins, and the radius is its root.
     """
     mask = as_mask(mask)
     if not mask.any():
         raise ValueError("mask has no foreground")
+    dt = np.asarray(dt)
+    if dt.shape != mask.shape:
+        raise ValueError(f"distance map {dt.shape} does not match the mask {mask.shape}")
     rows, cols = bounding_box(mask)
     crop = mask[rows, cols]
-    padded = np.pad(crop, 1, mode="constant", constant_values=False)
-    interior = edt_from_sites(~padded)[1:-1, 1:-1]
-    scored = np.where(crop, interior, -1.0)
-    best = int(np.argmax(scored))  # row-major argmax = smallest (row, col) tie-break
-    cv, cu = divmod(best, crop.shape[1])
-    return Circle((float(cols.start + cu), float(rows.start + cv)), float(scored[cv, cu]))
+    near = dt[rows, cols]
+    top = near[crop].max()
+    cv, cu = np.nonzero(crop & (near > top - 1.0 - _RIDGE_SLACK))  # row-major
+    # the crop padded by one pixel, and around it a second ring of background
+    # so that every pixel of the first has its four neighbors
+    fg = np.pad(crop, 2)
+    ring = ~fg[1:-1, 1:-1] & (fg[:-2, 1:-1] | fg[2:, 1:-1] | fg[1:-1, :-2] | fg[1:-1, 2:])
+    rv, ru = np.nonzero(ring)
+    rv -= 1  # ring coordinates in the crop's frame
+    ru -= 1
+    d2 = np.empty(len(cv), dtype=np.int64)
+    step = max(1, _CHUNK // len(rv))  # a long thin shape has a long ridge of candidates
+    for i in range(0, len(cv), step):
+        dv = cv[i:i + step, None] - rv
+        du = cu[i:i + step, None] - ru
+        d2[i:i + step] = (dv * dv + du * du).min(axis=1)
+    best = int(np.argmax(d2))  # the first maximum: smallest (row, col)
+    return Circle((float(cols.start + cu[best]), float(rows.start + cv[best])),
+                  float(np.sqrt(np.float64(d2[best]))))
 
 
 def circumscribed_circle(mask) -> Circle:

@@ -22,9 +22,13 @@ ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
 `batch` scores each manifest item, in manifest order, against its own
 mask; the image column only labels the report row, and `--jobs` has no
 effect. An item's own failure (an unreadable mask, a map that does not
-fit it, a failed computation) is a report row. `sweep` reads its masks
-once, computes one EDT for all rows and keeps ``circle:<cu>,<cv>,<r>``
-values whole; a failed computation is a row and makes it exit 1.
+fit it, a failed computation) is a report row; an `energy:` field is
+built once and shared by every item its map fits. `sweep` reads its
+masks once, computes one EDT for all rows and keeps
+``circle:<cu>,<cv>,<r>`` values whole; a map that does not fit the mask
+stops it before any row, and a failed computation is a row and makes it
+exit 1. A run computes one EDT per mask: the inscribed init reads the
+field's.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
-from .edt import mask_to_dt
+from .edt import edt_from_sites, mask_to_dt
 from .fields import Circle, Contour, boundary_mask, rasterize
 from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
                      write_pfm, write_pgm)
@@ -243,13 +247,26 @@ def resolve_run_config(args) -> tuple[RunConfig, _Loaded]:
     return cfg, _load(cfg)
 
 
+@dataclass
+class _EnergyField:
+    """An ``energy:`` map and its force field, built on first use and then
+    shared by every mask the map fits."""
+    path: str
+    energy: np.ndarray
+    clip: float
+
+    @cached_property
+    def force(self) -> ForceField:
+        return energy_gradient_field(self.energy, self.clip)
+
+
 @dataclass(frozen=True)
 class _Loaded:
     """The settings that do not depend on the mask, loaded: each weight a
     constant or a map, the field a kind or an energy map, the init a mode or a circle."""
     beta: float | np.ndarray
     kappa: float | np.ndarray
-    field: str | np.ndarray
+    field: str | _EnergyField
     init: str | Circle
 
 
@@ -271,9 +288,10 @@ def _load_weight(name: str, spec: str) -> float | np.ndarray:
     return values
 
 
-def _load_field(spec: str) -> str | np.ndarray:
+def _load_field(spec: str, clip: float) -> str | _EnergyField:
     if spec.startswith("energy:"):
-        return _read_map("energy", spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        return _EnergyField(path, _read_map("energy", path), clip)
     if spec not in ("lcdvf", "dvf"):
         raise CliError(f"unknown field kind {spec!r} (use lcdvf, dvf, or energy:<file.pfm>)")
     return spec
@@ -304,7 +322,7 @@ def _load(cfg: RunConfig) -> _Loaded:
         if not cfg.clip > 0.0:
             raise ValueError("clip must be positive (inf disables clipping)")
     return _Loaded(_load_weight("beta", cfg.beta), _load_weight("kappa", cfg.kappa),
-                   _load_field(cfg.field), _load_init(cfg.init))
+                   _load_field(cfg.field, cfg.clip), _load_init(cfg.init))
 
 
 def _fit(name: str, values, spec: str, shape: tuple[int, int]) -> np.ndarray:
@@ -316,17 +334,35 @@ def _fit(name: str, values, spec: str, shape: tuple[int, int]) -> np.ndarray:
     return values
 
 
+def _fit_maps(cfg: RunConfig, loaded: _Loaded,
+              shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``beta`` and ``kappa`` over ``shape``, once every map the run reads (an
+    energy map too) is checked to have it; a map of another shape exits 2."""
+    beta = _fit("beta", loaded.beta, cfg.beta, shape)
+    kappa = _fit("kappa", loaded.kappa, cfg.kappa, shape)
+    if isinstance(loaded.field, _EnergyField):
+        _fit("energy", loaded.field.energy, loaded.field.path, shape)
+    return beta, kappa
+
+
 def _build_force(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> ForceField:
     if isinstance(loaded.field, str):
         return (lcdvf if loaded.field == "lcdvf" else dvf)(prep.dt, cfg.clip)
-    energy = _fit("energy", loaded.field, cfg.field.split(":", 1)[1], prep.mask.shape)
-    return energy_gradient_field(energy, cfg.clip)
+    _fit("energy", loaded.field.energy, loaded.field.path, prep.mask.shape)
+    return loaded.field.force
 
 
-def _init_circle(init: str | Circle, mask: np.ndarray) -> Circle:
+def _init_circle(init: str | Circle, prep: Prepared) -> Circle:
     if isinstance(init, Circle):
         return init
-    return (inscribed_circle if init == "inscribed" else circumscribed_circle)(mask)
+    mask = prep.mask
+    if init == "circumscribed":
+        return circumscribed_circle(mask)
+    if not mask.any():  # an empty mask has no EDT to read
+        raise ValueError("mask has no foreground")
+    # the field's EDT; mask_to_dt refuses a full frame, whose inner boundary is its border
+    dt = edt_from_sites(boundary_mask(mask)) if mask.all() else prep.dt
+    return inscribed_circle(mask, dt)
 
 
 def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None,
@@ -336,15 +372,14 @@ def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None
     timer = timer or StageTimer()
     loaded = loaded or _load(cfg)
     height, width = prep.mask.shape
-    beta = _fit("beta", loaded.beta, cfg.beta, (height, width))
-    kappa = _fit("kappa", loaded.kappa, cfg.kappa, (height, width))
+    beta, kappa = _fit_maps(cfg, loaded, (height, width))
     timer.lap("read")
     with _failing(EXIT_COMPUTE):
         force = _build_force(cfg, loaded, prep)
         timer.lap("field")
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
         config = cfg.snake_config()
-        start = circle_to_contour(_init_circle(loaded.init, prep.mask), cfg.nodes, width, height)
+        start = circle_to_contour(_init_circle(loaded.init, prep), cfg.nodes, width, height)
         timer.lap("init")
         final, trace = evolve(start, force, params, config)
         timer.lap("evolve")
@@ -445,7 +480,7 @@ def _cmd_learn(args) -> int:
     prep = prepare(cfg.gt)  # the ground truth also drives the force field
     height, width = prep.mask.shape
     with _failing(EXIT_COMPUTE):
-        start = circle_to_contour(_init_circle(loaded.init, prep.mask), cfg.nodes, width, height)
+        start = circle_to_contour(_init_circle(loaded.init, prep), cfg.nodes, width, height)
         force = _build_force(cfg, loaded, prep)
         fit = fit_parameters(prep.mask, force, start, cfg.snake_config(), learn_rate=args.lr,
                              epochs=args.epochs)
@@ -526,7 +561,8 @@ def _cmd_sweep(args) -> int:
                 item, row = replace(cfg, iters=int(value)), loaded
                 item.snake_config()  # rejects a negative iteration count
             elif args.axis == "field":
-                item, row = replace(cfg, field=value), replace(loaded, field=_load_field(value))
+                item = replace(cfg, field=value)
+                row = replace(loaded, field=_load_field(value, cfg.clip))
             elif args.axis == "init":
                 item, row = replace(cfg, init=value), replace(loaded, init=_load_init(value))
             else:  # a radius, centred on the mask's circumscribed circle below
@@ -534,6 +570,8 @@ def _cmd_sweep(args) -> int:
         rows.append((value, item, row))
 
     prep = prepare(cfg.mask, cfg.gt)  # every row shares the mask and its EDT
+    for _, item, row in rows:  # a map that does not fit the mask stops the sweep here
+        _fit_maps(item, row, prep.mask.shape)
     if args.axis == "radius":
         with _failing(EXIT_COMPUTE):
             center = circumscribed_circle(prep.mask).center
@@ -546,9 +584,7 @@ def _cmd_sweep(args) -> int:
         try:
             report = run_pipeline(prep, item, loaded=row).report
             table.append(f"{cell},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
-        except CliError as exc:
-            if exc.code != EXIT_COMPUTE:
-                raise  # a map that does not fit the mask: run would exit 2 too
+        except CliError as exc:  # every map fits, so only a computation can fail
             table.append(f"{cell},,,,{str(exc).replace(',', ';')}")
             failed += 1
     text = "\n".join(table) + "\n"

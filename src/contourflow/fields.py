@@ -57,7 +57,8 @@ class BilinearCorners(NamedTuple):
 
 
 def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
-    """Corner pixels and fractions of an (N, 2) array of (u, v) points.
+    """Corner pixels and fractions of an (N, 2) array of (u, v) points, or
+    of a (K, N, 2) stack, whose leading axes the results keep.
 
     Points are clamped to the field rectangle, so the lookup is total.
     """

@@ -18,7 +18,8 @@ corner pixels and fractions once and blends the force vectors (both
 components in one gather), kappa and beta from them. The arithmetic per
 element is that of separate per-field lookups and a per-step matrix
 build (kept in ``tests/oracles.py``), so the contours are bit-identical
-to theirs.
+to theirs. ``contour_energies`` scores a whole trace the same way: one
+corner lookup over all of its contours' nodes.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class EvolutionTrace:
     ``potential`` and ``params`` are the external-energy map and weights
     the run used, held by reference, not copied. Energies and mean node
     displacements are computed from the contours each time they are read,
-    so a caller that never reads them never pays for them.
+    so a caller that never reads them never pays for them; the energies
+    of all contours come from one ``contour_energies`` call.
     """
 
     contours: list[Contour]
@@ -104,7 +106,7 @@ class EvolutionTrace:
 
     @property
     def energies(self) -> np.ndarray:
-        return np.array([energy_eval(c, self.potential, self.params) for c in self.contours])
+        return contour_energies(self.contours, self.potential, self.params)
 
     @property
     def displacements(self) -> np.ndarray:
@@ -116,30 +118,40 @@ class EvolutionTrace:
 
 
 def energy_eval(contour: Contour, external, params: ParameterSet) -> float:
-    """Total energy of the contour against an external-energy map.
+    """Total energy of one contour against an external-energy map."""
+    return float(contour_energies([contour], external, params)[0])
 
-    Degenerate contours contribute internal and external node terms only
-    (their enclosed region is empty).
+
+def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
+    """Total energy of each of K contours of one node count against an
+    external-energy map.
+
+    The node terms of all contours come from one (K, n, 2) stack: one
+    corner lookup for the potential and beta, and per-contour row sums
+    over the same elements in the same order as one contour's sums, so
+    each energy is bit-identical to the former per-contour loop (kept in
+    ``tests/oracles.py``). The region term is summed per contour over its
+    rasterized interior; degenerate contours enclose nothing and
+    contribute node terms only.
     """
     ext = as_field(external)
     if ext.shape != params.beta.shape:
         raise ValueError(f"external map {ext.shape} does not match "
                          f"the parameter maps {params.beta.shape}")
-    pts = contour.nodes
-    d1 = np.roll(pts, -1, axis=0) - pts
-    d2 = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
+    pts = np.stack([c.nodes for c in contours])
+    nxt = np.roll(pts, -1, axis=1)
+    d1 = nxt - pts
+    d2 = nxt - 2.0 * pts + np.roll(pts, 1, axis=1)
     corners = bilinear_corners(pts, *ext.shape)
     beta_nodes = bilinear_blend(params.beta.reshape(-1), corners)
-    total = float(
-        bilinear_blend(ext.reshape(-1), corners).sum()
-        + params.alpha * (d1 * d1).sum()
-        + (beta_nodes * (d2 * d2).sum(axis=1)).sum()
-    )
-    if not contour.is_degenerate:
-        height, width = ext.shape
-        inside = rasterize(contour, width, height)
-        total += float(params.kappa[inside].sum())
-    return total
+    totals = (bilinear_blend(ext.reshape(-1), corners).sum(axis=1)
+              + params.alpha * (d1 * d1).reshape(len(pts), -1).sum(axis=1)
+              + (beta_nodes * (d2 * d2).sum(axis=2)).sum(axis=1))
+    height, width = ext.shape
+    for k, contour in enumerate(contours):
+        if not contour.is_degenerate:
+            totals[k] += float(params.kappa[rasterize(contour, width, height)].sum())
+    return totals
 
 
 class DifferenceOperators(NamedTuple):

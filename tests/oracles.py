@@ -13,7 +13,9 @@ field and force component, and a system matrix rebuilt every step
 (``force_at``, ``balloon_force``, ``assemble_internal_system``); it
 reuses the production ``Contour``, ``resample_closed`` and
 ``signed_area``. ``align_cyclic_reference`` is the former per-shift loop
-of ``align_cyclic``.
+of ``align_cyclic``. ``energies_reference`` is the former per-contour
+energy trace: one corner lookup and one set of sums per contour, through
+the production ``bilinear_corners``, ``bilinear_blend`` and ``rasterize``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 
 from contourflow.autoinit import circumscribed_circle, inscribed_circle
 from contourflow.edt import edt_from_sites
-from contourflow.fields import (DEGENERATE_AREA, Circle, Contour, as_mask, resample_closed,
-                                signed_area)
+from contourflow.fields import (DEGENERATE_AREA, Circle, Contour, as_field, as_mask,
+                                bilinear_blend, bilinear_corners, boundary_mask, rasterize,
+                                resample_closed, signed_area)
 from contourflow.snake import EvolveError
 
 
@@ -199,7 +202,10 @@ def iterative_circle_fit(mask, mode: str) -> Circle:
     def cost(disk):
         return int((disk ^ mask).sum())
 
-    start = inscribed_circle(mask) if mode == "inscribed" else circumscribed_circle(mask)
+    if mode == "inscribed":
+        start = inscribed_circle(mask, edt_from_sites(boundary_mask(mask)))
+    else:
+        start = circumscribed_circle(mask)
     cu, cv = start.center
     r = start.radius
     max_r = float(np.hypot(width, height))
@@ -452,3 +458,25 @@ def evolve_reference(initial, force, params, config) -> list:
         current = Contour(new_pts)
         contours.append(current)
     return contours
+
+
+def energies_reference(contours, external, params) -> np.ndarray:
+    """The energy of each contour, scored one contour at a time."""
+    ext = as_field(external)
+    height, width = ext.shape
+    energies = []
+    for contour in contours:
+        pts = contour.nodes
+        d1 = np.roll(pts, -1, axis=0) - pts
+        d2 = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
+        corners = bilinear_corners(pts, height, width)
+        beta_nodes = bilinear_blend(params.beta.reshape(-1), corners)
+        total = float(
+            bilinear_blend(ext.reshape(-1), corners).sum()
+            + params.alpha * (d1 * d1).sum()
+            + (beta_nodes * (d2 * d2).sum(axis=1)).sum()
+        )
+        if not contour.is_degenerate:
+            total += float(params.kappa[rasterize(contour, width, height)].sum())
+        energies.append(total)
+    return np.array(energies)

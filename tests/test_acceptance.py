@@ -51,7 +51,7 @@ def suite_prediction(fixture, iterations=50, field="lcdvf", kappa=SUITE_KAPPA,
     builder = {"lcdvf": lcdvf, "dvf": dvf}[field]
     force = builder(dist, np.inf)
     if init_circle is None:
-        init_circle = (inscribed_circle(mask) if fixture.init_mode == "inscribed"
+        init_circle = (inscribed_circle(mask, dist) if fixture.init_mode == "inscribed"
                        else circumscribed_circle(mask))
     start = circle_to_contour(init_circle, SUITE_NODES, width, height)
     params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
@@ -229,8 +229,9 @@ def test_ac6_gradient_and_energy_checks():
     worst_rise = -np.inf
     for fixture in full_suite():
         height, width = fixture.mask.shape
-        flow = lcdvf(mask_to_dt(fixture.mask), np.inf)
-        inner = inscribed_circle(fixture.mask)
+        dist = mask_to_dt(fixture.mask)
+        flow = lcdvf(dist, np.inf)
+        inner = inscribed_circle(fixture.mask, dist)
         start = circle_to_contour(Circle(inner.center, 0.6 * inner.radius),
                                   SUITE_NODES, width, height)
         run_params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,

@@ -5,11 +5,16 @@ from hypothesis import assume, given, settings, strategies as st
 from contourflow.autoinit import (circle_to_contour, circumscribed_circle,
                                   inscribed_circle, minimal_enclosing_circle)
 from contourflow.edt import edt_from_sites
-from contourflow.fields import rasterize
+from contourflow.fields import boundary_mask, rasterize
 from contourflow.shapes import disk_mask, random_blob_mask, rectangle_mask
 
 from oracles import inscribed_circle_full_frame, iterative_circle_fit, mec_reference, perimeter
 from conftest import edge_case_masks, random_boxes_mask
+
+
+def inscribed(mask):
+    """The inscribed circle from the inner-boundary EDT, as the CLI builds it."""
+    return inscribed_circle(mask, edt_from_sites(boundary_mask(mask)))
 
 
 def dilate8(mask):
@@ -24,14 +29,14 @@ def dilate8(mask):
 
 class TestInscribed:
     def test_disk_recovers_center_and_radius(self):
-        circle = inscribed_circle(disk_mask(64, 64, (32.0, 32.0), 10.0))
+        circle = inscribed(disk_mask(64, 64, (32.0, 32.0), 10.0))
         assert abs(circle.center[0] - 32.0) <= 1.0
         assert abs(circle.center[1] - 32.0) <= 1.0
         assert abs(circle.radius - 10.0) <= 1.0
 
     def test_rectangle_inradius(self):
         mask = rectangle_mask(64, 64, (30.0, 30.0), 14.0, 9.0)
-        circle = inscribed_circle(mask)
+        circle = inscribed(mask)
         assert abs(circle.radius - 9.5) <= 1.0
         assert abs(circle.center[1] - 30.0) <= 1.0
 
@@ -39,7 +44,7 @@ class TestInscribed:
         # the exact construction is the argmax of the distance to background
         for _ in range(10):
             mask = random_blob_mask(rng, 48, 48)
-            circle = inscribed_circle(mask)
+            circle = inscribed(mask)
             padded = np.pad(mask, 1, constant_values=False)
             interior = edt_from_sites(~padded)[1:-1, 1:-1]
             assert circle.radius == pytest.approx(interior[mask].max(), abs=0)
@@ -49,23 +54,43 @@ class TestInscribed:
     def test_tie_breaks_lexicographic(self):
         mask = np.zeros((6, 8), dtype=bool)
         mask[1, 2] = mask[1, 5] = mask[3, 2] = True  # isolated pixels, equal radius
-        circle = inscribed_circle(mask)
+        circle = inscribed(mask)
         assert circle.center == (2.0, 1.0)
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            inscribed_circle(np.zeros((8, 8), dtype=bool))
+        # an empty mask has no boundary EDT; the check comes before dt is read
+        with pytest.raises(ValueError, match="mask has no foreground"):
+            inscribed_circle(np.zeros((8, 8), dtype=bool), np.zeros((8, 8)))
+
+    def test_dt_of_another_shape_rejected(self):
+        mask = disk_mask(16, 16, (8.0, 8.0), 4.0)
+        with pytest.raises(ValueError, match="does not match"):
+            inscribed_circle(mask, np.zeros((16, 17)))
+
+
+def _tie_heavy_mask(kind, height, width, top, left, size):
+    """A square, a 1xN or Nx1 bar, a single pixel or the full frame, placed
+    at (top, left) and clipped by the frame (so it often touches it)."""
+    mask = np.zeros((height, width), dtype=bool)
+    if kind == "full":
+        mask[:] = True
+        return mask
+    rows, cols = {"square": (size, size), "row_bar": (1, size), "column_bar": (size, 1),
+                  "pixel": (1, 1)}[kind]
+    top, left = min(top, height - 1), min(left, width - 1)
+    mask[top:top + rows, left:left + cols] = True
+    return mask
 
 
 class TestInscribedCropped:
-    """``inscribed_circle`` takes its distance transform on the padded
-    foreground bounding box; center and radius must equal the full-frame
-    construction exactly."""
+    """``inscribed_circle`` scores the ridge of the inner-boundary EDT
+    against the ring of background around the foreground's bounding box;
+    center and radius must equal the full-frame construction exactly."""
 
     @pytest.mark.parametrize("name", sorted(edge_case_masks()))
     def test_equals_full_frame_on_edge_cases(self, name):
         mask = edge_case_masks()[name]
-        got = inscribed_circle(mask)
+        got = inscribed(mask)
         want = inscribed_circle_full_frame(mask)
         assert got.center == want.center and got.radius == want.radius
 
@@ -75,9 +100,31 @@ class TestInscribedCropped:
     def test_equals_full_frame_on_random_boxes(self, seed, height, width):
         mask = random_boxes_mask(np.random.default_rng(seed), height, width)
         assume(mask.any())
-        got = inscribed_circle(mask)
+        got = inscribed(mask)
         want = inscribed_circle_full_frame(mask)
         assert got.center == want.center and got.radius == want.radius
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["square", "row_bar", "column_bar", "pixel", "full"]),
+           height=st.integers(1, 40), width=st.integers(1, 40), top=st.integers(0, 40),
+           left=st.integers(0, 40), size=st.integers(1, 40))
+    def test_equals_full_frame_on_tie_heavy_shapes(self, kind, height, width, top, left,
+                                                   size):
+        # every pixel of a bar is a ridge candidate, and a square ties across
+        # its whole center; the first maximum in row-major order must win
+        mask = _tie_heavy_mask(kind, height, width, top, left, size)
+        got = inscribed(mask)
+        want = inscribed_circle_full_frame(mask)
+        assert got.center == want.center and got.radius == want.radius
+
+    def test_long_ridge_is_scored_in_chunks(self, monkeypatch):
+        # a 1 x 600 bar: 600 candidates against a ring of 1202 pixels
+        monkeypatch.setattr("contourflow.autoinit._CHUNK", 4096)
+        mask = np.zeros((3, 600), dtype=bool)
+        mask[1] = True
+        got = inscribed(mask)
+        want = inscribed_circle_full_frame(mask)
+        assert got.center == want.center == (0.0, 1.0) and got.radius == want.radius == 1.0
 
 
 class TestCircumscribed:
@@ -134,7 +181,7 @@ class TestCircumscribed:
 class TestIterativeFit:
     def test_disk_close_to_exact(self):
         mask = disk_mask(64, 64, (31.0, 33.0), 11.0)
-        for mode, exact in (("inscribed", inscribed_circle(mask)),
+        for mode, exact in (("inscribed", inscribed(mask)),
                             ("circumscribed", circumscribed_circle(mask))):
             fit = iterative_circle_fit(mask, mode)
             assert abs(fit.radius - exact.radius) <= 1.0
@@ -145,7 +192,7 @@ class TestIterativeFit:
         for _ in range(50):
             mask = random_blob_mask(rng, 32, 32)
             fit = iterative_circle_fit(mask, "inscribed")
-            exact = inscribed_circle(mask)
+            exact = inscribed(mask)
             assert fit.radius <= exact.radius + 0.5
 
     def test_circumscribed_never_falls_below_exact_by_much(self, rng):
@@ -191,7 +238,7 @@ class TestContainmentInvariants:
     def test_inscribed_raster_inside_mask_band(self, rng):
         for _ in range(10):
             mask = random_blob_mask(rng, 48, 48)
-            contour = circle_to_contour(inscribed_circle(mask), 60, 48, 48)
+            contour = circle_to_contour(inscribed(mask), 60, 48, 48)
             raster = rasterize(contour, 48, 48)
             assert not (raster & ~dilate8(mask)).any()
 

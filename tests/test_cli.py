@@ -104,6 +104,49 @@ class TestRun:
         assert code == 0
         assert read_result(out)["metrics"]["iou"] >= 0.9
 
+    def test_medical_run_computes_one_edt(self, tmp_path, disk_paths, monkeypatch):
+        """The inscribed init reads the field's EDT instead of computing its own."""
+        from contourflow.edt import edt_from_sites
+        calls = []
+
+        def counted(sites):
+            calls.append(sites.shape)
+            return edt_from_sites(sites)
+
+        for module in ("edt", "autoinit", "metrics", "cli"):  # every binding of the name
+            monkeypatch.setattr(f"contourflow.{module}.edt_from_sites", counted, raising=False)
+        _, mask_path = disk_paths
+        assert main(["run", "--mask", str(mask_path), "--profile", "medical",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(64, 64)]
+
+    def test_full_frame_energy_field_inscribed_init(self, tmp_path, capsys):
+        """A full-frame mask has no field EDT, but its inscribed circle exists:
+        the run starts from the full-frame construction and exits 0."""
+        from contourflow.autoinit import circle_to_contour
+        from oracles import inscribed_circle_full_frame
+        mask = np.ones((24, 32), dtype=bool)
+        mask_path = tmp_path / "full.pgm"
+        write_mask_pgm(mask_path, mask)
+        energy_path = tmp_path / "energy.pfm"
+        write_pfm(energy_path, np.zeros(mask.shape))
+        out = tmp_path / "out"
+        assert main(["run", "--mask", str(mask_path), "--field", f"energy:{energy_path}",
+                     "--init", "inscribed", "--iters", "0", "--nodes", "16",
+                     "--out", str(out)]) == 0
+        want = circle_to_contour(inscribed_circle_full_frame(mask), 16, 32, 24)
+        nodes = json.loads((out / "contour.json").read_text())["nodes"]
+        assert np.allclose(nodes, want.nodes, rtol=0, atol=1e-6)
+
+    def test_empty_mask_energy_field_inscribed_init(self, tmp_path, capsys):
+        mask_path = tmp_path / "empty.pgm"
+        write_mask_pgm(mask_path, np.zeros((16, 16), dtype=bool))
+        energy_path = tmp_path / "energy.pfm"
+        write_pfm(energy_path, np.zeros((16, 16)))
+        assert main(["run", "--mask", str(mask_path), "--field", f"energy:{energy_path}",
+                     "--init", "inscribed"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "mask has no foreground"
+
     def test_config_file_and_flag_precedence(self, tmp_path, disk_paths):
         _, mask_path = disk_paths
         config = tmp_path / "run.cfg"
@@ -593,6 +636,36 @@ class TestBatchCommand:
         assert "has shape (64, 64), expected (48, 48)" in lines[1]["error"]
         assert lines[3]["items"] == 3 and lines[3]["failed"] == 1
 
+    def test_energy_field_is_built_once(self, tmp_path, disk_paths, capsys, monkeypatch):
+        """Every item the energy map fits shares one force field, and each
+        row equals a plain run of its item."""
+        from contourflow.flow import energy_gradient_field
+        mask, mask_path = disk_paths
+        other = tmp_path / "other.pgm"
+        write_mask_pgm(other, disk_mask(64, 64, (30.0, 34.0), 12.0))
+        path = tmp_path / "energy.pfm"
+        dist = mask_to_dt(mask)
+        write_pfm(path, 0.5 * dist * dist)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return energy_gradient_field(*args)
+
+        monkeypatch.setattr("contourflow.cli.energy_gradient_field", counted)
+        items = [mask_path, other, mask_path]
+        manifest = self._manifest(tmp_path, [(item, item) for item in items])
+        flags = ["--iters", "5", "--field", f"energy:{path}"]
+        assert main(["batch", "--manifest", str(manifest), *flags]) == 0
+        assert len(calls) == 1
+        rows = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()][:-1]
+        for index, (item, row) in enumerate(zip(items, rows)):
+            out = tmp_path / f"run{index}"
+            assert main(["run", "--mask", str(item), *flags, "--out", str(out)]) == 0
+            metrics = read_result(out)["metrics"]
+            assert [row["iou"], row["dice"], row["boundf"]] == [
+                metrics["iou"], metrics["dice"], metrics["boundf"]]
+
     @pytest.mark.parametrize("text, message", [
         ("a.pgm b.pgm\nonly_one_column.pgm\n", "manifest.txt:2: expected '<image> <mask>'"),
         ("# nothing but a comment\n\n", "lists no items")], ids=["malformed", "empty"])
@@ -776,6 +849,31 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
+        assert calls == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--axis", "field", "--values", "lcdvf,dvf,energy:{map}"],
+        ["--beta", "{map}", "--axis", "iterations", "--values", "1,2"]],
+        ids=["energy-value", "beta"])
+    def test_map_of_another_shape_stops_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                        flags):
+        from contourflow.cli import run_pipeline
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr("contourflow.cli.run_pipeline", counted)
+        mask_path = tmp_path / "disk.pgm"
+        write_mask_pgm(mask_path, disk_mask(128, 128, (64.0, 64.0), 30.0))
+        map_path = tmp_path / "map.pfm"
+        write_pfm(map_path, np.full((64, 64), 0.1))
+        argv = ["sweep", "--mask", str(mask_path)] + [f.format(map=map_path) for f in flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has shape (64, 64), expected (128, 128)" in json.loads(captured.err)["error"]
         assert calls == []
 
     @staticmethod

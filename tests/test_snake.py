@@ -10,11 +10,11 @@ from contourflow.fields import DEGENERATE_AREA, Contour, rasterize
 from contourflow.flow import ForceField, lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
 from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
-                               energy_eval, evolve, evolve_step)
+                               contour_energies, energy_eval, evolve, evolve_step)
 
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
-                     evolve_reference, evolve_step_reference, fd_gradient, perimeter,
-                     rasterize_reference)
+                     energies_reference, evolve_reference, evolve_step_reference, fd_gradient,
+                     perimeter, rasterize_reference)
 from conftest import random_star_polygon
 
 
@@ -68,6 +68,41 @@ class TestEnergyEval:
         params = uniform_params(16, 16, alpha=1.0)
         with pytest.raises(ValueError, match="does not match"):
             energy_eval(square_contour(3.0), np.zeros((16, 20)), params)
+
+
+class TestContourEnergies:
+    """The stacked energies equal scoring each contour on its own (the
+    former per-contour loop, ``oracles.energies_reference``) to the bit."""
+
+    @pytest.mark.parametrize("nodes", [3, 60, 100, 257])
+    def test_equals_per_contour_reference(self, rng, nodes):
+        height, width = 48, 40
+        params = ParameterSet(alpha=0.37, beta=rng.uniform(0.0, 2.0, (height, width)),
+                              kappa=rng.normal(0.0, 1.0, (height, width)))
+        potential = rng.normal(0.0, 3.0, (height, width))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, (6, nodes)), axis=1)
+        radii = rng.uniform(2.0, 30.0, (6, nodes))
+        contours = [Contour(np.stack([20.0 + r * np.cos(a), 24.0 + r * np.sin(a)], axis=1))
+                    for a, r in zip(angles, radii)]  # some nodes fall outside the frame
+        line = np.linspace(3.0, 30.0, nodes)
+        contours.append(Contour(np.stack([line, line], axis=1)))  # degenerate
+        assert contours[-1].is_degenerate
+        got = contour_energies(contours, potential, params)
+        want = energies_reference(contours, potential, params)
+        assert got.shape == (len(contours),)
+        assert np.array_equal(got, want)
+        for contour, energy in zip(contours, got):
+            assert energy_eval(contour, potential, params) == energy
+
+    def test_evolution_trace_equals_reference(self, rng):
+        mask = random_blob_mask(rng, 64, 64)
+        force = lcdvf(mask_to_dt(mask), 2.0)
+        params = ParameterSet(alpha=0.05, beta=rng.uniform(0.0, 0.3, (64, 64)),
+                              kappa=rng.uniform(-0.1, 0.4, (64, 64)))
+        start = circle_to_contour(circumscribed_circle(mask), 60, 64, 64)
+        _, trace = evolve(start, force, params, SnakeConfig(iterations=30))
+        assert np.array_equal(trace.energies,
+                              energies_reference(trace.contours, force.potential, params))
 
 
 class TestInternalSystem:
@@ -226,7 +261,7 @@ class TestEvolve:
     def test_trace_length_and_node_count(self):
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
         force = lcdvf(mask_to_dt(mask), 2.0)
-        start = circle_to_contour(inscribed_circle(mask), 60, 64, 64)
+        start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         cfg = SnakeConfig(iterations=23)
         final, trace = evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2), cfg)
         assert len(trace) == 24
@@ -236,7 +271,7 @@ class TestEvolve:
     def test_deterministic(self):
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
         force = lcdvf(mask_to_dt(mask), 2.0)
-        start = circle_to_contour(inscribed_circle(mask), 60, 64, 64)
+        start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         params = ParameterSet.uniform(64, 64, kappa=0.2)
         a_final, a_trace = evolve(start, force, params, SnakeConfig())
         b_final, b_trace = evolve(start, force, params, SnakeConfig())
@@ -247,7 +282,7 @@ class TestEvolve:
         # inscribed-circle start, stock solver settings
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
         force = lcdvf(mask_to_dt(mask), 2.0)
-        start = circle_to_contour(inscribed_circle(mask), 60, 64, 64)
+        start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         final, _ = evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
                           SnakeConfig())
         from contourflow.metrics import iou
@@ -274,24 +309,24 @@ class TestEvolve:
         import contourflow.snake as snake_module
 
         calls = []
-        original = snake_module.energy_eval
+        original = snake_module.contour_energies
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(snake_module, "energy_eval", counting)
+        monkeypatch.setattr(snake_module, "contour_energies", counting)
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
         force = lcdvf(mask_to_dt(mask), 2.0)
-        start = circle_to_contour(inscribed_circle(mask), 60, 64, 64)
+        start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         params = ParameterSet.uniform(64, 64, kappa=0.2)
         final, trace = evolve(start, force, params, SnakeConfig(iterations=7))
         assert calls == []
         energies = trace.energies
-        assert len(calls) == 8
+        assert len(calls) == 1  # one stacked evaluation of all 8 contours
         assert trace.contours[-1] is final
         for contour, energy in zip(trace.contours, energies):
-            assert energy == original(contour, force.potential, params)
+            assert energy == energy_eval(contour, force.potential, params)
 
 
 def _evolve_outcome(traced_contours):
@@ -366,7 +401,7 @@ class TestSolverMatchesReference:
         monkeypatch.setattr(snake_module, "evolve_step", counting)
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
         force = lcdvf(mask_to_dt(mask), 2.0)
-        start = circle_to_contour(inscribed_circle(mask), 60, 64, 64)
+        start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
                SnakeConfig(iterations=13))
         assert len(calls) == 13
@@ -399,7 +434,8 @@ class TestCollapseGuard:
         size = 40
         mask = random_blob_mask(rng, size, size)
         force = lcdvf(mask_to_dt(mask), 2.0)
-        circle = (circumscribed_circle if circumscribed else inscribed_circle)(mask)
+        circle = (circumscribed_circle(mask) if circumscribed
+                  else inscribed_circle(mask, mask_to_dt(mask)))
         start = circle_to_contour(circle, 30, size, size)
         params = ParameterSet.uniform(size, size, kappa=kappa)
         config = SnakeConfig(iterations=60)
