@@ -12,7 +12,7 @@ from .learning import (FitResult, align_cyclic, contour_from_mask, fit_parameter
                        subgrad_alpha, subgrad_beta, subgrad_kappa)
 from .metrics import MetricsReport, boundf, dice, evaluate, iou
 from .snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig, energy_eval,
-                    evolve, evolve_step)
+                    evolve, evolve_group, evolve_step)
 
 __all__ = [
     "Circle", "Contour", "EvolutionTrace", "EvolveError", "FitResult",
@@ -21,7 +21,7 @@ __all__ = [
     "boundary_pixels", "boundf", "central_gradient", "circle_to_contour",
     "circumscribed_circle", "contour_from_mask", "dice", "dvf",
     "edt_from_sites", "energy_eval", "energy_gradient_field",
-    "evaluate", "evolve", "evolve_step", "fit_parameters", "inscribed_circle",
+    "evaluate", "evolve", "evolve_group", "evolve_step", "fit_parameters", "inscribed_circle",
     "iou", "lcdvf", "mask_to_dt",
     "minimal_enclosing_circle", "rasterize", "resample_closed", "signed_area",
     "subgrad_alpha", "subgrad_beta", "subgrad_kappa",

@@ -19,11 +19,15 @@ or sweep axis value exits 2 before any mask is read.
 
 Every command reads its masks through ``prepare``, the one check that a
 ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
-`batch` scores each manifest item, in manifest order, against its own
-mask; the image column only labels the report row, and `--jobs` has no
-effect. An item's own failure (an unreadable mask, a map that does not
-fit it, a failed computation) is a report row; an `energy:` field is
-built once and shared by every item its map fits. `sweep` reads its
+`batch` reads every manifest item's mask first, then evolves the items
+of one mask shape together, in groups of at most ``GROUP_PIXELS``
+pixels: each iteration is one stacked solver step for the whole group
+(``evolve_group``). Each item is scored against its own mask, rows stay
+in manifest order and every value is the one the item gets alone; the
+image column only labels the report row, and `--jobs` has no effect.
+An item's own failure (an unreadable mask, a map that does not fit it,
+a failed computation) is a report row; an `energy:` field is built once
+and shared by every item its map fits. `sweep` reads its
 masks once, computes one EDT for all rows and keeps
 ``circle:<cu>,<cv>,<r>`` values whole; a map that does not fit the mask
 stops it before any row, and a failed computation is a row and makes it
@@ -53,11 +57,14 @@ from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import fit_parameters
 from .metrics import MetricsReport, evaluate
-from .snake import EvolutionTrace, ParameterSet, SnakeConfig, evolve
+from .snake import EvolutionTrace, EvolveError, ParameterSet, SnakeConfig, evolve, evolve_group
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
+
+# a batch group's force-field stack holds at most the field of one 256² run
+GROUP_PIXELS = 1 << 16
 
 # both profiles inflate: the settled contour then rests a fraction of a
 # pixel outside the distance-transform zero line, keeping the boundary
@@ -174,6 +181,10 @@ class Prepared:
     @cached_property
     def dt(self) -> np.ndarray:
         return mask_to_dt(self.mask)
+
+    def drop_dt(self) -> None:
+        """Forget the EDT; it is computed again if read again."""
+        self.__dict__.pop("dt", None)
 
 
 def prepare(mask_path: str, gt_path: str | None = None) -> Prepared:
@@ -365,6 +376,11 @@ def _init_circle(init: str | Circle, prep: Prepared) -> Circle:
     return inscribed_circle(mask, dt)
 
 
+def _start(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> Contour:
+    height, width = prep.mask.shape
+    return circle_to_contour(_init_circle(loaded.init, prep), cfg.nodes, width, height)
+
+
 def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None,
                  loaded: _Loaded | None = None) -> RunResult:
     """Segment ``prep.mask`` with ``cfg`` and score it against ``prep.gt``;
@@ -379,7 +395,7 @@ def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None
         timer.lap("field")
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
         config = cfg.snake_config()
-        start = circle_to_contour(_init_circle(loaded.init, prep), cfg.nodes, width, height)
+        start = _start(cfg, loaded, prep)
         timer.lap("init")
         final, trace = evolve(start, force, params, config)
         timer.lap("evolve")
@@ -478,9 +494,8 @@ def _cmd_learn(args) -> int:
     if not cfg.gt:
         raise CliError("learn requires a ground-truth mask (--gt)")
     prep = prepare(cfg.gt)  # the ground truth also drives the force field
-    height, width = prep.mask.shape
     with _failing(EXIT_COMPUTE):
-        start = circle_to_contour(_init_circle(loaded.init, prep), cfg.nodes, width, height)
+        start = _start(cfg, loaded, prep)
         force = _build_force(cfg, loaded, prep)
         fit = fit_parameters(prep.mask, force, start, cfg.snake_config(), learn_rate=args.lr,
                              epochs=args.epochs)
@@ -517,21 +532,77 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _group_by_shape(items: list[tuple[dict, Prepared]]) -> list[list[tuple[dict, Prepared]]]:
+    """Items of one mask shape in manifest order, cut into groups of at most
+    ``GROUP_PIXELS`` pixels; a larger mask makes a group of its own."""
+    groups, open_group = [], {}
+    for item in items:
+        shape, size = item[1].mask.shape, item[1].mask.size
+        group = open_group.get(shape)
+        if group is None or (len(group) + 1) * size > GROUP_PIXELS:
+            group = open_group[shape] = []
+            groups.append(group)
+        group.append(item)
+    return groups
+
+
+def _batch_group(cfg: RunConfig, loaded: _Loaded, group: list[tuple[dict, Prepared]]) -> None:
+    """Segment and score the items of one group, filling in each item's row.
+
+    Each item's force field goes into its slot of one (K, H, W, 2) stack
+    (an ``energy:`` field is one slot every item shares) before its EDT is
+    dropped; ``evolve_group`` then steps every item's contour together."""
+    height, width = group[0][1].mask.shape
+    beta, kappa = _fit_maps(cfg, loaded, (height, width))
+    shared = isinstance(loaded.field, _EnergyField)
+    vectors = None if shared else np.empty((len(group), height, width, 2))
+    started, starts = [], []
+    for row, prep in group:
+        try:
+            with _failing(EXIT_COMPUTE):
+                force = _build_force(cfg, loaded, prep)
+                if shared:
+                    vectors = force.vectors[None]
+                else:
+                    vectors[len(starts)] = force.vectors
+                del force
+                starts.append(_start(cfg, loaded, prep))
+            started.append((row, prep))
+        except CliError as exc:
+            row["error"] = str(exc)
+        prep.drop_dt()
+    if not starts:
+        return
+    params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
+    finals = evolve_group(starts, vectors[:len(starts)], params, cfg.snake_config())
+    del vectors
+    for (row, prep), final in zip(started, finals):
+        if isinstance(final, EvolveError):
+            row["error"] = str(final)
+        else:
+            report = evaluate(rasterize(final, width, height), prep.gt)
+            row.update(iou=report.iou, dice=report.dice, boundf=report.boundf)
+
+
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be >= 1")
     cfg, loaded = resolve_run_config(args)
     pairs = _parse_manifest(args.manifest)
 
-    rows = []
+    rows, items = [], []
     for index, (image, mask) in enumerate(pairs):
         row = {"index": index, "image": image, "mask": mask}
+        rows.append(row)
         try:
-            report = run_pipeline(prepare(mask), cfg, loaded=loaded).report
-            row.update(iou=report.iou, dice=report.dice, boundf=report.boundf)
+            prep = prepare(mask)
+            _fit_maps(cfg, loaded, prep.mask.shape)  # a map that does not fit fails the item
         except CliError as exc:
             row["error"] = str(exc)
-        rows.append(row)
+            continue
+        items.append((row, prep))
+    for group in _group_by_shape(items):
+        _batch_group(cfg, loaded, group)
 
     successes = [r for r in rows if "error" not in r]
     aggregate = {"aggregate": True, "items": len(rows), "failed": len(rows) - len(successes)}
@@ -642,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p_batch, "batch")
     p_batch.add_argument("--manifest", required=True)
     p_batch.add_argument("--jobs", type=int, default=1, help="accepted for compatibility "
-                         "(must be >= 1); items always run one at a time")
+                         "(must be >= 1); no effect: items of one mask shape are "
+                         "evolved together in one process")
     p_batch.add_argument("--out", help="also write the JSONL report here")
     p_batch.set_defaults(func=_cmd_batch)
 

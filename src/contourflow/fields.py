@@ -131,9 +131,14 @@ def boundary_pixels(mask) -> np.ndarray:
 
 
 def signed_area(nodes) -> float:
-    pts = np.asarray(nodes, dtype=np.float64)
-    nxt = np.concatenate((pts[1:], pts[:1]))  # np.roll(pts, -1, axis=0)
-    return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
+    return float(signed_areas(np.asarray(nodes, dtype=np.float64)[None])[0])
+
+
+def signed_areas(stack: np.ndarray) -> np.ndarray:
+    """Shoelace signed area of each polygon of a (K, n, 2) stack, as a (K,)
+    array; each row is summed as a lone polygon's products are."""
+    nxt = np.concatenate((stack[:, 1:], stack[:, :1]), axis=1)  # np.roll(stack, -1, axis=1)
+    return 0.5 * (stack[..., 0] * nxt[..., 1] - nxt[..., 0] * stack[..., 1]).sum(axis=1)
 
 
 @dataclass

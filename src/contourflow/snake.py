@@ -11,15 +11,23 @@ the internal terms implicitly and the external/balloon forces
 explicitly, which keeps the stiff smoothing terms unconditionally
 stable.
 
-``evolve`` builds what depends on the node count alone once per run:
-the identity, D1'D1, the cyclic second-difference matrix D2 and the
-next/previous node indices. Each step then finds every node's four
-corner pixels and fractions once and blends the force vectors (both
-components in one gather), kappa and beta from them. The arithmetic per
-element is that of separate per-field lookups and a per-step matrix
-build (kept in ``tests/oracles.py``), so the contours are bit-identical
-to theirs. ``contour_energies`` scores a whole trace the same way: one
-corner lookup over all of its contours' nodes.
+``evolve_step`` is the one solver step. It moves a (K, n, 2) stack of
+contours, each driven by its slice of a (K, H, W, 2) stack of force
+vectors (offset by k*H*W in the one gather) under shared weights: one
+corner lookup finds every node's four corner pixels and fractions, the
+force vectors (both components), kappa and beta are blended from them,
+and the K systems are built in place and solved by one stacked
+``np.linalg.solve``. ``evolve`` and ``evolve_group`` build what depends
+on the node count alone once per run: the identity, D1'D1, the cyclic
+second-difference matrix D2 and the next/previous node indices.
+``evolve`` is the K = 1 case and records a trace; ``evolve_group`` steps
+many contours together, drops each at the step its area collapses and
+keeps no trace. The
+arithmetic per element is that of separate per-field lookups and a
+per-step matrix build for one contour (kept in ``tests/oracles.py``),
+so every contour is bit-identical to theirs. ``contour_energies`` scores
+a whole trace the same way: one corner lookup over all of its contours'
+nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_blend, bilinear_corners,
-                     rasterize, resample_closed)
+                     rasterize, resample_closed, signed_areas)
 from .flow import ForceField
 
 _TINY = 1e-12
@@ -180,10 +188,16 @@ def difference_operators(n: int) -> DifferenceOperators:
     return DifferenceOperators(np.eye(n), d1.T @ d1, d2, nxt, prv)
 
 
-def evolve_step(contour: Contour, force: ForceField, params: ParameterSet,
-                config: SnakeConfig, ops: DifferenceOperators | None = None) -> Contour:
-    """One semi-implicit update: solve (I + tau A) y' = y + tau (F_ext + F_bal)
-    per coordinate axis, clamp to image bounds, optionally resample.
+def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
+                config: SnakeConfig, ops: DifferenceOperators | None = None,
+                slots: np.ndarray | None = None) -> np.ndarray:
+    """One semi-implicit update of a (K, n, 2) stack of contours: per
+    contour, solve (I + tau A) y' = y + tau (F_ext + F_bal) for both
+    coordinate axes, clamp to image bounds, optionally resample.
+
+    ``vectors`` is a (S, H, W, 2) stack of force fields; contour k reads
+    slice ``slots[k]``, and every contour reads slice 0 when ``slots`` is
+    not given. The weights in ``params`` are shared by every contour.
 
     A = 2 alpha D1'D1 + 2 D2' diag(b) D2 is the exact Hessian of the
     internal energy with the curvature weights b frozen at the current
@@ -191,34 +205,61 @@ def evolve_step(contour: Contour, force: ForceField, params: ParameterSet,
     is always solvable. F_bal = kappa * outward unit normal, the normal
     perpendicular to the central-difference tangent (zero where the two
     neighbors coincide). ``ops`` are built for the node count when not
-    given. The result keeps the solver's node order (``Contour.solved``).
+    given. The result is the (K, n, 2) stack of new nodes in the solver's
+    order.
     """
-    pts = contour.nodes
-    height, width = force.shape
+    count, n = nodes.shape[:2]
+    height, width = vectors.shape[1:3]
     if ops is None:
-        ops = difference_operators(len(pts))
-    corners = bilinear_corners(pts, height, width)
-    external = bilinear_blend(force.vectors.reshape(-1, 2), corners)
-    kappa = bilinear_blend(params.kappa.reshape(-1), corners)
-    beta = bilinear_blend(params.beta.reshape(-1), corners)
+        ops = difference_operators(n)
+    # one lookup over the nodes of every contour, laid end to end
+    corners = bilinear_corners(nodes.reshape(-1, 2), height, width)
+    in_slot = corners
+    if slots is not None:
+        in_slot = corners._replace(index=corners.index + np.repeat(slots * (height * width), n))
+    external = bilinear_blend(vectors.reshape(-1, 2), in_slot).reshape(count, n, 2)
+    kappa = bilinear_blend(params.kappa.reshape(-1), corners).reshape(count, n)
+    beta = bilinear_blend(params.beta.reshape(-1), corners).reshape(count, n)
 
-    tangent = pts[ops.nxt] - pts[ops.prv]
+    tangent = nodes.take(ops.nxt, axis=1) - nodes.take(ops.prv, axis=1)
     # for positive-signed-area node order, (t_v, -t_u) points outward
-    normal = tangent[:, ::-1] * (1.0, -1.0)
-    norm = np.hypot(normal[:, 0], normal[:, 1])[:, None]
+    normal = tangent[..., ::-1] * (1.0, -1.0)
+    norm = np.hypot(normal[..., 0], normal[..., 1])[..., None]
     unit = np.divide(normal, norm, out=np.zeros_like(normal), where=norm > _TINY)
 
-    system = 2.0 * params.alpha * ops.d1td1 + 2.0 * (ops.d2.T * beta) @ ops.d2
-    rhs = pts + config.time_step * (external + kappa[:, None] * unit)
-    lhs = ops.eye + config.time_step * system
+    # I + tau (2 alpha D1'D1 + 2 (D2' b) D2), built in place in the (K, n, n)
+    # stack; IEEE + and * commute, so each matrix has the floats of that expression
+    curvature = ops.d2.T * beta[:, None, :]
+    curvature *= 2.0
+    lhs = np.matmul(curvature, ops.d2)
+    del curvature
+    lhs += 2.0 * params.alpha * ops.d1td1
+    lhs *= config.time_step
+    lhs += ops.eye
+    rhs = nodes + config.time_step * (external + kappa[..., None] * unit)
     try:
-        new_pts = np.linalg.solve(lhs, rhs)
+        new_nodes = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0
         raise EvolveError(f"internal error: singular evolution system ({exc})") from exc
-    np.clip(new_pts, 0.0, [width - 1.0, height - 1.0], out=new_pts)
+    np.clip(new_nodes, 0.0, [width - 1.0, height - 1.0], out=new_nodes)
     if config.resample_each_step:
-        new_pts = resample_closed(new_pts, len(pts))
-    return Contour.solved(new_pts)
+        new_nodes = np.stack([resample_closed(pts, n) for pts in new_nodes])
+    return new_nodes
+
+
+def _check_maps(params: ParameterSet, shape: tuple[int, int]) -> None:
+    if params.beta.shape != shape:
+        raise ValueError(f"parameter maps {params.beta.shape} do not match "
+                         f"the force field {shape}")
+
+
+def _step_failed(i: int, exc: Exception) -> EvolveError:
+    return EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
+
+
+def _collapsed(i: int, area: float) -> EvolveError:
+    return EvolveError(f"contour collapsed or reversed at iteration {i + 1} "
+                       f"(signed area {area:.6g})")
 
 
 def evolve(initial: Contour, force: ForceField, params: ParameterSet,
@@ -228,27 +269,71 @@ def evolve(initial: Contour, force: ForceField, params: ParameterSet,
     The trace holds iterations + 1 contours (the clamped initial state
     first, ``final`` last); the run is deterministic for fixed inputs. The
     difference operators are built once, and each iteration calls
-    ``evolve_step`` with them. A step whose contour's signed area falls
-    below ``DEGENERATE_AREA`` (collapsed, or reversed to a negative area)
-    raises ``EvolveError`` naming the 1-based iteration. The loop computes
-    no energies: the trace evaluates them against the force field's
-    potential map when they are read.
+    ``evolve_step`` on a stack of one contour, reading ``force.vectors``
+    through a view. A step whose contour's signed area falls below
+    ``DEGENERATE_AREA`` (collapsed, or reversed to a negative area) raises
+    ``EvolveError`` naming the 1-based iteration. The loop computes no
+    energies: the trace evaluates them against the force field's potential
+    map when they are read.
     """
     height, width = force.shape
-    if params.beta.shape != (height, width):
-        raise ValueError(f"parameter maps {params.beta.shape} do not match "
-                         f"the force field {(height, width)}")
+    _check_maps(params, (height, width))
     current = initial.clamped(width, height)
     ops = difference_operators(len(current))
+    vectors = force.vectors[None]
     contours = [current]
+    nodes = current.nodes[None]
     for i in range(config.iterations):
         try:
-            current = evolve_step(current, force, params, config, ops)
+            nodes = evolve_step(nodes, vectors, params, config, ops)
         except Exception as exc:
-            raise EvolveError(f"evolution failed at iteration {i + 1}: {exc}") from exc
-        area = current.area
+            raise _step_failed(i, exc) from exc
+        area = signed_areas(nodes)[0]
         if not area >= DEGENERATE_AREA:
-            raise EvolveError(f"contour collapsed or reversed at iteration {i + 1} "
-                              f"(signed area {area:.6g})")
-        contours.append(current)
-    return current, EvolutionTrace(contours, force.potential, params)
+            raise _collapsed(i, area)
+        contours.append(Contour.solved(nodes[0]))
+    return contours[-1], EvolutionTrace(contours, force.potential, params)
+
+
+def evolve_group(initials: list[Contour], vectors: np.ndarray, params: ParameterSet,
+                 config: SnakeConfig) -> list[Contour | EvolveError]:
+    """Evolve K contours of one node count together and return, per
+    contour, its final state or the ``EvolveError`` that ``evolve`` would
+    raise for it alone.
+
+    ``vectors`` is a (K, H, W, 2) stack of force fields, one per contour,
+    or a (1, H, W, 2) stack that every contour shares; ``params`` is
+    shared. Each iteration makes one ``evolve_step`` call for every
+    contour still running. A contour whose signed area falls below
+    ``DEGENERATE_AREA`` leaves the stack at that step with the message
+    ``evolve`` gives; the others go on. The contours are those of K
+    ``evolve`` runs to the bit, and no trace is kept. A step that raises
+    (unreachable for valid inputs) fails every contour still running.
+    """
+    height, width = vectors.shape[1:3]
+    _check_maps(params, (height, width))
+    if len(vectors) not in (1, len(initials)):
+        raise ValueError(f"{len(vectors)} force fields for {len(initials)} contours")
+    nodes = np.stack([c.clamped(width, height).nodes for c in initials])
+    ops = difference_operators(nodes.shape[1])
+    items = np.arange(len(initials))
+    shared = len(vectors) == 1
+    results: list[Contour | EvolveError] = [None] * len(initials)
+    for i in range(config.iterations):
+        if not items.size:
+            break
+        try:
+            nodes = evolve_step(nodes, vectors, params, config, ops, None if shared else items)
+        except Exception as exc:
+            for item in items:
+                results[item] = _step_failed(i, exc)
+            return results
+        areas = signed_areas(nodes)
+        running = areas >= DEGENERATE_AREA
+        if not running.all():
+            for item, area in zip(items[~running], areas[~running]):
+                results[item] = _collapsed(i, float(area))
+            nodes, items = nodes[running], items[running]
+    for item, pts in zip(items, nodes):
+        results[item] = Contour.solved(pts)
+    return results

@@ -759,6 +759,136 @@ class TestBatchCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def per_item_batch(argv):
+    """The report text and exit code of ``batch`` with ``argv`` when every
+    manifest item runs alone, one ``cli.run_pipeline`` call each."""
+    from contourflow import cli
+    args = cli.build_parser().parse_args(argv)
+    cfg, loaded = cli.resolve_run_config(args)
+    rows = []
+    for index, (image, mask) in enumerate(cli._parse_manifest(args.manifest)):
+        row = {"index": index, "image": image, "mask": mask}
+        try:
+            report = cli.run_pipeline(cli.prepare(mask), cfg, loaded=loaded).report
+            row.update(iou=report.iou, dice=report.dice, boundf=report.boundf)
+        except cli.CliError as exc:
+            row["error"] = str(exc)
+        rows.append(row)
+    ok = [r for r in rows if "error" not in r]
+    aggregate = {"aggregate": True, "items": len(rows), "failed": len(rows) - len(ok)}
+    for key, name in (("iou", "miou"), ("dice", "mean_dice"), ("boundf", "mean_boundf")):
+        aggregate[name] = float(np.mean([r[key] for r in ok])) if ok else 0.0
+    text = "\n".join(cli._json_line(r) for r in rows + [aggregate]) + "\n"
+    return text, 0 if len(ok) == len(rows) else 1
+
+
+class TestBatchGroups:
+    """``batch`` evolves the items of one mask shape together, at most
+    ``cli.GROUP_PIXELS`` pixels per group; its report is byte for byte the
+    one of running each item alone."""
+
+    @pytest.fixture
+    def mixed(self, tmp_path):
+        """Five 64² and five 128² fixtures in alternation, an unreadable and an
+        empty mask, a 128² beta map and a 128² energy map."""
+        small, large = suite(64), suite(128)
+        paths = []
+        for a, b in zip(small, large):
+            for fx in (a, b):
+                path = tmp_path / f"{fx.name}_{fx.mask.shape[0]}.pgm"
+                write_mask_pgm(path, fx.mask)
+                paths.append(path)
+        empty = tmp_path / "empty.pgm"
+        write_mask_pgm(empty, np.zeros((64, 64), dtype=bool))
+        paths.insert(3, tmp_path / "missing.pgm")
+        paths.insert(8, empty)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"{p} {p}\n" for p in paths))
+        rng = np.random.default_rng(3)
+        write_pfm(tmp_path / "beta128.pfm", rng.uniform(0.0, 0.3, (128, 128)))
+        dist = mask_to_dt(large[0].mask)
+        write_pfm(tmp_path / "energy128.pfm", 0.5 * dist * dist)
+        return tmp_path, manifest
+
+    @pytest.mark.parametrize("flags, collapse_steps, shape_errors", [
+        ([], 0, 0),
+        (["--kappa", "-4", "--iters", "60"], 5, 0),
+        (["--beta", "{dir}/beta128.pfm", "--kappa", "-4", "--iters", "60"], 1, 6),
+        (["--field", "energy:{dir}/energy128.pfm", "--resample", "--iters", "20"], 0, 6),
+        (["--profile", "medical", "--field", "dvf", "--alpha", "0"], 0, 0),
+    ], ids=["defaults", "collapsing", "beta-map", "energy-field", "medical-dvf"])
+    def test_report_equals_items_run_alone(self, mixed, capsys, flags, collapse_steps,
+                                           shape_errors):
+        tmp_path, manifest = mixed
+        flags = [f.format(dir=tmp_path) for f in flags]
+        argv = ["batch", "--manifest", str(manifest), *flags]
+        want_text, want_code = per_item_batch(argv)
+        out = tmp_path / "report.jsonl"
+        assert main([*argv, "--out", str(out)]) == want_code == 1
+        assert capsys.readouterr().out == want_text
+        assert out.read_text() == want_text
+        # the inputs fail as intended: the unreadable and the empty mask, items
+        # collapsing at distinct steps, maps that do not fit the 64² items
+        errors = [json.loads(line).get("error", "") for line in want_text.splitlines()[:-1]]
+        assert "missing.pgm" in errors[3] and errors[8]
+        steps = [error.split("iteration ")[1].split(" ")[0] for error in errors
+                 if "collapsed or reversed" in error]
+        assert len(set(steps)) == len(steps) == collapse_steps
+        assert sum("expected (64, 64)" in error for error in errors) == shape_errors
+
+    def test_groups_by_shape_under_the_pixel_cap(self, tmp_path, capsys, monkeypatch):
+        """Five 64² items make one group; five 128² items make groups of four
+        and one; a 256² item is a group of its own."""
+        import contourflow.snake as snake_module
+
+        sizes = []
+        original = snake_module.evolve_step
+
+        def counting(nodes, *args):
+            sizes.append(len(nodes))
+            return original(nodes, *args)
+
+        monkeypatch.setattr(snake_module, "evolve_step", counting)
+        paths = []
+        for a, b in zip(suite(64), suite(128)):
+            for fx in (a, b):
+                path = tmp_path / f"{fx.name}_{fx.mask.shape[0]}.pgm"
+                write_mask_pgm(path, fx.mask)
+                paths.append(path)
+        big = tmp_path / "disk_256.pgm"
+        write_mask_pgm(big, disk_mask(256, 256, (128.0, 128.0), 70.0))
+        paths.append(big)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"{p} {p}\n" for p in paths))
+        assert main(["batch", "--manifest", str(manifest), "--iters", "3"]) == 0
+        assert sizes == [5] * 3 + [4] * 3 + [1] * 3 + [1] * 3
+
+    def test_one_solver_step_per_iteration(self, tmp_path, capsys, monkeypatch):
+        """Twelve 64² items and 50 iterations make 50 stacked steps, not 600."""
+        import contourflow.snake as snake_module
+        from contourflow.shapes import random_blob_mask
+
+        calls = []
+        original = snake_module.evolve_step
+
+        def counting(nodes, *args):
+            calls.append(nodes.shape)
+            return original(nodes, *args)
+
+        monkeypatch.setattr(snake_module, "evolve_step", counting)
+        rng = np.random.default_rng(4)
+        masks = [fx.mask for fx in suite(64)] + [random_blob_mask(rng, 64, 64)
+                                                 for _ in range(7)]
+        paths = []
+        for index, mask in enumerate(masks):
+            paths.append(tmp_path / f"item{index:02d}.pgm")
+            write_mask_pgm(paths[-1], mask)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"{p} {p}\n" for p in paths))
+        assert main(["batch", "--manifest", str(manifest), "--iters", "50"]) == 0
+        assert calls == [(12, 60, 2)] * 50
+
+
 class TestSweepCommand:
     def test_single_radius_matches_plain_run(self, tmp_path, disk_paths, capsys):
         from contourflow.autoinit import circumscribed_circle

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from contourflow.fields import (Circle, Contour, bilinear_blend, bilinear_corners,
                                 boundary_mask, boundary_pixels, central_gradient, rasterize,
-                                resample_closed, signed_area)
+                                resample_closed, signed_area, signed_areas)
 
 from oracles import (bilinear_sample_reference, perimeter, point_in_polygon,
                      rasterize_loop, rasterize_reference)
@@ -153,6 +153,19 @@ class TestContour:
         assert clamped.nodes[:, 0].min() >= 0.0
         assert clamped.nodes[:, 0].max() <= 7.0
         assert clamped.nodes[:, 1].max() <= 7.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12),
+           nodes=st.integers(3, 300), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_stacked_areas_equal_one_by_one(self, seed, count, nodes, scale):
+        """The solver reads each contour's area from one stacked call; every
+        value must be the float of one polygon's shoelace sum on its own."""
+        stack = scale * np.random.default_rng(seed).normal(size=(count, nodes, 2))
+        areas = signed_areas(stack)
+        assert areas.shape == (count,)
+        want = [0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
+                for u, v in stack.transpose(0, 2, 1)]
+        assert [float(a) for a in areas] == want == [signed_area(c) for c in stack]
 
     def test_circle_dataclass_validation(self):
         with pytest.raises(ValueError):

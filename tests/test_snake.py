@@ -6,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from contourflow.autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from contourflow.edt import mask_to_dt
-from contourflow.fields import DEGENERATE_AREA, Contour, rasterize
+from contourflow.fields import DEGENERATE_AREA, Circle, Contour, rasterize
 from contourflow.flow import ForceField, lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
 from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
-                               contour_energies, energy_eval, evolve, evolve_step)
+                               contour_energies, energy_eval, evolve, evolve_group, evolve_step)
 
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
                      energies_reference, evolve_reference, evolve_step_reference, fd_gradient,
@@ -34,6 +34,11 @@ def square_contour(side, center=(10.0, 10.0)):
 
 def zero_force(width, height):
     return ForceField(np.zeros((height, width, 2)), np.zeros((height, width)))
+
+
+def step_one(contour, force, params, config):
+    """The new nodes of one contour after one ``evolve_step``, as a stack of one."""
+    return evolve_step(contour.nodes[None], force.vectors[None], params, config)[0]
 
 
 class TestEnergyEval:
@@ -207,9 +212,8 @@ class TestEvolveStep:
     def test_pure_smoothing_shrinks_perimeter(self, rng):
         contour = Contour(random_star_polygon(rng))
         params = uniform_params(32, 32, alpha=0.5)
-        stepped = evolve_step(contour, zero_force(32, 32), params,
-                              SnakeConfig(time_step=0.2))
-        assert perimeter(stepped.nodes) < perimeter(contour.nodes)
+        stepped = step_one(contour, zero_force(32, 32), params, SnakeConfig(time_step=0.2))
+        assert perimeter(stepped) < perimeter(contour.nodes)
 
     def test_no_weights_pure_translation(self):
         vectors = np.zeros((32, 32, 2))
@@ -218,8 +222,8 @@ class TestEvolveStep:
         force = ForceField(vectors, np.zeros((32, 32)))
         contour = square_contour(4.0, center=(16.0, 16.0))
         params = uniform_params(32, 32)
-        stepped = evolve_step(contour, force, params, SnakeConfig(time_step=0.1))
-        assert np.allclose(stepped.nodes, contour.nodes + 0.1 * np.array([0.75, -0.25]),
+        stepped = step_one(contour, force, params, SnakeConfig(time_step=0.1))
+        assert np.allclose(stepped, contour.nodes + 0.1 * np.array([0.75, -0.25]),
                            atol=1e-12)
 
     def test_step_moves_nodes_toward_disk_boundary(self):
@@ -229,24 +233,22 @@ class TestEvolveStep:
         theta = 2 * np.pi * np.arange(40) / 40
         contour = Contour(np.stack([32 + 9 * np.cos(theta), 32 + 9 * np.sin(theta)], axis=1))
         params = uniform_params(64, 64)
-        stepped = evolve_step(contour, force, params, SnakeConfig())
+        stepped = step_one(contour, force, params, SnakeConfig())
         before = bilinear_sample_reference(dist, contour.nodes)
-        after = bilinear_sample_reference(dist, stepped.nodes)
+        after = bilinear_sample_reference(dist, stepped)
         assert (after < before).all()
 
     def test_clamps_to_bounds(self):
         vectors = np.full((16, 16, 2), 100.0)
         force = ForceField(vectors, np.zeros((16, 16)))
         contour = square_contour(4.0, center=(8.0, 8.0))
-        stepped = evolve_step(contour, force, uniform_params(16, 16),
-                              SnakeConfig(time_step=1.0))
-        assert stepped.nodes.max() <= 15.0
+        stepped = step_one(contour, force, uniform_params(16, 16), SnakeConfig(time_step=1.0))
+        assert stepped.max() <= 15.0
 
     def test_resampling_preserves_node_count(self, rng):
         contour = Contour(random_star_polygon(rng))
         cfg = SnakeConfig(resample_each_step=True)
-        stepped = evolve_step(contour, zero_force(32, 32),
-                              uniform_params(32, 32, alpha=0.1), cfg)
+        stepped = step_one(contour, zero_force(32, 32), uniform_params(32, 32, alpha=0.1), cfg)
         assert len(stepped) == len(contour)
 
 
@@ -377,7 +379,7 @@ class TestSolverMatchesReference:
                              resample_each_step=resample)
 
         clamped = start.clamped(width, height)
-        assert np.array_equal(evolve_step(clamped, force, params, config).nodes,
+        assert np.array_equal(step_one(clamped, force, params, config),
                               evolve_step_reference(clamped, force, params, config))
         got = _evolve_outcome(lambda: evolve(start, force, params, config)[1].contours)
         want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
@@ -405,6 +407,144 @@ class TestSolverMatchesReference:
         evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
                SnakeConfig(iterations=13))
         assert len(calls) == 13
+        for nodes, vectors, *_ in calls:  # a stack of one, the force read through a view
+            assert nodes.shape == (1, 60, 2)
+            assert vectors.shape == (1, 64, 64, 2) and vectors.base is force.vectors
+
+
+def _group_case(seed, count, nodes, height=24, width=32, alpha=0.3, shared=False):
+    """``count`` star starts around random points, one random force field
+    each (or one that all share) and random per-pixel beta >= 0 and kappa."""
+    rng = np.random.default_rng(seed)
+    fields = rng.uniform(-2.0, 2.0, size=(1 if shared else count, height, width, 2))
+    beta = rng.uniform(0.0, 1.0, size=(height, width))
+    beta[rng.random((height, width)) < 0.2] = 0.0
+    params = ParameterSet(alpha=alpha, beta=beta,
+                          kappa=rng.uniform(-1.0, 1.0, size=(height, width)))
+    starts = []
+    for _ in range(count):
+        center = rng.uniform(4.0, 20.0, size=2)
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=nodes))
+        angles += np.linspace(0.0, 1e-3, nodes)
+        radii = rng.uniform(2.0, 9.0, size=nodes)
+        starts.append(Contour(np.stack([center[0] + radii * np.cos(angles),
+                                        center[1] + radii * np.sin(angles)], axis=1)))
+    forces = [ForceField(fields[0 if shared else k], np.zeros((height, width)))
+              for k in range(count)]
+    return starts, fields, forces, params
+
+
+def _final_or_message(contours):
+    """The final node array of a finished evolution, or the message of the
+    ``EvolveError`` it raised or returned."""
+    try:
+        final = contours()
+    except EvolveError as exc:
+        return str(exc)
+    return str(final) if isinstance(final, EvolveError) else final.nodes
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestEvolveGroup:
+    """``evolve_group`` steps K contours as one stack; each ends where
+    ``oracles.evolve_reference`` takes it alone, to the bit, or fails with
+    the message ``evolve`` raises for it."""
+
+    @pytest.mark.parametrize("count", [1, 2, 9])
+    @pytest.mark.parametrize("nodes", [3, 60, 100])
+    @pytest.mark.parametrize("variant", ["plain", "alpha0", "resample", "shared"])
+    def test_final_contours_equal_reference(self, count, nodes, variant):
+        starts, fields, forces, params = _group_case(
+            seed=1000 * count + nodes, count=count, nodes=nodes,
+            alpha=0.0 if variant == "alpha0" else 0.3, shared=variant == "shared")
+        config = SnakeConfig(iterations=8, time_step=0.2,
+                             resample_each_step=variant == "resample")
+        results = evolve_group(starts, fields, params, config)
+        assert len(results) == count
+        for start, force, result in zip(starts, forces, results):
+            want = _final_or_message(lambda: evolve_reference(start, force, params, config)[-1])
+            _assert_same_outcome(_final_or_message(lambda: result), want)
+            _assert_same_outcome(_final_or_message(lambda: evolve(start, force, params,
+                                                                  config)[0]), want)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_items_collapsing_at_different_iterations(self, monkeypatch, shared):
+        """A deflating balloon collapses the small starts first; each leaves
+        the stack at its own step and the others still match."""
+        import contourflow.snake as snake_module
+
+        calls = []
+        original = snake_module.evolve_step
+
+        def counting(nodes, *args):
+            calls.append(len(nodes))
+            return original(nodes, *args)
+
+        rng = np.random.default_rng(5)
+        height = width = 48
+        fields = rng.uniform(-0.3, 0.3, size=(1 if shared else 6, height, width, 2))
+        params = ParameterSet(alpha=0.05, beta=rng.uniform(0.0, 0.2, (height, width)),
+                              kappa=rng.uniform(-1.5, -0.5, (height, width)))
+        radii = [3.0, 20.0, 5.0, 8.0, 4.0, 19.0]
+        starts = [circle_to_contour(Circle((24.0, 24.0), r), 40, width, height) for r in radii]
+        forces = [ForceField(fields[0 if shared else k], np.zeros((height, width)))
+                  for k in range(len(radii))]
+        config = SnakeConfig(iterations=60, time_step=0.1)
+        monkeypatch.setattr(snake_module, "evolve_step", counting)
+        results = evolve_group(starts, fields, params, config)
+        monkeypatch.undo()
+
+        steps = []
+        for start, force, result in zip(starts, forces, results):
+            want = _final_or_message(lambda: evolve_reference(start, force, params, config)[-1])
+            _assert_same_outcome(_final_or_message(lambda: result), want)
+            _assert_same_outcome(_final_or_message(lambda: evolve(start, force, params,
+                                                                  config)[0]), want)
+            found = re.search(r"collapsed or reversed at iteration (\d+)", str(want))
+            steps.append(int(found.group(1)) if found else config.iterations + 1)
+        collapsed = [step for step in steps if step <= config.iterations]
+        assert len(set(collapsed)) == len(collapsed) >= 3 and len(collapsed) < len(steps)
+        # one call per iteration, each on the contours still running
+        assert calls == [sum(step > i for step in steps) for i in range(config.iterations)]
+
+    def test_all_collapsed_stops_stepping(self, monkeypatch):
+        import contourflow.snake as snake_module
+
+        calls = []
+        original = snake_module.evolve_step
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(snake_module, "evolve_step", counting)
+        force = ForceField(np.full((16, 16, 2), 100.0), np.zeros((16, 16)))
+        starts = [square_contour(4.0, center=(8.0, 8.0)), square_contour(6.0, center=(7.0, 9.0))]
+        results = evolve_group(starts, force.vectors[None], uniform_params(16, 16),
+                               SnakeConfig(iterations=10, time_step=1.0))
+        assert len(calls) == 1
+        for result in results:
+            assert isinstance(result, EvolveError)
+            assert str(result).startswith("contour collapsed or reversed at iteration 1 ")
+
+    def test_zero_iterations_returns_clamped_starts(self, rng):
+        starts = [Contour(random_star_polygon(rng, r_hi=20.0, n_lo=7, n_hi=7))
+                  for _ in range(3)]
+        results = evolve_group(starts, np.zeros((3, 32, 32, 2)), uniform_params(32, 32),
+                               SnakeConfig(iterations=0))
+        for start, result in zip(starts, results):
+            assert np.array_equal(result.nodes, start.clamped(32, 32).nodes)
+
+    def test_rejects_mismatched_parameter_maps(self, rng):
+        with pytest.raises(ValueError, match="do not match"):
+            evolve_group([Contour(random_star_polygon(rng))], np.zeros((1, 32, 32, 2)),
+                         uniform_params(16, 16), SnakeConfig())
 
 
 class TestCollapseGuard:
