@@ -14,6 +14,8 @@ import numpy as np
 from .fields import Circle, Contour, as_mask, boundary_pixels, bounding_box
 
 _MULT_EPS = 1.0 + 1e-14
+_BAND = 1e-9  # relative band around a squared radius where np.hypot decides
+_SQUARES_MIN, _SQUARES_MAX = 1e-290, 1e290  # squared radii the band is safe for
 _RIDGE_SLACK = 1e-6  # widens the candidate test past the EDT's rounding; scoring is exact
 _CHUNK = 1 << 16  # candidate x ring distances held at once
 
@@ -66,7 +68,8 @@ def inscribed_circle(mask, dt) -> Circle:
 
 def circumscribed_circle(mask) -> Circle:
     """Minimal enclosing circle of the foreground pixel centers, padded by
-    half a pixel so the pixel squares are covered."""
+    half a pixel. The pad covers each pixel's inscribed disk, not its square:
+    a corner lies sqrt(2)/2 from the pixel center."""
     mask = as_mask(mask)
     pts = boundary_pixels(mask)  # the extreme points all lie on the inner boundary
     if len(pts) == 0:
@@ -78,9 +81,14 @@ def circumscribed_circle(mask) -> Circle:
 def minimal_enclosing_circle(points) -> tuple[float, float, float]:
     """Exact smallest circle containing all points, expected linear time.
 
-    Incremental construction over a deterministically shuffled order.
+    Welzl's incremental construction over a deterministically shuffled
+    order, in Python floats. A containment test calls ``np.hypot`` only
+    where the squared distance cannot decide it, and a candidate circle
+    through three points gets its radius only if it is returned, so every
+    decision and float equals the all-``np.hypot`` construction kept in
+    ``tests/oracles.py``.
     """
-    pts = [(float(u), float(v)) for u, v in np.asarray(points, dtype=np.float64)]
+    pts = np.asarray(points, dtype=np.float64).tolist()
     if not pts:
         raise ValueError("need at least one point")
     rng = random.Random(0x5EED)
@@ -93,8 +101,22 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
 
 
 def _in_circle(circle, p) -> bool:
+    """``np.hypot(p - center) <= r * _MULT_EPS``. The squared distance
+    decides outside ``limit² · (1 ± _BAND)``, a margin many orders wider
+    than its own rounding and ``np.hypot``'s, while the squares stay far
+    from underflow and overflow; ``np.hypot`` decides inside it."""
     cu, cv, r = circle
-    return np.hypot(p[0] - cu, p[1] - cv) <= r * _MULT_EPS
+    du = p[0] - cu
+    dv = p[1] - cv
+    limit = r * _MULT_EPS
+    d2 = du * du + dv * dv
+    l2 = limit * limit
+    if _SQUARES_MIN < l2 < _SQUARES_MAX:
+        if d2 < l2 * (1.0 - _BAND):
+            return True
+        if d2 > l2 * (1.0 + _BAND):
+            return False
+    return np.hypot(du, dv) <= limit
 
 
 def _circle_one_point(points, p):
@@ -109,39 +131,44 @@ def _circle_one_point(points, p):
 
 
 def _circle_two_points(points, p, q):
+    """The smallest circle through ``p`` and ``q`` around ``points``: the
+    diameter circle if it holds them, else the smaller of two circumcircles
+    through ``p``, ``q`` and a point outside it, the one whose center lies
+    farthest left of ``pq`` and the one farthest right. Only those two get
+    radii."""
     circ = _diameter(p, q)
-    left = right = None
+    left = right = None  # (side of the center, the third point, the center)
     px, py = p
     qx, qy = q
     for r in points:
         if _in_circle(circ, r):
             continue
         cross = _cross(px, py, qx, qy, r[0], r[1])
-        c = _circumcircle(p, q, r)
+        c = _circumcenter(p, q, r)
         if c is None:
             continue
-        if cross > 0.0 and (left is None or _cross(px, py, qx, qy, c[0], c[1])
-                            > _cross(px, py, qx, qy, left[0], left[1])):
-            left = c
-        elif cross < 0.0 and (right is None or _cross(px, py, qx, qy, c[0], c[1])
-                              < _cross(px, py, qx, qy, right[0], right[1])):
-            right = c
+        side = _cross(px, py, qx, qy, c[0], c[1])
+        if cross > 0.0 and (left is None or side > left[0]):
+            left = (side, r, c)
+        elif cross < 0.0 and (right is None or side < right[0]):
+            right = (side, r, c)
     if left is None and right is None:
         return circ
     if left is None:
-        return right
+        return _circumcircle(p, q, *right[1:])
     if right is None:
-        return left
+        return _circumcircle(p, q, *left[1:])
+    left, right = _circumcircle(p, q, *left[1:]), _circumcircle(p, q, *right[1:])
     return left if left[2] <= right[2] else right
 
 
 def _diameter(p, q):
     cu = (p[0] + q[0]) / 2.0
     cv = (p[1] + q[1]) / 2.0
-    return (cu, cv, max(np.hypot(cu - p[0], cv - p[1]), np.hypot(cu - q[0], cv - q[1])))
+    return (cu, cv, float(max(np.hypot(cu - p[0], cv - p[1]), np.hypot(cu - q[0], cv - q[1]))))
 
 
-def _circumcircle(p0, p1, p2):
+def _circumcenter(p0, p1, p2):
     # recentre on the bounding-box midpoint for numerical stability
     ox = (min(p0[0], p1[0], p2[0]) + max(p0[0], p1[0], p2[0])) / 2.0
     oy = (min(p0[1], p1[1], p2[1]) + max(p0[1], p1[1], p2[1])) / 2.0
@@ -155,10 +182,15 @@ def _circumcircle(p0, p1, p2):
               + (cx * cx + cy * cy) * (ay - by)) / d
     y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
               + (cx * cx + cy * cy) * (bx - ax)) / d
+    return (x, y)
+
+
+def _circumcircle(p0, p1, p2, center):
+    x, y = center
     r = max(np.hypot(x - p0[0], y - p0[1]),
             np.hypot(x - p1[0], y - p1[1]),
             np.hypot(x - p2[0], y - p2[1]))
-    return (x, y, r)
+    return (x, y, float(r))
 
 
 def _cross(x0, y0, x1, y1, x2, y2):

@@ -21,7 +21,8 @@ Every command reads its masks through ``prepare``, the one check that a
 ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
 `batch` reads every manifest item's mask first, then evolves the items
 of one mask shape together, in groups of at most ``GROUP_PIXELS``
-pixels: each iteration is one stacked solver step for the whole group
+pixels and node-system entries: a group's EDTs come from stacked calls,
+and each iteration is one stacked solver step for the whole group
 (``evolve_group``). Each item is scored against its own mask, rows stay
 in manifest order and every value is the one the item gets alone; the
 image column only labels the report row, and `--jobs` has no effect.
@@ -39,12 +40,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +65,8 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-# a batch group's force-field stack holds at most the field of one 256² run
+# a batch group's force-field stack holds at most the field of one 256² run,
+# and its stack of (nodes, nodes) systems at most as many entries
 GROUP_PIXELS = 1 << 16
 
 # both profiles inflate: the settled contour then rests a fraction of a
@@ -174,7 +177,8 @@ class StageTimer:
 
 @dataclass
 class Prepared:
-    """A mask and its ground truth, read once; ``dt`` is computed on first use."""
+    """A mask and its ground truth, read once; ``dt`` is computed on first use
+    unless ``batch`` set it from a stacked call."""
     mask: np.ndarray
     gt: np.ndarray
 
@@ -532,12 +536,15 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _group_by_shape(items: list[tuple[dict, Prepared]]) -> list[list[tuple[dict, Prepared]]]:
+def _group_by_shape(items: list[tuple[dict, Prepared]],
+                    nodes: int) -> list[list[tuple[dict, Prepared]]]:
     """Items of one mask shape in manifest order, cut into groups of at most
-    ``GROUP_PIXELS`` pixels; a larger mask makes a group of its own."""
+    ``GROUP_PIXELS`` pixels and at most ``GROUP_PIXELS`` entries of their
+    (nodes, nodes) systems; an item over either cap makes a group of its own."""
     groups, open_group = [], {}
     for item in items:
-        shape, size = item[1].mask.shape, item[1].mask.size
+        shape = item[1].mask.shape
+        size = max(item[1].mask.size, nodes * nodes)
         group = open_group.get(shape)
         if group is None or (len(group) + 1) * size > GROUP_PIXELS:
             group = open_group[shape] = []
@@ -546,18 +553,36 @@ def _group_by_shape(items: list[tuple[dict, Prepared]]) -> list[list[tuple[dict,
     return groups
 
 
+def _share_dts(preps: list[Prepared]) -> None:
+    """Give each prep whose mask has an EDT its slice of one stacked
+    ``mask_to_dt`` call; an empty or full-frame mask keeps the lazy ``dt``,
+    which raises as it does for a lone run."""
+    preps = [prep for prep in preps if prep.mask.any() and not prep.mask.all()]
+    if preps:
+        for prep, dt in zip(preps, mask_to_dt(np.stack([prep.mask for prep in preps]))):
+            prep.dt = dt
+
+
 def _batch_group(cfg: RunConfig, loaded: _Loaded, group: list[tuple[dict, Prepared]]) -> None:
     """Segment and score the items of one group, filling in each item's row.
 
+    When the field or the init reads an EDT, the items' EDTs come from
+    stacked ``mask_to_dt`` calls, each over at most the rows of a square
+    ``GROUP_PIXELS`` image, as many as a 256² run's EDT (four 64² masks).
     Each item's force field goes into its slot of one (K, H, W, 2) stack
-    (an ``energy:`` field is one slot every item shares) before its EDT is
-    dropped; ``evolve_group`` then steps every item's contour together."""
+    (an ``energy:`` field is one slot every item shares) before its EDT
+    is dropped; ``evolve_group`` then steps every item's contour
+    together, and each is scored against its own mask."""
     height, width = group[0][1].mask.shape
     beta, kappa = _fit_maps(cfg, loaded, (height, width))
     shared = isinstance(loaded.field, _EnergyField)
     vectors = None if shared else np.empty((len(group), height, width, 2))
+    reads_dt = not shared or loaded.init == "inscribed"
+    per_call = max(1, math.isqrt(GROUP_PIXELS) // height)
     started, starts = [], []
-    for row, prep in group:
+    for index, (row, prep) in enumerate(group):
+        if reads_dt and index % per_call == 0:
+            _share_dts([prep for _, prep in group[index:index + per_call]])
         try:
             with _failing(EXIT_COMPUTE):
                 force = _build_force(cfg, loaded, prep)
@@ -601,7 +626,7 @@ def _cmd_batch(args) -> int:
             row["error"] = str(exc)
             continue
         items.append((row, prep))
-    for group in _group_by_shape(items):
+    for group in _group_by_shape(items, cfg.nodes):
         _batch_group(cfg, loaded, group)
 
     successes = [r for r in rows if "error" not in r]
@@ -680,7 +705,9 @@ def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", help="key=value config file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(prog="contourflow",
                                      description="distance-transform driven active contours")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,6 +16,11 @@ exact: the column pass gives every row a finite value in each site
 column, a site-free column keeps the value ``_FAR``, whose parabola
 never beats a finite one inside the frame, and each output is the same
 exact-integer minimum over the same finite parabolas.
+
+A (K, H, W) stack of site masks is transformed in one call: the column
+pass runs along each mask's own columns, and the envelope build runs
+over all K·H rows at once and over the union of the masks' site
+columns. The 2-D call is the K = 1 case.
 """
 
 from __future__ import annotations
@@ -28,27 +33,31 @@ _FAR = 1e20  # plays infinity inside the squared-distance passes
 
 
 def edt_from_sites(sites) -> np.ndarray:
-    """Exact Euclidean distance of every pixel to the nearest True pixel."""
-    sites = as_mask(sites)
-    if not sites.any():
+    """Exact Euclidean distance of every pixel to the nearest True pixel;
+    for a (K, H, W) stack, of each mask's pixels to that mask's sites."""
+    stack = _stack(sites)
+    if not stack.any(axis=(1, 2)).all():
         raise ValueError("no boundary: mask is empty or full-frame degenerate")
-    height = sites.shape[0]
-    cols = np.flatnonzero(sites.any(axis=0))
+    count, height, width = stack.shape
+    cols = np.flatnonzero(stack.any(axis=(0, 1)))
     c0, c1 = cols[0], cols[-1] + 1
 
     # pass 1: squared row distance to the column's nearest site; the sentinels
     # -height and 2 * height lose to any site, site-free columns stay at _FAR
-    band = sites[:, c0:c1]
+    band = stack[:, :, c0:c1]
     rows = np.arange(height)[:, None]
-    above = rows - np.maximum.accumulate(np.where(band, rows, -height), axis=0)
-    below = np.minimum.accumulate(np.where(band, rows, 2 * height)[::-1], axis=0)[::-1] - rows
-    f = np.full(sites.shape, _FAR)
-    f[:, c0:c1] = np.where(band.any(axis=0), np.minimum(above, below) ** 2, _FAR)
+    above = rows - np.maximum.accumulate(np.where(band, rows, -height), axis=1)
+    below = (np.minimum.accumulate(np.where(band, rows, 2 * height)[:, ::-1], axis=1)[:, ::-1]
+             - rows)
+    f = np.full(stack.shape, _FAR)
+    f[:, :, c0:c1] = np.where(band.any(axis=1, keepdims=True),
+                              np.minimum(above, below) ** 2, _FAR)
     del above, below
 
     # pass 2: per-row lower envelope of parabolas over columns
-    d = _lower_envelopes(f, c0, c1)
-    return np.sqrt(d, out=d)
+    d = _lower_envelopes(f.reshape(count * height, width), c0, c1).reshape(stack.shape)
+    np.sqrt(d, out=d)
+    return d if np.ndim(sites) == 3 else d[0]
 
 
 def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
@@ -57,8 +66,20 @@ def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
 
     Each row has its own stack: vertex columns ``v``, breakpoints ``z``
     and top index ``k``. Only the columns ``c0..c1`` are pushed, starting
-    from ``c0``, where every row is finite. The work arrays stay
-    (height, width): band-shaped ones measured a higher peak RSS.
+    from ``c0``. The work arrays stay (height, width): band-shaped ones
+    measured a higher peak RSS.
+
+    A row of a stacked call can be ``_FAR`` at ``c0``, because its own
+    mask's site columns start later. Its first finite column ``q`` meets
+    each ``_FAR`` parabola at about ``-_FAR / (2 * width)``, far left of
+    the frame and of every breakpoint between finite parabolas, so it
+    pops them all down to the bottom vertex ``c0``. That vertex cannot be
+    popped (its breakpoint is ``-inf``), and ``q`` takes over from it
+    left of column 0, so no column reads it. From ``q`` on, the row
+    pushes and pops the same vertices as a call on its own mask, one slot
+    higher, with the same breakpoints but the first (far left of the
+    frame, where that call has ``-inf``), so every pixel gets the same
+    exact-integer minimum.
 
     The read-out counts: column ``q`` takes its row's parabola ``k`` with
     ``z[k] < q <= z[k + 1]``, so ``k`` is the number of breakpoints
@@ -104,9 +125,19 @@ def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
 
 def mask_to_dt(mask) -> np.ndarray:
     """Unsigned distance transform of a mask's inner boundary; equal inside
-    and outside, zero exactly on the boundary pixels."""
-    mask = as_mask(mask)
-    fg = int(mask.sum())
-    if fg == 0 or fg == mask.size:
+    and outside, zero exactly on the boundary pixels. A (K, H, W) stack
+    gives each mask its own, in one ``edt_from_sites`` call."""
+    stack = _stack(mask)
+    fg = stack.sum(axis=(1, 2))
+    if not ((fg > 0) & (fg < stack[0].size)).all():
         raise ValueError("mask needs at least one foreground and one background pixel")
-    return edt_from_sites(boundary_mask(mask))
+    sites = np.stack([boundary_mask(m) for m in stack])
+    return edt_from_sites(sites if np.ndim(mask) == 3 else sites[0])
+
+
+def _stack(masks) -> np.ndarray:
+    """A non-empty (K, H, W) boolean stack; a 2-D mask is the K = 1 stack."""
+    masks = np.asarray(masks)
+    if masks.ndim == 3 and masks.size:
+        return masks.astype(bool)
+    return as_mask(masks)[None]

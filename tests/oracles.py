@@ -16,11 +16,15 @@ reuses the production ``Contour``, ``resample_closed`` and
 of ``align_cyclic``. ``energies_reference`` is the former per-contour
 energy trace: one corner lookup and one set of sums per contour, through
 the production ``bilinear_corners``, ``bilinear_blend`` and ``rasterize``.
+``minimal_enclosing_circle_reference`` is the former Welzl construction,
+one ``np.hypot`` per containment test and per candidate circle, over the
+same shuffled order as ``autoinit.minimal_enclosing_circle``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -171,6 +175,93 @@ def mec_reference(points) -> tuple[float, float, float]:
     assert best is not None
     assert all(math.hypot(best[0] - p[0], best[1] - p[1]) <= best[2] + slack for p in pts)
     return best
+
+
+def minimal_enclosing_circle_reference(points) -> tuple[float, float, float]:
+    """Welzl's incremental smallest enclosing circle over a deterministically
+    shuffled order, deciding every containment with ``np.hypot``."""
+    pts = [(float(u), float(v)) for u, v in np.asarray(points, dtype=np.float64)]
+    if not pts:
+        raise ValueError("need at least one point")
+    rng = random.Random(0x5EED)
+    rng.shuffle(pts)
+    circle = None
+    for i, p in enumerate(pts):
+        if circle is None or not _mec_in_circle(circle, p):
+            circle = _mec_one_point(pts[: i + 1], p)
+    return circle
+
+
+def _mec_in_circle(circle, p) -> bool:
+    cu, cv, r = circle
+    return np.hypot(p[0] - cu, p[1] - cv) <= r * (1.0 + 1e-14)
+
+
+def _mec_one_point(points, p):
+    circle = (p[0], p[1], 0.0)
+    for i, q in enumerate(points):
+        if not _mec_in_circle(circle, q):
+            if circle[2] == 0.0:
+                circle = _mec_diameter(p, q)
+            else:
+                circle = _mec_two_points(points[: i + 1], p, q)
+    return circle
+
+
+def _mec_two_points(points, p, q):
+    circ = _mec_diameter(p, q)
+    left = right = None
+    px, py = p
+    qx, qy = q
+    for r in points:
+        if _mec_in_circle(circ, r):
+            continue
+        cross = _mec_cross(px, py, qx, qy, r[0], r[1])
+        c = _mec_circumcircle(p, q, r)
+        if c is None:
+            continue
+        if cross > 0.0 and (left is None or _mec_cross(px, py, qx, qy, c[0], c[1])
+                            > _mec_cross(px, py, qx, qy, left[0], left[1])):
+            left = c
+        elif cross < 0.0 and (right is None or _mec_cross(px, py, qx, qy, c[0], c[1])
+                              < _mec_cross(px, py, qx, qy, right[0], right[1])):
+            right = c
+    if left is None and right is None:
+        return circ
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left if left[2] <= right[2] else right
+
+
+def _mec_diameter(p, q):
+    cu = (p[0] + q[0]) / 2.0
+    cv = (p[1] + q[1]) / 2.0
+    return (cu, cv, max(np.hypot(cu - p[0], cv - p[1]), np.hypot(cu - q[0], cv - q[1])))
+
+
+def _mec_circumcircle(p0, p1, p2):
+    ox = (min(p0[0], p1[0], p2[0]) + max(p0[0], p1[0], p2[0])) / 2.0
+    oy = (min(p0[1], p1[1], p2[1]) + max(p0[1], p1[1], p2[1])) / 2.0
+    ax, ay = p0[0] - ox, p0[1] - oy
+    bx, by = p1[0] - ox, p1[1] - oy
+    cx, cy = p2[0] - ox, p2[1] - oy
+    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
+    if d == 0.0:
+        return None
+    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+              + (cx * cx + cy * cy) * (ay - by)) / d
+    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+              + (cx * cx + cy * cy) * (bx - ax)) / d
+    r = max(np.hypot(x - p0[0], y - p0[1]),
+            np.hypot(x - p1[0], y - p1[1]),
+            np.hypot(x - p2[0], y - p2[1]))
+    return (x, y, r)
+
+
+def _mec_cross(x0, y0, x1, y1, x2, y2):
+    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
 
 
 def iterative_circle_fit(mask, mode: str) -> Circle:

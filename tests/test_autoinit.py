@@ -5,10 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 from contourflow.autoinit import (circle_to_contour, circumscribed_circle,
                                   inscribed_circle, minimal_enclosing_circle)
 from contourflow.edt import edt_from_sites
-from contourflow.fields import boundary_mask, rasterize
-from contourflow.shapes import disk_mask, random_blob_mask, rectangle_mask
+from contourflow.fields import boundary_mask, boundary_pixels, rasterize
+from contourflow.shapes import disk_mask, random_blob_mask, rectangle_mask, suite
 
-from oracles import inscribed_circle_full_frame, iterative_circle_fit, mec_reference, perimeter
+from oracles import (inscribed_circle_full_frame, iterative_circle_fit, mec_reference,
+                     minimal_enclosing_circle_reference, perimeter)
 from conftest import edge_case_masks, random_boxes_mask
 
 
@@ -176,6 +177,67 @@ class TestCircumscribed:
         assert (cu, cv) == pytest.approx((1.5, 1.5), abs=1e-9)
         repeated = np.array([[2.0, 5.0]] * 4)
         assert minimal_enclosing_circle(repeated) == (2.0, 5.0, 0.0)
+
+
+_coords = st.integers(-40, 40)
+
+
+@st.composite
+def duplicate_heavy_points(draw):
+    """Integer points drawn with repetition from a pool of at most six."""
+    pool = draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+@st.composite
+def collinear_points(draw):
+    u0, v0, du, dv = draw(st.tuples(_coords, _coords, st.integers(-5, 5), st.integers(-5, 5)))
+    steps = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=40))
+    return np.array([(u0 + t * du, v0 + t * dv) for t in steps], dtype=np.float64)
+
+
+@st.composite
+def cocircular_points(draw):
+    """Integer points exactly on one circle (u² + v² = r² has many integer
+    solutions for these r²) about an integer or half-integer center, or a
+    disk's boundary pixels, which lie on or near one."""
+    if draw(st.booleans()):
+        width = draw(st.integers(3, 64))
+        height = draw(st.integers(3, 64))
+        center = (draw(st.floats(0.0, width - 1.0)), draw(st.floats(0.0, height - 1.0)))
+        mask = disk_mask(width, height, center, draw(st.floats(0.5, 30.0)))
+        assume(mask.any())
+        return boundary_pixels(mask).astype(np.float64)
+    r2 = draw(st.sampled_from([25, 50, 65, 325, 1105]))
+    root = int(np.sqrt(r2))
+    ring = [(u, v) for u in range(-root, root + 1) for v in range(-root, root + 1)
+            if u * u + v * v == r2]
+    ring = draw(st.lists(st.sampled_from(ring), min_size=1, max_size=3 * len(ring)))
+    cu, cv = draw(st.tuples(_coords, _coords))
+    half = 0.5 * draw(st.integers(0, 1))
+    return np.array([(cu + half + u, cv + half + v) for u, v in ring], dtype=np.float64)
+
+
+class TestEnclosingCircleOracle:
+    """``minimal_enclosing_circle`` makes the decisions and floats of the
+    all-``np.hypot`` Welzl construction kept as the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.one_of(
+        duplicate_heavy_points(), collinear_points(), cocircular_points(),
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1,
+                 max_size=30).map(np.array)))  # scattered, or a single point
+    def test_equals_oracle(self, points):
+        assert minimal_enclosing_circle(points) == minimal_enclosing_circle_reference(points)
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_equals_oracle_on_the_suite(self, size):
+        for fixture in suite(size):
+            for points in (boundary_pixels(fixture.mask), np.argwhere(fixture.mask)[:, ::-1]):
+                points = points.astype(np.float64)
+                assert (minimal_enclosing_circle(points)
+                        == minimal_enclosing_circle_reference(points)), fixture.name
 
 
 class TestIterativeFit:

@@ -389,6 +389,17 @@ class TestSettingsEachCommandReads:
         for name in names:
             assert (out_cfg / name).read_bytes() == (out_flag / name).read_bytes()
 
+    def test_one_parser_per_process_keeps_no_setting(self, tmp_path, disk_paths, capsys):
+        """``main`` reuses one parser, and a flag of one call does not reach the next."""
+        from contourflow import cli
+        _, mask_path = disk_paths
+        assert cli.build_parser() is cli.build_parser()
+        short, plain = tmp_path / "short", tmp_path / "plain"
+        assert main(["run", "--mask", str(mask_path), "--iters", "3", "--out", str(short)]) == 0
+        assert main(["run", "--mask", str(mask_path), "--out", str(plain)]) == 0
+        assert read_result(short)["config"]["iterations"] == 3
+        assert read_result(plain)["config"]["iterations"] == cli.PROFILES["building"]["iters"]
+
 
 class TestCollapse:
     """A deflating balloon that folds the contour through itself stops the
@@ -810,6 +821,21 @@ class TestBatchGroups:
         write_pfm(tmp_path / "energy128.pfm", 0.5 * dist * dist)
         return tmp_path, manifest
 
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The node stack of every ``evolve_step`` call, in call order."""
+        import contourflow.snake as snake_module
+
+        seen = []
+        original = snake_module.evolve_step
+
+        def counting(nodes, *args):
+            seen.append(nodes)
+            return original(nodes, *args)
+
+        monkeypatch.setattr(snake_module, "evolve_step", counting)
+        return seen
+
     @pytest.mark.parametrize("flags, collapse_steps, shape_errors", [
         ([], 0, 0),
         (["--kappa", "-4", "--iters", "60"], 5, 0),
@@ -836,19 +862,9 @@ class TestBatchGroups:
         assert len(set(steps)) == len(steps) == collapse_steps
         assert sum("expected (64, 64)" in error for error in errors) == shape_errors
 
-    def test_groups_by_shape_under_the_pixel_cap(self, tmp_path, capsys, monkeypatch):
+    def test_groups_by_shape_under_the_pixel_cap(self, tmp_path, capsys, stacks):
         """Five 64² items make one group; five 128² items make groups of four
         and one; a 256² item is a group of its own."""
-        import contourflow.snake as snake_module
-
-        sizes = []
-        original = snake_module.evolve_step
-
-        def counting(nodes, *args):
-            sizes.append(len(nodes))
-            return original(nodes, *args)
-
-        monkeypatch.setattr(snake_module, "evolve_step", counting)
         paths = []
         for a, b in zip(suite(64), suite(128)):
             for fx in (a, b):
@@ -861,21 +877,42 @@ class TestBatchGroups:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("".join(f"{p} {p}\n" for p in paths))
         assert main(["batch", "--manifest", str(manifest), "--iters", "3"]) == 0
-        assert sizes == [5] * 3 + [4] * 3 + [1] * 3 + [1] * 3
+        assert [len(nodes) for nodes in stacks] == [5] * 3 + [4] * 3 + [1] * 3 + [1] * 3
 
-    def test_one_solver_step_per_iteration(self, tmp_path, capsys, monkeypatch):
+    def test_groups_cap_node_systems(self, tmp_path, capsys, stacks):
+        """At 100 nodes an item's (100, 100) system outweighs its 64² pixels,
+        so twelve 64² items make two groups of six, not one of twelve."""
+        paths = []
+        for index in range(12):
+            paths.append(tmp_path / f"item{index:02d}.pgm")
+            write_mask_pgm(paths[-1], suite(64)[index % 5].mask)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"{p} {p}\n" for p in paths))
+        assert main(["batch", "--manifest", str(manifest), "--nodes", "100",
+                     "--iters", "3"]) == 0
+        assert [len(nodes) for nodes in stacks] == [6] * 3 + [6] * 3
+
+    @pytest.mark.parametrize("flags", [[], ["--profile", "medical"]], ids=["building", "medical"])
+    def test_reversed_manifest_gives_each_mask_its_row(self, mixed, capsys, flags):
+        """Reversing the manifest regroups the items and their stacked EDTs;
+        every mask still gets the same row."""
+        tmp_path, manifest = mixed
+        reverse = tmp_path / "reversed.txt"
+        reverse.write_text("".join(reversed(manifest.read_text().splitlines(keepends=True))))
+        keyed = []
+        for path in (manifest, reverse):
+            assert main(["batch", "--manifest", str(path), *flags]) == 1
+            rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+            for row in rows:
+                del row["index"]
+            keyed.append({row["mask"]: row for row in rows})
+        assert keyed[0] == keyed[1]
+        assert len(keyed[0]) == 12
+
+    def test_one_solver_step_per_iteration(self, tmp_path, capsys, stacks):
         """Twelve 64² items and 50 iterations make 50 stacked steps, not 600."""
-        import contourflow.snake as snake_module
         from contourflow.shapes import random_blob_mask
 
-        calls = []
-        original = snake_module.evolve_step
-
-        def counting(nodes, *args):
-            calls.append(nodes.shape)
-            return original(nodes, *args)
-
-        monkeypatch.setattr(snake_module, "evolve_step", counting)
         rng = np.random.default_rng(4)
         masks = [fx.mask for fx in suite(64)] + [random_blob_mask(rng, 64, 64)
                                                  for _ in range(7)]
@@ -886,7 +923,7 @@ class TestBatchGroups:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("".join(f"{p} {p}\n" for p in paths))
         assert main(["batch", "--manifest", str(manifest), "--iters", "50"]) == 0
-        assert calls == [(12, 60, 2)] * 50
+        assert [nodes.shape for nodes in stacks] == [(12, 60, 2)] * 50
 
 
 class TestSweepCommand:

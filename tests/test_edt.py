@@ -212,3 +212,58 @@ class TestSiteColumnSpan:
     @example(sites=site_mask([(1, 10), (2, 0), (3, 0), (4, 10)], 6, 11))  # -48.5 and 53.5
     def test_equals_brute_oracle(self, sites):
         assert np.array_equal(edt_from_sites(sites), brute_from_sites(sites))
+
+
+@st.composite
+def site_stacks(draw):
+    """A (K, H, W) stack of site masks, each confined to its own column
+    span, so the union's first columns are often site-free in some masks."""
+    count = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 16))
+    width = draw(st.integers(1, 30))
+    stack = np.zeros((count, height, width), dtype=bool)
+    for sites in stack:
+        c0 = draw(st.integers(0, width - 1))
+        c1 = draw(st.integers(c0 + 1, width))
+        sites[:, c0:c1] = draw(arrays(np.bool_, (height, c1 - c0), elements=st.booleans()))
+        sites[draw(st.integers(0, height - 1)), draw(st.integers(c0, c1 - 1))] = True
+    return stack
+
+
+class TestStackedTransform:
+    """A (K, H, W) stack is transformed in one call, over the union of its
+    masks' site columns; each slice equals its mask's own transform."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=site_stacks())
+    # disjoint spans: the second mask is _FAR at the union's first column
+    @example(stack=np.stack([site_mask([(1, 2)], 12, 5), site_mask([(10, 0), (11, 4)], 12, 5)]))
+    # the first mask's span starts last, one site column at the right end
+    @example(stack=np.stack([site_mask([(11, 3)], 12, 5), site_mask([(0, 1), (3, 4)], 12, 5)]))
+    @example(stack=np.stack([_column_pattern(), np.fliplr(_column_pattern())]))
+    def test_equals_each_mask_alone(self, stack):
+        got = edt_from_sites(stack)
+        assert got.shape == stack.shape
+        for plane, sites in zip(got, stack):
+            assert np.array_equal(plane, edt_from_sites(sites))
+
+    def test_blobs_left_and_right(self):
+        masks = np.stack([disk_mask(48, 32, (8.0, 12.0), 5.0),
+                          disk_mask(48, 32, (39.0, 20.0), 6.0)])
+        got = mask_to_dt(masks)
+        for plane, mask in zip(got, masks):
+            assert np.array_equal(plane, mask_to_dt(mask))
+            assert np.array_equal(plane, brute_from_sites(boundary_mask(mask)))
+
+    def test_random_blob_stack(self, rng):
+        masks = np.stack([random_blob_mask(rng, 40, 40) for _ in range(5)])
+        for plane, mask in zip(mask_to_dt(masks), masks):
+            assert np.array_equal(plane, mask_to_dt(mask))
+
+    def test_one_mask_without_a_transform_fails_the_stack(self):
+        disk = disk_mask(16, 16, (8.0, 8.0), 4.0)
+        with pytest.raises(ValueError, match="no boundary"):
+            edt_from_sites(np.stack([boundary_mask(disk), np.zeros((16, 16), dtype=bool)]))
+        for bad in (np.zeros((16, 16), dtype=bool), np.ones((16, 16), dtype=bool)):
+            with pytest.raises(ValueError, match="one foreground and one background"):
+                mask_to_dt(np.stack([disk, bad]))
