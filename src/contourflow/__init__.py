@@ -11,8 +11,8 @@ from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import (FitResult, align_cyclic, contour_from_mask, fit_parameters,
                        subgrad_alpha, subgrad_beta, subgrad_kappa)
 from .metrics import MetricsReport, boundf, dice, evaluate, iou
-from .snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig, energy_eval,
-                    evolve, evolve_group, evolve_step)
+from .snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig, evolve,
+                    evolve_group, evolve_step)
 
 __all__ = [
     "Circle", "Contour", "EvolutionTrace", "EvolveError", "FitResult",
@@ -20,7 +20,7 @@ __all__ = [
     "align_cyclic", "boundary_mask",
     "boundary_pixels", "boundf", "central_gradient", "circle_to_contour",
     "circumscribed_circle", "contour_from_mask", "dice", "dvf",
-    "edt_from_sites", "energy_eval", "energy_gradient_field",
+    "edt_from_sites", "energy_gradient_field",
     "evaluate", "evolve", "evolve_group", "evolve_step", "fit_parameters", "inscribed_circle",
     "iou", "lcdvf", "mask_to_dt",
     "minimal_enclosing_circle", "rasterize", "resample_closed", "signed_area",

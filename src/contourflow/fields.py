@@ -48,7 +48,8 @@ class BilinearCorners(NamedTuple):
     ``index`` is a (4, N) array of flat pixel indices ``v * W + u``, one
     row per corner in the order (v0, u0), (v0, u1), (v1, u0), (v1, u1).
     ``frac`` holds each point's (fu, fv) offsets from (u0, v0) as an
-    (N, 2) array, and ``rest`` holds 1 - frac.
+    (N, 2) array, and ``rest`` holds 1 - frac. A caller gathers the corners
+    of all its fields into one (4, N, C) array and blends them at once.
     """
 
     index: np.ndarray
@@ -56,37 +57,46 @@ class BilinearCorners(NamedTuple):
     rest: np.ndarray
 
 
+def clamp_to_frame(points, height: int, width: int, out=None) -> np.ndarray:
+    """(u, v) points clamped to the field rectangle, into ``out`` if given.
+    -0.0 becomes +0.0, as under ``np.clip`` with an array upper bound;
+    ``np.maximum(0.0, points)`` and a scalar-bound ``np.clip`` keep -0.0."""
+    out = np.maximum(points, 0.0, out=out)
+    return np.minimum(out, (width - 1.0, height - 1.0), out=out)
+
+
 def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
     """Corner pixels and fractions of an (N, 2) array of (u, v) points, or
     of a (K, N, 2) stack, whose leading axes the results keep.
 
     Points are clamped to the field rectangle, so the lookup is total.
+    The top-left corner is clamped to column W - 2 and row H - 2, so the
+    other corners lie one column and one row further on, except on a
+    grid one pixel wide or high, where they coincide with it.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
-    uv = np.clip(pts, 0.0, (width - 1.0, height - 1.0))
-    uv0 = np.clip(np.floor(uv).astype(np.intp), 0, (max(width - 2, 0), max(height - 2, 0)))
+    uv = clamp_to_frame(pts, height, width)
+    uv0 = np.minimum(np.floor(uv).astype(np.intp), (max(width - 2, 0), max(height - 2, 0)))
     frac = uv - uv0
-    u0 = uv0[..., 0]
-    u1 = np.minimum(u0 + 1, width - 1)
-    row0 = uv0[..., 1] * width
-    row1 = np.minimum(row0 + width, (height - 1) * width)
-    index = np.stack([row0 + u0, row0 + u1, row1 + u0, row1 + u1])
+    su, sv = min(1, width - 1), min(width, (height - 1) * width)
+    offsets = np.array((0, su, sv, sv + su)).reshape((4,) + (1,) * (uv0.ndim - 1))
+    index = uv0[..., 1] * width + uv0[..., 0] + offsets
     return BilinearCorners(index, frac, 1.0 - frac)
 
 
-def bilinear_blend(flat_field: np.ndarray, corners: BilinearCorners) -> np.ndarray:
-    """Bilinear values at the points ``corners`` describes, from a field
-    flattened to (H * W,) or, for a vector field, (H * W, C); one gather
-    reads all four corners of every point and every channel."""
-    c00, c01, c10, c11 = flat_field[corners.index]
-    if flat_field.ndim == 1:
+def blend_corners(values: np.ndarray, corners: BilinearCorners) -> np.ndarray:
+    """Bilinear values from the four corner values ``values[0..3]`` of the
+    points ``corners`` describes: a (4, N) array for one field, or a
+    (4, N, C) array whose C channels are blended together."""
+    c00, c01, c10, c11 = values
+    if values.ndim == corners.frac.ndim:
         fu, fv = corners.frac[..., 0], corners.frac[..., 1]
         gu, gv = corners.rest[..., 0], corners.rest[..., 1]
     else:
-        fu, fv = corners.frac[:, 0:1], corners.frac[:, 1:2]
-        gu, gv = corners.rest[:, 0:1], corners.rest[:, 1:2]
+        fu, fv = corners.frac[..., 0:1], corners.frac[..., 1:2]
+        gu, gv = corners.rest[..., 0:1], corners.rest[..., 1:2]
     top = c00 * gu + c01 * fu
     bottom = c10 * gu + c11 * fu
     return top * gv + bottom * fv

@@ -152,6 +152,9 @@ def fit_parameters(gt_mask, force: ForceField, start: Contour, config: SnakeConf
     else:
         params = initial_params.copy()
     gt_base = contour_from_mask(gt_mask, len(start))
+    # a cyclic shift keeps a contour's edges, so every aligned copy of
+    # gt_base rasterizes to this region
+    gt_region = rasterize(gt_base, width, height).astype(np.float64)
 
     history: list[float] = []
     best_score, best_params = -1.0, params.copy()
@@ -160,14 +163,16 @@ def fit_parameters(gt_mask, force: ForceField, start: Contour, config: SnakeConf
             predicted, _ = evolve(start, force, params, config)
         except EvolveError as exc:
             raise RuntimeError(f"fit aborted at epoch {epoch + 1}: {exc}") from exc
-        score = iou(rasterize(predicted, width, height), gt_mask)
+        pred_region = rasterize(predicted, width, height)
+        score = iou(pred_region, gt_mask)
         history.append(score)
         if score > best_score:
             best_score, best_params = score, params.copy()
         gt_aligned = align_cyclic(predicted, gt_base)
         d_alpha = subgrad_alpha(gt_aligned, predicted)
         d_beta = subgrad_beta(gt_aligned, predicted, width, height)
-        d_kappa = subgrad_kappa(gt_aligned, predicted, width, height)
+        # subgrad_kappa(gt_aligned, predicted, width, height), from the rasters
+        d_kappa = gt_region - pred_region
         params = ParameterSet(
             alpha=max(0.0, params.alpha - learn_rate * d_alpha),
             beta=np.maximum(0.0, params.beta - learn_rate * d_beta),

@@ -13,10 +13,11 @@ stable.
 
 ``evolve_step`` is the one solver step. It moves a (K, n, 2) stack of
 contours, each driven by its slice of a (K, H, W, 2) stack of force
-vectors (offset by k*H*W in the one gather) under shared weights: one
-corner lookup finds every node's four corner pixels and fractions, the
-force vectors (both components), kappa and beta are blended from them,
-and the K systems are built in place and solved by one stacked
+vectors (offset by k*H*W) under shared weights: one corner lookup finds
+every node's four corner pixels and fractions, one gather reads the
+corners of the force vectors (both components), kappa and beta into one
+(4, K*n, 4) array, one blend interpolates all four channels, and the K
+systems are built in place and solved by one stacked
 ``np.linalg.solve``. ``evolve`` and ``evolve_group`` build what depends
 on the node count alone once per run: the identity, D1'D1, the cyclic
 second-difference matrix D2 and the next/previous node indices.
@@ -27,7 +28,7 @@ arithmetic per element is that of separate per-field lookups and a
 per-step matrix build for one contour (kept in ``tests/oracles.py``),
 so every contour is bit-identical to theirs. ``contour_energies`` scores
 a whole trace the same way: one corner lookup over all of its contours'
-nodes.
+nodes, and one gather and one blend of the potential and beta.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_blend, bilinear_corners,
-                     rasterize, resample_closed, signed_areas)
+from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_corners, blend_corners,
+                     clamp_to_frame, rasterize, resample_closed, signed_areas)
 from .flow import ForceField
 
 _TINY = 1e-12
@@ -125,22 +126,17 @@ class EvolutionTrace:
         return np.array(moved)
 
 
-def energy_eval(contour: Contour, external, params: ParameterSet) -> float:
-    """Total energy of one contour against an external-energy map."""
-    return float(contour_energies([contour], external, params)[0])
-
-
 def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
     """Total energy of each of K contours of one node count against an
     external-energy map.
 
     The node terms of all contours come from one (K, n, 2) stack: one
-    corner lookup for the potential and beta, and per-contour row sums
-    over the same elements in the same order as one contour's sums, so
-    each energy is bit-identical to the former per-contour loop (kept in
-    ``tests/oracles.py``). The region term is summed per contour over its
-    rasterized interior; degenerate contours enclose nothing and
-    contribute node terms only.
+    corner lookup, one gather and one blend for the potential and beta,
+    and per-contour row sums over the same elements in the same order as
+    one contour's sums, so each energy is bit-identical to the former
+    per-contour loop (kept in ``tests/oracles.py``). The region term is
+    summed per contour over its rasterized interior; degenerate contours
+    enclose nothing and contribute node terms only.
     """
     ext = as_field(external)
     if ext.shape != params.beta.shape:
@@ -151,8 +147,12 @@ def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
     d1 = nxt - pts
     d2 = nxt - 2.0 * pts + np.roll(pts, 1, axis=1)
     corners = bilinear_corners(pts, *ext.shape)
-    beta_nodes = bilinear_blend(params.beta.reshape(-1), corners)
-    totals = (bilinear_blend(ext.reshape(-1), corners).sum(axis=1)
+    gathered = np.empty(corners.index.shape + (2,))
+    gathered[..., 0] = ext.reshape(-1)[corners.index]
+    gathered[..., 1] = params.beta.reshape(-1)[corners.index]
+    sampled = blend_corners(gathered, corners)
+    beta_nodes = sampled[..., 1]
+    totals = (sampled[..., 0].sum(axis=1)
               + params.alpha * (d1 * d1).reshape(len(pts), -1).sum(axis=1)
               + (beta_nodes * (d2 * d2).sum(axis=2)).sum(axis=1))
     height, width = ext.shape
@@ -197,7 +197,9 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
 
     ``vectors`` is a (S, H, W, 2) stack of force fields; contour k reads
     slice ``slots[k]``, and every contour reads slice 0 when ``slots`` is
-    not given. The weights in ``params`` are shared by every contour.
+    not given. The weights in ``params`` are shared by every contour. One
+    corner lookup serves every node, and one gather and one blend give
+    each node its force, kappa and beta.
 
     A = 2 alpha D1'D1 + 2 D2' diag(b) D2 is the exact Hessian of the
     internal energy with the curvature weights b frozen at the current
@@ -214,12 +216,15 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
         ops = difference_operators(n)
     # one lookup over the nodes of every contour, laid end to end
     corners = bilinear_corners(nodes.reshape(-1, 2), height, width)
-    in_slot = corners
+    in_slot = corners.index
     if slots is not None:
-        in_slot = corners._replace(index=corners.index + np.repeat(slots * (height * width), n))
-    external = bilinear_blend(vectors.reshape(-1, 2), in_slot).reshape(count, n, 2)
-    kappa = bilinear_blend(params.kappa.reshape(-1), corners).reshape(count, n)
-    beta = bilinear_blend(params.beta.reshape(-1), corners).reshape(count, n)
+        in_slot = in_slot + np.repeat(slots * (height * width), n)
+    gathered = np.empty(corners.index.shape + (4,))
+    gathered[..., :2] = vectors.reshape(-1, 2)[in_slot]
+    gathered[..., 2] = params.kappa.reshape(-1)[corners.index]
+    gathered[..., 3] = params.beta.reshape(-1)[corners.index]
+    sampled = blend_corners(gathered, corners).reshape(count, n, 4)
+    external, kappa, beta = sampled[..., :2], sampled[..., 2], sampled[..., 3]
 
     tangent = nodes.take(ops.nxt, axis=1) - nodes.take(ops.prv, axis=1)
     # for positive-signed-area node order, (t_v, -t_u) points outward
@@ -241,7 +246,7 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
         new_nodes = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0
         raise EvolveError(f"internal error: singular evolution system ({exc})") from exc
-    np.clip(new_nodes, 0.0, [width - 1.0, height - 1.0], out=new_nodes)
+    clamp_to_frame(new_nodes, height, width, out=new_nodes)
     if config.resample_each_step:
         new_nodes = np.stack([resample_closed(pts, n) for pts in new_nodes])
     return new_nodes

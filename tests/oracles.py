@@ -14,8 +14,12 @@ field and force component, and a system matrix rebuilt every step
 reuses the production ``Contour``, ``resample_closed`` and
 ``signed_area``. ``align_cyclic_reference`` is the former per-shift loop
 of ``align_cyclic``. ``energies_reference`` is the former per-contour
-energy trace: one corner lookup and one set of sums per contour, through
-the production ``bilinear_corners``, ``bilinear_blend`` and ``rasterize``.
+energy trace: one corner lookup, one blend per field and one set of sums
+per contour, through the production ``bilinear_corners``,
+``blend_corners`` and ``rasterize``; ``energy_eval`` scores one contour
+through the production ``contour_energies``.
+``bilinear_corners_reference`` is the former corner lookup, with
+``np.clip`` clamps and the far corners guarded one by one.
 ``minimal_enclosing_circle_reference`` is the former Welzl construction,
 one ``np.hypot`` per containment test and per candidate circle, over the
 same shuffled order as ``autoinit.minimal_enclosing_circle``.
@@ -30,10 +34,10 @@ import numpy as np
 
 from contourflow.autoinit import circumscribed_circle, inscribed_circle
 from contourflow.edt import edt_from_sites
-from contourflow.fields import (DEGENERATE_AREA, Circle, Contour, as_field, as_mask,
-                                bilinear_blend, bilinear_corners, boundary_mask, rasterize,
-                                resample_closed, signed_area)
-from contourflow.snake import EvolveError
+from contourflow.fields import (DEGENERATE_AREA, BilinearCorners, Circle, Contour, as_field,
+                                as_mask, bilinear_corners, blend_corners, boundary_mask,
+                                rasterize, resample_closed, signed_area)
+from contourflow.snake import EvolveError, contour_energies
 
 
 def point_in_polygon(point, nodes) -> bool:
@@ -463,6 +467,22 @@ def bilinear_sample_reference(field, points) -> np.ndarray:
     return top * (1.0 - fv) + bottom * fv
 
 
+def bilinear_corners_reference(points, height: int, width: int) -> BilinearCorners:
+    """Corner pixels and fractions of (u, v) points: clamp with ``np.clip``,
+    keep the far corners inside the grid with ``np.minimum`` and stack the
+    four flat index rows."""
+    pts = np.asarray(points, dtype=np.float64)
+    uv = np.clip(pts, 0.0, (width - 1.0, height - 1.0))
+    uv0 = np.clip(np.floor(uv).astype(np.intp), 0, (max(width - 2, 0), max(height - 2, 0)))
+    frac = uv - uv0
+    u0 = uv0[..., 0]
+    u1 = np.minimum(u0 + 1, width - 1)
+    row0 = uv0[..., 1] * width
+    row1 = np.minimum(row0 + width, (height - 1) * width)
+    index = np.stack([row0 + u0, row0 + u1, row1 + u0, row1 + u1])
+    return BilinearCorners(index, frac, 1.0 - frac)
+
+
 def force_at(force, points) -> np.ndarray:
     """Bilinear sample of a force field at an (N, 2) array of points, one
     lookup per component."""
@@ -561,9 +581,9 @@ def energies_reference(contours, external, params) -> np.ndarray:
         d1 = np.roll(pts, -1, axis=0) - pts
         d2 = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
         corners = bilinear_corners(pts, height, width)
-        beta_nodes = bilinear_blend(params.beta.reshape(-1), corners)
+        beta_nodes = blend_corners(params.beta.reshape(-1)[corners.index], corners)
         total = float(
-            bilinear_blend(ext.reshape(-1), corners).sum()
+            blend_corners(ext.reshape(-1)[corners.index], corners).sum()
             + params.alpha * (d1 * d1).sum()
             + (beta_nodes * (d2 * d2).sum(axis=1)).sum()
         )
@@ -571,3 +591,8 @@ def energies_reference(contours, external, params) -> np.ndarray:
             total += float(params.kappa[rasterize(contour, width, height)].sum())
         energies.append(total)
     return np.array(energies)
+
+
+def energy_eval(contour, external, params) -> float:
+    """Total energy of one contour against an external-energy map."""
+    return float(contour_energies([contour], external, params)[0])

@@ -28,8 +28,8 @@ from contourflow.metrics import boundf, dice, iou
 from contourflow.shapes import full_suite, random_blob_mask, u_shape_mask
 from contourflow.snake import ParameterSet, SnakeConfig, evolve
 
-from oracles import (assemble_internal_system, boundf_reference, edt_brute, force_at,
-                     mec_reference, rasterize_reference)
+from oracles import (assemble_internal_system, boundf_reference, edt_brute, energy_eval,
+                     force_at, mec_reference, rasterize_reference)
 from conftest import random_star_polygon
 
 SUITE_NODES = 60
@@ -196,8 +196,6 @@ def test_ac6_gradient_and_energy_checks():
     force = energy_gradient_field(potential, np.inf)
     params = ParameterSet.uniform(48, 48, alpha=SUITE_ALPHA, beta=SUITE_BETA,
                                   kappa=0.0)
-
-    from contourflow.snake import energy_eval
 
     def total_energy(flat):
         return energy_eval(Contour(flat.reshape(-1, 2)), potential, params)

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contourflow.fields import (Circle, Contour, bilinear_blend, bilinear_corners,
+from contourflow.fields import (Circle, Contour, bilinear_corners, blend_corners,
                                 boundary_mask, boundary_pixels, central_gradient, rasterize,
                                 resample_closed, signed_area, signed_areas)
 
-from oracles import (bilinear_sample_reference, perimeter, point_in_polygon,
-                     rasterize_loop, rasterize_reference)
+from oracles import (bilinear_corners_reference, bilinear_sample_reference, perimeter,
+                     point_in_polygon, rasterize_loop, rasterize_reference)
 from conftest import random_star_polygon
 
 
 def sample(field, points):
     """A scalar field at (N, 2) points, through the solver's corner lookup."""
-    return bilinear_blend(field.reshape(-1), bilinear_corners(points, *field.shape))
+    corners = bilinear_corners(points, *field.shape)
+    return blend_corners(field.reshape(-1)[corners.index], corners)
 
 
 class TestBilinearSample:
@@ -58,8 +59,8 @@ class TestBilinearSample:
     @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 12),
            width=st.integers(1, 12), count=st.integers(1, 40))
     def test_shared_corners_match_per_field_lookups(self, seed, height, width, count):
-        # one corner computation serves a scalar field and both channels of
-        # a vector field, with the floats of a lookup per field
+        # one corner computation and one blend serve a scalar field and both
+        # channels of a vector field, with the floats of a lookup per field
         rng = np.random.default_rng(seed)
         scalar = rng.normal(size=(height, width))
         vectors = rng.normal(size=(height, width, 2))
@@ -68,11 +69,36 @@ class TestBilinearSample:
         on_grid = rng.random(count) < 0.3  # pixel centers, the border and beyond
         pts[on_grid] = np.round(pts[on_grid])
         corners = bilinear_corners(pts, height, width)
-        want = bilinear_sample_reference(scalar, pts)
-        assert np.array_equal(bilinear_blend(scalar.reshape(-1), corners), want)
-        both = bilinear_blend(vectors.reshape(-1, 2), corners)
-        assert np.array_equal(both[:, 0], bilinear_sample_reference(vectors[..., 0], pts))
-        assert np.array_equal(both[:, 1], bilinear_sample_reference(vectors[..., 1], pts))
+        gathered = np.empty(corners.index.shape + (3,))
+        gathered[..., :2] = vectors.reshape(-1, 2)[corners.index]
+        gathered[..., 2] = scalar.reshape(-1)[corners.index]
+        blended = blend_corners(gathered, corners)
+        assert np.array_equal(blended[:, 0], bilinear_sample_reference(vectors[..., 0], pts))
+        assert np.array_equal(blended[:, 1], bilinear_sample_reference(vectors[..., 1], pts))
+        assert np.array_equal(blended[:, 2], bilinear_sample_reference(scalar, pts))
+        assert np.array_equal(sample(scalar, pts), blended[:, 2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 12),
+           width=st.integers(1, 12), stack=st.integers(0, 3), count=st.integers(1, 30))
+    def test_corners_match_the_former_lookup_bit_for_bit(self, seed, height, width, stack,
+                                                         count):
+        # tobytes, not np.array_equal, which takes -0.0 for +0.0 and so
+        # cannot see a clamp that flips the sign of a zero
+        rng = np.random.default_rng(seed)
+        shape = (count, 2) if stack == 0 else (stack, count, 2)
+        bound = np.array([width - 1.0, height - 1.0])
+        inside = rng.uniform(0.0, 1.0, shape) * bound
+        border = np.where(rng.random(shape) < 0.5, 0.0, bound)
+        past = np.where(rng.random(shape) < 0.5, -rng.uniform(0.0, 3.0, shape),
+                        bound + rng.uniform(0.0, 3.0, shape))
+        kinds = np.stack([inside, np.round(inside), border, past, np.full(shape, -0.0)])
+        pts = np.take_along_axis(kinds, rng.integers(0, len(kinds), (1,) + shape), 0)[0]
+        got = bilinear_corners(pts, height, width)
+        want = bilinear_corners_reference(pts, height, width)
+        for name in ("index", "frac", "rest"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 class TestCentralGradient:

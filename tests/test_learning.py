@@ -167,6 +167,24 @@ class TestAlign:
         assert np.array_equal(got.nodes, align_cyclic_reference(reference, target).nodes)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 80), shift=st.integers(0, 79),
+           step=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_aligned_copy_rasterizes_to_the_same_region(self, seed, n, shift, step):
+        # rasterize's edge set, and so its mask, does not change under a
+        # cyclic shift, so a fit rasterizes its ground-truth contour once;
+        # nodes on a half or whole pixel grid hit rasterize's row ties
+        rng = np.random.default_rng(seed)
+        poly = random_star_polygon(rng, n_lo=n, n_hi=n)
+        if step:
+            poly = np.round(poly / step) * step
+        target = Contour(poly)
+        region = rasterize(target, 32, 32)
+        shifted = Contour(np.roll(target.nodes, shift % n, axis=0))
+        assert np.array_equal(rasterize(shifted, 32, 32), region)
+        reference = Contour(random_star_polygon(rng, n_lo=n, n_hi=n))
+        assert np.array_equal(rasterize(align_cyclic(reference, target), 32, 32), region)
+
 class TestFitParameters:
     def _setup(self):
         from contourflow.edt import mask_to_dt

@@ -6,15 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from contourflow.autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from contourflow.edt import mask_to_dt
-from contourflow.fields import DEGENERATE_AREA, Circle, Contour, rasterize
+from contourflow.fields import DEGENERATE_AREA, Circle, Contour, clamp_to_frame, rasterize
 from contourflow.flow import ForceField, lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
 from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
-                               contour_energies, energy_eval, evolve, evolve_group, evolve_step)
+                               contour_energies, evolve, evolve_group, evolve_step)
 
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
-                     energies_reference, evolve_reference, evolve_step_reference, fd_gradient,
-                     perimeter, rasterize_reference)
+                     energies_reference, energy_eval, evolve_reference, evolve_step_reference,
+                     fd_gradient, perimeter, rasterize_reference)
 from conftest import random_star_polygon
 
 
@@ -244,6 +244,25 @@ class TestEvolveStep:
         contour = square_contour(4.0, center=(8.0, 8.0))
         stepped = step_one(contour, force, uniform_params(16, 16), SnakeConfig(time_step=1.0))
         assert stepped.max() <= 15.0
+
+    def test_final_clamp_keeps_the_former_clip_bits(self):
+        # the step's final clamp, pinned against the np.clip it replaced:
+        # that clip has an array upper bound, so it turns -0.0 into +0.0
+        height, width = 5, 7
+        values = np.array([-0.0, 0.0, -1e-300, -2.5, 3.0, 6.0, 4.0, 6.5, 1e300, -np.inf])
+        for count in (1, 3, 8, 33):
+            nodes = np.resize(values, (2, count, 2))
+            nodes[0, :, 1] = np.resize(values[::-1], count)
+            want = np.clip(nodes, 0.0, [width - 1.0, height - 1.0])
+            assert clamp_to_frame(nodes.copy(), height, width).tobytes() == want.tobytes()
+            clamp_to_frame(nodes, height, width, out=nodes)
+            assert nodes.tobytes() == want.tobytes()
+
+        # a step that pushes every node past the top-left corner lands on +0.0
+        force = ForceField(np.full((16, 16, 2), -100.0), np.zeros((16, 16)))
+        stepped = step_one(square_contour(4.0, center=(8.0, 8.0)), force,
+                           uniform_params(16, 16), SnakeConfig(time_step=1.0))
+        assert stepped.tobytes() == np.zeros_like(stepped).tobytes()
 
     def test_resampling_preserves_node_count(self, rng):
         contour = Contour(random_star_polygon(rng))
