@@ -17,22 +17,24 @@ vectors (offset by k*H*W) under shared weights: one corner lookup finds
 every node's four corner pixels and fractions, one gather reads the
 corners of the force vectors (both components), kappa and beta into one
 (4, K*n, 4) array, one blend interpolates all four channels, and the K
-systems are built in place and solved by one stacked
-``np.linalg.solve``. ``evolve`` and ``evolve_group`` build what depends
-on the node count alone once per run: the identity, D1'D1, the cyclic
-second-difference matrix D2 and the next/previous node indices.
+cyclic pentadiagonal systems are built from their bands, by a plan
+cached per node count, and solved by one stacked ``np.linalg.solve``.
+The build sums in a fixed order without BLAS, so its floats do not
+depend on the machine; the solve's may (BLAS kernel and thread count).
 ``evolve`` is the K = 1 case and records a trace; ``evolve_group`` steps
 many contours together, drops each at the step its area collapses and
 keeps no trace. The
 arithmetic per element is that of separate per-field lookups and a
-per-step matrix build for one contour (kept in ``tests/oracles.py``),
-so every contour is bit-identical to theirs. ``contour_energies`` scores
-a whole trace the same way: one corner lookup over all of its contours'
-nodes, and one gather and one blend of the potential and beta.
+per-step node-by-node matrix build for one contour (kept in
+``tests/oracles.py``), so every contour is bit-identical to theirs.
+``contour_energies`` scores a whole trace the same way: one corner
+lookup over all of its contours' nodes, and one gather and one blend of
+the potential and beta.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,29 +165,71 @@ def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
 
 
 class DifferenceOperators(NamedTuple):
-    """What the internal-energy system needs that depends on the node
-    count alone: the identity, D1'D1 for the continuity term, the cyclic
-    second-difference matrix D2 and each node's next and previous index."""
+    """The plan of the internal-energy system for one node count, read-only
+    since one cached plan serves every caller: the flat positions
+    ``entries`` of the structural nonzeros of I + D1'D1 + D2'D2, the up
+    to three curvature terms b_s * coef of each (coef = 2 D2[s,i] D2[s,j])
+    as (3, m) ``src`` and ``coef`` in ascending node s (coef 0 pads),
+    D1'D1 and the identity there, and each node's next and previous index.
+    """
 
-    eye: np.ndarray
+    entries: np.ndarray
+    src: np.ndarray
+    coef: np.ndarray
     d1td1: np.ndarray
-    d2: np.ndarray
+    eye: np.ndarray
     nxt: np.ndarray
     prv: np.ndarray
 
 
+@functools.lru_cache(maxsize=32)
 def difference_operators(n: int) -> DifferenceOperators:
     idx = np.arange(n)
     nxt = (idx + 1) % n
     prv = (idx - 1) % n
-    d1 = np.zeros((n, n))
-    d1[idx, idx] = -1.0
-    d1[idx, nxt] += 1.0
-    d2 = np.zeros((n, n))
-    d2[idx, idx] = -2.0
-    d2[idx, nxt] += 1.0
-    d2[idx, prv] += 1.0
-    return DifferenceOperators(np.eye(n), d1.T @ d1, d2, nxt, prv)
+    # node s adds 2 b_s outer(d, d), d = (1, -2, 1), at rows and columns
+    # (s-1, s, s+1): 9n (entry, s) pairs in ascending s, which a stable
+    # sort by entry keeps within each entry
+    stencil = np.stack([prv, idx, nxt], axis=1)
+    entry = (stencil[:, :, None] * n + stencil[:, None, :]).reshape(-1)
+    d = np.array([1.0, -2.0, 1.0])
+    pair_coef = np.tile(2.0 * np.outer(d, d).reshape(-1), n)
+    order = np.argsort(entry, kind="stable")
+    entries, start, count = np.unique(entry[order], return_index=True, return_counts=True)
+    column = np.repeat(np.arange(entries.size), count)
+    rank = np.arange(order.size) - start[column]
+    src = np.zeros((3, entries.size), dtype=np.intp)
+    coef = np.zeros((3, entries.size))
+    src[rank, column] = order // 9
+    coef[rank, column] = pair_coef[order]
+    row, col = np.divmod(entries, n)
+    offset = (col - row) % n
+    eye = (offset == 0).astype(float)
+    d1td1 = 2.0 * eye - np.isin(offset, (1, n - 1))
+    ops = DifferenceOperators(entries, src, coef, d1td1, eye, nxt, prv)
+    for array in ops:
+        array.flags.writeable = False
+    return ops
+
+
+def _system_matrix(beta: np.ndarray, alpha: float, tau: float,
+                   ops: DifferenceOperators) -> np.ndarray:
+    """The (K, n, n) stack I + tau (2 alpha D1'D1 + 2 D2' diag(b) D2) for
+    (K, n) curvature weights, built on the entries of ``ops`` without
+    BLAS. Each b_s * coef is exact (coef is a signed power of two) and
+    each entry sums them in ascending s, so every float is that of adding
+    the nodes' stencil blocks in turn, on any machine."""
+    count, n = beta.shape
+    terms = beta.take(ops.src, axis=1)
+    terms *= ops.coef
+    band = terms[:, 0] + terms[:, 1]
+    band += terms[:, 2]
+    band += (2.0 * alpha) * ops.d1td1
+    band *= tau
+    band += ops.eye
+    lhs = np.zeros((count, n * n))
+    lhs[:, ops.entries] = band
+    return lhs.reshape(count, n, n)
 
 
 def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
@@ -199,16 +243,18 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     slice ``slots[k]``, and every contour reads slice 0 when ``slots`` is
     not given. The weights in ``params`` are shared by every contour. One
     corner lookup serves every node, and one gather and one blend give
-    each node its force, kappa and beta.
+    each node its force, kappa and beta; the force's two components are
+    flat lookups at 2i and 2i + 1 of ``vectors.reshape(-1)``.
 
     A = 2 alpha D1'D1 + 2 D2' diag(b) D2 is the exact Hessian of the
     internal energy with the curvature weights b frozen at the current
     nodes, symmetric positive semidefinite by construction, so I + tau A
     is always solvable. F_bal = kappa * outward unit normal, the normal
     perpendicular to the central-difference tangent (zero where the two
-    neighbors coincide). ``ops`` are built for the node count when not
-    given. The result is the (K, n, 2) stack of new nodes in the solver's
-    order.
+    neighbors coincide). I + tau A is built from its five cyclic bands
+    (``_system_matrix``) with the plan ``ops``, the cached one for the
+    node count when not given. The result is the (K, n, 2) stack of new
+    nodes in the solver's order.
     """
     count, n = nodes.shape[:2]
     height, width = vectors.shape[1:3]
@@ -220,7 +266,9 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     if slots is not None:
         in_slot = in_slot + np.repeat(slots * (height * width), n)
     gathered = np.empty(corners.index.shape + (4,))
-    gathered[..., :2] = vectors.reshape(-1, 2)[in_slot]
+    flat, in_slot = vectors.reshape(-1), 2 * in_slot
+    gathered[..., 0] = flat[in_slot]
+    gathered[..., 1] = flat[in_slot + 1]
     gathered[..., 2] = params.kappa.reshape(-1)[corners.index]
     gathered[..., 3] = params.beta.reshape(-1)[corners.index]
     sampled = blend_corners(gathered, corners).reshape(count, n, 4)
@@ -232,15 +280,7 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     norm = np.hypot(normal[..., 0], normal[..., 1])[..., None]
     unit = np.divide(normal, norm, out=np.zeros_like(normal), where=norm > _TINY)
 
-    # I + tau (2 alpha D1'D1 + 2 (D2' b) D2), built in place in the (K, n, n)
-    # stack; IEEE + and * commute, so each matrix has the floats of that expression
-    curvature = ops.d2.T * beta[:, None, :]
-    curvature *= 2.0
-    lhs = np.matmul(curvature, ops.d2)
-    del curvature
-    lhs += 2.0 * params.alpha * ops.d1td1
-    lhs *= config.time_step
-    lhs += ops.eye
+    lhs = _system_matrix(beta, params.alpha, config.time_step, ops)
     rhs = nodes + config.time_step * (external + kappa[..., None] * unit)
     try:
         new_nodes = np.linalg.solve(lhs, rhs)

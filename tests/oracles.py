@@ -10,7 +10,9 @@ distance transform over the whole frame), kept so that the vectorized
 and cropped versions can be required to match them exactly. Likewise
 ``evolve_reference`` is the former solver loop: one bilinear lookup per
 field and force component, and a system matrix rebuilt every step
-(``force_at``, ``balloon_force``, ``assemble_internal_system``); it
+(``force_at``, ``balloon_force``, ``assemble_internal_system``), whose
+``internal_system`` adds each node's stencil block in ascending node
+order with no BLAS call, so its floats do not depend on the machine; it
 reuses the production ``Contour``, ``resample_closed`` and
 ``signed_area``. ``align_cyclic_reference`` is the former per-shift loop
 of ``align_cyclic``. ``energies_reference`` is the former per-contour
@@ -495,26 +497,37 @@ def force_at(force, points) -> np.ndarray:
     )
 
 
+def internal_system(alpha, b) -> np.ndarray:
+    """2 alpha D1'D1 + 2 D2' diag(b) D2 for the n curvature weights ``b``,
+    added up node by node without BLAS: node s adds
+    outer(d1, d1), d1 = (-1, 1), at rows and columns (s, s+1) to D1'D1
+    and 2 b_s outer(d2, d2), d2 = (1, -2, 1), at (s-1, s, s+1) to the
+    curvature term, in ascending s, so each entry's sum has one order on
+    every machine.
+    """
+    n = len(b)
+    d1 = np.array([-1.0, 1.0])
+    d2 = np.array([1.0, -2.0, 1.0])
+    continuity = np.zeros((n, n))
+    curvature = np.zeros((n, n))
+    for s in range(n):
+        hop = [s, (s + 1) % n]
+        continuity[np.ix_(hop, hop)] += np.outer(d1, d1)
+        stencil = [(s - 1) % n, s, (s + 1) % n]
+        curvature[np.ix_(stencil, stencil)] += 2.0 * b[s] * np.outer(d2, d2)
+    return 2.0 * alpha * continuity + curvature
+
+
 def assemble_internal_system(contour, params) -> np.ndarray:
     """Stiffness matrix of the internal energy at the current nodes.
 
     Returns the exact Hessian of
     alpha * sum |y_{s+1}-y_s|^2 + sum b_s |y_{s+1}-2y_s+y_{s-1}|^2 with the
-    curvature weights b_s frozen at the current node samples, built from
-    fresh D1 and D2 matrices on every call.
+    curvature weights b_s frozen at the current node samples, built by
+    ``internal_system`` on every call.
     """
-    pts = contour.nodes
-    n = len(pts)
-    idx = np.arange(n)
-    d1 = np.zeros((n, n))
-    d1[idx, idx] = -1.0
-    d1[idx, (idx + 1) % n] += 1.0
-    d2 = np.zeros((n, n))
-    d2[idx, idx] = -2.0
-    d2[idx, (idx + 1) % n] += 1.0
-    d2[idx, (idx - 1) % n] += 1.0
-    b = bilinear_sample_reference(params.beta, pts)
-    return 2.0 * params.alpha * (d1.T @ d1) + 2.0 * (d2.T * b) @ d2
+    b = bilinear_sample_reference(params.beta, contour.nodes)
+    return internal_system(params.alpha, b)
 
 
 def balloon_force(contour, kappa) -> np.ndarray:

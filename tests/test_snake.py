@@ -10,11 +10,12 @@ from contourflow.fields import DEGENERATE_AREA, Circle, Contour, clamp_to_frame,
 from contourflow.flow import ForceField, lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
 from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
-                               contour_energies, evolve, evolve_group, evolve_step)
+                               _system_matrix, contour_energies, difference_operators, evolve,
+                               evolve_group, evolve_step)
 
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
                      energies_reference, energy_eval, evolve_reference, evolve_step_reference,
-                     fd_gradient, perimeter, rasterize_reference)
+                     fd_gradient, internal_system, perimeter, rasterize_reference)
 from conftest import random_star_polygon
 
 
@@ -177,6 +178,55 @@ class TestInternalSystem:
             assert np.abs(system @ contour.nodes - want).max() <= 1e-4
 
 
+class TestBandedSystem:
+    """Each step builds I + tau A on the structural nonzeros of its
+    difference operators; every float is that of the node-by-node oracle
+    ``oracles.internal_system``, whatever the BLAS kernel."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nodes=st.integers(3, 300),
+           count=st.integers(1, 12), alpha=st.sampled_from([0.0, 0.01, 0.37, 3.0]),
+           tau=st.floats(0.05, 1.0))
+    @example(seed=0, nodes=3, count=1, alpha=0.0, tau=0.1)
+    @example(seed=1, nodes=4, count=12, alpha=0.37, tau=0.5)
+    @example(seed=2, nodes=5, count=2, alpha=0.01, tau=1.0)
+    @example(seed=3, nodes=204, count=12, alpha=0.01, tau=0.1)
+    @example(seed=4, nodes=252, count=3, alpha=3.0, tau=0.2)
+    @example(seed=5, nodes=257, count=1, alpha=0.0, tau=0.3)
+    @example(seed=6, nodes=300, count=5, alpha=0.37, tau=0.1)
+    def test_equals_the_oracle_byte_for_byte(self, seed, nodes, count, alpha, tau):
+        rng = np.random.default_rng(seed)
+        # weights across 12 decades, with zeros
+        beta = 10.0 ** rng.uniform(-6.0, 6.0, (count, nodes)) * rng.uniform(0.0, 1.0, (count, nodes))
+        beta[rng.random((count, nodes)) < 0.2] = 0.0
+        got = _system_matrix(beta, alpha, tau, difference_operators(nodes))
+        assert got.shape == (count, nodes, nodes)
+        for k in range(count):
+            want = np.eye(nodes) + tau * internal_system(alpha, beta[k])
+            assert got[k].tobytes() == want.tobytes()
+
+    def test_entries_are_the_structural_nonzeros(self):
+        for n in range(3, 41):
+            idx = np.arange(n)
+            d1 = np.zeros((n, n), dtype=np.int64)
+            d1[idx, idx] = -1
+            d1[idx, (idx + 1) % n] += 1
+            d2 = np.zeros((n, n), dtype=np.int64)
+            d2[idx, idx] = -2
+            d2[idx, (idx + 1) % n] += 1
+            d2[idx, (idx - 1) % n] += 1
+            dense = np.eye(n, dtype=np.int64) + d1.T @ d1 + d2.T @ d2
+            assert np.array_equal(difference_operators(n).entries, np.flatnonzero(dense)), n
+
+    def test_plan_is_cached_and_read_only(self):
+        ops = difference_operators(37)
+        assert difference_operators(37) is ops
+        for array in ops:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            ops.coef[0, 0] = 1.0
+
+
 class TestBalloon:
     def test_regular_polygon_points_outward(self):
         theta = 2 * np.pi * np.arange(8) / 8
@@ -263,6 +313,22 @@ class TestEvolveStep:
         stepped = step_one(square_contour(4.0, center=(8.0, 8.0)), force,
                            uniform_params(16, 16), SnakeConfig(time_step=1.0))
         assert stepped.tobytes() == np.zeros_like(stepped).tobytes()
+
+    def test_strided_force_view_steps_like_its_copy(self, rng):
+        # the force components are read as flat lookups; a view with
+        # strides of its own must reach the same elements as a copy
+        frames = rng.uniform(-2.0, 2.0, size=(3, 40, 60, 2))
+        view = frames[:, 1::2, ::3]
+        assert not view.flags.c_contiguous
+        height, width = view.shape[1:3]
+        params = ParameterSet(alpha=0.1, beta=rng.uniform(0.0, 0.5, (height, width)),
+                              kappa=rng.uniform(-0.5, 0.5, (height, width)))
+        nodes = np.stack([random_star_polygon(rng, center=(10.0, 9.0), r_hi=8.0, n_lo=9, n_hi=9)
+                          for _ in range(4)])
+        slots = np.array([2, 0, 1, 2])
+        got = evolve_step(nodes, view, params, SnakeConfig(), None, slots)
+        want = evolve_step(nodes, np.ascontiguousarray(view), params, SnakeConfig(), None, slots)
+        assert got.tobytes() == want.tobytes()
 
     def test_resampling_preserves_node_count(self, rng):
         contour = Contour(random_star_polygon(rng))
