@@ -3,31 +3,37 @@
 ``edt_from_sites`` is the separable transform of Felzenszwalb &
 Huttenlocher ("Distance Transforms of Sampled Functions", ToC 2012): a
 column pass for per-column row distances, then the lower envelope of
-parabolas over the squared distances of each row. The column pass is a
-running max and min of site rows along each column, the envelope build
-loops over columns only, and the read-out counts breakpoints instead of
-walking them. Distances are measured between pixel centers and every
-squared distance is an exact integer, so the result equals the
-exhaustive scan ``edt_brute`` in ``tests/oracles.py`` to the last bit.
+parabolas over the squared distances of each row. Distances are measured
+between pixel centers and every squared distance is an exact integer,
+so the result equals the exhaustive scan ``edt_brute`` in
+``tests/oracles.py`` to the last bit.
 
-The column pass and the envelope build cover only the span of columns
-that hold a site; the read-out still covers every column. This is
-exact: the column pass gives every row a finite value in each site
-column, a site-free column keeps the value ``_FAR``, whose parabola
-never beats a finite one inside the frame, and each output is the same
-exact-integer minimum over the same finite parabolas.
+Both passes work only on the band of site columns ``c0..c1``, stored
+column-major: band column ``p`` holds ``f + p*p`` of every row in one
+contiguous run, where ``f`` is the squared row distance to the column's
+nearest site. This is exact: a column with no site has no finite
+parabola, so it cannot take part in any row's envelope. The column pass
+is a running max and min of site rows along each column, and the
+envelope build loops over the band's columns only. The read-out counts
+breakpoints instead of walking them; it is the only frame-sized work,
+and it returns a C-contiguous float64 frame.
 
 A (K, H, W) stack of site masks is transformed in one call: the column
 pass runs along each mask's own columns, and the envelope build runs
 over all K·H rows at once and over the union of the masks' site
 columns. The 2-D call is the K = 1 case.
+
+Memory: besides the input, no more than two frame-sized arrays and two
+band-sized ones are alive at once. On the seeded 256² and 512² blobs of
+``tests/test_edt.py`` the peak is about 3.5 frame-sized float64 arrays,
+and the tests hold it at or below 4.5.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import as_mask, boundary_mask
+from .fields import as_mask, boundary_mask, bounding_box
 
 _FAR = 1e20  # plays infinity inside the squared-distance passes
 
@@ -39,40 +45,47 @@ def edt_from_sites(sites) -> np.ndarray:
     if not stack.any(axis=(1, 2)).all():
         raise ValueError("no boundary: mask is empty or full-frame degenerate")
     count, height, width = stack.shape
-    cols = np.flatnonzero(stack.any(axis=(0, 1)))
-    c0, c1 = cols[0], cols[-1] + 1
+    cols = bounding_box(stack.any(axis=0))[1]  # the band of site columns c0..c1
 
-    # pass 1: squared row distance to the column's nearest site; the sentinels
-    # -height and 2 * height lose to any site, site-free columns stay at _FAR
-    band = stack[:, :, c0:c1]
-    rows = np.arange(height)[:, None]
-    above = rows - np.maximum.accumulate(np.where(band, rows, -height), axis=1)
-    below = (np.minimum.accumulate(np.where(band, rows, 2 * height)[:, ::-1], axis=1)[:, ::-1]
-             - rows)
-    f = np.full(stack.shape, _FAR)
-    f[:, :, c0:c1] = np.where(band.any(axis=1, keepdims=True),
-                              np.minimum(above, below) ** 2, _FAR)
-    del above, below
+    # pass 1, over the band as (column, mask, row): squared row distance to the
+    # column's nearest site; the sentinels -height and 2 * height lose to any
+    # site, and a mask's site-free columns stay at _FAR
+    band = np.ascontiguousarray(stack[:, :, cols].transpose(2, 0, 1))
+    rows = np.arange(height)
+    g = rows - np.maximum.accumulate(np.where(band, rows, -height), axis=2)
+    np.minimum(g, np.minimum.accumulate(np.where(band, rows, 2 * height)[..., ::-1],
+                                        axis=2)[..., ::-1] - rows, out=g)
+    g = np.where(band.any(axis=2, keepdims=True), g * g, _FAR)
+    g += np.arange(width)[cols, None, None] ** 2  # f[p] + p*p for every vertex column p
 
-    # pass 2: per-row lower envelope of parabolas over columns
-    d = _lower_envelopes(f.reshape(count * height, width), c0, c1).reshape(stack.shape)
+    # pass 2: per-row lower envelope of parabolas over the band's columns
+    d = _lower_envelopes(g.reshape(-1, count * height), cols.start, width).reshape(stack.shape)
     np.sqrt(d, out=d)
     return d if np.ndim(sites) == 3 else d[0]
 
 
-def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
+def _lower_envelopes(g: np.ndarray, c0: int, width: int) -> np.ndarray:
     """``min over p of (q - p)**2 + f[r, p]`` for every row ``r`` and
-    column ``q``, where columns outside ``c0..c1`` hold only ``_FAR``.
+    column ``q`` of the frame, from ``g[p - c0, r] = f[r, p] + p*p`` over
+    the band's columns ``c0 <= p < c1``: a C-contiguous (rows, width)
+    array.
 
-    Each row has its own stack: vertex columns ``v``, breakpoints ``z``
-    and top index ``k``. Only the columns ``c0..c1`` are pushed, starting
-    from ``c0``. The work arrays stay (height, width): band-shaped ones
-    measured a higher peak RSS.
+    Each row has its own stack of vertex columns and breakpoints, both
+    stored slot-major: slot ``j`` of row ``r`` sits at ``j * R + r``,
+    where ``R`` is the number of rows, so slot ``j`` of every row is one
+    contiguous run. A vertex ``v`` is stored pre-multiplied, as its
+    offset ``(v - c0) * R`` in ``g``, so that ``offset + r`` is its value
+    in the flat ``g``, and ``top`` holds each row's top slot as a flat
+    index too. Every pop round is then a few flat gathers and scatters,
+    with the slot computed once. The denominator ``2 * (q - v)`` comes
+    out exactly as ``(q * R - offset) / (R / 2)``. At column ``q`` every
+    row's top parabola is column ``q - 1``, pushed by the last step with
+    breakpoint ``s``, so the first intersection needs no gather.
 
     A row of a stacked call can be ``_FAR`` at ``c0``, because its own
     mask's site columns start later. Its first finite column ``q`` meets
-    each ``_FAR`` parabola at about ``-_FAR / (2 * width)``, far left of
-    the frame and of every breakpoint between finite parabolas, so it
+    each ``_FAR`` parabola at about ``-_FAR / (2 * (c1 - c0))``, far left
+    of the frame and of every breakpoint between finite parabolas, so it
     pops them all down to the bottom vertex ``c0``. That vertex cannot be
     popped (its breakpoint is ``-inf``), and ``q`` takes over from it
     left of column 0, so no column reads it. From ``q`` on, the row
@@ -84,43 +97,48 @@ def _lower_envelopes(f: np.ndarray, c0: int, c1: int) -> np.ndarray:
     The read-out counts: column ``q`` takes its row's parabola ``k`` with
     ``z[k] < q <= z[k + 1]``, so ``k`` is the number of breakpoints
     ``z[1..top]`` left of ``q``. For an integer ``q``, ``z < q`` exactly
-    when ``floor(z) + 1 <= q``, so a ``bincount`` of ``floor(z[j]) + 1``
-    per row, summed along it, gives every ``k``. Entries above a row's
-    final top were popped or never written and are masked to ``inf``."""
-    height, width = f.shape
-    rows = np.arange(height)
-    g = f + np.arange(width) ** 2  # f[p] + p*p for every vertex column p
-    v = np.full((height, width), c0, dtype=np.intp)  # column c0 is every row's first vertex
-    z = np.empty((height, width + 1))  # z[k] is where parabola k takes over
-    z[:, 0] = -np.inf
-    k = np.zeros(height, dtype=np.intp)
-    s = np.full(height, -np.inf)
-    for q in range(c0 + 1, c1):
-        # every row's top parabola is column q - 1, pushed by the last step
-        # with breakpoint s, so the first intersection needs no gather
-        top = s
-        s = (g[:, q] - g[:, q - 1]) / 2.0
-        pop = (s <= top).nonzero()[0]
+    when ``floor(z) + 1 <= q``, so a ``bincount`` of ``floor(z) + 1`` per
+    row, summed along it, gives every ``k``. Only the slots below
+    ``depth``, one more than the highest top, are binned; entries above a
+    row's own top were popped or never written, and breakpoints at or
+    right of the last column count for no column, so neither is binned.
+    Each pixel then gathers its vertex's offset and, through it,
+    ``g = f[v] + v*v``; ``q * (q - 2 * v)`` is computed in place on the
+    offsets and added. Every term is an exact integer."""
+    span, count = g.shape
+    rows = np.arange(count)
+    offset = np.zeros(span * count, dtype=np.intp)  # slot 0 of every row holds column c0
+    z = np.full(span * count, -np.inf)  # where each slot's parabola takes over
+    top, s = rows.copy(), z[:count]  # each row's top slot and its breakpoint
+    for q in range(1, span):
+        last, s = s, (g[q] - g[q - 1]) / 2.0
+        pop = (s <= last).nonzero()[0]
         while pop.size:
-            k[pop] -= 1
-            vk = v[pop, k[pop]]
-            s[pop] = (g[pop, q] - g[pop, vk]) / (2.0 * (q - vk))
-            pop = pop[s[pop] <= z[pop, k[pop]]]
-        k += 1
-        v[rows, k] = q
-        z[rows, k] = s
-    del g  # so that no more than four (height, width) arrays are alive at once
+            top[pop] = slot = top.take(pop) - count
+            vr = offset.take(slot)
+            s[pop] = sp = (g[q].take(pop) - g.take(vr + pop)) / ((q * count - vr) / (count / 2.0))
+            pop = pop[sp <= z.take(slot)]
+        top += count
+        offset[top] = q * count
+        z[top] = s
 
-    first = np.where(np.arange(1, width + 1) <= k[:, None], z[:, 1:], np.inf)
-    del z
-    first = np.clip(np.floor(first, out=first), -1, width - 1, out=first).astype(np.intp)
-    first += rows[:, None] * (width + 1) + 1  # slot (row, floor(z) + 1) of a bincount
-    k = np.bincount(first.ravel(), minlength=height * (width + 1))
-    del first
-    k = k.reshape(height, width + 1)[:, :width].cumsum(axis=1)
-    v = np.take_along_axis(v, k, axis=1)
-    del k
-    return (np.arange(width) - v) ** 2 + np.take_along_axis(f, v, axis=1)
+    z = z.reshape(span, count)[1:top.max() // count + 1]  # the slots some row still holds
+    held = (np.arange(1, len(z) + 1)[:, None] <= top // count) & (z < width - 1)
+    k = np.floor(np.clip(z, -1, width - 1)).astype(np.intp) + rows * width + 1
+    del z  # so that at most two frames and two band-sized arrays are alive at once
+    k = np.bincount(k[held], minlength=count * width).reshape(count, width)
+    k *= count
+    k[:, 0] += rows
+    np.cumsum(k, axis=1, out=k)  # the flat slot of the parabola each pixel takes
+    v = offset.take(k)
+    del k, offset
+    v += rows[:, None]
+    d = g.take(v)
+    v //= count
+    v *= -2
+    v += np.arange(width) - 2 * c0
+    v *= np.arange(width)  # q * (q - 2 * v) for every column q and its vertex v
+    return np.add(d, v, out=d)
 
 
 def mask_to_dt(mask) -> np.ndarray:

@@ -106,13 +106,21 @@ def central_gradient(field) -> np.ndarray:
     """Per-pixel gradient as an (H, W, 2) array of (d/du, d/dv) components.
 
     Interior pixels use central differences, border pixels one-sided ones.
+    Each component is ``np.gradient``'s arithmetic, ``(f[2:] - f[:-2]) / 2.0``
+    inside and ``f[1] - f[0]``, ``f[-1] - f[-2]`` at the edges, written
+    straight into its channel, so the floats equal ``np.stack`` of two
+    ``np.gradient`` calls without their full-frame copies.
     """
     field = as_field(field)
     if field.shape[0] < 2 or field.shape[1] < 2:
         raise ValueError("gradient needs a field of at least 2x2 pixels")
-    ddu = np.gradient(field, axis=1)
-    ddv = np.gradient(field, axis=0)
-    return np.stack([ddu, ddv], axis=-1)
+    grad = np.empty(field.shape + (2,))
+    for channel, axis in enumerate((1, 0)):
+        f, out = np.moveaxis(field, axis, 0), np.moveaxis(grad[..., channel], axis, 0)
+        out[1:-1] = (f[2:] - f[:-2]) / 2.0
+        out[0] = f[1] - f[0]
+        out[-1] = f[-1] - f[-2]
+    return grad
 
 
 def boundary_mask(mask) -> np.ndarray:

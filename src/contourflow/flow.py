@@ -17,17 +17,17 @@ from .fields import as_field, central_gradient
 
 
 def clip_vectors(vectors: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale any vector longer than ``clip_norm`` down to that length.
-    ``inf`` disables clipping."""
+    """Scale any vector longer than ``clip_norm`` down to that length, in
+    place, and return ``vectors``. ``inf`` disables clipping."""
     if not clip_norm > 0.0:
         raise ValueError("clip_norm must be positive (use inf to disable clipping)")
     if not np.isfinite(clip_norm):
         return vectors
     mag = np.hypot(vectors[..., 0], vectors[..., 1])
-    over = mag > clip_norm
-    scale = np.ones_like(mag)
-    scale[over] = clip_norm / mag[over]
-    return vectors * scale[..., None]
+    scale = np.divide(clip_norm, mag, out=np.ones_like(mag), where=mag > clip_norm)
+    for channel in (0, 1):  # a broadcast over the pair axis loops over two elements per pixel
+        vectors[..., channel] *= scale
+    return vectors
 
 
 @dataclass
@@ -58,8 +58,11 @@ def lcdvf(dt, clip_norm: float = 2.0) -> ForceField:
     gradient, so the pull grows with distance and is exactly zero on the
     boundary. The matching potential is half the squared distance."""
     dt = as_field(dt)
-    vectors = clip_vectors(-dt[..., None] * central_gradient(dt), clip_norm)
-    return ForceField(vectors, 0.5 * dt * dt)
+    vectors = central_gradient(dt)
+    for channel in (0, 1):
+        vectors[..., channel] *= dt
+    np.negative(vectors, out=vectors)  # -(g * dt) is the same float as (-dt) * g
+    return ForceField(clip_vectors(vectors, clip_norm), 0.5 * dt * dt)
 
 
 def energy_gradient_field(energy, clip_norm: float = 2.0) -> ForceField:

@@ -25,6 +25,8 @@ through the production ``contour_energies``.
 ``minimal_enclosing_circle_reference`` is the former Welzl construction,
 one ``np.hypot`` per containment test and per candidate circle, over the
 same shuffled order as ``autoinit.minimal_enclosing_circle``.
+``clip_vectors_masked`` is the former force clip, a boolean gather and
+scatter of the over-long vectors' scales.
 """
 
 from __future__ import annotations
@@ -609,3 +611,13 @@ def energies_reference(contours, external, params) -> np.ndarray:
 def energy_eval(contour, external, params) -> float:
     """Total energy of one contour against an external-energy map."""
     return float(contour_energies([contour], external, params)[0])
+
+
+def clip_vectors_masked(vectors: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale any vector longer than ``clip_norm`` down to that length, by
+    scattering ``clip_norm / mag`` into the masked pixels of a ones array."""
+    mag = np.hypot(vectors[..., 0], vectors[..., 1])
+    over = mag > clip_norm
+    scale = np.ones_like(mag)
+    scale[over] = clip_norm / mag[over]
+    return vectors * scale[..., None]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from contourflow.edt import edt_from_sites, mask_to_dt
 from contourflow.fields import boundary_mask, boundary_pixels
+from contourflow.flow import lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask
 
 from conftest import site_mask
@@ -267,3 +270,61 @@ class TestStackedTransform:
         for bad in (np.zeros((16, 16), dtype=bool), np.ones((16, 16), dtype=bool)):
             with pytest.raises(ValueError, match="one foreground and one background"):
                 mask_to_dt(np.stack([disk, bad]))
+
+
+class TestBenchmarkScale:
+    """Inputs of the size the CLI feeds the transform, with deep envelope
+    stacks and columns that pop several parabolas."""
+
+    def test_blobs_at_128_equal_brute(self):
+        rng = np.random.default_rng(128)
+        for _ in range(4):
+            sites = boundary_mask(random_blob_mask(rng, 128, 128))
+            assert np.array_equal(edt_from_sites(sites), brute_from_sites(sites))
+
+    def test_four_mask_stack_at_64_equals_brute(self):
+        # the stack that cli._share_dts hands to mask_to_dt for a batch group
+        rng = np.random.default_rng(64)
+        masks = np.stack([random_blob_mask(rng, 64, 64) for _ in range(4)])
+        for plane, mask in zip(mask_to_dt(masks), masks):
+            assert np.array_equal(plane, brute_from_sites(boundary_mask(mask)))
+
+
+class TestLayout:
+    """Results are C-contiguous float64 frames: the solver reads the force
+    stack with ``reshape(-1)``, which copies a transposed array every step."""
+
+    @staticmethod
+    def assert_c_float64(*arrays):
+        for array in arrays:
+            assert array.dtype == np.float64 and array.flags.c_contiguous
+
+    def test_transform_and_field(self, rng):
+        mask = random_blob_mask(rng, 48, 40)
+        self.assert_c_float64(edt_from_sites(boundary_mask(mask)), mask_to_dt(mask))
+        field = lcdvf(mask_to_dt(mask))
+        self.assert_c_float64(field.vectors, field.potential)
+        # one site column, 1 x n and n x 1 frames
+        for sites in (site_mask([(3, 0), (3, 6)], 8, 7), site_mask([(2, 0)], 5, 1),
+                      site_mask([(0, 3)], 1, 6)):
+            self.assert_c_float64(edt_from_sites(sites))
+
+    def test_each_slice_of_a_stack(self, rng):
+        masks = np.stack([random_blob_mask(rng, 40, 40) for _ in range(3)])
+        self.assert_c_float64(*edt_from_sites(np.stack([boundary_mask(m) for m in masks])))
+        self.assert_c_float64(*mask_to_dt(masks))
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("size", [256, 512])
+    def test_peak_within_four_and_a_half_frames(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(3):
+            sites = boundary_mask(random_blob_mask(rng, size, size))
+            tracemalloc.start()
+            try:
+                edt_from_sites(sites)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.5 * sites.size * 8

@@ -125,6 +125,15 @@ class TestCentralGradient:
         assert mag[far].min() >= 0.9
         assert mag[far].max() <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (3, 3), (31, 17)])
+    def test_equals_np_gradient_byte_for_byte(self, rng, shape):
+        scales = 10.0 ** rng.integers(-3, 4, size=shape)
+        for field in (rng.normal(size=shape) * scales, rng.integers(-9, 10, size=shape) * 1.0):
+            want = np.stack([np.gradient(field, axis=1), np.gradient(field, axis=0)], axis=-1)
+            got = central_gradient(field)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert got.flags.c_contiguous
+
     def test_too_small_field_rejected(self):
         with pytest.raises(ValueError):
             central_gradient(np.zeros((1, 5)))

@@ -7,6 +7,7 @@ from contourflow.flow import clip_vectors, dvf, energy_gradient_field, lcdvf
 from contourflow.shapes import random_blob_mask
 
 from conftest import site_mask
+from oracles import clip_vectors_masked
 
 
 def radial_dt(width=11, height=11, center=(5.0, 5.0)):
@@ -104,6 +105,25 @@ class TestClipping:
         vecs = np.array([[[3.0, 4.0]]])
         clipped = clip_vectors(vecs, 1.0)
         assert np.allclose(clipped, [[[0.6, 0.8]]], atol=1e-12)
+
+    def test_equals_masked_clip(self, rng):
+        vecs = rng.normal(size=(40, 30, 2)) * 2.0
+        vecs[0, 0] = (0.0, 0.0)
+        vecs[1, 1] = (1.2, -1.6)  # exactly at the clip norm 2: left as it is
+        vecs[2, 2] = (-0.0, 3.0)
+        for clip in (0.5, 2.0, 100.0, np.inf):
+            scaled = vecs.copy()
+            got, want = clip_vectors(scaled, clip), clip_vectors_masked(vecs, clip)
+            assert got is scaled  # in place
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_lcdvf_equals_the_former_construction(self, rng):
+        dt = mask_to_dt(random_blob_mask(rng, 40, 32))
+        gradient = np.stack([np.gradient(dt, axis=1), np.gradient(dt, axis=0)], axis=-1)
+        field = lcdvf(dt, 2.0)
+        want = clip_vectors_masked(-dt[..., None] * gradient, 2.0)
+        assert field.vectors.tobytes() == want.tobytes()
+        assert field.potential.tobytes() == (0.5 * dt * dt).tobytes()
 
     def test_invalid_clip_rejected(self):
         with pytest.raises(ValueError):
