@@ -7,7 +7,8 @@ maps a failure to its code, through ``_failing``: reading inputs and
 writing outputs fail with 2, computing fails with 1. All output files
 are written atomically and contain no timestamps, so reruns with
 identical inputs are byte-identical; wall-clock timing goes to stderr,
-for `run` as one JSON line of milliseconds per pipeline stage.
+for `run`, `batch` and `sweep` as one JSON line of milliseconds per
+pipeline stage.
 
 `run`, `sweep`, `batch` and `learn` each read the settings that
 ``COMMAND_SETTINGS`` lists for them, as flags and ``--config`` keys
@@ -19,21 +20,19 @@ or sweep axis value exits 2 before any mask is read.
 
 Every command reads its masks through ``prepare``, the one check that a
 ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
-`batch` reads every manifest item's mask first, then evolves the items
-of one mask shape together, in groups of at most ``GROUP_PIXELS``
-pixels and node-system entries: a group's EDTs come from stacked calls,
-and each iteration is one stacked solver step for the whole group
-(``evolve_group``). Each item is scored against its own mask, rows stay
-in manifest order and every value is the one the item gets alone; the
-image column only labels the report row, and `--jobs` has no effect.
-An item's own failure (an unreadable mask, a map that does not fit it,
-a failed computation) is a report row; an `energy:` field is built once
-and shared by every item its map fits. `sweep` reads its
-masks once, computes one EDT for all rows and keeps
-``circle:<cu>,<cv>,<r>`` values whole; a map that does not fit the mask
-stops it before any row, and a failed computation is a row and makes it
-exit 1. A run computes one EDT per mask: the inscribed init reads the
-field's.
+`run`, `batch` and `sweep` share one pipeline, ``run_pipeline``, over a
+group of items of one mask shape; every value is the one the item gets
+alone. `run` is a group of one. `batch` reads every manifest item's mask
+first, then runs the items of one mask shape in groups of at most
+``GROUP_PIXELS`` pixels and node-system entries; rows stay in manifest
+order, an item's own failure (an unreadable mask, a map that does not
+fit it, a failed computation) is its row, the image column only labels
+the row, and `--jobs` has no effect. `sweep` reads its mask once and
+computes one EDT for all rows, runs its `radius`, `init` and `field`
+rows as groups under the same caps and an `iterations` sweep as one
+evolution read at each count, and keeps ``circle:<cu>,<cv>,<r>`` values
+whole; a map that does not fit the mask stops it before any row, and a
+failed computation is a row and makes it exit 1.
 """
 
 from __future__ import annotations
@@ -59,14 +58,14 @@ from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import fit_parameters
 from .metrics import MetricsReport, evaluate
-from .snake import EvolutionTrace, EvolveError, ParameterSet, SnakeConfig, evolve, evolve_group
+from .snake import EvolutionTrace, ParameterSet, SnakeConfig, evolve
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-# a batch group's force-field stack holds at most the field of one 256² run,
-# and its stack of (nodes, nodes) systems at most as many entries
+# a group's force-field stack holds at most the field of one 256² run, and
+# its stack of (nodes, nodes) systems at most as many entries
 GROUP_PIXELS = 1 << 16
 
 # both profiles inflate: the settled contour then rests a fraction of a
@@ -169,16 +168,21 @@ class StageTimer:
         self._last = time.perf_counter()
 
     def lap(self, stage: str) -> None:
-        """Charge the time since the previous lap (or since creation) to ``stage``."""
+        """Add the time since the previous lap (or since creation) to ``stage``."""
         now = time.perf_counter()
-        self.ms[stage] = (now - self._last) * 1e3
+        self.ms[stage] = self.ms.get(stage, 0.0) + (now - self._last) * 1e3
         self._last = now
+
+    def emit(self) -> None:
+        """One JSON line of the stage totals on stderr."""
+        stage_ms = {stage: round(ms, 3) for stage, ms in self.ms.items()}
+        print(json.dumps({"stage_ms": stage_ms}), file=sys.stderr)
 
 
 @dataclass
 class Prepared:
     """A mask and its ground truth, read once; ``dt`` is computed on first use
-    unless ``batch`` set it from a stacked call."""
+    unless ``_share_dts`` set it from a stacked call."""
     mask: np.ndarray
     gt: np.ndarray
 
@@ -385,29 +389,92 @@ def _start(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> Contour:
     return circle_to_contour(_init_circle(loaded.init, prep), cfg.nodes, width, height)
 
 
-def run_pipeline(prep: Prepared, cfg: RunConfig, timer: StageTimer | None = None,
-                 loaded: _Loaded | None = None) -> RunResult:
-    """Segment ``prep.mask`` with ``cfg`` and score it against ``prep.gt``;
-    ``loaded`` is ``cfg`` checked and loaded, which is done here if not given."""
+def _share_dts(preps: list[Prepared]) -> list[Prepared]:
+    """Give each distinct prep that has no EDT yet and whose mask has one its
+    slice of stacked ``mask_to_dt`` calls, each over at most the rows of a
+    square ``GROUP_PIXELS`` image, as many as a 256² run's EDT (four 64²
+    masks), and return those preps. A lone prep, and an empty or full-frame
+    mask, keeps the lazy ``dt``, which raises as it does for a lone run."""
+    preps = [prep for prep in {id(prep): prep for prep in preps}.values()
+             if "dt" not in prep.__dict__ and prep.mask.any() and not prep.mask.all()]
+    if len(preps) < 2:
+        return []
+    per_call = max(1, math.isqrt(GROUP_PIXELS) // preps[0].mask.shape[0])
+    for first in range(0, len(preps), per_call):
+        chunk = preps[first:first + per_call]
+        for prep, dt in zip(chunk, mask_to_dt(np.stack([prep.mask for prep in chunk]))):
+            prep.dt = dt
+    return preps
+
+
+def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
+                 timer: StageTimer | None = None,
+                 counts: list[int] | None = None) -> list[RunResult | CliError]:
+    """Segment each item's mask with ``cfg`` and its loaded settings and score
+    it against its ground truth after each of ``counts`` steps (``cfg.iters``
+    by default, none past it): one result per item and count, item-major,
+    each the one the item gets alone, or its ``CliError``.
+
+    The items share one mask shape and ``cfg``'s weights (a map that does
+    not fit raises). Fit the maps; compute the EDTs in stacked calls; build
+    a force that drives every item once (read through a view), else each
+    item's into its slot of a (K, H, W, 2) stack; build the starts; step
+    them in one ``evolve`` call; rasterize and score each item. A count at
+    or past a collapse gets the collapse's message.
+    """
     timer = timer or StageTimer()
-    loaded = loaded or _load(cfg)
-    height, width = prep.mask.shape
-    beta, kappa = _fit_maps(cfg, loaded, (height, width))
+    height, width = items[0][0].mask.shape
+    beta, kappa = _fit_maps(cfg, items[0][1], (height, width))
     timer.lap("read")
+    stacked = _share_dts([prep for prep, loaded in items
+                          if isinstance(loaded.field, str) or loaded.init == "inscribed"])
+    # an energy: field is one force for every mask, lcdvf and dvf one per mask
+    shared = len({id(loaded.field) if isinstance(loaded.field, _EnergyField)
+                  else (loaded.field, id(prep)) for prep, loaded in items}) == 1
+    vectors = None if shared else np.empty((len(items), height, width, 2))
+    force, starts, potentials, failed = None, [], [], {}
+    for index, (prep, loaded) in enumerate(items):
+        try:
+            with _failing(EXIT_COMPUTE):
+                if force is None or not shared:
+                    force = _build_force(cfg, loaded, prep)
+                timer.lap("field")
+                starts.append(_start(cfg, loaded, prep))
+                timer.lap("init")
+        except CliError as exc:
+            failed[index] = exc
+            continue
+        potentials.append(force.potential)
+        if not shared:
+            vectors[len(starts) - 1] = force.vectors
+    for prep in stacked:
+        prep.drop_dt()
+    results, counts = [], counts or [cfg.iters]
     with _failing(EXIT_COMPUTE):
-        force = _build_force(cfg, loaded, prep)
-        timer.lap("field")
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
-        config = cfg.snake_config()
-        start = _start(cfg, loaded, prep)
-        timer.lap("init")
-        final, trace = evolve(start, force, params, config)
+        paths = []
+        if starts:
+            stack = force.vectors[None] if shared else vectors[:len(starts)]
+            paths = evolve(starts, stack, params, cfg.snake_config())
         timer.lap("evolve")
-        prediction = rasterize(final, width, height)
-        timer.lap("rasterize")
-        report = evaluate(prediction, prep.gt)
-        timer.lap("metrics")
-    return RunResult(prediction=prediction, report=report, trace=trace)
+        started = zip(paths, potentials)
+        for index, (prep, _) in enumerate(items):
+            if index in failed:
+                results += [failed[index]] * len(counts)
+                continue
+            path, potential = next(started)
+            for count in counts:
+                if count >= len(path.contours):  # the path stopped before this count
+                    results.append(CliError(str(path.error), EXIT_COMPUTE))
+                    continue
+                contours = path.contours[:count + 1]
+                prediction = rasterize(contours[-1], width, height)
+                timer.lap("rasterize")
+                report = evaluate(prediction, prep.gt)
+                timer.lap("metrics")
+                trace = EvolutionTrace(contours, potential, params)
+                results.append(RunResult(prediction, report, trace))
+    return results
 
 
 def _contour_json(contour: Contour) -> str:
@@ -459,12 +526,13 @@ def _cmd_run(args) -> int:
     cfg, loaded = resolve_run_config(args)
     timer = StageTimer()  # "read" covers prepare
     prep = prepare(cfg.mask, cfg.gt)
-    result = run_pipeline(prep, cfg, timer, loaded)
+    [result] = run_pipeline(cfg, [(prep, loaded)], timer)
+    if isinstance(result, CliError):
+        raise result
     write_run_outputs(cfg, prep, result)
     timer.lap("write")
     print(_json_line(result.report.as_dict()))
-    stage_ms = {stage: round(ms, 3) for stage, ms in timer.ms.items()}
-    print(json.dumps({"stage_ms": stage_ms}), file=sys.stderr)
+    timer.emit()
     return EXIT_OK
 
 
@@ -536,83 +604,38 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _group_by_shape(items: list[tuple[dict, Prepared]],
-                    nodes: int) -> list[list[tuple[dict, Prepared]]]:
-    """Items of one mask shape in manifest order, cut into groups of at most
-    ``GROUP_PIXELS`` pixels and at most ``GROUP_PIXELS`` entries of their
-    (nodes, nodes) systems; an item over either cap makes a group of its own."""
+def _group_by_shape(preps: list[Prepared], nodes: int) -> list[list[int]]:
+    """The indices of the preps of one mask shape in order, cut into groups
+    of at most ``GROUP_PIXELS`` pixels and at most ``GROUP_PIXELS`` entries
+    of their (nodes, nodes) systems; a prep over either cap makes a group of
+    its own."""
     groups, open_group = [], {}
-    for item in items:
-        shape = item[1].mask.shape
-        size = max(item[1].mask.size, nodes * nodes)
+    for index, prep in enumerate(preps):
+        shape = prep.mask.shape
+        size = max(prep.mask.size, nodes * nodes)
         group = open_group.get(shape)
         if group is None or (len(group) + 1) * size > GROUP_PIXELS:
             group = open_group[shape] = []
             groups.append(group)
-        group.append(item)
+        group.append(index)
     return groups
 
 
-def _share_dts(preps: list[Prepared]) -> None:
-    """Give each prep whose mask has an EDT its slice of one stacked
-    ``mask_to_dt`` call; an empty or full-frame mask keeps the lazy ``dt``,
-    which raises as it does for a lone run."""
-    preps = [prep for prep in preps if prep.mask.any() and not prep.mask.all()]
-    if preps:
-        for prep, dt in zip(preps, mask_to_dt(np.stack([prep.mask for prep in preps]))):
-            prep.dt = dt
-
-
-def _batch_group(cfg: RunConfig, loaded: _Loaded, group: list[tuple[dict, Prepared]]) -> None:
-    """Segment and score the items of one group, filling in each item's row.
-
-    When the field or the init reads an EDT, the items' EDTs come from
-    stacked ``mask_to_dt`` calls, each over at most the rows of a square
-    ``GROUP_PIXELS`` image, as many as a 256² run's EDT (four 64² masks).
-    Each item's force field goes into its slot of one (K, H, W, 2) stack
-    (an ``energy:`` field is one slot every item shares) before its EDT
-    is dropped; ``evolve_group`` then steps every item's contour
-    together, and each is scored against its own mask."""
-    height, width = group[0][1].mask.shape
-    beta, kappa = _fit_maps(cfg, loaded, (height, width))
-    shared = isinstance(loaded.field, _EnergyField)
-    vectors = None if shared else np.empty((len(group), height, width, 2))
-    reads_dt = not shared or loaded.init == "inscribed"
-    per_call = max(1, math.isqrt(GROUP_PIXELS) // height)
-    started, starts = [], []
-    for index, (row, prep) in enumerate(group):
-        if reads_dt and index % per_call == 0:
-            _share_dts([prep for _, prep in group[index:index + per_call]])
-        try:
-            with _failing(EXIT_COMPUTE):
-                force = _build_force(cfg, loaded, prep)
-                if shared:
-                    vectors = force.vectors[None]
-                else:
-                    vectors[len(starts)] = force.vectors
-                del force
-                starts.append(_start(cfg, loaded, prep))
-            started.append((row, prep))
-        except CliError as exc:
-            row["error"] = str(exc)
-        prep.drop_dt()
-    if not starts:
-        return
-    params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
-    finals = evolve_group(starts, vectors[:len(starts)], params, cfg.snake_config())
-    del vectors
-    for (row, prep), final in zip(started, finals):
-        if isinstance(final, EvolveError):
-            row["error"] = str(final)
-        else:
-            report = evaluate(rasterize(final, width, height), prep.gt)
-            row.update(iou=report.iou, dice=report.dice, boundf=report.boundf)
+def _write_report(text: str, path: str | None, timer: StageTimer) -> None:
+    """Print a report, write it to ``path`` too when given, then the timings."""
+    sys.stdout.write(text)
+    if path:
+        with _failing(EXIT_USAGE, f"cannot write {path}: "):
+            atomic_write_text(path, text)
+    timer.lap("write")
+    timer.emit()
 
 
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise CliError("jobs must be >= 1")
     cfg, loaded = resolve_run_config(args)
+    timer = StageTimer()
     pairs = _parse_manifest(args.manifest)
 
     rows, items = [], []
@@ -626,19 +649,23 @@ def _cmd_batch(args) -> int:
             row["error"] = str(exc)
             continue
         items.append((row, prep))
-    for group in _group_by_shape(items, cfg.nodes):
-        _batch_group(cfg, loaded, group)
+    for group in _group_by_shape([prep for _, prep in items], cfg.nodes):
+        results = run_pipeline(cfg, [(items[i][1], loaded) for i in group], timer)
+        for i, result in zip(group, results):
+            row, prep = items[i]
+            if isinstance(result, CliError):
+                row["error"] = str(result)
+            else:
+                row.update(iou=result.report.iou, dice=result.report.dice,
+                           boundf=result.report.boundf)
+            prep.drop_dt()
 
     successes = [r for r in rows if "error" not in r]
     aggregate = {"aggregate": True, "items": len(rows), "failed": len(rows) - len(successes)}
     for key, name in (("iou", "miou"), ("dice", "mean_dice"), ("boundf", "mean_boundf")):
         aggregate[name] = float(np.mean([r[key] for r in successes])) if successes else 0.0
     lines = [_json_line(r) for r in rows] + [_json_line(aggregate)]
-    report_text = "\n".join(lines) + "\n"
-    sys.stdout.write(report_text)
-    if args.out:
-        with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
-            atomic_write_text(args.out, report_text)
+    _write_report("\n".join(lines) + "\n", args.out, timer)
     return EXIT_OK if aggregate["failed"] == 0 else EXIT_COMPUTE
 
 
@@ -650,44 +677,48 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise CliError("sweep needs at least one value")
 
-    rows = []  # (value, config, loaded settings) per row, all checked before the mask is read
+    rows = []  # (loaded settings, step count) per row, all checked before the mask is read
     for value in values:
         with _failing(EXIT_USAGE, f"bad {args.axis} value {value!r}: "):
+            row, iters = loaded, cfg.iters
             if args.axis == "iterations":
-                item, row = replace(cfg, iters=int(value)), loaded
-                item.snake_config()  # rejects a negative iteration count
+                iters = int(value)
+                replace(cfg, iters=iters).snake_config()  # rejects a negative count
             elif args.axis == "field":
-                item = replace(cfg, field=value)
                 row = replace(loaded, field=_load_field(value, cfg.clip))
             elif args.axis == "init":
-                item, row = replace(cfg, init=value), replace(loaded, init=_load_init(value))
+                row = replace(loaded, init=_load_init(value))
             else:  # a radius, centred on the mask's circumscribed circle below
-                item, row = cfg, replace(loaded, init=Circle((0.0, 0.0), float(value)))
-        rows.append((value, item, row))
+                row = replace(loaded, init=Circle((0.0, 0.0), float(value)))
+        rows.append((row, iters))
 
+    timer = StageTimer()
     prep = prepare(cfg.mask, cfg.gt)  # every row shares the mask and its EDT
-    for _, item, row in rows:  # a map that does not fit the mask stops the sweep here
-        _fit_maps(item, row, prep.mask.shape)
+    for row, _ in rows:  # a map that does not fit the mask stops the sweep here
+        _fit_maps(cfg, row, prep.mask.shape)
     if args.axis == "radius":
         with _failing(EXIT_COMPUTE):
             center = circumscribed_circle(prep.mask).center
-        rows = [(value, item, replace(row, init=replace(row.init, center=center)))
-                for value, item, row in rows]
+        rows = [(replace(row, init=replace(row.init, center=center)), iters)
+                for row, iters in rows]
+    if args.axis == "iterations":  # one evolution, read at each row's step count
+        counts = [iters for _, iters in rows]
+        results = run_pipeline(replace(cfg, iters=max(counts)), [(prep, loaded)], timer, counts)
+    else:  # the rows of a group share one force slot, or one each for the field axis
+        results = []
+        for group in _group_by_shape([prep] * len(rows), cfg.nodes):
+            results += run_pipeline(cfg, [(prep, rows[i][0]) for i in group], timer)
 
     table, failed = ["axis_value,iou,dice,boundf,error"], 0
-    for value, item, row in rows:
+    for value, result in zip(values, results):
         cell = value.replace(",", ";")
-        try:
-            report = run_pipeline(prep, item, loaded=row).report
-            table.append(f"{cell},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
-        except CliError as exc:  # every map fits, so only a computation can fail
-            table.append(f"{cell},,,,{str(exc).replace(',', ';')}")
+        if isinstance(result, CliError):  # every map fits, so only a computation can fail
+            table.append(f"{cell},,,,{str(result).replace(',', ';')}")
             failed += 1
-    text = "\n".join(table) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with _failing(EXIT_USAGE, f"cannot write {args.out}: "):
-            atomic_write_text(args.out, text)
+        else:
+            report = result.report
+            table.append(f"{cell},{report.iou:.6f},{report.dice:.6f},{report.boundf:.6f},")
+    _write_report("\n".join(table) + "\n", args.out, timer)
     return EXIT_COMPUTE if failed else EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .fields import Contour, as_mask, rasterize, resample_closed
 from .flow import ForceField
 from .metrics import iou
-from .snake import EvolveError, ParameterSet, SnakeConfig, evolve
+from .snake import ParameterSet, SnakeConfig, evolve
 
 # 8-neighborhood scan order for boundary tracing (clockwise, from west)
 _MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
@@ -159,10 +159,10 @@ def fit_parameters(gt_mask, force: ForceField, start: Contour, config: SnakeConf
     history: list[float] = []
     best_score, best_params = -1.0, params.copy()
     for epoch in range(epochs):
-        try:
-            predicted, _ = evolve(start, force, params, config)
-        except EvolveError as exc:
-            raise RuntimeError(f"fit aborted at epoch {epoch + 1}: {exc}") from exc
+        path = evolve([start], force.vectors[None], params, config)[0]
+        if path.error:
+            raise RuntimeError(f"fit aborted at epoch {epoch + 1}: {path.error}") from path.error
+        predicted = path.contours[-1]
         pred_region = rasterize(predicted, width, height)
         score = iou(pred_region, gt_mask)
         history.append(score)

@@ -21,12 +21,12 @@ cyclic pentadiagonal systems are built from their bands, by a plan
 cached per node count, and solved by one stacked ``np.linalg.solve``.
 The build sums in a fixed order without BLAS, so its floats do not
 depend on the machine; the solve's may (BLAS kernel and thread count).
-``evolve`` is the K = 1 case and records a trace; ``evolve_group`` steps
-many contours together, drops each at the step its area collapses and
-keeps no trace. The
-arithmetic per element is that of separate per-field lookups and a
-per-step node-by-node matrix build for one contour (kept in
-``tests/oracles.py``), so every contour is bit-identical to theirs.
+``evolve`` is the one driver: it steps K contours together, one for a
+lone run, drops each at the step its area collapses and returns every
+contour's path. The arithmetic per element is that of separate
+per-field lookups and a per-step node-by-node matrix build for one
+contour (kept in ``tests/oracles.py``), so every contour is
+bit-identical to theirs.
 ``contour_energies`` scores a whole trace the same way: one corner
 lookup over all of its contours' nodes, and one gather and one blend of
 the potential and beta.
@@ -42,7 +42,6 @@ import numpy as np
 
 from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_corners, blend_corners,
                      clamp_to_frame, rasterize, resample_closed, signed_areas)
-from .flow import ForceField
 
 _TINY = 1e-12
 
@@ -292,93 +291,61 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     return new_nodes
 
 
-def _check_maps(params: ParameterSet, shape: tuple[int, int]) -> None:
-    if params.beta.shape != shape:
-        raise ValueError(f"parameter maps {params.beta.shape} do not match "
-                         f"the force field {shape}")
+@dataclass
+class ContourPath:
+    """One contour's evolution: the clamped start, then one contour per
+    completed step, and the ``EvolveError`` that stopped it (``None`` when
+    it ran every step)."""
+
+    contours: list[Contour]
+    error: EvolveError | None = None
 
 
-def _step_failed(i: int, exc: Exception) -> EvolveError:
-    return EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
-
-
-def _collapsed(i: int, area: float) -> EvolveError:
-    return EvolveError(f"contour collapsed or reversed at iteration {i + 1} "
-                       f"(signed area {area:.6g})")
-
-
-def evolve(initial: Contour, force: ForceField, params: ParameterSet,
-           config: SnakeConfig) -> tuple[Contour, EvolutionTrace]:
-    """Run ``config.iterations`` evolution steps and record a trace.
-
-    The trace holds iterations + 1 contours (the clamped initial state
-    first, ``final`` last); the run is deterministic for fixed inputs. The
-    difference operators are built once, and each iteration calls
-    ``evolve_step`` on a stack of one contour, reading ``force.vectors``
-    through a view. A step whose contour's signed area falls below
-    ``DEGENERATE_AREA`` (collapsed, or reversed to a negative area) raises
-    ``EvolveError`` naming the 1-based iteration. The loop computes no
-    energies: the trace evaluates them against the force field's potential
-    map when they are read.
-    """
-    height, width = force.shape
-    _check_maps(params, (height, width))
-    current = initial.clamped(width, height)
-    ops = difference_operators(len(current))
-    vectors = force.vectors[None]
-    contours = [current]
-    nodes = current.nodes[None]
-    for i in range(config.iterations):
-        try:
-            nodes = evolve_step(nodes, vectors, params, config, ops)
-        except Exception as exc:
-            raise _step_failed(i, exc) from exc
-        area = signed_areas(nodes)[0]
-        if not area >= DEGENERATE_AREA:
-            raise _collapsed(i, area)
-        contours.append(Contour.solved(nodes[0]))
-    return contours[-1], EvolutionTrace(contours, force.potential, params)
-
-
-def evolve_group(initials: list[Contour], vectors: np.ndarray, params: ParameterSet,
-                 config: SnakeConfig) -> list[Contour | EvolveError]:
-    """Evolve K contours of one node count together and return, per
-    contour, its final state or the ``EvolveError`` that ``evolve`` would
-    raise for it alone.
+def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
+           config: SnakeConfig) -> list[ContourPath]:
+    """Run ``config.iterations`` steps on K contours of one node count
+    together and return each contour's path, to the bit the one it takes
+    alone.
 
     ``vectors`` is a (K, H, W, 2) stack of force fields, one per contour,
     or a (1, H, W, 2) stack that every contour shares; ``params`` is
     shared. Each iteration makes one ``evolve_step`` call for every
     contour still running. A contour whose signed area falls below
-    ``DEGENERATE_AREA`` leaves the stack at that step with the message
-    ``evolve`` gives; the others go on. The contours are those of K
-    ``evolve`` runs to the bit, and no trace is kept. A step that raises
-    (unreachable for valid inputs) fails every contour still running.
+    ``DEGENERATE_AREA`` (collapsed, or reversed to a negative area) leaves
+    the stack at that step, its path ending in an ``EvolveError`` naming
+    the 1-based iteration. A step that raises (unreachable for valid
+    inputs) ends every contour still running. No energies are computed.
     """
     height, width = vectors.shape[1:3]
-    _check_maps(params, (height, width))
-    if len(vectors) not in (1, len(initials)):
-        raise ValueError(f"{len(vectors)} force fields for {len(initials)} contours")
-    nodes = np.stack([c.clamped(width, height).nodes for c in initials])
+    if params.beta.shape != (height, width):
+        raise ValueError(f"parameter maps {params.beta.shape} do not match "
+                         f"the force field {(height, width)}")
+    if len(vectors) not in (1, len(starts)):
+        raise ValueError(f"{len(vectors)} force fields for {len(starts)} contours")
+    paths = [ContourPath([start.clamped(width, height)]) for start in starts]
+    nodes = np.stack([path.contours[0].nodes for path in paths])
     ops = difference_operators(nodes.shape[1])
-    items = np.arange(len(initials))
-    shared = len(vectors) == 1
-    results: list[Contour | EvolveError] = [None] * len(initials)
+    running = list(range(len(paths)))  # the contours still in the stack
+    slots = None if len(vectors) == 1 else np.array(running)
     for i in range(config.iterations):
-        if not items.size:
-            break
         try:
-            nodes = evolve_step(nodes, vectors, params, config, ops, None if shared else items)
+            nodes = evolve_step(nodes, vectors, params, config, ops, slots)
         except Exception as exc:
-            for item in items:
-                results[item] = _step_failed(i, exc)
-            return results
-        areas = signed_areas(nodes)
-        running = areas >= DEGENERATE_AREA
-        if not running.all():
-            for item, area in zip(items[~running], areas[~running]):
-                results[item] = _collapsed(i, float(area))
-            nodes, items = nodes[running], items[running]
-    for item, pts in zip(items, nodes):
-        results[item] = Contour.solved(pts)
-    return results
+            for k in running:
+                paths[k].error = EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
+            break
+        areas = signed_areas(nodes).tolist()
+        kept = [area >= DEGENERATE_AREA for area in areas]  # a NaN area fails too
+        if not all(kept):
+            for k, area, keep in zip(running, areas, kept):
+                if not keep:
+                    paths[k].error = EvolveError(f"contour collapsed or reversed at iteration "
+                                                 f"{i + 1} (signed area {area:.6g})")
+            nodes = nodes[kept]
+            running = [k for k, keep in zip(running, kept) if keep]
+            slots = None if slots is None else np.array(running)
+            if not running:
+                break
+        for k, pts in zip(running, nodes):
+            paths[k].contours.append(Contour.solved(pts))
+    return paths

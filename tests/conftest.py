@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from contourflow.snake import EvolutionTrace, evolve
+
 
 def random_star_polygon(rng: np.random.Generator, center=(16.0, 16.0),
                         r_lo=3.0, r_hi=11.0, n_lo=5, n_hi=14) -> np.ndarray:
@@ -12,6 +14,16 @@ def random_star_polygon(rng: np.random.Generator, center=(16.0, 16.0),
     radii = rng.uniform(r_lo, r_hi, size=n)
     return np.stack([center[0] + radii * np.cos(angles),
                      center[1] + radii * np.sin(angles)], axis=1)
+
+
+def evolve_one(start, force, params, config):
+    """``(final, trace)`` of one contour evolved alone: ``evolve`` on a group
+    of one, reading the force field through a view; raises the
+    ``EvolveError`` its path ends in."""
+    [path] = evolve([start], force.vectors[None], params, config)
+    if path.error:
+        raise path.error
+    return path.contours[-1], EvolutionTrace(path.contours, force.potential, params)
 
 
 def site_mask(points, width: int, height: int) -> np.ndarray:

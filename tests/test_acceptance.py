@@ -26,11 +26,11 @@ from contourflow.learning import (fit_parameters, subgrad_alpha, subgrad_beta,
                                   subgrad_kappa)
 from contourflow.metrics import boundf, dice, iou
 from contourflow.shapes import full_suite, random_blob_mask, u_shape_mask
-from contourflow.snake import ParameterSet, SnakeConfig, evolve
+from contourflow.snake import ParameterSet, SnakeConfig
 
 from oracles import (assemble_internal_system, boundf_reference, edt_brute, energy_eval,
                      force_at, mec_reference, rasterize_reference)
-from conftest import random_star_polygon
+from conftest import evolve_one, random_star_polygon
 
 SUITE_NODES = 60
 SUITE_ALPHA = 0.01
@@ -57,7 +57,7 @@ def suite_prediction(fixture, iterations=50, field="lcdvf", kappa=SUITE_KAPPA,
     params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
                                   beta=SUITE_BETA, kappa=kappa)
     config = SnakeConfig(iterations=iterations)
-    final, _ = evolve(start, force, params, config)
+    final, _ = evolve_one(start, force, params, config)
     return rasterize(final, width, height)
 
 
@@ -144,8 +144,8 @@ def test_ac3_capture_range():
             start = circle_to_contour(init, SUITE_NODES, width, height)
             params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
                                           beta=SUITE_BETA, kappa=0.0)
-            final, _ = evolve(start, force, params,
-                              SnakeConfig(iterations=50))
+            final, _ = evolve_one(start, force, params,
+                                  SnakeConfig(iterations=50))
             scores.append(iou(rasterize(final, width, height), mask))
         return scores
 
@@ -234,8 +234,8 @@ def test_ac6_gradient_and_energy_checks():
                                   SUITE_NODES, width, height)
         run_params = ParameterSet.uniform(width, height, alpha=SUITE_ALPHA,
                                           beta=SUITE_BETA, kappa=0.0)
-        _, trace = evolve(start, flow, run_params,
-                          SnakeConfig(iterations=50, time_step=0.1))
+        _, trace = evolve_one(start, flow, run_params,
+                              SnakeConfig(iterations=50, time_step=0.1))
         worst_rise = max(worst_rise, float(np.diff(trace.energies).max()))
 
     ok = worst_rel <= 1e-3 and worst_rise <= 1e-6

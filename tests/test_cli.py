@@ -22,6 +22,22 @@ def read_result(out_dir):
     return json.loads((out_dir / "result.json").read_text())
 
 
+@pytest.fixture
+def stacks(monkeypatch):
+    """The node stack of every ``evolve_step`` call, in call order."""
+    import contourflow.snake as snake_module
+
+    seen = []
+    original = snake_module.evolve_step
+
+    def counting(nodes, *args):
+        seen.append(nodes)
+        return original(nodes, *args)
+
+    monkeypatch.setattr(snake_module, "evolve_step", counting)
+    return seen
+
+
 class TestRun:
     def test_disk_building_profile(self, tmp_path, disk_paths, capsys):
         mask, mask_path = disk_paths
@@ -772,7 +788,8 @@ class TestBatchCommand:
 
 def per_item_batch(argv):
     """The report text and exit code of ``batch`` with ``argv`` when every
-    manifest item runs alone, one ``cli.run_pipeline`` call each."""
+    manifest item runs alone, one ``cli.run_pipeline`` call on a group of
+    one each."""
     from contourflow import cli
     args = cli.build_parser().parse_args(argv)
     cfg, loaded = cli.resolve_run_config(args)
@@ -780,10 +797,14 @@ def per_item_batch(argv):
     for index, (image, mask) in enumerate(cli._parse_manifest(args.manifest)):
         row = {"index": index, "image": image, "mask": mask}
         try:
-            report = cli.run_pipeline(cli.prepare(mask), cfg, loaded=loaded).report
-            row.update(iou=report.iou, dice=report.dice, boundf=report.boundf)
+            [result] = cli.run_pipeline(cfg, [(cli.prepare(mask), loaded)])
         except cli.CliError as exc:
-            row["error"] = str(exc)
+            result = exc
+        if isinstance(result, cli.CliError):
+            row["error"] = str(result)
+        else:
+            row.update(iou=result.report.iou, dice=result.report.dice,
+                       boundf=result.report.boundf)
         rows.append(row)
     ok = [r for r in rows if "error" not in r]
     aggregate = {"aggregate": True, "items": len(rows), "failed": len(rows) - len(ok)}
@@ -820,21 +841,6 @@ class TestBatchGroups:
         dist = mask_to_dt(large[0].mask)
         write_pfm(tmp_path / "energy128.pfm", 0.5 * dist * dist)
         return tmp_path, manifest
-
-    @pytest.fixture
-    def stacks(self, monkeypatch):
-        """The node stack of every ``evolve_step`` call, in call order."""
-        import contourflow.snake as snake_module
-
-        seen = []
-        original = snake_module.evolve_step
-
-        def counting(nodes, *args):
-            seen.append(nodes)
-            return original(nodes, *args)
-
-        monkeypatch.setattr(snake_module, "evolve_step", counting)
-        return seen
 
     @pytest.mark.parametrize("flags, collapse_steps, shape_errors", [
         ([], 0, 0),
@@ -924,6 +930,28 @@ class TestBatchGroups:
         manifest.write_text("".join(f"{p} {p}\n" for p in paths))
         assert main(["batch", "--manifest", str(manifest), "--iters", "50"]) == 0
         assert [nodes.shape for nodes in stacks] == [(12, 60, 2)] * 50
+
+
+def per_row_sweep(capsys, common, axis, values, mask_path):
+    """The CSV of ``sweep --axis axis --values values`` built from one
+    separate ``run`` per row: its stdout metrics, or its error."""
+    from contourflow.autoinit import circumscribed_circle
+    center = circumscribed_circle(read_mask_pgm(mask_path)).center
+    flag = {"iterations": "--iters", "field": "--field"}.get(axis, "--init")
+    table = ["axis_value,iou,dice,boundf,error"]
+    for value in values:
+        setting = f"circle:{center[0]!r},{center[1]!r},{value}" if axis == "radius" else value
+        code = main(["run", "--mask", str(mask_path), *common, flag, setting])
+        captured = capsys.readouterr()
+        cell = value.replace(",", ";")
+        if code == 0:
+            m = json.loads(captured.out)
+            table.append(f"{cell},{m['iou']:.6f},{m['dice']:.6f},{m['boundf']:.6f},")
+        else:
+            assert code == 1
+            error = json.loads(captured.err.strip().splitlines()[-1])["error"]
+            table.append(f"{cell},,,,{error.replace(',', ';')}")
+    return "\n".join(table) + "\n"
 
 
 class TestSweepCommand:
@@ -1044,34 +1072,35 @@ class TestSweepCommand:
         assert calls == []
 
     @staticmethod
-    def check_rows_equal_plain_runs(tmp_path, mask_path, capsys, axis, flag, values):
-        """Each row equals ``run`` with ``flag`` set to the row's value, though
-        the sweep reads its mask and computes its EDT once."""
-        common = ["--mask", str(mask_path)] + (["--iters", "5"] if axis != "iterations" else [])
-        code = main(["sweep", *common, "--axis", axis, "--values", ",".join(values)])
-        assert code == 0
-        rows = capsys.readouterr().out.strip().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == [v.replace(",", ";") for v in values]
-        for index, (value, row) in enumerate(zip(values, rows)):
-            _, iou, dice, boundf, error = row.split(",")
-            out = tmp_path / f"run{index}"
-            assert main(["run", *common, flag, value, "--out", str(out)]) == 0
-            capsys.readouterr()
-            metrics = read_result(out)["metrics"]
-            assert error == ""
-            assert [float(iou), float(dice), float(boundf)] == [
-                metrics["iou"], metrics["dice"], metrics["boundf"]]
+    def check_rows_equal_plain_runs(tmp_path, mask_path, capsys, common, axis, values):
+        """The CSV, on stdout and in ``--out``, is the one of running each row
+        alone (``per_row_sweep``), though the sweep reads its mask and
+        computes its EDT once and evolves its rows together."""
+        want = per_row_sweep(capsys, common, axis, values, mask_path)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--mask", str(mask_path), *common, "--axis", axis,
+                     "--values", ",".join(values), "--out", str(out)])
+        assert code == (1 if ",,,," in want else 0)
+        assert capsys.readouterr().out == want == out.read_text()
 
     def test_init_sweep_rows_equal_plain_runs(self, tmp_path, disk_paths, capsys):
-        self.check_rows_equal_plain_runs(tmp_path, disk_paths[1], capsys, "init", "--init",
-                                         ["inscribed", "circumscribed", "circle:30,30,8"])
+        self.check_rows_equal_plain_runs(tmp_path, disk_paths[1], capsys, ["--iters", "5"],
+                                         "init", ["inscribed", "circumscribed", "circle:30,30,8"])
 
-    @pytest.mark.parametrize("axis, flag, values", [
-        ("iterations", "--iters", ["0", "3", "5"]), ("field", "--field", ["lcdvf", "dvf"])],
-        ids=["iterations", "field"])
-    def test_sweep_rows_equal_plain_runs(self, tmp_path, disk_paths, capsys, axis, flag,
+    @pytest.mark.parametrize("common, axis, values", [
+        ([], "iterations", ["0", "3", "5"]),
+        (["--iters", "5"], "field", ["lcdvf", "dvf"]),
+        ([], "iterations", ["0", "1", "5", "10", "25", "50"]),
+        (["--kappa", "-5"], "iterations", ["10", "46", "47", "48", "49", "200"]),
+        (["--iters", "20"], "radius", ["6", "12", "18", "24", "30.5"]),
+        (["--iters", "20"], "field", ["lcdvf", "dvf", "lcdvf"]),
+        (["--profile", "medical"], "field", ["dvf", "lcdvf"]),
+        (["--profile", "medical", "--kappa", "-5"], "iterations", ["2", "10", "39", "40", "100"]),
+    ], ids=["iterations", "field", "iterations-long", "iterations-collapsing", "radius",
+            "field-repeated", "medical-field", "medical-collapsing"])
+    def test_sweep_rows_equal_plain_runs(self, tmp_path, disk_paths, capsys, common, axis,
                                          values):
-        self.check_rows_equal_plain_runs(tmp_path, disk_paths[1], capsys, axis, flag, values)
+        self.check_rows_equal_plain_runs(tmp_path, disk_paths[1], capsys, common, axis, values)
 
     @pytest.mark.parametrize("axis, values", [
         ("iterations", "1,2,3"), ("field", "lcdvf,dvf"), ("init", "inscribed,circumscribed"),
@@ -1088,6 +1117,99 @@ class TestSweepCommand:
         assert main(["sweep", "--mask", str(mask_path), "--axis", axis,
                      "--values", values]) == 0
         assert len(calls) == 1
+
+
+class TestSweepGroups:
+    """``sweep`` runs its rows through the one group pipeline on its one
+    mask (``TestSweepCommand`` checks each CSV against rows run alone)."""
+
+    def test_collapsing_sweep_fails_from_the_collapse_on(self, disk_paths, capsys):
+        """Rows before the collapse score, and every row at or past it gets
+        its message, from one evolution."""
+        _, mask_path = disk_paths
+        assert main(["sweep", "--mask", str(mask_path), "--kappa", "-5", "--axis",
+                     "iterations", "--values", "10,46,47,48,49,200"]) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        message = "contour collapsed or reversed at iteration 48 "
+        assert [message in row for row in rows] == [False] * 3 + [True] * 3
+        assert all(row.split(",")[1] for row in rows[:3])
+
+    @pytest.mark.parametrize("axis, values, shapes", [
+        ("iterations", "5,10,25,50,100,200", [(1, 60, 2)] * 200),
+        ("init", "inscribed,circumscribed,circle:32,32,8", [(3, 60, 2)] * 50),
+        ("radius", "6,10,14,18,22,26", [(6, 60, 2)] * 50),
+        ("field", "lcdvf,dvf", [(2, 60, 2)] * 50),
+    ], ids=["iterations", "init", "radius", "field"])
+    def test_solver_steps(self, disk_paths, capsys, stacks, axis, values, shapes):
+        """An iterations sweep steps as often as its largest count; the rows
+        of the other axes step together, one stacked step per iteration."""
+        _, mask_path = disk_paths
+        assert main(["sweep", "--mask", str(mask_path), "--axis", axis,
+                     "--values", values]) == 0
+        assert [nodes.shape for nodes in stacks] == shapes
+
+    def test_groups_cap_node_systems(self, disk_paths, capsys, stacks):
+        """At 100 nodes eight radius rows make groups of six and two."""
+        _, mask_path = disk_paths
+        assert main(["sweep", "--mask", str(mask_path), "--nodes", "100", "--iters", "3",
+                     "--axis", "radius", "--values", "6,8,10,12,14,16,18,20"]) == 0
+        assert [len(nodes) for nodes in stacks] == [6] * 3 + [2] * 3
+
+    def test_radius_rows_share_one_force(self, disk_paths, capsys, monkeypatch):
+        from contourflow.flow import lcdvf
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lcdvf(*args)
+
+        monkeypatch.setattr("contourflow.cli.lcdvf", counted)
+        _, mask_path = disk_paths
+        assert main(["sweep", "--mask", str(mask_path), "--iters", "5", "--axis", "radius",
+                     "--values", "6,10,14,18"]) == 0
+        assert len(calls) == 1
+
+
+class TestStageTimings:
+    """``batch`` and ``sweep`` print one ``stage_ms`` line on stderr after
+    their report, as ``run`` does; stdout and ``--out`` carry the report
+    only."""
+
+    STAGES = ["read", "field", "init", "evolve", "rasterize", "metrics", "write"]
+
+    def test_lap_adds_to_the_stage_total(self, monkeypatch):
+        from types import SimpleNamespace
+        from contourflow import cli
+        clock = iter([0.0, 1.0, 3.0, 6.0])
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        timer = cli.StageTimer()
+        for stage in ("a", "b", "a"):
+            timer.lap(stage)
+        assert timer.ms == {"a": 4000.0, "b": 2000.0}
+
+    @pytest.mark.parametrize("command", ["batch", "sweep"])
+    def test_timings_reach_stderr_only(self, tmp_path, disk_paths, capsys, command):
+        _, mask_path = disk_paths
+        other = tmp_path / "other.pgm"
+        write_mask_pgm(other, suite(64)[3].mask)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{mask_path} {mask_path}\n{other} {other}\n")
+        if command == "batch":
+            argv = ["batch", "--manifest", str(manifest), "--iters", "5"]
+            want, _ = per_item_batch(argv)
+        else:
+            argv = ["sweep", "--mask", str(mask_path), "--iters", "5", "--axis", "radius",
+                    "--values", "8,12"]
+            want = per_row_sweep(capsys, ["--iters", "5"], "radius", ["8", "12"], mask_path)
+        for side in ("a", "b"):
+            out = tmp_path / f"{side}.out"
+            assert main([*argv, "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == out.read_text() == want
+            [line] = captured.err.splitlines()
+            stage_ms = json.loads(line)["stage_ms"]
+            assert list(stage_ms) == self.STAGES
+            assert all(ms >= 0.0 for ms in stage_ms.values())
 
 
 class TestExitCodes:

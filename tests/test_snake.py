@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from contourflow.flow import ForceField, lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
 from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
                                _system_matrix, contour_energies, difference_operators, evolve,
-                               evolve_group, evolve_step)
+                               evolve_step)
 
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
                      energies_reference, energy_eval, evolve_reference, evolve_step_reference,
                      fd_gradient, internal_system, perimeter, rasterize_reference)
-from conftest import random_star_polygon
+from conftest import evolve_one, random_star_polygon
 
 
 def uniform_params(width, height, alpha=0.0, beta=0.0, kappa=0.0):
@@ -106,7 +107,7 @@ class TestContourEnergies:
         params = ParameterSet(alpha=0.05, beta=rng.uniform(0.0, 0.3, (64, 64)),
                               kappa=rng.uniform(-0.1, 0.4, (64, 64)))
         start = circle_to_contour(circumscribed_circle(mask), 60, 64, 64)
-        _, trace = evolve(start, force, params, SnakeConfig(iterations=30))
+        _, trace = evolve_one(start, force, params, SnakeConfig(iterations=30))
         assert np.array_equal(trace.energies,
                               energies_reference(trace.contours, force.potential, params))
 
@@ -340,8 +341,8 @@ class TestEvolveStep:
 class TestEvolve:
     def test_zero_iterations_returns_initial(self, rng):
         contour = Contour(random_star_polygon(rng))
-        final, trace = evolve(contour, zero_force(32, 32), uniform_params(32, 32),
-                              SnakeConfig(iterations=0))
+        final, trace = evolve_one(contour, zero_force(32, 32), uniform_params(32, 32),
+                                  SnakeConfig(iterations=0))
         assert np.array_equal(final.nodes, contour.nodes)
         assert len(trace) == 1
 
@@ -350,7 +351,7 @@ class TestEvolve:
         force = lcdvf(mask_to_dt(mask), 2.0)
         start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         cfg = SnakeConfig(iterations=23)
-        final, trace = evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2), cfg)
+        final, trace = evolve_one(start, force, ParameterSet.uniform(64, 64, kappa=0.2), cfg)
         assert len(trace) == 24
         assert len(final) == 60
         assert trace.displacements[0] == 0.0
@@ -360,8 +361,8 @@ class TestEvolve:
         force = lcdvf(mask_to_dt(mask), 2.0)
         start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         params = ParameterSet.uniform(64, 64, kappa=0.2)
-        a_final, a_trace = evolve(start, force, params, SnakeConfig())
-        b_final, b_trace = evolve(start, force, params, SnakeConfig())
+        a_final, a_trace = evolve_one(start, force, params, SnakeConfig())
+        b_final, b_trace = evolve_one(start, force, params, SnakeConfig())
         assert np.array_equal(a_final.nodes, b_final.nodes)
         assert np.array_equal(a_trace.energies, b_trace.energies)
 
@@ -370,8 +371,8 @@ class TestEvolve:
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
         force = lcdvf(mask_to_dt(mask), 2.0)
         start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
-        final, _ = evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
-                          SnakeConfig())
+        final, _ = evolve_one(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
+                              SnakeConfig())
         from contourflow.metrics import iou
         assert iou(rasterize(final, 64, 64), mask) >= 0.95
 
@@ -379,15 +380,15 @@ class TestEvolve:
         mask = u_shape_mask(64, 64, (32.0, 32.0), 19.0, 16.0, 10.0, 2.0, 12.0)
         force = lcdvf(mask_to_dt(mask), np.inf)
         start = circle_to_contour(circumscribed_circle(mask), 60, 64, 64)
-        final, _ = evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
-                          SnakeConfig())
+        final, _ = evolve_one(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
+                              SnakeConfig())
         from contourflow.metrics import iou
         assert iou(rasterize(final, 64, 64), mask) >= 0.90
 
     def test_trace_is_an_evolution_trace(self, rng):
         contour = Contour(random_star_polygon(rng))
-        _, trace = evolve(contour, zero_force(32, 32), uniform_params(32, 32),
-                          SnakeConfig(iterations=3))
+        _, trace = evolve_one(contour, zero_force(32, 32), uniform_params(32, 32),
+                              SnakeConfig(iterations=3))
         assert isinstance(trace, EvolutionTrace)
         assert trace.energies.shape == (4,)
         assert trace.displacements.shape == (4,)
@@ -407,7 +408,7 @@ class TestEvolve:
         force = lcdvf(mask_to_dt(mask), 2.0)
         start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         params = ParameterSet.uniform(64, 64, kappa=0.2)
-        final, trace = evolve(start, force, params, SnakeConfig(iterations=7))
+        final, trace = evolve_one(start, force, params, SnakeConfig(iterations=7))
         assert calls == []
         energies = trace.energies
         assert len(calls) == 1  # one stacked evaluation of all 8 contours
@@ -466,7 +467,7 @@ class TestSolverMatchesReference:
         clamped = start.clamped(width, height)
         assert np.array_equal(step_one(clamped, force, params, config),
                               evolve_step_reference(clamped, force, params, config))
-        got = _evolve_outcome(lambda: evolve(start, force, params, config)[1].contours)
+        got = _evolve_outcome(lambda: evolve_one(start, force, params, config)[1].contours)
         want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
         if isinstance(want, str):
             assert got == want
@@ -489,8 +490,8 @@ class TestSolverMatchesReference:
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
         force = lcdvf(mask_to_dt(mask), 2.0)
         start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
-        evolve(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
-               SnakeConfig(iterations=13))
+        evolve_one(start, force, ParameterSet.uniform(64, 64, kappa=0.2),
+                   SnakeConfig(iterations=13))
         assert len(calls) == 13
         for nodes, vectors, *_ in calls:  # a stack of one, the force read through a view
             assert nodes.shape == (1, 60, 2)
@@ -519,27 +520,25 @@ def _group_case(seed, count, nodes, height=24, width=32, alpha=0.3, shared=False
     return starts, fields, forces, params
 
 
-def _final_or_message(contours):
-    """The final node array of a finished evolution, or the message of the
-    ``EvolveError`` it raised or returned."""
-    try:
-        final = contours()
-    except EvolveError as exc:
-        return str(exc)
-    return str(final) if isinstance(final, EvolveError) else final.nodes
+def _path_outcome(path):
+    """The node arrays of a path's contours, or the message of the
+    ``EvolveError`` it ends in."""
+    return str(path.error) if path.error else [c.nodes for c in path.contours]
 
 
 def _assert_same_outcome(got, want):
     if isinstance(want, str):
         assert got == want
     else:
-        assert np.array_equal(got, want)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestEvolveGroup:
-    """``evolve_group`` steps K contours as one stack; each ends where
-    ``oracles.evolve_reference`` takes it alone, to the bit, or fails with
-    the message ``evolve`` raises for it."""
+    """``evolve`` steps K contours as one stack; each path is the one
+    ``oracles.evolve_reference`` traces alone, to the bit, or ends in the
+    message it raises."""
 
     @pytest.mark.parametrize("count", [1, 2, 9])
     @pytest.mark.parametrize("nodes", [3, 60, 100])
@@ -550,18 +549,19 @@ class TestEvolveGroup:
             alpha=0.0 if variant == "alpha0" else 0.3, shared=variant == "shared")
         config = SnakeConfig(iterations=8, time_step=0.2,
                              resample_each_step=variant == "resample")
-        results = evolve_group(starts, fields, params, config)
-        assert len(results) == count
-        for start, force, result in zip(starts, forces, results):
-            want = _final_or_message(lambda: evolve_reference(start, force, params, config)[-1])
-            _assert_same_outcome(_final_or_message(lambda: result), want)
-            _assert_same_outcome(_final_or_message(lambda: evolve(start, force, params,
-                                                                  config)[0]), want)
+        paths = evolve(starts, fields, params, config)
+        assert len(paths) == count
+        for start, force, path in zip(starts, forces, paths):
+            want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
+            _assert_same_outcome(_path_outcome(path), want)
+            _assert_same_outcome(_evolve_outcome(
+                lambda: evolve_one(start, force, params, config)[1].contours), want)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_items_collapsing_at_different_iterations(self, monkeypatch, shared):
         """A deflating balloon collapses the small starts first; each leaves
-        the stack at its own step and the others still match."""
+        the stack at its own step, its path holding the contours before it,
+        and the others still match."""
         import contourflow.snake as snake_module
 
         calls = []
@@ -582,17 +582,22 @@ class TestEvolveGroup:
                   for k in range(len(radii))]
         config = SnakeConfig(iterations=60, time_step=0.1)
         monkeypatch.setattr(snake_module, "evolve_step", counting)
-        results = evolve_group(starts, fields, params, config)
+        paths = evolve(starts, fields, params, config)
         monkeypatch.undo()
 
         steps = []
-        for start, force, result in zip(starts, forces, results):
-            want = _final_or_message(lambda: evolve_reference(start, force, params, config)[-1])
-            _assert_same_outcome(_final_or_message(lambda: result), want)
-            _assert_same_outcome(_final_or_message(lambda: evolve(start, force, params,
-                                                                  config)[0]), want)
+        for start, force, path in zip(starts, forces, paths):
+            want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
+            _assert_same_outcome(_path_outcome(path), want)
+            _assert_same_outcome(_evolve_outcome(
+                lambda: evolve_one(start, force, params, config)[1].contours), want)
             found = re.search(r"collapsed or reversed at iteration (\d+)", str(want))
             steps.append(int(found.group(1)) if found else config.iterations + 1)
+            if found:  # the start and every step before the collapse, as a shorter run traces
+                shorter = replace(config, iterations=steps[-1] - 1)
+                _assert_same_outcome([c.nodes for c in path.contours],
+                                     _evolve_outcome(lambda: evolve_reference(
+                                         start, force, params, shorter)))
         collapsed = [step for step in steps if step <= config.iterations]
         assert len(set(collapsed)) == len(collapsed) >= 3 and len(collapsed) < len(steps)
         # one call per iteration, each on the contours still running
@@ -611,25 +616,32 @@ class TestEvolveGroup:
         monkeypatch.setattr(snake_module, "evolve_step", counting)
         force = ForceField(np.full((16, 16, 2), 100.0), np.zeros((16, 16)))
         starts = [square_contour(4.0, center=(8.0, 8.0)), square_contour(6.0, center=(7.0, 9.0))]
-        results = evolve_group(starts, force.vectors[None], uniform_params(16, 16),
-                               SnakeConfig(iterations=10, time_step=1.0))
+        paths = evolve(starts, force.vectors[None], uniform_params(16, 16),
+                       SnakeConfig(iterations=10, time_step=1.0))
         assert len(calls) == 1
-        for result in results:
-            assert isinstance(result, EvolveError)
-            assert str(result).startswith("contour collapsed or reversed at iteration 1 ")
+        for path in paths:
+            assert isinstance(path.error, EvolveError)
+            assert str(path.error).startswith("contour collapsed or reversed at iteration 1 ")
+            assert len(path.contours) == 1
 
     def test_zero_iterations_returns_clamped_starts(self, rng):
         starts = [Contour(random_star_polygon(rng, r_hi=20.0, n_lo=7, n_hi=7))
                   for _ in range(3)]
-        results = evolve_group(starts, np.zeros((3, 32, 32, 2)), uniform_params(32, 32),
-                               SnakeConfig(iterations=0))
-        for start, result in zip(starts, results):
-            assert np.array_equal(result.nodes, start.clamped(32, 32).nodes)
+        paths = evolve(starts, np.zeros((3, 32, 32, 2)), uniform_params(32, 32),
+                       SnakeConfig(iterations=0))
+        for start, path in zip(starts, paths):
+            assert path.error is None and len(path.contours) == 1
+            assert np.array_equal(path.contours[0].nodes, start.clamped(32, 32).nodes)
 
     def test_rejects_mismatched_parameter_maps(self, rng):
         with pytest.raises(ValueError, match="do not match"):
-            evolve_group([Contour(random_star_polygon(rng))], np.zeros((1, 32, 32, 2)),
-                         uniform_params(16, 16), SnakeConfig())
+            evolve([Contour(random_star_polygon(rng))], np.zeros((1, 32, 32, 2)),
+                   uniform_params(16, 16), SnakeConfig())
+
+    def test_rejects_a_stack_of_another_count(self, rng):
+        starts = [Contour(random_star_polygon(rng)) for _ in range(3)]
+        with pytest.raises(ValueError, match="2 force fields for 3 contours"):
+            evolve(starts, np.zeros((2, 32, 32, 2)), uniform_params(32, 32), SnakeConfig())
 
 
 class TestCollapseGuard:
@@ -642,14 +654,14 @@ class TestCollapseGuard:
         start = circle_to_contour(circumscribed_circle(mask), 60, 64, 64)
         params = ParameterSet.uniform(64, 64, kappa=-5.0)
         with pytest.raises(EvolveError, match=r"reversed at iteration 47 \(signed area -"):
-            evolve(start, force, params, SnakeConfig(iterations=200))
+            evolve_one(start, force, params, SnakeConfig(iterations=200))
 
     def test_degenerate_step_aborts(self):
         # every node is pushed into the same corner: zero area at step 1
         force = ForceField(np.full((16, 16, 2), 100.0), np.zeros((16, 16)))
         start = square_contour(4.0, center=(8.0, 8.0))
         with pytest.raises(EvolveError, match="collapsed or reversed at iteration 1 "):
-            evolve(start, force, uniform_params(16, 16), SnakeConfig(time_step=1.0))
+            evolve_one(start, force, uniform_params(16, 16), SnakeConfig(time_step=1.0))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000), kappa=st.floats(-5.0, 5.0),
@@ -665,7 +677,7 @@ class TestCollapseGuard:
         params = ParameterSet.uniform(size, size, kappa=kappa)
         config = SnakeConfig(iterations=60)
         try:
-            _, trace = evolve(start, force, params, config)
+            _, trace = evolve_one(start, force, params, config)
         except EvolveError as exc:
             found = re.search(r"at iteration (\d+)", str(exc))
             assert found and 1 <= int(found.group(1)) <= config.iterations
@@ -697,4 +709,4 @@ class TestConfigValidation:
     def test_evolve_rejects_mismatched_parameter_maps(self, rng):
         contour = Contour(random_star_polygon(rng))
         with pytest.raises(ValueError, match="do not match"):
-            evolve(contour, zero_force(32, 32), uniform_params(16, 16), SnakeConfig())
+            evolve_one(contour, zero_force(32, 32), uniform_params(16, 16), SnakeConfig())
