@@ -9,7 +9,7 @@ from .fields import (Circle, Contour, boundary_mask, boundary_pixels, central_gr
                      rasterize, resample_closed, signed_area)
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import (FitResult, align_cyclic, contour_from_mask, fit_parameters,
-                       subgrad_alpha, subgrad_beta, subgrad_kappa)
+                       subgrad_alpha, subgrad_beta)
 from .metrics import MetricsReport, boundf, dice, evaluate, iou
 from .snake import (ContourPath, EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
                     evolve, evolve_step)
@@ -24,5 +24,5 @@ __all__ = [
     "evaluate", "evolve", "evolve_step", "fit_parameters", "inscribed_circle",
     "iou", "lcdvf", "mask_to_dt",
     "minimal_enclosing_circle", "rasterize", "resample_closed", "signed_area",
-    "subgrad_alpha", "subgrad_beta", "subgrad_kappa",
+    "subgrad_alpha", "subgrad_beta",
 ]

@@ -22,17 +22,17 @@ Every command reads its masks through ``prepare``, the one check that a
 ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
 `run`, `batch` and `sweep` share one pipeline, ``run_pipeline``, over a
 group of items of one mask shape; every value is the one the item gets
-alone. `run` is a group of one. `batch` reads every manifest item's mask
-first, then runs the items of one mask shape in groups of at most
-``GROUP_PIXELS`` pixels and node-system entries; rows stay in manifest
-order, an item's own failure (an unreadable mask, a map that does not
-fit it, a failed computation) is its row, the image column only labels
-the row, and `--jobs` has no effect. `sweep` reads its mask once and
-computes one EDT for all rows, runs its `radius`, `init` and `field`
-rows as groups under the same caps and an `iterations` sweep as one
-evolution read at each count, and keeps ``circle:<cu>,<cv>,<r>`` values
-whole; a map that does not fit the mask stops it before any row, and a
-failed computation is a row and makes it exit 1.
+alone, and only `run`, a group of one, keeps every step and an energy
+trace. `batch` reads every manifest item's mask first, then runs its
+``_group_by_shape`` groups; rows stay in manifest order, an item's own
+failure (an unreadable mask, a map that does not fit it, a failed
+computation) is its row, the image column only labels the row, and
+`--jobs` has no effect. `sweep` reads its mask once, runs its `radius`,
+`init` and `field` rows in such groups (``_force_key`` gives `radius`
+and `init` rows one force) and an `iterations` sweep as one evolution
+read at each count, and keeps ``circle:<cu>,<cv>,<r>`` values whole; a
+map that does not fit the mask stops it before any row, and a failed
+computation is a row and makes it exit 1.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def prepare(mask_path: str, gt_path: str | None = None) -> Prepared:
 class RunResult:
     prediction: np.ndarray
     report: MetricsReport
-    trace: EvolutionTrace
+    trace: EvolutionTrace | None
 
 
 def _round6(value):
@@ -364,6 +364,11 @@ def _fit_maps(cfg: RunConfig, loaded: _Loaded,
     return beta, kappa
 
 
+def _force_key(prep: Prepared, loaded: _Loaded):
+    """What a force depends on: an ``energy:`` map alone, ``lcdvf`` or ``dvf`` the mask too."""
+    return id(loaded.field) if isinstance(loaded.field, _EnergyField) else (loaded.field, id(prep))
+
+
 def _build_force(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> ForceField:
     if isinstance(loaded.field, str):
         return (lcdvf if loaded.field == "lcdvf" else dvf)(prep.dt, cfg.clip)
@@ -411,9 +416,11 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
                  timer: StageTimer | None = None,
                  counts: list[int] | None = None) -> list[RunResult | CliError]:
     """Segment each item's mask with ``cfg`` and its loaded settings and score
-    it against its ground truth after each of ``counts`` steps (``cfg.iters``
-    by default, none past it): one result per item and count, item-major,
-    each the one the item gets alone, or its ``CliError``.
+    it against its ground truth after each of ``counts`` steps (none past
+    ``cfg.iters``): one result per item and count, item-major, each the one
+    the item gets alone, or its ``CliError``. Only those steps are kept and
+    ``trace`` is ``None``; without ``counts``, as `run` calls it, the count is
+    ``cfg.iters`` and ``trace`` holds every step and the force's potential.
 
     The items share one mask shape and ``cfg``'s weights (a map that does
     not fit raises). Fit the maps; compute the EDTs in stacked calls; build
@@ -428,9 +435,8 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     timer.lap("read")
     stacked = _share_dts([prep for prep, loaded in items
                           if isinstance(loaded.field, str) or loaded.init == "inscribed"])
-    # an energy: field is one force for every mask, lcdvf and dvf one per mask
-    shared = len({id(loaded.field) if isinstance(loaded.field, _EnergyField)
-                  else (loaded.field, id(prep)) for prep, loaded in items}) == 1
+    shared = len({_force_key(*item) for item in items}) == 1
+    tracing, counts = counts is None, counts or [cfg.iters]
     vectors = None if shared else np.empty((len(items), height, width, 2))
     force, starts, potentials, failed = None, [], [], {}
     for index, (prep, loaded) in enumerate(items):
@@ -444,18 +450,18 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
         except CliError as exc:
             failed[index] = exc
             continue
-        potentials.append(force.potential)
-        if not shared:
-            vectors[len(starts) - 1] = force.vectors
+        potentials.append(force.potential if tracing else None)
+        if not shared:  # the item's slot holds a copy, and its force is dropped
+            vectors[len(starts) - 1], force = force.vectors, None
     for prep in stacked:
         prep.drop_dt()
-    results, counts = [], counts or [cfg.iters]
     with _failing(EXIT_COMPUTE):
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
-        paths = []
+        paths, results = [], []
         if starts:
             stack = force.vectors[None] if shared else vectors[:len(starts)]
-            paths = evolve(starts, stack, params, cfg.snake_config())
+            keep = None if tracing else set(counts)
+            paths = evolve(starts, stack, params, cfg.snake_config(), keep)
         timer.lap("evolve")
         started = zip(paths, potentials)
         for index, (prep, _) in enumerate(items):
@@ -464,15 +470,15 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
                 continue
             path, potential = next(started)
             for count in counts:
-                if count >= len(path.contours):  # the path stopped before this count
+                if count not in path.contours:  # the path stopped before this count
                     results.append(CliError(str(path.error), EXIT_COMPUTE))
                     continue
-                contours = path.contours[:count + 1]
-                prediction = rasterize(contours[-1], width, height)
+                prediction = rasterize(path.contours[count], width, height)
                 timer.lap("rasterize")
                 report = evaluate(prediction, prep.gt)
                 timer.lap("metrics")
-                trace = EvolutionTrace(contours, potential, params)
+                trace = (EvolutionTrace(list(path.contours.values()), potential, params)
+                         if tracing else None)
                 results.append(RunResult(prediction, report, trace))
     return results
 
@@ -604,20 +610,22 @@ def _parse_manifest(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _group_by_shape(preps: list[Prepared], nodes: int) -> list[list[int]]:
-    """The indices of the preps of one mask shape in order, cut into groups
-    of at most ``GROUP_PIXELS`` pixels and at most ``GROUP_PIXELS`` entries
-    of their (nodes, nodes) systems; a prep over either cap makes a group of
-    its own."""
-    groups, open_group = [], {}
-    for index, prep in enumerate(preps):
-        shape = prep.mask.shape
-        size = max(prep.mask.size, nodes * nodes)
-        group = open_group.get(shape)
-        if group is None or (len(group) + 1) * size > GROUP_PIXELS:
-            group = open_group[shape] = []
+def _group_by_shape(items: list[tuple[Prepared, _Loaded]], nodes: int) -> list[list[int]]:
+    """The indices of the ``(prep, loaded)`` items of one mask shape in order,
+    cut into groups of at most ``GROUP_PIXELS`` pixels of stacked forces (one
+    if the items share one ``_force_key``, else one per item) and entries of
+    their (nodes, nodes) systems; an item over either cap is a group alone."""
+    groups, open_group = [], {}  # shape -> its open group and that group's force keys
+    for index, (prep, loaded) in enumerate(items):
+        key = _force_key(prep, loaded)
+        group, keys = open_group.get(prep.mask.shape, ([], set()))
+        count = len(group) + 1
+        forces = 1 if keys <= {key} else count
+        if not group or max(forces * prep.mask.size, count * nodes * nodes) > GROUP_PIXELS:
+            group, keys = open_group[prep.mask.shape] = [], set()
             groups.append(group)
         group.append(index)
+        keys.add(key)
     return groups
 
 
@@ -649,8 +657,9 @@ def _cmd_batch(args) -> int:
             row["error"] = str(exc)
             continue
         items.append((row, prep))
-    for group in _group_by_shape([prep for _, prep in items], cfg.nodes):
-        results = run_pipeline(cfg, [(items[i][1], loaded) for i in group], timer)
+    work = [(prep, loaded) for _, prep in items]
+    for group in _group_by_shape(work, cfg.nodes):
+        results = run_pipeline(cfg, [work[i] for i in group], timer, [cfg.iters])
         for i, result in zip(group, results):
             row, prep = items[i]
             if isinstance(result, CliError):
@@ -704,10 +713,10 @@ def _cmd_sweep(args) -> int:
     if args.axis == "iterations":  # one evolution, read at each row's step count
         counts = [iters for _, iters in rows]
         results = run_pipeline(replace(cfg, iters=max(counts)), [(prep, loaded)], timer, counts)
-    else:  # the rows of a group share one force slot, or one each for the field axis
-        results = []
-        for group in _group_by_shape([prep] * len(rows), cfg.nodes):
-            results += run_pipeline(cfg, [(prep, rows[i][0]) for i in group], timer)
+    else:  # radius and init rows share one force, field rows have one each
+        items, results = [(prep, row) for row, _ in rows], []
+        for group in _group_by_shape(items, cfg.nodes):
+            results += run_pipeline(cfg, [items[i] for i in group], timer, [cfg.iters])
 
     table, failed = ["axis_value,iou,dice,boundf,error"], 0
     for value, result in zip(values, results):

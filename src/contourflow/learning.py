@@ -60,14 +60,6 @@ def subgrad_beta(gt_contour: Contour, pred_contour: Contour,
     return out
 
 
-def subgrad_kappa(gt_contour: Contour, pred_contour: Contour,
-                  width: int, height: int) -> np.ndarray:
-    """Indicator difference of the two enclosed regions, in {-1, 0, +1}."""
-    gt = rasterize(gt_contour, width, height)
-    pred = rasterize(pred_contour, width, height)
-    return gt.astype(np.float64) - pred.astype(np.float64)
-
-
 def trace_boundary(mask) -> list[tuple[int, int]]:
     """Ordered (u, v) loop of the outer boundary of the foreground
     component containing the first foreground pixel (Moore tracing,
@@ -159,10 +151,10 @@ def fit_parameters(gt_mask, force: ForceField, start: Contour, config: SnakeConf
     history: list[float] = []
     best_score, best_params = -1.0, params.copy()
     for epoch in range(epochs):
-        path = evolve([start], force.vectors[None], params, config)[0]
+        path = evolve([start], force.vectors[None], params, config, {config.iterations})[0]
         if path.error:
             raise RuntimeError(f"fit aborted at epoch {epoch + 1}: {path.error}") from path.error
-        predicted = path.contours[-1]
+        predicted = path.contours[config.iterations]
         pred_region = rasterize(predicted, width, height)
         score = iou(pred_region, gt_mask)
         history.append(score)
@@ -171,7 +163,7 @@ def fit_parameters(gt_mask, force: ForceField, start: Contour, config: SnakeConf
         gt_aligned = align_cyclic(predicted, gt_base)
         d_alpha = subgrad_alpha(gt_aligned, predicted)
         d_beta = subgrad_beta(gt_aligned, predicted, width, height)
-        # subgrad_kappa(gt_aligned, predicted, width, height), from the rasters
+        # oracles.subgrad_kappa(gt_aligned, predicted, width, height), from the rasters
         d_kappa = gt_region - pred_region
         params = ParameterSet(
             alpha=max(0.0, params.alpha - learn_rate * d_alpha),

@@ -22,11 +22,11 @@ cached per node count, and solved by one stacked ``np.linalg.solve``.
 The build sums in a fixed order without BLAS, so its floats do not
 depend on the machine; the solve's may (BLAS kernel and thread count).
 ``evolve`` is the one driver: it steps K contours together, one for a
-lone run, drops each at the step its area collapses and returns every
-contour's path. The arithmetic per element is that of separate
-per-field lookups and a per-step node-by-node matrix build for one
-contour (kept in ``tests/oracles.py``), so every contour is
-bit-identical to theirs.
+lone run, drops each at the step its area collapses and returns each
+contour's path of the steps its caller reads. The arithmetic per element
+is that of separate per-field lookups and a per-step node-by-node matrix
+build for one contour (kept in ``tests/oracles.py``), so every contour
+is bit-identical to theirs.
 ``contour_energies`` scores a whole trace the same way: one corner
 lookup over all of its contours' nodes, and one gather and one blend of
 the potential and beta.
@@ -110,9 +110,6 @@ class EvolutionTrace:
     contours: list[Contour]
     potential: np.ndarray
     params: ParameterSet
-
-    def __len__(self) -> int:
-        return len(self.contours)
 
     @property
     def energies(self) -> np.ndarray:
@@ -293,19 +290,19 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
 
 @dataclass
 class ContourPath:
-    """One contour's evolution: the clamped start, then one contour per
-    completed step, and the ``EvolveError`` that stopped it (``None`` when
-    it ran every step)."""
+    """One contour's evolution: its contours by step count, the clamped start
+    at 0 and then the kept steps it completed, in order, and the
+    ``EvolveError`` that stopped it (``None`` when it ran every step)."""
 
-    contours: list[Contour]
+    contours: dict[int, Contour]
     error: EvolveError | None = None
 
 
 def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
-           config: SnakeConfig) -> list[ContourPath]:
+           config: SnakeConfig, keep: set[int] | None = None) -> list[ContourPath]:
     """Run ``config.iterations`` steps on K contours of one node count
     together and return each contour's path, to the bit the one it takes
-    alone.
+    alone, holding the steps in ``keep`` (every step when ``None``).
 
     ``vectors`` is a (K, H, W, 2) stack of force fields, one per contour,
     or a (1, H, W, 2) stack that every contour shares; ``params`` is
@@ -322,7 +319,7 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
                          f"the force field {(height, width)}")
     if len(vectors) not in (1, len(starts)):
         raise ValueError(f"{len(vectors)} force fields for {len(starts)} contours")
-    paths = [ContourPath([start.clamped(width, height)]) for start in starts]
+    paths = [ContourPath({0: start.clamped(width, height)}) for start in starts]
     nodes = np.stack([path.contours[0].nodes for path in paths])
     ops = difference_operators(nodes.shape[1])
     running = list(range(len(paths)))  # the contours still in the stack
@@ -335,17 +332,18 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
                 paths[k].error = EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
             break
         areas = signed_areas(nodes).tolist()
-        kept = [area >= DEGENERATE_AREA for area in areas]  # a NaN area fails too
-        if not all(kept):
-            for k, area, keep in zip(running, areas, kept):
-                if not keep:
+        alive = [area >= DEGENERATE_AREA for area in areas]  # a NaN area fails too
+        if not all(alive):
+            for k, area, ok in zip(running, areas, alive):
+                if not ok:
                     paths[k].error = EvolveError(f"contour collapsed or reversed at iteration "
                                                  f"{i + 1} (signed area {area:.6g})")
-            nodes = nodes[kept]
-            running = [k for k, keep in zip(running, kept) if keep]
+            nodes = nodes[alive]
+            running = [k for k, ok in zip(running, alive) if ok]
             slots = None if slots is None else np.array(running)
             if not running:
                 break
-        for k, pts in zip(running, nodes):
-            paths[k].contours.append(Contour.solved(pts))
+        if keep is None or i + 1 in keep:
+            for k, pts in zip(running, nodes):
+                paths[k].contours[i + 1] = Contour.solved(pts)
     return paths

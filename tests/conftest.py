@@ -23,7 +23,8 @@ def evolve_one(start, force, params, config):
     [path] = evolve([start], force.vectors[None], params, config)
     if path.error:
         raise path.error
-    return path.contours[-1], EvolutionTrace(path.contours, force.potential, params)
+    contours = list(path.contours.values())
+    return contours[-1], EvolutionTrace(contours, force.potential, params)
 
 
 def site_mask(points, width: int, height: int) -> np.ndarray:

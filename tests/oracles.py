@@ -26,7 +26,9 @@ through the production ``contour_energies``.
 one ``np.hypot`` per containment test and per candidate circle, over the
 same shuffled order as ``autoinit.minimal_enclosing_circle``.
 ``clip_vectors_masked`` is the former force clip, a boolean gather and
-scatter of the over-long vectors' scales.
+scatter of the over-long vectors' scales. ``subgrad_kappa`` is the kappa
+subgradient that ``learning.fit_parameters`` takes straight from its
+rasters, through the production ``rasterize``.
 """
 
 from __future__ import annotations
@@ -423,6 +425,13 @@ def align_cyclic_reference(reference, target) -> Contour:
         if cost < best_cost:
             best_shift, best_cost = k, cost
     return Contour(np.roll(b, -best_shift, axis=0))
+
+
+def subgrad_kappa(gt_contour, pred_contour, width: int, height: int) -> np.ndarray:
+    """Indicator difference of the two enclosed regions, in {-1, 0, +1}."""
+    gt = rasterize(gt_contour, width, height)
+    pred = rasterize(pred_contour, width, height)
+    return gt.astype(np.float64) - pred.astype(np.float64)
 
 
 def perimeter(nodes) -> float:

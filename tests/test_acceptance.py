@@ -22,14 +22,13 @@ from contourflow.edt import edt_from_sites, mask_to_dt
 from contourflow.fields import (Circle, Contour, boundary_mask, boundary_pixels, rasterize,
                                signed_area)
 from contourflow.flow import dvf, energy_gradient_field, lcdvf
-from contourflow.learning import (fit_parameters, subgrad_alpha, subgrad_beta,
-                                  subgrad_kappa)
+from contourflow.learning import fit_parameters, subgrad_alpha, subgrad_beta
 from contourflow.metrics import boundf, dice, iou
 from contourflow.shapes import full_suite, random_blob_mask, u_shape_mask
 from contourflow.snake import ParameterSet, SnakeConfig
 
 from oracles import (assemble_internal_system, boundf_reference, edt_brute, energy_eval,
-                     force_at, mec_reference, rasterize_reference)
+                     force_at, mec_reference, rasterize_reference, subgrad_kappa)
 from conftest import evolve_one, random_star_polygon
 
 SUITE_NODES = 60

@@ -898,6 +898,23 @@ class TestBatchGroups:
                      "--iters", "3"]) == 0
         assert [len(nodes) for nodes in stacks] == [6] * 3 + [6] * 3
 
+    def test_energy_items_make_one_group(self, tmp_path, capsys, stacks):
+        """Five 128² items under one energy: map share one force, which the
+        pixel cap counts once, so they make one group, not groups of four
+        and one."""
+        masks = [fx.mask for fx in suite(128)]
+        paths = []
+        for index, mask in enumerate(masks):
+            paths.append(tmp_path / f"item{index}.pgm")
+            write_mask_pgm(paths[-1], mask)
+        dist = mask_to_dt(masks[0])
+        write_pfm(tmp_path / "energy.pfm", 0.5 * dist * dist)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"{p} {p}\n" for p in paths))
+        assert main(["batch", "--manifest", str(manifest), "--iters", "3",
+                     "--field", f"energy:{tmp_path / 'energy.pfm'}"]) == 0
+        assert [nodes.shape for nodes in stacks] == [(5, 60, 2)] * 3
+
     @pytest.mark.parametrize("flags", [[], ["--profile", "medical"]], ids=["building", "medical"])
     def test_reversed_manifest_gives_each_mask_its_row(self, mixed, capsys, flags):
         """Reversing the manifest regroups the items and their stacked EDTs;
@@ -1168,6 +1185,84 @@ class TestSweepGroups:
         assert main(["sweep", "--mask", str(mask_path), "--iters", "5", "--axis", "radius",
                      "--values", "6,10,14,18"]) == 0
         assert len(calls) == 1
+
+
+    @pytest.fixture
+    def disk_256(self, tmp_path):
+        path = tmp_path / "disk_256.pgm"
+        write_mask_pgm(path, disk_mask(256, 256, (128.0, 128.0), 70.0))
+        return path
+
+    @pytest.mark.parametrize("axis, values, rows", [
+        ("radius", "40,60,80,100", 4),
+        ("init", "inscribed,circumscribed,circle:128,128,50", 3),
+    ], ids=["radius", "init"])
+    def test_rows_share_one_force_at_256(self, disk_256, capsys, monkeypatch, stacks,
+                                         axis, values, rows):
+        """On a 256² mask the rows still share one force: one ``lcdvf``
+        call and one stacked step of every row per iteration."""
+        from contourflow.flow import lcdvf
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lcdvf(*args)
+
+        monkeypatch.setattr("contourflow.cli.lcdvf", counted)
+        assert main(["sweep", "--mask", str(disk_256), "--iters", "4", "--axis", axis,
+                     "--values", values]) == 0
+        assert len(calls) == 1
+        assert [nodes.shape for nodes in stacks] == [(rows, 60, 2)] * 4
+
+    def test_field_rows_at_256_are_groups_of_one(self, disk_256, capsys, stacks):
+        """Two 256² forces are over the pixel cap, so each field row is a group."""
+        assert main(["sweep", "--mask", str(disk_256), "--iters", "3", "--axis", "field",
+                     "--values", "lcdvf,dvf"]) == 0
+        assert [nodes.shape for nodes in stacks] == [(1, 60, 2)] * 6
+
+
+class TestKeptSteps:
+    """Each command keeps only the steps it reads, and only ``run`` builds
+    an ``EvolutionTrace``."""
+
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """The step counts held by each path ``evolve`` returns to the CLI or
+        to ``fit_parameters``, and the number of traces the CLI builds."""
+        import contourflow.cli as cli
+        from contourflow import snake
+
+        seen = {"paths": [], "traces": 0}
+
+        def evolving(*args):
+            paths = snake.evolve(*args)
+            seen["paths"] += [list(path.contours) for path in paths]
+            return paths
+
+        def tracing(*args):
+            seen["traces"] += 1
+            return snake.EvolutionTrace(*args)
+
+        monkeypatch.setattr(cli, "evolve", evolving)
+        monkeypatch.setattr("contourflow.learning.evolve", evolving)
+        monkeypatch.setattr(cli, "EvolutionTrace", tracing)
+        return seen
+
+    @pytest.mark.parametrize("argv, paths, traces", [
+        (["run", "--mask", "{mask}", "--out", "{dir}/run"], [list(range(6))], 1),
+        (["batch", "--manifest", "{dir}/manifest.txt"], [[0, 5]] * 2, 0),
+        (["sweep", "--mask", "{mask}", "--axis", "radius", "--values", "8,12"], [[0, 5]] * 2, 0),
+        (["sweep", "--mask", "{mask}", "--axis", "iterations", "--values", "4,2"], [[0, 2, 4]], 0),
+        (["learn", "--gt", "{mask}", "--epochs", "2", "--out", "{dir}/learn"], [[0, 5]] * 2, 0),
+    ], ids=["run", "batch", "sweep-radius", "sweep-iterations", "learn"])
+    def test_paths_hold_the_steps_read(self, tmp_path, disk_paths, capsys, kept, argv,
+                                       paths, traces):
+        _, mask_path = disk_paths
+        (tmp_path / "manifest.txt").write_text(f"{mask_path} {mask_path}\n" * 2)
+        argv = [a.format(mask=mask_path, dir=tmp_path) for a in argv]
+        assert main([*argv, "--iters", "5"]) == 0
+        assert kept["paths"] == paths
+        assert kept["traces"] == traces
 
 
 class TestStageTimings:

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from contourflow.autoinit import circle_to_contour, circumscribed_circle
 from contourflow.fields import Contour, rasterize
 from contourflow.learning import (align_cyclic, contour_from_mask, subgrad_alpha,
-                                  subgrad_beta, subgrad_kappa, trace_boundary)
+                                  subgrad_beta, trace_boundary)
 from contourflow.shapes import disk_mask
 
-from oracles import (align_cyclic_reference, rasterize_reference, sum_first_diff_sq,
-                     sum_second_diff_sq)
+from oracles import (align_cyclic_reference, rasterize_reference, subgrad_kappa,
+                     sum_first_diff_sq, sum_second_diff_sq)
 from conftest import random_star_polygon
 
 
@@ -95,6 +95,32 @@ class TestSubgradKappa:
             want = (rasterize_reference(gt.nodes, 32, 32).sum()
                     - rasterize_reference(pred.nodes, 32, 32).sum())
             assert grad.sum() == want
+
+    def test_is_the_kappa_step_of_fit_parameters(self, monkeypatch):
+        """``fit_parameters`` takes its kappa step from the rasters; the step is
+        this subgradient of the aligned ground truth and the prediction."""
+        from contourflow import learning, snake
+        from contourflow.edt import mask_to_dt
+        from contourflow.flow import lcdvf
+        from contourflow.snake import SnakeConfig
+
+        mask = disk_mask(32, 32, (16.0, 16.0), 9.0)
+        start = circle_to_contour(circumscribed_circle(mask), 24, 32, 32)
+        seen = []
+
+        def recording(starts, vectors, params, config, keep):
+            paths = snake.evolve(starts, vectors, params, config, keep)
+            seen.append((params, paths[0].contours[config.iterations]))
+            return paths
+
+        monkeypatch.setattr(learning, "evolve", recording)
+        learning.fit_parameters(mask, lcdvf(mask_to_dt(mask), 2.0), start,
+                                SnakeConfig(iterations=5), learn_rate=0.01, epochs=2)
+        (first, predicted), (second, _) = seen
+        gt = align_cyclic(predicted, contour_from_mask(mask, 24))
+        step = subgrad_kappa(gt, predicted, 32, 32)
+        assert np.abs(step).max() == 1.0
+        assert np.array_equal(second.kappa, first.kappa + 0.01 * step)
 
 
 class TestContourFromMask:

@@ -344,7 +344,7 @@ class TestEvolve:
         final, trace = evolve_one(contour, zero_force(32, 32), uniform_params(32, 32),
                                   SnakeConfig(iterations=0))
         assert np.array_equal(final.nodes, contour.nodes)
-        assert len(trace) == 1
+        assert len(trace.contours) == 1
 
     def test_trace_length_and_node_count(self):
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
@@ -352,7 +352,7 @@ class TestEvolve:
         start = circle_to_contour(inscribed_circle(mask, mask_to_dt(mask)), 60, 64, 64)
         cfg = SnakeConfig(iterations=23)
         final, trace = evolve_one(start, force, ParameterSet.uniform(64, 64, kappa=0.2), cfg)
-        assert len(trace) == 24
+        assert len(trace.contours) == 24
         assert len(final) == 60
         assert trace.displacements[0] == 0.0
 
@@ -520,10 +520,26 @@ def _group_case(seed, count, nodes, height=24, width=32, alpha=0.3, shared=False
     return starts, fields, forces, params
 
 
+def _collapse_case(shared):
+    """Six circles under a deflating balloon that collapses the small ones
+    first, at distinct steps, with one random force field each (or one that
+    all share)."""
+    rng = np.random.default_rng(5)
+    height = width = 48
+    fields = rng.uniform(-0.3, 0.3, size=(1 if shared else 6, height, width, 2))
+    params = ParameterSet(alpha=0.05, beta=rng.uniform(0.0, 0.2, (height, width)),
+                          kappa=rng.uniform(-1.5, -0.5, (height, width)))
+    radii = [3.0, 20.0, 5.0, 8.0, 4.0, 19.0]
+    starts = [circle_to_contour(Circle((24.0, 24.0), r), 40, width, height) for r in radii]
+    forces = [ForceField(fields[0 if shared else k], np.zeros((height, width)))
+              for k in range(len(radii))]
+    return starts, fields, forces, params
+
+
 def _path_outcome(path):
     """The node arrays of a path's contours, or the message of the
     ``EvolveError`` it ends in."""
-    return str(path.error) if path.error else [c.nodes for c in path.contours]
+    return str(path.error) if path.error else [c.nodes for c in path.contours.values()]
 
 
 def _assert_same_outcome(got, want):
@@ -571,15 +587,7 @@ class TestEvolveGroup:
             calls.append(len(nodes))
             return original(nodes, *args)
 
-        rng = np.random.default_rng(5)
-        height = width = 48
-        fields = rng.uniform(-0.3, 0.3, size=(1 if shared else 6, height, width, 2))
-        params = ParameterSet(alpha=0.05, beta=rng.uniform(0.0, 0.2, (height, width)),
-                              kappa=rng.uniform(-1.5, -0.5, (height, width)))
-        radii = [3.0, 20.0, 5.0, 8.0, 4.0, 19.0]
-        starts = [circle_to_contour(Circle((24.0, 24.0), r), 40, width, height) for r in radii]
-        forces = [ForceField(fields[0 if shared else k], np.zeros((height, width)))
-                  for k in range(len(radii))]
+        starts, fields, forces, params = _collapse_case(shared)
         config = SnakeConfig(iterations=60, time_step=0.1)
         monkeypatch.setattr(snake_module, "evolve_step", counting)
         paths = evolve(starts, fields, params, config)
@@ -595,7 +603,7 @@ class TestEvolveGroup:
             steps.append(int(found.group(1)) if found else config.iterations + 1)
             if found:  # the start and every step before the collapse, as a shorter run traces
                 shorter = replace(config, iterations=steps[-1] - 1)
-                _assert_same_outcome([c.nodes for c in path.contours],
+                _assert_same_outcome([c.nodes for c in path.contours.values()],
                                      _evolve_outcome(lambda: evolve_reference(
                                          start, force, params, shorter)))
         collapsed = [step for step in steps if step <= config.iterations]
@@ -644,6 +652,48 @@ class TestEvolveGroup:
             evolve(starts, np.zeros((2, 32, 32, 2)), uniform_params(32, 32), SnakeConfig())
 
 
+class TestEvolveKeep:
+    """``evolve(..., keep=S)`` holds the clamped start and the steps in S that
+    each contour completed, each bit-identical to the full path's contour
+    at that step, and ends in the full path's error."""
+
+    @staticmethod
+    def _assert_keeps(starts, fields, params, config, keep):
+        full = evolve(starts, fields, params, config)
+        kept = evolve(starts, fields, params, config, keep)
+        assert len(kept) == len(full)
+        for whole, part in zip(full, kept):
+            completed = max(whole.contours)
+            assert list(part.contours) == sorted({0} | {s for s in keep if s <= completed})
+            for step, contour in part.contours.items():
+                assert contour.nodes.tobytes() == whole.contours[step].nodes.tobytes()
+            assert str(part.error) == str(whole.error)
+
+    @pytest.mark.parametrize("keep", [{8}, {3}, {1, 5, 8}, {2, 8, 40}, set()])
+    @pytest.mark.parametrize("variant", ["own", "shared", "resample"])
+    def test_group_paths(self, variant, keep):
+        starts, fields, _, params = _group_case(seed=77, count=5, nodes=30,
+                                                shared=variant == "shared")
+        config = SnakeConfig(iterations=8, time_step=0.2,
+                             resample_each_step=variant == "resample")
+        self._assert_keeps(starts, fields, params, config, keep)
+
+    @pytest.mark.parametrize("keep", [{60}, {1, 10, 30, 60}, set(range(0, 61, 3))])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_contours_collapsing_at_distinct_steps(self, shared, keep):
+        starts, fields, _, params = _collapse_case(shared)
+        config = SnakeConfig(iterations=60, time_step=0.1)
+        paths = evolve(starts, fields, params, config)
+        assert sum(path.error is not None for path in paths) >= 3
+        self._assert_keeps(starts, fields, params, config, keep)
+
+    @pytest.mark.parametrize("keep", [{0}, {0, 60}])
+    def test_keep_with_the_start(self, keep):
+        starts, fields, _, params = _collapse_case(shared=False)
+        config = SnakeConfig(iterations=60, time_step=0.1)
+        self._assert_keeps(starts, fields, params, config, keep)
+
+
 class TestCollapseGuard:
     def test_deflating_disk_aborts_at_the_reversal(self):
         # a strong deflating balloon folds the contour through itself; the
@@ -682,7 +732,7 @@ class TestCollapseGuard:
             found = re.search(r"at iteration (\d+)", str(exc))
             assert found and 1 <= int(found.group(1)) <= config.iterations
             return
-        assert len(trace) == config.iterations + 1
+        assert len(trace.contours) == config.iterations + 1
         for contour in trace.contours:
             assert contour.area >= DEGENERATE_AREA
             assert np.isfinite(contour.nodes).all()
