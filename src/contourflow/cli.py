@@ -425,7 +425,8 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     The items share one mask shape and ``cfg``'s weights (a map that does
     not fit raises). Fit the maps; compute the EDTs in stacked calls; build
     a force that drives every item once (read through a view), else each
-    item's into its slot of a (K, H, W, 2) stack; build the starts; step
+    distinct ``_force_key``'s once, into the slot of every item with that
+    key in a (K, H, W, 2) stack; build the starts; step
     them in one ``evolve`` call; rasterize and score each item. A count at
     or past a collapse gets the collapse's message.
     """
@@ -435,14 +436,16 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     timer.lap("read")
     stacked = _share_dts([prep for prep, loaded in items
                           if isinstance(loaded.field, str) or loaded.init == "inscribed"])
-    shared = len({_force_key(*item) for item in items}) == 1
+    keys = [_force_key(*item) for item in items]
+    shared = len(set(keys)) == 1
     tracing, counts = counts is None, counts or [cfg.iters]
     vectors = None if shared else np.empty((len(items), height, width, 2))
     force, starts, potentials, failed = None, [], [], {}
-    for index, (prep, loaded) in enumerate(items):
+    slot_of = {}  # force key -> the slot that holds the force built for it
+    for index, ((prep, loaded), key) in enumerate(zip(items, keys)):
         try:
             with _failing(EXIT_COMPUTE):
-                if force is None or not shared:
+                if key not in slot_of and (force is None or not shared):
                     force = _build_force(cfg, loaded, prep)
                 timer.lap("field")
                 starts.append(_start(cfg, loaded, prep))
@@ -450,9 +453,14 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
         except CliError as exc:
             failed[index] = exc
             continue
+        slot = len(starts) - 1
+        if key in slot_of:  # a force already built: copy its slot
+            vectors[slot] = vectors[slot_of[key]]
+            potentials.append(potentials[slot_of[key]])
+            continue
         potentials.append(force.potential if tracing else None)
         if not shared:  # the item's slot holds a copy, and its force is dropped
-            vectors[len(starts) - 1], force = force.vectors, None
+            vectors[slot], force, slot_of[key] = force.vectors, None, slot
     for prep in stacked:
         prep.drop_dt()
     with _failing(EXIT_COMPUTE):

@@ -17,6 +17,7 @@ Conventions used everywhere, without exception:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,7 +50,9 @@ class BilinearCorners(NamedTuple):
     row per corner in the order (v0, u0), (v0, u1), (v1, u0), (v1, u1).
     ``frac`` holds each point's (fu, fv) offsets from (u0, v0) as an
     (N, 2) array, and ``rest`` holds 1 - frac. A caller gathers the corners
-    of all its fields into one (4, N, C) array and blends them at once.
+    of each of its C fields into a contiguous (4, N) block of one
+    channel-major (C, 4, N) array, ``field.take(index, out=values[c],
+    mode="clip")``, and blends them at once.
     """
 
     index: np.ndarray
@@ -57,12 +60,30 @@ class BilinearCorners(NamedTuple):
     rest: np.ndarray
 
 
+@functools.lru_cache(maxsize=32)
+def _grid_plan(height: int, width: int) -> tuple:
+    """The corner lookup's constants on an (H, W) grid, cached and read-only:
+    the clamp bound (W - 1, H - 1), the top-left corner's cap (W - 2, H - 2)
+    (0 on a one-pixel side), the flat index stride (1, W) and the four
+    corners' flat offsets. On a square grid the bound and the cap are
+    scalars, which NumPy applies faster than a pair broadcast over (u, v)."""
+    cap = (max(width - 2, 0), max(height - 2, 0))
+    su, sv = min(1, width - 1), min(width, (height - 1) * width)
+    plan = [np.array((width - 1.0, height - 1.0)), np.array(cap, dtype=np.intp),
+            np.array((1, width), dtype=np.intp), np.array((0, su, sv, sv + su), dtype=np.intp)]
+    for array in plan:
+        array.flags.writeable = False
+    if height == width:
+        plan[:2] = width - 1.0, cap[0]
+    return tuple(plan)
+
+
 def clamp_to_frame(points, height: int, width: int, out=None) -> np.ndarray:
     """(u, v) points clamped to the field rectangle, into ``out`` if given.
     -0.0 becomes +0.0, as under ``np.clip`` with an array upper bound;
     ``np.maximum(0.0, points)`` and a scalar-bound ``np.clip`` keep -0.0."""
     out = np.maximum(points, 0.0, out=out)
-    return np.minimum(out, (width - 1.0, height - 1.0), out=out)
+    return np.minimum(out, _grid_plan(height, width)[0], out=out)
 
 
 def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
@@ -72,34 +93,43 @@ def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
     Points are clamped to the field rectangle, so the lookup is total.
     The top-left corner is clamped to column W - 2 and row H - 2, so the
     other corners lie one column and one row further on, except on a
-    grid one pixel wide or high, where they coincide with it.
+    grid one pixel wide or high, where they coincide with it. The
+    constants come from a plan cached per grid size; the clamped points
+    are >= +0.0, so truncation is their floor, and the flat index is the
+    integer product ``(u0, v0) @ (1, W)``, exact.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
+    _, cap, stride, offsets = _grid_plan(height, width)
     uv = clamp_to_frame(pts, height, width)
-    uv0 = np.minimum(np.floor(uv).astype(np.intp), (max(width - 2, 0), max(height - 2, 0)))
+    uv0 = uv.astype(np.intp)
+    np.minimum(uv0, cap, out=uv0)
     frac = uv - uv0
-    su, sv = min(1, width - 1), min(width, (height - 1) * width)
-    offsets = np.array((0, su, sv, sv + su)).reshape((4,) + (1,) * (uv0.ndim - 1))
-    index = uv0[..., 1] * width + uv0[..., 0] + offsets
+    index = uv0 @ stride + offsets.reshape((4,) + (1,) * (uv0.ndim - 1))
     return BilinearCorners(index, frac, 1.0 - frac)
 
 
 def blend_corners(values: np.ndarray, corners: BilinearCorners) -> np.ndarray:
-    """Bilinear values from the four corner values ``values[0..3]`` of the
-    points ``corners`` describes: a (4, N) array for one field, or a
-    (4, N, C) array whose C channels are blended together."""
-    c00, c01, c10, c11 = values
-    if values.ndim == corners.frac.ndim:
-        fu, fv = corners.frac[..., 0], corners.frac[..., 1]
-        gu, gv = corners.rest[..., 0], corners.rest[..., 1]
-    else:
-        fu, fv = corners.frac[..., 0:1], corners.frac[..., 1:2]
-        gu, gv = corners.rest[..., 0:1], corners.rest[..., 1:2]
-    top = c00 * gu + c01 * fu
-    bottom = c10 * gu + c11 * fu
-    return top * gv + bottom * fv
+    """Bilinear values from the four corner values of the points ``corners``
+    describes: a (4, N) array ``values[0..3]`` for one field, or a
+    channel-major (C, 4, N) array whose C channels are blended together
+    into a (C, N) array.
+
+    Six array operations give every channel the products of
+    ``(c00*gu + c01*fu)*gv + (c10*gu + c11*fu)*fv`` in that order (g = 1 - f):
+    the near corners of both rows times gu, plus the far ones times fu,
+    then the top row times gv plus the bottom row times fv.
+    """
+    fu, fv = corners.frac[..., 0], corners.frac[..., 1]
+    gu, gv = corners.rest[..., 0], corners.rest[..., 1]
+    if values.ndim > corners.index.ndim:
+        values = values.swapaxes(0, 1)  # corner-major (4, C, N) view
+    rows = values[0::2] * gu
+    rows += values[1::2] * fu
+    out = rows[0] * gv
+    out += rows[1] * fv
+    return out
 
 
 def central_gradient(field) -> np.ndarray:
@@ -154,9 +184,11 @@ def signed_area(nodes) -> float:
 
 def signed_areas(stack: np.ndarray) -> np.ndarray:
     """Shoelace signed area of each polygon of a (K, n, 2) stack, as a (K,)
-    array; each row is summed as a lone polygon's products are."""
-    nxt = np.concatenate((stack[:, 1:], stack[:, :1]), axis=1)  # np.roll(stack, -1, axis=1)
-    return 0.5 * (stack[..., 0] * nxt[..., 1] - nxt[..., 0] * stack[..., 1]).sum(axis=1)
+    array; each row is summed as a lone polygon's products are. One product
+    of the nodes and their successors (v, u) gives both u_s v_{s+1} and
+    v_s u_{s+1}."""
+    cross = stack * np.concatenate((stack[:, 1:, ::-1], stack[:, :1, ::-1]), axis=1)
+    return 0.5 * (cross[..., 0] - cross[..., 1]).sum(axis=1)
 
 
 @dataclass

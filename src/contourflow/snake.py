@@ -13,12 +13,16 @@ stable.
 
 ``evolve_step`` is the one solver step. It moves a (K, n, 2) stack of
 contours, each driven by its slice of a (K, H, W, 2) stack of force
-vectors (offset by k*H*W) under shared weights: one corner lookup finds
-every node's four corner pixels and fractions, one gather reads the
-corners of the force vectors (both components), kappa and beta into one
-(4, K*n, 4) array, one blend interpolates all four channels, and the K
-cyclic pentadiagonal systems are built from their bands, by a plan
-cached per node count, and solved by one stacked ``np.linalg.solve``.
+vectors (offset by k*H*W) under shared weights: one corner lookup, on
+constants cached per grid size, finds every node's four corner pixels
+and fractions; three ``take`` calls (one for both force components) lay
+the corners of force u, force v, kappa and beta out channel-major, each
+channel a contiguous (4, K*n) block of one (4, 4, K*n) array; one blend of six array operations
+interpolates all four channels; the normals come from one ``take`` of a
+cached cyclic ring of node indices; and the K cyclic pentadiagonal
+systems are built from their bands, by a plan cached per node count,
+and solved by one stacked ``np.linalg.solve``. The right-hand side is
+built in place.
 The build sums in a fixed order without BLAS, so its floats do not
 depend on the machine; the solve's may (BLAS kernel and thread count).
 ``evolve`` is the one driver: it steps K contours together, one for a
@@ -28,8 +32,8 @@ is that of separate per-field lookups and a per-step node-by-node matrix
 build for one contour (kept in ``tests/oracles.py``), so every contour
 is bit-identical to theirs.
 ``contour_energies`` scores a whole trace the same way: one corner
-lookup over all of its contours' nodes, and one gather and one blend of
-the potential and beta.
+lookup over all of its contours' nodes, and one channel-major gather and
+one blend of the potential and beta.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_corners, blend
                      clamp_to_frame, rasterize, resample_closed, signed_areas)
 
 _TINY = 1e-12
+_FLIP = np.array((1.0, -1.0))
+_COMPONENTS = np.array((0, 1)).reshape(2, 1, 1)  # flat offsets of a force's u and v
 
 
 class EvolveError(RuntimeError):
@@ -145,12 +151,11 @@ def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
     d1 = nxt - pts
     d2 = nxt - 2.0 * pts + np.roll(pts, 1, axis=1)
     corners = bilinear_corners(pts, *ext.shape)
-    gathered = np.empty(corners.index.shape + (2,))
-    gathered[..., 0] = ext.reshape(-1)[corners.index]
-    gathered[..., 1] = params.beta.reshape(-1)[corners.index]
-    sampled = blend_corners(gathered, corners)
-    beta_nodes = sampled[..., 1]
-    totals = (sampled[..., 0].sum(axis=1)
+    gathered = np.empty((2,) + corners.index.shape)
+    ext.take(corners.index, out=gathered[0], mode="clip")
+    params.beta.take(corners.index, out=gathered[1], mode="clip")
+    potential, beta_nodes = blend_corners(gathered, corners)
+    totals = (potential.sum(axis=1)
               + params.alpha * (d1 * d1).reshape(len(pts), -1).sum(axis=1)
               + (beta_nodes * (d2 * d2).sum(axis=2)).sum(axis=1))
     height, width = ext.shape
@@ -166,7 +171,9 @@ class DifferenceOperators(NamedTuple):
     ``entries`` of the structural nonzeros of I + D1'D1 + D2'D2, the up
     to three curvature terms b_s * coef of each (coef = 2 D2[s,i] D2[s,j])
     as (3, m) ``src`` and ``coef`` in ascending node s (coef 0 pads),
-    D1'D1 and the identity there, and each node's next and previous index.
+    D1'D1 and the identity there, and the cyclic ring of node indices
+    (n - 1, 0, 1, ..., n - 1, 0), whose entries s + 2 and s are node s's
+    next and previous node.
     """
 
     entries: np.ndarray
@@ -174,8 +181,7 @@ class DifferenceOperators(NamedTuple):
     coef: np.ndarray
     d1td1: np.ndarray
     eye: np.ndarray
-    nxt: np.ndarray
-    prv: np.ndarray
+    ring: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,7 +208,8 @@ def difference_operators(n: int) -> DifferenceOperators:
     offset = (col - row) % n
     eye = (offset == 0).astype(float)
     d1td1 = 2.0 * eye - np.isin(offset, (1, n - 1))
-    ops = DifferenceOperators(entries, src, coef, d1td1, eye, nxt, prv)
+    ring = np.concatenate(([n - 1], idx, [0]))
+    ops = DifferenceOperators(entries, src, coef, d1td1, eye, ring)
     for array in ops:
         array.flags.writeable = False
     return ops
@@ -238,9 +245,11 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     ``vectors`` is a (S, H, W, 2) stack of force fields; contour k reads
     slice ``slots[k]``, and every contour reads slice 0 when ``slots`` is
     not given. The weights in ``params`` are shared by every contour. One
-    corner lookup serves every node, and one gather and one blend give
-    each node its force, kappa and beta; the force's two components are
-    flat lookups at 2i and 2i + 1 of ``vectors.reshape(-1)``.
+    corner lookup serves every node, and one channel-major gather and one
+    blend give each node its force, kappa and beta; the force's two
+    components are one ``take`` of ``vectors`` at flat indices 2i and
+    2i + 1. The indices are in range, and ``mode="clip"`` spares each
+    ``take`` the buffered copy that ``out=`` costs under its default mode.
 
     A = 2 alpha D1'D1 + 2 D2' diag(b) D2 is the exact Hessian of the
     internal energy with the curvature weights b frozen at the current
@@ -261,23 +270,27 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     in_slot = corners.index
     if slots is not None:
         in_slot = in_slot + np.repeat(slots * (height * width), n)
-    gathered = np.empty(corners.index.shape + (4,))
-    flat, in_slot = vectors.reshape(-1), 2 * in_slot
-    gathered[..., 0] = flat[in_slot]
-    gathered[..., 1] = flat[in_slot + 1]
-    gathered[..., 2] = params.kappa.reshape(-1)[corners.index]
-    gathered[..., 3] = params.beta.reshape(-1)[corners.index]
-    sampled = blend_corners(gathered, corners).reshape(count, n, 4)
-    external, kappa, beta = sampled[..., :2], sampled[..., 2], sampled[..., 3]
+    # channel-major corner values: force u and v, kappa, beta
+    gathered = np.empty((4,) + corners.index.shape)
+    vectors.take(_COMPONENTS + 2 * in_slot, out=gathered[:2], mode="clip")
+    params.kappa.take(corners.index, out=gathered[2], mode="clip")
+    params.beta.take(corners.index, out=gathered[3], mode="clip")
+    sampled = blend_corners(gathered, corners)
+    external = sampled[:2].T.reshape(count, n, 2)
+    kappa, beta = sampled[2].reshape(count, n, 1), sampled[3].reshape(count, n)
 
-    tangent = nodes.take(ops.nxt, axis=1) - nodes.take(ops.prv, axis=1)
+    ring = nodes.take(ops.ring, axis=1)
+    tangent = ring[:, 2:] - ring[:, :-2]
     # for positive-signed-area node order, (t_v, -t_u) points outward
-    normal = tangent[..., ::-1] * (1.0, -1.0)
+    normal = tangent[..., ::-1] * _FLIP
     norm = np.hypot(normal[..., 0], normal[..., 1])[..., None]
-    unit = np.divide(normal, norm, out=np.zeros_like(normal), where=norm > _TINY)
+    unit = np.divide(normal, norm, out=np.zeros(normal.shape), where=norm > _TINY)
 
     lhs = _system_matrix(beta, params.alpha, config.time_step, ops)
-    rhs = nodes + config.time_step * (external + kappa[..., None] * unit)
+    rhs = kappa * unit  # nodes + tau (external + kappa unit), in place
+    rhs += external
+    rhs *= config.time_step
+    rhs += nodes
     try:
         new_nodes = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0

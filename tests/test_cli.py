@@ -1186,6 +1186,31 @@ class TestSweepGroups:
                      "--values", "6,10,14,18"]) == 0
         assert len(calls) == 1
 
+    def test_repeated_field_values_build_each_force_once(self, disk_paths, capsys,
+                                                         monkeypatch, stacks):
+        """A repeated field row copies the force built for its value into
+        its own slot: one ``lcdvf`` and one ``dvf`` call for three rows,
+        and the rows of separate runs."""
+        from contourflow.flow import dvf, lcdvf
+        calls = []
+
+        def counting(build):
+            def counted(*args):
+                calls.append(build.__name__)
+                return build(*args)
+            return counted
+
+        _, mask_path = disk_paths
+        want = per_row_sweep(capsys, ["--iters", "20"], "field",
+                             ["lcdvf", "lcdvf", "dvf"], mask_path)
+        stacks.clear()
+        monkeypatch.setattr("contourflow.cli.lcdvf", counting(lcdvf))
+        monkeypatch.setattr("contourflow.cli.dvf", counting(dvf))
+        assert main(["sweep", "--mask", str(mask_path), "--iters", "20", "--axis", "field",
+                     "--values", "lcdvf,lcdvf,dvf"]) == 0
+        assert capsys.readouterr().out == want
+        assert sorted(calls) == ["dvf", "lcdvf"]
+        assert [nodes.shape for nodes in stacks] == [(3, 60, 2)] * 20
 
     @pytest.fixture
     def disk_256(self, tmp_path):

@@ -69,14 +69,13 @@ class TestBilinearSample:
         on_grid = rng.random(count) < 0.3  # pixel centers, the border and beyond
         pts[on_grid] = np.round(pts[on_grid])
         corners = bilinear_corners(pts, height, width)
-        gathered = np.empty(corners.index.shape + (3,))
-        gathered[..., :2] = vectors.reshape(-1, 2)[corners.index]
-        gathered[..., 2] = scalar.reshape(-1)[corners.index]
+        gathered = np.stack([vectors[..., 0].take(corners.index),
+                             vectors[..., 1].take(corners.index), scalar.take(corners.index)])
         blended = blend_corners(gathered, corners)
-        assert np.array_equal(blended[:, 0], bilinear_sample_reference(vectors[..., 0], pts))
-        assert np.array_equal(blended[:, 1], bilinear_sample_reference(vectors[..., 1], pts))
-        assert np.array_equal(blended[:, 2], bilinear_sample_reference(scalar, pts))
-        assert np.array_equal(sample(scalar, pts), blended[:, 2])
+        assert np.array_equal(blended[0], bilinear_sample_reference(vectors[..., 0], pts))
+        assert np.array_equal(blended[1], bilinear_sample_reference(vectors[..., 1], pts))
+        assert np.array_equal(blended[2], bilinear_sample_reference(scalar, pts))
+        assert np.array_equal(sample(scalar, pts), blended[2])
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 12),

@@ -694,6 +694,99 @@ class TestEvolveKeep:
         self._assert_keeps(starts, fields, params, config, keep)
 
 
+def _bits(arrays):
+    """The shape and bytes of each array: ``np.array_equal`` takes -0.0 for
+    +0.0, so it cannot see a step that flips the sign of a zero."""
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestStepTraps:
+    """The cases where the step's lookup could part from the former one: a
+    signed zero in the start, nodes on the last column and row, grids one
+    pixel wide or high, re-slotting after a collapse and a corrupted node.
+    Each path equals ``oracles.evolve_reference`` byte for byte."""
+
+    @staticmethod
+    def _case(height, width, seed=3):
+        rng = np.random.default_rng(seed)
+        force = ForceField(rng.uniform(-1.0, 1.0, (height, width, 2)), np.zeros((height, width)))
+        params = ParameterSet(alpha=0.2, beta=rng.uniform(0.0, 0.5, (height, width)),
+                              kappa=rng.uniform(-0.5, 0.5, (height, width)))
+        return force, params
+
+    @staticmethod
+    def _assert_matches_reference(start, force, params, config):
+        clamped = start.clamped(force.shape[1], force.shape[0])
+        got_step = evolve_step(clamped.nodes[None], force.vectors[None], params, config)[0]
+        assert _bits([got_step]) == _bits([evolve_step_reference(clamped, force, params,
+                                                                 config)])
+        [path] = evolve([start], force.vectors[None], params, config)
+        want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
+        if isinstance(want, str):
+            assert str(path.error) == want
+        else:
+            assert path.error is None
+            assert _bits(c.nodes for c in path.contours.values()) == _bits(want)
+
+    def test_start_with_negative_zeros(self):
+        # the start's scalar-bound np.clip keeps -0.0; the corner clamp gives +0.0
+        force, params = self._case(16, 16)
+        nodes = np.array([[-0.0, 3.0], [6.0, -0.0], [9.0, 7.0], [-0.0, 8.0], [2.5, 12.0]])
+        start = Contour(nodes)
+        clamped = start.clamped(16, 16)
+        assert np.signbit(clamped.nodes[clamped.nodes == 0.0]).all()
+        self._assert_matches_reference(start, force, params, SnakeConfig(iterations=6))
+
+    def test_nodes_on_the_last_column_and_row(self):
+        force, params = self._case(12, 17)
+        start = Contour(np.array([[4.0, 2.0], [16.0, 2.0], [16.0, 11.0], [9.5, 11.0],
+                                  [4.0, 11.0], [3.0, 6.5]]))
+        self._assert_matches_reference(start, force, params, SnakeConfig(iterations=6))
+        # and pushed past them, so every step clamps onto them again
+        pushed = ForceField(np.full((12, 17, 2), 3.0), np.zeros((12, 17)))
+        self._assert_matches_reference(start, pushed, params,
+                                       SnakeConfig(iterations=4, time_step=0.5))
+
+    @pytest.mark.parametrize("height, width", [(1, 9), (1, 1), (11, 1)])
+    def test_grids_one_pixel_wide_or_high(self, height, width):
+        force, params = self._case(height, width)
+        theta = 2.0 * np.pi * np.arange(12) / 12
+        start = Contour(np.stack([width / 2.0 + 4.0 * np.cos(theta),
+                                  height / 2.0 + 4.0 * np.sin(theta)], axis=1))
+        self._assert_matches_reference(start, force, params, SnakeConfig(iterations=3))
+
+    def test_twelve_own_fields_reslotted_after_collapses(self):
+        # a deflating balloon collapses the small circles mid-run; the others
+        # keep reading their own fields from the re-slotted stack
+        rng = np.random.default_rng(12)
+        height = width = 48
+        fields = rng.uniform(-0.3, 0.3, size=(12, height, width, 2))
+        params = ParameterSet(alpha=0.05, beta=rng.uniform(0.0, 0.2, (height, width)),
+                              kappa=rng.uniform(-1.5, -0.5, (height, width)))
+        radii = [3.0, 20.0, 5.0, 8.0, 4.0, 19.0, 15.0, 3.5, 12.0, 6.0, 17.0, 10.0]
+        starts = [circle_to_contour(Circle((24.0, 24.0), r), 40, width, height) for r in radii]
+        config = SnakeConfig(iterations=40, time_step=0.1)
+        paths = evolve(starts, fields, params, config)
+        assert 3 <= sum(path.error is not None for path in paths) < len(paths)
+        for start, field, path in zip(starts, fields, paths):
+            force = ForceField(field, np.zeros((height, width)))
+            want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
+            if isinstance(want, str):
+                assert str(path.error) == want
+            else:
+                assert path.error is None
+                assert _bits(c.nodes for c in path.contours.values()) == _bits(want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_corrupted_node_raises(self, bad):
+        force, params = self._case(16, 16)
+        nodes = square_contour(4.0, center=(8.0, 8.0)).nodes[None].copy()
+        nodes[0, 2, 1] = bad
+        with pytest.raises(ValueError) as raised:
+            evolve_step(nodes, force.vectors[None], params, SnakeConfig())
+        assert str(raised.value) == "sample points contain NaN or Inf (corrupted contour state)"
+
+
 class TestCollapseGuard:
     def test_deflating_disk_aborts_at_the_reversal(self):
         # a strong deflating balloon folds the contour through itself; the
