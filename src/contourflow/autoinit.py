@@ -7,6 +7,7 @@ the minimal enclosing circle of the foreground.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -86,41 +87,63 @@ def minimal_enclosing_circle(points) -> tuple[float, float, float]:
     where the squared distance cannot decide it, and a candidate circle
     through three points gets its radius only if it is returned, so every
     decision and float equals the all-``np.hypot`` construction kept in
-    ``tests/oracles.py``.
+    ``tests/oracles.py``. A circle carries its test's bounds, computed
+    once when it is made (``_disk``).
     """
-    pts = np.asarray(points, dtype=np.float64).tolist()
-    if not pts:
+    pts = np.asarray(points, dtype=np.float64)
+    if not len(pts):
         raise ValueError("need at least one point")
-    rng = random.Random(0x5EED)
-    rng.shuffle(pts)
+    pts = pts[_shuffled(len(pts))].tolist()
     circle = None
     for i, p in enumerate(pts):
         if circle is None or not _in_circle(circle, p):
             circle = _circle_one_point(pts[: i + 1], p)
-    return circle
+    return circle[:3]
+
+
+@functools.lru_cache(maxsize=256)
+def _shuffled(count: int) -> np.ndarray:
+    """The read-only order ``random.Random(0x5EED).shuffle`` gives ``count``
+    items; its draws depend on the length alone."""
+    order = list(range(count))
+    random.Random(0x5EED).shuffle(order)
+    order = np.array(order, dtype=np.intp)
+    order.flags.writeable = False
+    return order
+
+
+def _disk(cu: float, cv: float, r: float) -> tuple:
+    """(cu, cv, r) and ``_in_circle``'s bounds for it: ``limit`` and the
+    squared ``limit² · (1 ∓ _BAND)``, or bounds that leave every point to
+    ``np.hypot`` where the squares are not safe."""
+    limit = r * _MULT_EPS
+    l2 = limit * limit
+    if _SQUARES_MIN < l2 < _SQUARES_MAX:
+        return cu, cv, r, limit, l2 * (1.0 - _BAND), l2 * (1.0 + _BAND)
+    return cu, cv, r, limit, -1.0, np.inf
 
 
 def _in_circle(circle, p) -> bool:
     """``np.hypot(p - center) <= r * _MULT_EPS``. The squared distance
     decides outside ``limit² · (1 ± _BAND)``, a margin many orders wider
     than its own rounding and ``np.hypot``'s, while the squares stay far
-    from underflow and overflow; ``np.hypot`` decides inside it."""
-    cu, cv, r = circle
+    from underflow and overflow; ``np.hypot`` decides inside it. For a
+    zero radius it is ``du == dv == 0``, as ``np.hypot`` is then."""
+    cu, cv, r, limit, lo, hi = circle
     du = p[0] - cu
     dv = p[1] - cv
-    limit = r * _MULT_EPS
     d2 = du * du + dv * dv
-    l2 = limit * limit
-    if _SQUARES_MIN < l2 < _SQUARES_MAX:
-        if d2 < l2 * (1.0 - _BAND):
-            return True
-        if d2 > l2 * (1.0 + _BAND):
-            return False
+    if d2 < lo:
+        return True
+    if d2 > hi:
+        return False
+    if r == 0.0:
+        return du == 0.0 == dv
     return np.hypot(du, dv) <= limit
 
 
 def _circle_one_point(points, p):
-    circle = (p[0], p[1], 0.0)
+    circle = _disk(p[0], p[1], 0.0)
     for i, q in enumerate(points):
         if not _in_circle(circle, q):
             if circle[2] == 0.0:
@@ -139,15 +162,15 @@ def _circle_two_points(points, p, q):
     circ = _diameter(p, q)
     left = right = None  # (side of the center, the third point, the center)
     px, py = p
-    qx, qy = q
+    ex, ey = q[0] - px, q[1] - py  # a cross product with pq is ex * (y - py) - ey * (x - px)
     for r in points:
         if _in_circle(circ, r):
             continue
-        cross = _cross(px, py, qx, qy, r[0], r[1])
+        cross = ex * (r[1] - py) - ey * (r[0] - px)
         c = _circumcenter(p, q, r)
         if c is None:
             continue
-        side = _cross(px, py, qx, qy, c[0], c[1])
+        side = ex * (c[1] - py) - ey * (c[0] - px)
         if cross > 0.0 and (left is None or side > left[0]):
             left = (side, r, c)
         elif cross < 0.0 and (right is None or side < right[0]):
@@ -163,18 +186,29 @@ def _circle_two_points(points, p, q):
 
 
 def _diameter(p, q):
+    """The circle on ``pq`` as its diameter. When the center's offsets to
+    ``p`` and ``q`` are mirror images, so are their two ``np.hypot``s."""
     cu = (p[0] + q[0]) / 2.0
     cv = (p[1] + q[1]) / 2.0
-    return (cu, cv, float(max(np.hypot(cu - p[0], cv - p[1]), np.hypot(cu - q[0], cv - q[1]))))
+    a, b, c, d = cu - p[0], cv - p[1], cu - q[0], cv - q[1]
+    if abs(a) == abs(c) and abs(b) == abs(d):
+        return _disk(cu, cv, float(np.hypot(a, b)))
+    return _disk(cu, cv, float(max(np.hypot(a, b), np.hypot(c, d))))
 
 
 def _circumcenter(p0, p1, p2):
     # recentre on the bounding-box midpoint for numerical stability
-    ox = (min(p0[0], p1[0], p2[0]) + max(p0[0], p1[0], p2[0])) / 2.0
-    oy = (min(p0[1], p1[1], p2[1]) + max(p0[1], p1[1], p2[1])) / 2.0
-    ax, ay = p0[0] - ox, p0[1] - oy
-    bx, by = p1[0] - ox, p1[1] - oy
-    cx, cy = p2[0] - ox, p2[1] - oy
+    (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
+    # min() and max() of each axis, as the first extreme, without their calls
+    lo = x1 if x1 < x0 else x0
+    hi = x1 if x1 > x0 else x0
+    ox = ((x2 if x2 < lo else lo) + (x2 if x2 > hi else hi)) / 2.0
+    lo = y1 if y1 < y0 else y0
+    hi = y1 if y1 > y0 else y0
+    oy = ((y2 if y2 < lo else lo) + (y2 if y2 > hi else hi)) / 2.0
+    ax, ay = x0 - ox, y0 - oy
+    bx, by = x1 - ox, y1 - oy
+    cx, cy = x2 - ox, y2 - oy
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
     if d == 0.0:
         return None
@@ -190,11 +224,7 @@ def _circumcircle(p0, p1, p2, center):
     r = max(np.hypot(x - p0[0], y - p0[1]),
             np.hypot(x - p1[0], y - p1[1]),
             np.hypot(x - p2[0], y - p2[1]))
-    return (x, y, float(r))
-
-
-def _cross(x0, y0, x1, y1, x2, y2):
-    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    return _disk(x, y, float(r))
 
 
 def circle_to_contour(circle: Circle, count: int, width: int, height: int) -> Contour:
@@ -202,12 +232,13 @@ def circle_to_contour(circle: Circle, count: int, width: int, height: int) -> Co
     clamped to the image bounds."""
     if count < 3:
         raise ValueError("a contour needs at least 3 nodes")
+    return Contour(circle.radius * _unit_ring(count) + circle.center).clamped(width, height)
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_ring(count: int) -> np.ndarray:
+    """The read-only (count, 2) array of (cos, sin) at angles 2*pi*s/count."""
     theta = 2.0 * np.pi * np.arange(count) / count
-    pts = np.stack(
-        [
-            circle.center[0] + circle.radius * np.cos(theta),
-            circle.center[1] + circle.radius * np.sin(theta),
-        ],
-        axis=1,
-    )
-    return Contour(pts).clamped(width, height)
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    ring.flags.writeable = False
+    return ring

@@ -38,6 +38,7 @@ computation is a row and makes it exit 1.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import re
@@ -427,8 +428,9 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     a force that drives every item once (read through a view), else each
     distinct ``_force_key``'s once, into the slot of every item with that
     key in a (K, H, W, 2) stack; build the starts; step
-    them in one ``evolve`` call; rasterize and score each item. A count at
-    or past a collapse gets the collapse's message.
+    them in one ``evolve`` call; rasterize each item at each count and score
+    them all in one stacked ``evaluate`` call. A count at or past a collapse
+    gets the collapse's message.
     """
     timer = timer or StageTimer()
     height, width = items[0][0].mask.shape
@@ -471,7 +473,7 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
             keep = None if tracing else set(counts)
             paths = evolve(starts, stack, params, cfg.snake_config(), keep)
         timer.lap("evolve")
-        started = zip(paths, potentials)
+        started, gts = zip(paths, potentials), []
         for index, (prep, _) in enumerate(items):
             if index in failed:
                 results += [failed[index]] * len(counts)
@@ -481,13 +483,18 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
                 if count not in path.contours:  # the path stopped before this count
                     results.append(CliError(str(path.error), EXIT_COMPUTE))
                     continue
-                prediction = rasterize(path.contours[count], width, height)
-                timer.lap("rasterize")
-                report = evaluate(prediction, prep.gt)
-                timer.lap("metrics")
                 trace = (EvolutionTrace(list(path.contours.values()), potential, params)
                          if tracing else None)
-                results.append(RunResult(prediction, report, trace))
+                prediction = rasterize(path.contours[count], width, height)
+                results.append(RunResult(prediction, None, trace))  # scored below
+                gts.append(prep.gt)
+        timer.lap("rasterize")
+        done = [result for result in results if isinstance(result, RunResult)]
+        if done:
+            reports = evaluate(np.stack([result.prediction for result in done]), np.stack(gts))
+            for result, report in zip(done, reports):
+                result.report = report
+        timer.lap("metrics")
     return results
 
 
@@ -804,7 +811,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the thread-count setters of the OpenBLAS builds that NumPy ships or links
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@cache
+def _pin_blas():
+    """Run the OpenBLAS that NumPy loaded on one thread, once per process, and
+    return its thread-count setter: the solve's floats may depend on the
+    thread count, and a second thread only spins on these small systems.
+    Where no setter resolves, change nothing, say so on stderr, return None."""
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+    except OSError:  # no memory map to find the library in
+        maps = ""
+    for path in dict.fromkeys(re.findall(r"/\S*openblas\S*\.so\S*", maps)):
+        library = ctypes.CDLL(path)  # the mapped library itself, not a second copy
+        for name in _BLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return setter
+    print(json.dumps({"warning": "BLAS thread count left as is: no OpenBLAS "
+                      "thread-count setter found"}), file=sys.stderr)
+    return None
+
+
 def main(argv=None) -> int:
+    _pin_blas()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

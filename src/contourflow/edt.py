@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import as_mask, boundary_mask, bounding_box
+from .fields import as_mask_stack, boundary_mask, bounding_box
 
 _FAR = 1e20  # plays infinity inside the squared-distance passes
 
@@ -41,7 +41,7 @@ _FAR = 1e20  # plays infinity inside the squared-distance passes
 def edt_from_sites(sites) -> np.ndarray:
     """Exact Euclidean distance of every pixel to the nearest True pixel;
     for a (K, H, W) stack, of each mask's pixels to that mask's sites."""
-    stack = _stack(sites)
+    stack = as_mask_stack(sites)
     if not stack.any(axis=(1, 2)).all():
         raise ValueError("no boundary: mask is empty or full-frame degenerate")
     count, height, width = stack.shape
@@ -145,17 +145,9 @@ def mask_to_dt(mask) -> np.ndarray:
     """Unsigned distance transform of a mask's inner boundary; equal inside
     and outside, zero exactly on the boundary pixels. A (K, H, W) stack
     gives each mask its own, in one ``edt_from_sites`` call."""
-    stack = _stack(mask)
+    stack = as_mask_stack(mask)
     fg = stack.sum(axis=(1, 2))
     if not ((fg > 0) & (fg < stack[0].size)).all():
         raise ValueError("mask needs at least one foreground and one background pixel")
-    sites = np.stack([boundary_mask(m) for m in stack])
+    sites = boundary_mask(stack)
     return edt_from_sites(sites if np.ndim(mask) == 3 else sites[0])
-
-
-def _stack(masks) -> np.ndarray:
-    """A non-empty (K, H, W) boolean stack; a 2-D mask is the K = 1 stack."""
-    masks = np.asarray(masks)
-    if masks.ndim == 3 and masks.size:
-        return masks.astype(bool)
-    return as_mask(masks)[None]

@@ -43,6 +43,14 @@ def as_mask(bits) -> np.ndarray:
     return mask.astype(bool)
 
 
+def as_mask_stack(masks) -> np.ndarray:
+    """A non-empty (K, H, W) boolean stack; a 2-D mask is the K = 1 stack."""
+    masks = np.asarray(masks)
+    if masks.ndim == 3 and masks.size:
+        return masks.astype(bool)
+    return as_mask(masks)[None]
+
+
 class BilinearCorners(NamedTuple):
     """Where N points fall on an (H, W) grid.
 
@@ -155,13 +163,15 @@ def central_gradient(field) -> np.ndarray:
 
 def boundary_mask(mask) -> np.ndarray:
     """Inner boundary: foreground pixels with a 4-neighbor that is background
-    or outside the image."""
-    mask = as_mask(mask)
-    padded = np.pad(mask, 1, mode="constant", constant_values=False)
-    has_all_neighbors = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return mask & ~has_all_neighbors
+    or outside the image; of each mask of a (K, H, W) stack. A foreground
+    pixel on the frame always is one, so only the interior is tested and no
+    padded copy is built."""
+    stack = as_mask_stack(mask)  # a fresh array, cleared in place below
+    inner = stack[:, :-2, 1:-1] & stack[:, 2:, 1:-1]
+    inner &= stack[:, 1:-1, :-2]
+    inner &= stack[:, 1:-1, 2:]
+    stack[:, 1:-1, 1:-1] &= ~inner
+    return stack if np.ndim(mask) == 3 else stack[0]
 
 
 def bounding_box(mask) -> tuple[slice, slice]:

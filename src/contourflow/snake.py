@@ -230,9 +230,18 @@ def _system_matrix(beta: np.ndarray, alpha: float, tau: float,
     band += (2.0 * alpha) * ops.d1td1
     band *= tau
     band += ops.eye
-    lhs = np.zeros((count, n * n))
-    lhs[:, ops.entries] = band
+    lhs = np.zeros(count * n * n)
+    lhs[_stack_entries(n, count)] = band.ravel()
     return lhs.reshape(count, n, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _stack_entries(n: int, count: int) -> np.ndarray:
+    """The flat positions of the plan's ``entries`` in a (count, n, n) stack,
+    read-only; one flat scatter fills them."""
+    flat = (np.arange(count)[:, None] * (n * n) + difference_operators(n).entries).ravel()
+    flat.flags.writeable = False
+    return flat
 
 
 def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,

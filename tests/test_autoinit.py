@@ -1,8 +1,11 @@
+import random
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from contourflow.autoinit import (circle_to_contour, circumscribed_circle,
+from contourflow.autoinit import (_shuffled, circle_to_contour, circumscribed_circle,
                                   inscribed_circle, minimal_enclosing_circle)
 from contourflow.edt import edt_from_sites
 from contourflow.fields import boundary_mask, boundary_pixels, rasterize
@@ -238,6 +241,50 @@ class TestEnclosingCircleOracle:
                 points = points.astype(np.float64)
                 assert (minimal_enclosing_circle(points)
                         == minimal_enclosing_circle_reference(points)), fixture.name
+
+
+def circle_bits(circle) -> bytes:
+    return struct.pack("3d", *circle)
+
+
+class TestEnclosingCircleCases:
+    """The circle's bits, sign of zero included, equal the oracle's where the
+    bounds carried by each circle, the zero-radius test and the one-``hypot``
+    diameter take over from the oracle's ``np.hypot`` calls."""
+
+    @pytest.mark.parametrize("points", [
+        [(2.0, 5.0)],  # one point
+        [(-0.0, 0.0)],
+        [(1.0, 2.0), (4.0, 6.0)],  # two points
+        [(3.0, 3.0), (3.0, 3.0), (3.0, 3.0), (1.0, 3.0), (1.0, 3.0)],  # duplicates
+        [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)],  # signed zeros only
+        [(-0.0, 0.0), (-0.0, 4.0), (3.0, -0.0), (-0.0, -0.0), (3.0, 4.0)],
+        [(float(t), 2.0 * t - 1.0) for t in range(-6, 9)],  # a collinear run
+        [(float(t % 5), 0.0) for t in range(23)] + [(2.0, 0.0), (4.0, 0.0)],
+        [(0.1, 0.2), (0.7, 0.3)],  # the center's offsets are not mirror images
+        [(0.1, 0.2), (0.7, 0.3), (0.35, 0.9), (1e-3, 1.7), (0.2, -0.4)],
+        [(1e-170, 0.0), (3e-170, 2e-170), (0.0, 1e-170)],  # squares below the band's range
+        [(0.0, 0.0), (5e-324, 0.0)],  # a zero radius, then a subnormal step
+    ])
+    def test_equals_oracle(self, points):
+        points = np.array(points, dtype=np.float64)
+        assert (circle_bits(minimal_enclosing_circle(points))
+                == circle_bits(minimal_enclosing_circle_reference(points)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+                    min_size=1, max_size=40))
+    def test_equals_oracle_on_non_integer_floats(self, points):
+        points = np.array(points, dtype=np.float64)
+        assert (circle_bits(minimal_enclosing_circle(points))
+                == circle_bits(minimal_enclosing_circle_reference(points)))
+
+    def test_order_is_the_seeded_shuffle(self):
+        """The cached order is the one ``random.Random(0x5EED).shuffle`` gives."""
+        for count in (1, 2, 57, 400):
+            order = list(range(count))
+            random.Random(0x5EED).shuffle(order)
+            assert _shuffled(count).tolist() == order
 
 
 class TestIterativeFit:

@@ -1,13 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from contourflow.cli import main
+from contourflow.autoinit import circle_to_contour, inscribed_circle
+from contourflow.cli import _pin_blas, main
 from contourflow.edt import mask_to_dt
 from contourflow.fileio import read_mask_pgm, read_pfm, write_mask_pgm, write_pfm, write_pgm
+from contourflow.flow import lcdvf
 from contourflow.metrics import evaluate
-from contourflow.shapes import disk_mask, suite
+from contourflow.shapes import disk_mask, random_blob_mask, suite
+from contourflow.snake import ParameterSet, SnakeConfig, evolve
 
 
 @pytest.fixture
@@ -1406,3 +1410,62 @@ class TestWriteFailures:
         assert main(["sweep", "--mask", str(mask_path), "--axis", "iterations",
                      "--values", "1", "--out", str(blocked)]) == 2
         self._assert_names(capsys, blocked)
+
+
+class TestProcessResources:
+    def test_twelve_mask_batch_peak(self, tmp_path, capsys, monkeypatch):
+        """tracemalloc's peak over one `batch` call on the twelve 64² masks of
+        the benchmark's `batch-small` at seed 4 (five suite fixtures, seven
+        seeded blobs), caches warm. The stacked scoring gathers its disks
+        64 points at a time, so the peak stays the solver's: it read 1630.8
+        KiB, against 1638.6 KiB when each item was scored alone."""
+        rng = np.random.default_rng(4)
+        masks = [fx.mask for fx in suite(64)] + [random_blob_mask(rng, 64, 64)
+                                                 for _ in range(7)]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inputs").mkdir()
+        lines = []
+        for i, mask in enumerate(masks):
+            write_mask_pgm(tmp_path / f"inputs/m{i:02d}.pgm", mask)
+            lines.append(f"inputs/m{i:02d}.pgm inputs/m{i:02d}.pgm\n")
+        (tmp_path / "manifest.txt").write_text("".join(lines))
+        argv = ["batch", "--manifest", "manifest.txt", "--profile", "building",
+                "--out", "report.jsonl"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 1638 * 1024
+
+    def test_medical_evolution_same_bits_on_one_and_two_blas_threads(self):
+        """`main` runs OpenBLAS on one thread; the medical profile's solves
+        (n = 100) give the same bits on two."""
+        setter = _pin_blas()
+        if setter is None:
+            pytest.skip("no OpenBLAS thread-count setter in this NumPy build")
+        mask = random_blob_mask(np.random.default_rng(7), 256, 256)
+        dt = mask_to_dt(mask)
+        start = circle_to_contour(inscribed_circle(mask, dt), 100, 256, 256)
+        vectors = lcdvf(dt, 2.0).vectors[None]
+        params = ParameterSet.uniform(256, 256, alpha=0.01, beta=0.1, kappa=0.2)
+        runs = []
+        try:
+            for threads in (2, 1):
+                setter(threads)
+                [path] = evolve([start], vectors, params, SnakeConfig(iterations=10))
+                runs.append([c.nodes.tobytes() for c in path.contours.values()])
+        finally:
+            setter(1)
+        assert len(runs[0]) == 11 and runs[0] == runs[1]
+
+    def test_no_blas_setter_changes_nothing_and_says_so(self, monkeypatch, capsys):
+        import contourflow.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_BLAS_SETTERS", ("no_such_thread_setter",))
+        assert _pin_blas.__wrapped__() is None
+        assert "BLAS thread count left as is" in capsys.readouterr().err

@@ -211,3 +211,65 @@ class TestReport:
         payload = report.as_dict()
         assert set(payload) == {"iou", "dice", "boundf", "boundf_per_threshold"}
         assert len(payload["boundf_per_threshold"]) == 5
+
+
+class TestStackedScoring:
+    """``evaluate`` and ``boundf`` on (K, H, W) stacks give each item the
+    values of its pair alone, and of the brute force, bit for bit (``repr``
+    of a float round-trips its bits, sign of zero included)."""
+
+    @staticmethod
+    def stacked_items(preds, gts):
+        pred, gt = np.stack(preds), np.stack(gts)
+        reports, scores = evaluate(pred, gt), boundf(pred, gt)
+        assert len(reports) == len(scores) == len(preds)
+        for p, g, report, score in zip(preds, gts, reports, scores):
+            assert repr(report) == repr(evaluate(p, g))
+            assert repr(score) == repr(boundf(p, g)) == repr(boundf_reference(p, g))
+
+    def test_edge_cases_in_one_stack(self):
+        masks = edge_case_masks()
+        empty = np.zeros((20, 24), dtype=bool)
+        names = sorted(masks)
+        preds = [masks[n] for n in names] + [empty, masks["top"], empty]
+        gts = [masks[n] for n in names[1:] + names[:1]] + [masks["pixel"], empty, empty]
+        self.stacked_items(preds, gts)
+
+    def test_full_frame_and_one_pixel_items(self):
+        full, pixel = np.ones((9, 7), dtype=bool), _pixels(9, 7, (4, 3))
+        corner = _pixels(9, 7, (8, 6))
+        self.stacked_items([full, pixel, corner, full, pixel],
+                           [pixel, corner, full, full, pixel])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_item_stack(self, seed):
+        pred, gt = random_pair(seed)
+        self.stacked_items([pred], [gt])
+
+    def test_chunks_split_items(self, monkeypatch):
+        """Chunks of 7 points start and end inside items' point runs."""
+        import contourflow.metrics as metrics_module
+
+        monkeypatch.setattr(metrics_module, "_CHUNK", 7)
+        rng = np.random.default_rng(11)
+        preds = [random_blob_mask(rng, 24, 24) for _ in range(5)]
+        gts = [random_blob_mask(rng, 24, 24) for _ in range(5)]
+        self.stacked_items(preds, gts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(mask_pairs(), min_size=1, max_size=4), reach=st.integers(1, 40))
+    def test_equals_pairs_on_random_stacks(self, pairs, reach):
+        """Stacks of the random pairs' first frame, with the chunk size drawn too."""
+        import contourflow.metrics as metrics_module
+
+        shape = pairs[0][0].shape
+        pairs = [p for p in pairs if p[0].shape == shape]
+        previous, metrics_module._CHUNK = metrics_module._CHUNK, reach
+        try:
+            self.stacked_items([p for p, _ in pairs], [g for _, g in pairs])
+        finally:
+            metrics_module._CHUNK = previous
+
+    def test_stacks_of_other_shapes_rejected(self):
+        with pytest.raises(ValueError, match="mask dimensions differ"):
+            evaluate(np.zeros((2, 4, 4), dtype=bool), np.zeros((2, 4, 5), dtype=bool))
