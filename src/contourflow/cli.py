@@ -377,22 +377,17 @@ def _build_force(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> ForceField:
     return loaded.field.force
 
 
-def _init_circle(init: str | Circle, prep: Prepared) -> Circle:
-    if isinstance(init, Circle):
-        return init
-    mask = prep.mask
-    if init == "circumscribed":
-        return circumscribed_circle(mask)
-    if not mask.any():  # an empty mask has no EDT to read
-        raise ValueError("mask has no foreground")
-    # the field's EDT; mask_to_dt refuses a full frame, whose inner boundary is its border
-    dt = edt_from_sites(boundary_mask(mask)) if mask.all() else prep.dt
-    return inscribed_circle(mask, dt)
-
-
 def _start(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> Contour:
-    height, width = prep.mask.shape
-    return circle_to_contour(_init_circle(loaded.init, prep), cfg.nodes, width, height)
+    mask, circle = prep.mask, loaded.init
+    if circle == "circumscribed":
+        circle = circumscribed_circle(mask)
+    elif circle == "inscribed":
+        if not mask.any():  # an empty mask has no EDT to read
+            raise ValueError("mask has no foreground")
+        # the field's EDT; mask_to_dt refuses a full frame, whose inner boundary is its border
+        dt = edt_from_sites(boundary_mask(mask)) if mask.all() else prep.dt
+        circle = inscribed_circle(mask, dt)
+    return circle_to_contour(circle, cfg.nodes, mask.shape[1], mask.shape[0])
 
 
 def _share_dts(preps: list[Prepared]) -> list[Prepared]:
@@ -421,7 +416,8 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     ``cfg.iters``): one result per item and count, item-major, each the one
     the item gets alone, or its ``CliError``. Only those steps are kept and
     ``trace`` is ``None``; without ``counts``, as `run` calls it, the count is
-    ``cfg.iters`` and ``trace`` holds every step and the force's potential.
+    ``cfg.iters``, ``trace`` holds every step and the force's potential, and
+    the items must share one force (else ``ValueError``).
 
     The items share one mask shape and ``cfg``'s weights (a map that does
     not fit raises). Fit the maps; compute the EDTs in stacked calls; build
@@ -441,8 +437,10 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     keys = [_force_key(*item) for item in items]
     shared = len(set(keys)) == 1
     tracing, counts = counts is None, counts or [cfg.iters]
+    if tracing and not shared:
+        raise ValueError("a traced run needs items that share one force")
     vectors = None if shared else np.empty((len(items), height, width, 2))
-    force, starts, potentials, failed = None, [], [], {}
+    force, starts, failed = None, [], {}
     slot_of = {}  # force key -> the slot that holds the force built for it
     for index, ((prep, loaded), key) in enumerate(zip(items, keys)):
         try:
@@ -458,10 +456,7 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
         slot = len(starts) - 1
         if key in slot_of:  # a force already built: copy its slot
             vectors[slot] = vectors[slot_of[key]]
-            potentials.append(potentials[slot_of[key]])
-            continue
-        potentials.append(force.potential if tracing else None)
-        if not shared:  # the item's slot holds a copy, and its force is dropped
+        elif not shared:  # the item's slot holds a copy, and its force is dropped
             vectors[slot], force, slot_of[key] = force.vectors, None, slot
     for prep in stacked:
         prep.drop_dt()
@@ -473,17 +468,17 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
             keep = None if tracing else set(counts)
             paths = evolve(starts, stack, params, cfg.snake_config(), keep)
         timer.lap("evolve")
-        started, gts = zip(paths, potentials), []
+        started, gts = iter(paths), []
         for index, (prep, _) in enumerate(items):
             if index in failed:
                 results += [failed[index]] * len(counts)
                 continue
-            path, potential = next(started)
+            path = next(started)
             for count in counts:
                 if count not in path.contours:  # the path stopped before this count
                     results.append(CliError(str(path.error), EXIT_COMPUTE))
                     continue
-                trace = (EvolutionTrace(list(path.contours.values()), potential, params)
+                trace = (EvolutionTrace(list(path.contours.values()), force.potential, params)
                          if tracing else None)
                 prediction = rasterize(path.contours[count], width, height)
                 results.append(RunResult(prediction, None, trace))  # scored below

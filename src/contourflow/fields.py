@@ -10,9 +10,7 @@ Conventions used everywhere, without exception:
 * masks are bool arrays of shape (height, width)
 * contours are closed polygons whose node order is normalized to
   positive signed area (shoelace in (u, v)) at construction; the last
-  node connects back to the first. Solver output is the one exception
-  (``Contour.solved``): it keeps the solver's order, so that a reversal
-  shows as a negative area instead of being normalized away
+  node connects back to the first
 """
 
 from __future__ import annotations
@@ -95,8 +93,7 @@ def clamp_to_frame(points, height: int, width: int, out=None) -> np.ndarray:
 
 
 def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
-    """Corner pixels and fractions of an (N, 2) array of (u, v) points, or
-    of a (K, N, 2) stack, whose leading axes the results keep.
+    """Corner pixels and fractions of an (N, 2) array of (u, v) points.
 
     Points are clamped to the field rectangle, so the lookup is total.
     The top-left corner is clamped to column W - 2 and row H - 2, so the
@@ -114,15 +111,14 @@ def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
     uv0 = uv.astype(np.intp)
     np.minimum(uv0, cap, out=uv0)
     frac = uv - uv0
-    index = uv0 @ stride + offsets.reshape((4,) + (1,) * (uv0.ndim - 1))
+    index = uv0 @ stride + offsets[:, None]
     return BilinearCorners(index, frac, 1.0 - frac)
 
 
 def blend_corners(values: np.ndarray, corners: BilinearCorners) -> np.ndarray:
     """Bilinear values from the four corner values of the points ``corners``
-    describes: a (4, N) array ``values[0..3]`` for one field, or a
-    channel-major (C, 4, N) array whose C channels are blended together
-    into a (C, N) array.
+    describes: a channel-major (C, 4, N) array whose C channels are
+    blended together into a (C, N) array.
 
     Six array operations give every channel the products of
     ``(c00*gu + c01*fu)*gv + (c10*gu + c11*fu)*fv`` in that order (g = 1 - f):
@@ -131,8 +127,7 @@ def blend_corners(values: np.ndarray, corners: BilinearCorners) -> np.ndarray:
     """
     fu, fv = corners.frac[..., 0], corners.frac[..., 1]
     gu, gv = corners.rest[..., 0], corners.rest[..., 1]
-    if values.ndim > corners.index.ndim:
-        values = values.swapaxes(0, 1)  # corner-major (4, C, N) view
+    values = values.swapaxes(0, 1)  # corner-major (4, C, N) view
     rows = values[0::2] * gu
     rows += values[1::2] * fu
     out = rows[0] * gv
@@ -236,14 +231,6 @@ class Contour:
         if signed_area(pts) < 0.0:
             pts = np.concatenate([pts[:1], pts[-1:0:-1]])  # reverse, keep node 0 first
         self.nodes = pts
-
-    @classmethod
-    def solved(cls, nodes: np.ndarray) -> "Contour":
-        """Wrap a solver's freshly computed node array as is: no copy, no
-        validation and no orientation normalization."""
-        contour = object.__new__(cls)
-        contour.nodes = nodes
-        return contour
 
     def __len__(self) -> int:
         return self.nodes.shape[0]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,9 @@ MASK_THRESHOLD = 128  # out of 255: a PGM value >= 128/255 of its file's maxval 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    # mode 0o666 less the umask, as open() gives; the rename keeps it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

@@ -42,10 +42,6 @@ class ForceField:
     vectors: np.ndarray  # (H, W, 2)
     potential: np.ndarray  # (H, W)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.vectors.shape[0], self.vectors.shape[1]
-
 
 def dvf(dt, clip_norm: float = 2.0) -> ForceField:
     """Negative gradient of the distance transform: unit-magnitude pull

@@ -150,11 +150,11 @@ def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
     nxt = np.roll(pts, -1, axis=1)
     d1 = nxt - pts
     d2 = nxt - 2.0 * pts + np.roll(pts, 1, axis=1)
-    corners = bilinear_corners(pts, *ext.shape)
+    corners = bilinear_corners(pts.reshape(-1, 2), *ext.shape)
     gathered = np.empty((2,) + corners.index.shape)
     ext.take(corners.index, out=gathered[0], mode="clip")
     params.beta.take(corners.index, out=gathered[1], mode="clip")
-    potential, beta_nodes = blend_corners(gathered, corners)
+    potential, beta_nodes = blend_corners(gathered, corners).reshape(2, *pts.shape[:2])
     totals = (potential.sum(axis=1)
               + params.alpha * (d1 * d1).reshape(len(pts), -1).sum(axis=1)
               + (beta_nodes * (d2 * d2).sum(axis=2)).sum(axis=1))
@@ -245,8 +245,7 @@ def _stack_entries(n: int, count: int) -> np.ndarray:
 
 
 def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
-                config: SnakeConfig, ops: DifferenceOperators | None = None,
-                slots: np.ndarray | None = None) -> np.ndarray:
+                config: SnakeConfig, slots: np.ndarray | None = None) -> np.ndarray:
     """One semi-implicit update of a (K, n, 2) stack of contours: per
     contour, solve (I + tau A) y' = y + tau (F_ext + F_bal) for both
     coordinate axes, clamp to image bounds, optionally resample.
@@ -266,14 +265,12 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     is always solvable. F_bal = kappa * outward unit normal, the normal
     perpendicular to the central-difference tangent (zero where the two
     neighbors coincide). I + tau A is built from its five cyclic bands
-    (``_system_matrix``) with the plan ``ops``, the cached one for the
-    node count when not given. The result is the (K, n, 2) stack of new
-    nodes in the solver's order.
+    (``_system_matrix``) with the node count's cached plan. The result is
+    the (K, n, 2) stack of new nodes in the solver's order.
     """
     count, n = nodes.shape[:2]
     height, width = vectors.shape[1:3]
-    if ops is None:
-        ops = difference_operators(n)
+    ops = difference_operators(n)
     # one lookup over the nodes of every contour, laid end to end
     corners = bilinear_corners(nodes.reshape(-1, 2), height, width)
     in_slot = corners.index
@@ -343,12 +340,11 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
         raise ValueError(f"{len(vectors)} force fields for {len(starts)} contours")
     paths = [ContourPath({0: start.clamped(width, height)}) for start in starts]
     nodes = np.stack([path.contours[0].nodes for path in paths])
-    ops = difference_operators(nodes.shape[1])
     running = list(range(len(paths)))  # the contours still in the stack
     slots = None if len(vectors) == 1 else np.array(running)
     for i in range(config.iterations):
         try:
-            nodes = evolve_step(nodes, vectors, params, config, ops, slots)
+            nodes = evolve_step(nodes, vectors, params, config, slots)
         except Exception as exc:
             for k in running:
                 paths[k].error = EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
@@ -367,5 +363,5 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
                 break
         if keep is None or i + 1 in keep:
             for k, pts in zip(running, nodes):
-                paths[k].contours[i + 1] = Contour.solved(pts)
+                paths[k].contours[i + 1] = Contour(pts)
     return paths

@@ -564,7 +564,7 @@ def evolve_step_reference(contour, force, params, config) -> np.ndarray:
     """One semi-implicit update with per-call lookups and a fresh system
     matrix; returns the raw node array, before any orientation handling."""
     pts = contour.nodes
-    height, width = force.shape
+    height, width = force.potential.shape
     system = assemble_internal_system(contour, params)
     rhs = pts + config.time_step * (force_at(force, pts) + balloon_force(contour, params.kappa))
     lhs = np.eye(len(pts)) + config.time_step * system
@@ -581,7 +581,7 @@ def evolve_reference(initial, force, params, config) -> list:
     ``evolve_step_reference``; raises ``EvolveError`` with the message
     ``evolve`` gives when a step's signed area falls below
     ``DEGENERATE_AREA``."""
-    height, width = force.shape
+    height, width = force.potential.shape
     current = initial.clamped(width, height)
     contours = [current]
     for i in range(config.iterations):
@@ -605,9 +605,9 @@ def energies_reference(contours, external, params) -> np.ndarray:
         d1 = np.roll(pts, -1, axis=0) - pts
         d2 = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
         corners = bilinear_corners(pts, height, width)
-        beta_nodes = blend_corners(params.beta.reshape(-1)[corners.index], corners)
+        beta_nodes = blend_corners(params.beta.reshape(-1)[corners.index][None], corners)[0]
         total = float(
-            blend_corners(ext.reshape(-1)[corners.index], corners).sum()
+            blend_corners(ext.reshape(-1)[corners.index][None], corners)[0].sum()
             + params.alpha * (d1 * d1).sum()
             + (beta_nodes * (d2 * d2).sum(axis=1)).sum()
         )

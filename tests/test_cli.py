@@ -818,6 +818,19 @@ def per_item_batch(argv):
     return text, 0 if len(ok) == len(rows) else 1
 
 
+def test_traced_pipeline_needs_one_shared_force(tmp_path):
+    """Without ``counts``, ``run_pipeline`` traces each item against one
+    force's potential, so items with forces of their own are refused."""
+    from contourflow import cli
+    paths = [tmp_path / "a.pgm", tmp_path / "b.pgm"]
+    for path, center in zip(paths, (30.0, 34.0)):
+        write_mask_pgm(path, disk_mask(64, 64, (center, center), 18.0))
+    cfg, loaded = cli.resolve_run_config(cli.build_parser().parse_args(
+        ["run", "--mask", str(paths[0])]))
+    with pytest.raises(ValueError, match="share one force"):
+        cli.run_pipeline(cfg, [(cli.prepare(str(path)), loaded) for path in paths])
+
+
 class TestBatchGroups:
     """``batch`` evolves the items of one mask shape together, at most
     ``cli.GROUP_PIXELS`` pixels per group; its report is byte for byte the

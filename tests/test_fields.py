@@ -14,7 +14,7 @@ from conftest import random_star_polygon
 def sample(field, points):
     """A scalar field at (N, 2) points, through the solver's corner lookup."""
     corners = bilinear_corners(points, *field.shape)
-    return blend_corners(field.reshape(-1)[corners.index], corners)
+    return blend_corners(field.reshape(-1)[corners.index][None], corners)[0]
 
 
 class TestBilinearSample:
@@ -79,13 +79,12 @@ class TestBilinearSample:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 12),
-           width=st.integers(1, 12), stack=st.integers(0, 3), count=st.integers(1, 30))
-    def test_corners_match_the_former_lookup_bit_for_bit(self, seed, height, width, stack,
-                                                         count):
+           width=st.integers(1, 12), count=st.integers(1, 30))
+    def test_corners_match_the_former_lookup_bit_for_bit(self, seed, height, width, count):
         # tobytes, not np.array_equal, which takes -0.0 for +0.0 and so
         # cannot see a clamp that flips the sign of a zero
         rng = np.random.default_rng(seed)
-        shape = (count, 2) if stack == 0 else (stack, count, 2)
+        shape = (count, 2)
         bound = np.array([width - 1.0, height - 1.0])
         inside = rng.uniform(0.0, 1.0, shape) * bound
         border = np.where(rng.random(shape) < 0.5, 0.0, bound)

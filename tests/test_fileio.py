@@ -1,7 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from contourflow.fileio import (atomic_write_bytes, read_mask_pgm, read_pfm,
+from contourflow.fileio import (atomic_write_bytes, atomic_write_text, read_mask_pgm, read_pfm,
                                 read_pgm, write_mask_pgm, write_pfm, write_pgm)
 from contourflow.shapes import random_blob_mask
 
@@ -115,3 +118,15 @@ class TestAtomicWrites:
         atomic_write_bytes(target, b"first")
         atomic_write_bytes(target, b"second")
         assert target.read_bytes() == b"second"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # as under open(): 0o666 less the umask, for a new file and a rerun
+        target = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            for text in ("first", "second"):
+                atomic_write_text(target, text)
+                assert stat.S_IMODE(target.stat().st_mode) == mode
+        finally:
+            os.umask(previous)

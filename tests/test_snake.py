@@ -327,8 +327,8 @@ class TestEvolveStep:
         nodes = np.stack([random_star_polygon(rng, center=(10.0, 9.0), r_hi=8.0, n_lo=9, n_hi=9)
                           for _ in range(4)])
         slots = np.array([2, 0, 1, 2])
-        got = evolve_step(nodes, view, params, SnakeConfig(), None, slots)
-        want = evolve_step(nodes, np.ascontiguousarray(view), params, SnakeConfig(), None, slots)
+        got = evolve_step(nodes, view, params, SnakeConfig(), slots)
+        want = evolve_step(nodes, np.ascontiguousarray(view), params, SnakeConfig(), slots)
         assert got.tobytes() == want.tobytes()
 
     def test_resampling_preserves_node_count(self, rng):
@@ -694,6 +694,33 @@ class TestEvolveKeep:
         self._assert_keeps(starts, fields, params, config, keep)
 
 
+class TestHeldContours:
+    """Every contour a path holds is a ``Contour`` of positive area on an
+    array of its own, not a view into the solver's node stack."""
+
+    @staticmethod
+    def _assert_own_contours(paths):
+        for path in paths:
+            for contour in path.contours.values():
+                assert isinstance(contour, Contour) and contour.area > 0.0
+                assert contour.nodes.base is None
+
+    def test_lone_run_keeping_every_step(self):
+        starts, fields, _, params = _group_case(seed=3, count=1, nodes=30)
+        [path] = evolve(starts, fields, params, SnakeConfig(iterations=8, time_step=0.2))
+        assert path.error is None and list(path.contours) == list(range(9))
+        self._assert_own_contours([path])
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_group_with_collapses_and_a_keep_set(self, shared):
+        starts, fields, _, params = _collapse_case(shared)
+        paths = evolve(starts, fields, params, SnakeConfig(iterations=60, time_step=0.1),
+                       {1, 10, 30, 60})
+        assert sum(path.error is not None for path in paths) >= 3
+        assert sum(len(path.contours) for path in paths) > len(paths)
+        self._assert_own_contours(paths)
+
+
 def _bits(arrays):
     """The shape and bytes of each array: ``np.array_equal`` takes -0.0 for
     +0.0, so it cannot see a step that flips the sign of a zero."""
@@ -716,7 +743,7 @@ class TestStepTraps:
 
     @staticmethod
     def _assert_matches_reference(start, force, params, config):
-        clamped = start.clamped(force.shape[1], force.shape[0])
+        clamped = start.clamped(force.potential.shape[1], force.potential.shape[0])
         got_step = evolve_step(clamped.nodes[None], force.vectors[None], params, config)[0]
         assert _bits([got_step]) == _bits([evolve_step_reference(clamped, force, params,
                                                                  config)])
