@@ -74,7 +74,7 @@ GROUP_PIXELS = 1 << 16
 # ring of the mask covered (a deflating balloon parks inside the line and
 # excludes every inner-boundary pixel center from the prediction)
 PROFILES = {
-    "building": {"nodes": 60, "iters": 50, "init": "circumscribed", "kappa": "0.2"},
+    "building": {},  # RunConfig's defaults
     "medical": {"nodes": 100, "iters": 10, "init": "inscribed", "kappa": "0.2"},
 }
 
@@ -224,7 +224,7 @@ def _round6(value):
 
 
 def _json_line(obj) -> str:
-    return json.dumps(_round6(obj), separators=(", ", ": "))
+    return json.dumps(_round6(obj))
 
 
 def _parse_config_file(path: str, command: str) -> dict:
@@ -256,7 +256,7 @@ def resolve_run_config(args) -> tuple[RunConfig, _Loaded]:
     defaults for the settings ``args.command`` reads; ``_load`` checks and loads them."""
     settings = _parse_config_file(args.config, args.command) if args.config else {}
     file_profile = settings.pop("profile", None)
-    profile = args.profile or file_profile or "building"
+    profile = args.profile or file_profile or RunConfig.profile
     if profile not in PROFILES:
         raise CliError(f"unknown profile {profile!r} (choose from {sorted(PROFILES)})")
     keys = COMMAND_SETTINGS[args.command]
@@ -494,8 +494,7 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
 
 
 def _contour_json(contour: Contour) -> str:
-    nodes = [[_round6(float(u)), _round6(float(v))] for u, v in contour.nodes]
-    return json.dumps({"nodes": nodes}) + "\n"
+    return _json_line({"nodes": contour.nodes.tolist()}) + "\n"
 
 
 def _result_json(cfg: RunConfig, result: RunResult) -> str:
@@ -590,10 +589,8 @@ def _cmd_learn(args) -> int:
     out = Path(args.out)
     with _failing(EXIT_USAGE, f"cannot write {out}: "):
         out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "alpha.json",
-                          json.dumps({"alpha": _round6(fit.params.alpha)}) + "\n")
-        atomic_write_text(out / "history.json",
-                          json.dumps({"iou_history": _round6(fit.iou_history)}) + "\n")
+        atomic_write_text(out / "alpha.json", _json_line({"alpha": fit.params.alpha}) + "\n")
+        atomic_write_text(out / "history.json", _json_line({"iou_history": fit.iou_history}) + "\n")
         write_pfm(out / "beta.pfm", fit.params.beta)
         write_pfm(out / "kappa.pfm", fit.params.kappa)
     print(_json_line({"baseline_iou": fit.baseline_iou, "best_iou": fit.best_iou,

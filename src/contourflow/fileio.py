@@ -3,13 +3,16 @@ single-channel 32-bit PFM (Pf) for real-valued fields.
 
 PFM payloads follow the usual convention: rows stored bottom-up, a
 negative scale marking little-endian floats. All writes are atomic
-(temp file in the target directory, then rename).
+(temp file in the target directory, then rename) and keep the mode of
+a file they replace.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +25,12 @@ MASK_THRESHOLD = 128  # out of 255: a PGM value >= 128/255 of its file's maxval 
 def atomic_write_bytes(path, payload: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    # mode 0o666 less the umask, as open() gives; the rename keeps it
+    # as under open(): mode 0o666 less the umask, or the target's on a rerun
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -38,23 +43,15 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+# whitespace and "#" comments (to the line end) before one token of non-whitespace bytes
+_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*(\S*)")
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
         raise ValueError("truncated header")
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

@@ -21,7 +21,7 @@ item's scores are the ones it gets alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -133,12 +133,7 @@ class MetricsReport:
     boundf_per_threshold: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "iou": self.iou,
-            "dice": self.dice,
-            "boundf": self.boundf,
-            "boundf_per_threshold": list(self.boundf_per_threshold),
-        }
+        return asdict(self)
 
 
 def evaluate(pred, gt):

@@ -28,7 +28,8 @@ same shuffled order as ``autoinit.minimal_enclosing_circle``.
 ``clip_vectors_masked`` is the former force clip, a boolean gather and
 scatter of the over-long vectors' scales. ``subgrad_kappa`` is the kappa
 subgradient that ``learning.fit_parameters`` takes straight from its
-rasters, through the production ``rasterize``.
+rasters, through the production ``rasterize``. ``next_token_reference``
+is the former PGM/PFM header tokenizer, a loop over one byte at a time.
 """
 
 from __future__ import annotations
@@ -630,3 +631,25 @@ def clip_vectors_masked(vectors: np.ndarray, clip_norm: float) -> np.ndarray:
     scale = np.ones_like(mag)
     scale[over] = clip_norm / mag[over]
     return vectors * scale[..., None]
+
+
+def next_token_reference(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The header token at or after ``pos`` and the position just past it:
+    whitespace and ``#`` comments (up to a newline or carriage return) are
+    skipped first; ``ValueError("truncated header")`` when none is left."""
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c == b"#":
+            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not data[pos:pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise ValueError("truncated header")
+    return data[start:pos], pos

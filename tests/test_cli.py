@@ -182,15 +182,20 @@ class TestRun:
         assert len(contour["nodes"]) == 24
 
     def test_medical_profile_defaults(self, tmp_path, disk_paths):
+        """Each profile's settings reach result.json; the building profile
+        is also what a run without ``--profile`` gets."""
         _, mask_path = disk_paths
-        out = tmp_path / "out"
-        code = main(["run", "--mask", str(mask_path), "--profile", "medical",
-                     "--out", str(out)])
-        assert code == 0
-        result = read_result(out)
-        assert result["config"]["nodes"] == 100
-        assert result["config"]["iterations"] == 10
-        assert result["config"]["init"] == "inscribed"
+        cases = [(["--profile", "medical"], (100, 10, "inscribed")),
+                 (["--profile", "building"], (60, 50, "circumscribed")),
+                 ([], (60, 50, "circumscribed"))]
+        for i, (flags, (nodes, iters, init)) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            code = main(["run", "--mask", str(mask_path), *flags, "--out", str(out)])
+            assert code == 0
+            result = read_result(out)
+            assert result["config"]["nodes"] == nodes
+            assert result["config"]["iterations"] == iters
+            assert result["config"]["init"] == init
 
     def test_bad_field_kind_is_usage_error(self, tmp_path, disk_paths):
         _, mask_path = disk_paths
@@ -418,7 +423,7 @@ class TestSettingsEachCommandReads:
         assert main(["run", "--mask", str(mask_path), "--iters", "3", "--out", str(short)]) == 0
         assert main(["run", "--mask", str(mask_path), "--out", str(plain)]) == 0
         assert read_result(short)["config"]["iterations"] == 3
-        assert read_result(plain)["config"]["iterations"] == cli.PROFILES["building"]["iters"]
+        assert read_result(plain)["config"]["iterations"] == cli.RunConfig.iters
 
 
 class TestCollapse:
@@ -461,6 +466,17 @@ class TestMetricsCommand:
         assert payload["dice"] == 1.0
         assert payload["boundf"] == 1.0
         assert payload["boundf_per_threshold"] == [1.0] * 5
+
+    def test_report_keys_and_bytes(self, rng):
+        """``as_dict`` lists the report's fields in order, and its JSON line
+        is the one the former hand-built dict gave."""
+        from contourflow import cli
+        report = evaluate(random_blob_mask(rng, 32, 32), random_blob_mask(rng, 32, 32))
+        payload = report.as_dict()
+        assert list(payload) == ["iou", "dice", "boundf", "boundf_per_threshold"]
+        former = {"iou": report.iou, "dice": report.dice, "boundf": report.boundf,
+                  "boundf_per_threshold": list(report.boundf_per_threshold)}
+        assert cli._json_line(payload) == json.dumps(cli._round6(former), separators=(", ", ": "))
 
     def test_dimension_mismatch_is_usage_error(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths

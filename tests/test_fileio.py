@@ -3,10 +3,18 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from contourflow.fileio import (atomic_write_bytes, atomic_write_text, read_mask_pgm, read_pfm,
-                                read_pgm, write_mask_pgm, write_pfm, write_pgm)
+from contourflow.fileio import (_next_token, atomic_write_bytes, atomic_write_text,
+                                read_mask_pgm, read_pfm, read_pgm, write_mask_pgm, write_pfm,
+                                write_pgm)
 from contourflow.shapes import random_blob_mask
+
+from oracles import next_token_reference
+
+# every whitespace byte bytes.isspace accepts, the comment mark, digits,
+# letters and bytes that are whitespace elsewhere (NUL, NEL, NBSP) or not ASCII
+HEADER_BYTES = b" \t\n\r\v\f#0123456789-.eEPfx\x00\x85\xa0\xff"
 
 
 class TestPgm:
@@ -67,6 +75,29 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
+
+
+class TestHeaderTokens:
+    @settings(max_examples=500, deadline=None)
+    @example(b"# 12\r34 ", 0)  # a comment ends at a lone carriage return
+    @example(b" \v\f# 12 34", 0)  # a comment to the end leaves no token
+    @example(b"P5 12#3\xa0 4", 2)  # "#" inside a token and NBSP are token bytes
+    @given(st.lists(st.sampled_from(list(HEADER_BYTES)), max_size=40).map(bytes),
+           st.integers(0, 42))
+    def test_matches_the_byte_loop(self, data, pos):
+        try:
+            want = next_token_reference(data, pos)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                _next_token(data, pos)
+        else:
+            assert _next_token(data, pos) == want
+
+    def test_comments_tabs_and_crlf(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5 # a comment\r\n3\t# width\r\n\t2\r\n#\r\n255\n" + bytes(range(6)))
+        pixels, maxval = read_pgm(path)
+        assert pixels.tolist() == [[0, 1, 2], [3, 4, 5]] and maxval == 255
 
 
 class TestPfm:
@@ -130,3 +161,17 @@ class TestAtomicWrites:
                 assert stat.S_IMODE(target.stat().st_mode) == mode
         finally:
             os.umask(previous)
+
+    def test_rerun_keeps_the_mode(self, tmp_path):
+        # a mode set on an output survives a rerun, as under open()
+        target = tmp_path / "result.json"
+        previous = os.umask(0o022)
+        try:
+            atomic_write_text(target, "first")
+            target.chmod(0o640)
+            atomic_write_text(target, "second")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text() == "second"
+        assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
