@@ -51,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from .edt import edt_from_sites, mask_to_dt
 from .fields import Circle, Contour, boundary_mask, rasterize
@@ -814,18 +815,10 @@ def _pin_blas():
     return its thread-count setter: the solve's floats may depend on the
     thread count, and a second thread only spins on these small systems.
     Where no setter resolves, change nothing, say so on stderr, return None."""
-    try:
-        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
-    except OSError:  # no memory map to find the library in
-        maps = ""
-    for path in dict.fromkeys(re.findall(r"/\S*openblas\S*\.so\S*", maps)):
-        library = ctypes.CDLL(path)  # the mapped library itself, not a second copy
-        for name in _BLAS_SETTERS:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return setter
+    setter = blas.function(_BLAS_SETTERS, [ctypes.c_int], None)
+    if setter is not None:
+        setter(1)
+        return setter
     print(json.dumps({"warning": "BLAS thread count left as is: no OpenBLAS "
                       "thread-count setter found"}), file=sys.stderr)
     return None

@@ -11,29 +11,15 @@ the internal terms implicitly and the external/balloon forces
 explicitly, which keeps the stiff smoothing terms unconditionally
 stable.
 
-``evolve_step`` is the one solver step. It moves a (K, n, 2) stack of
-contours, each driven by its slice of a (K, H, W, 2) stack of force
-vectors (offset by k*H*W) under shared weights: one corner lookup, on
-constants cached per grid size, finds every node's four corner pixels
-and fractions; three ``take`` calls (one for both force components) lay
-the corners of force u, force v, kappa and beta out channel-major, each
-channel a contiguous (4, K*n) block of one (4, 4, K*n) array; one blend of six array operations
-interpolates all four channels; the normals come from one ``take`` of a
-cached cyclic ring of node indices; and the K cyclic pentadiagonal
-systems are built from their bands, by a plan cached per node count,
-and solved by one stacked ``np.linalg.solve``. The right-hand side is
-built in place.
-The build sums in a fixed order without BLAS, so its floats do not
-depend on the machine; the solve's may (BLAS kernel and thread count).
+``evolve_step`` is the one solver step, on a (K, n, 2) stack of
+contours; its docstring gives the lookup, the build and the solve.
 ``evolve`` is the one driver: it steps K contours together, one for a
 lone run, drops each at the step its area collapses and returns each
 contour's path of the steps its caller reads. The arithmetic per element
 is that of separate per-field lookups and a per-step node-by-node matrix
 build for one contour (kept in ``tests/oracles.py``), so every contour
-is bit-identical to theirs.
-``contour_energies`` scores a whole trace the same way: one corner
-lookup over all of its contours' nodes, and one channel-major gather and
-one blend of the potential and beta.
+is bit-identical to theirs. ``contour_energies`` scores a whole trace in
+one pass.
 """
 
 from __future__ import annotations
@@ -44,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import blas
 from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_corners, blend_corners,
                      clamp_to_frame, rasterize, resample_closed, signed_areas)
 
@@ -244,6 +231,25 @@ def _stack_entries(n: int, count: int) -> np.ndarray:
     return flat
 
 
+@functools.cache
+def _columns_solve_alike(n: int, count: int, threads: int | None) -> bool:
+    """Whether this process's BLAS, on a pool of ``threads``, solves one
+    (n, n) matrix against 2K right-hand sides with each column's bits of K
+    solves against two. The kernel, n, the column count and the pool fix
+    the order of every column's operations, whatever the data, so four
+    dense systems of full-mantissa values settle it (sines of integers:
+    ``np.random`` would cost a lazy import of a few MB). False where the
+    pool size cannot be read, as a change to it could not be seen."""
+    if threads is None:
+        return False
+    draws = np.sin(np.arange(1.0, 4 * n * (n + 2 * count) + 1.0)).reshape(4, n, -1)
+    lhs = draws[..., :n] + n * np.eye(n)
+    rhs = draws[..., n:].reshape(4, n, count, 2)
+    one = np.linalg.solve(lhs, draws[..., n:])
+    apart = np.linalg.solve(lhs[:, None], rhs.transpose(0, 2, 1, 3))
+    return one.tobytes() == apart.transpose(0, 2, 1, 3).tobytes()
+
+
 def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
                 config: SnakeConfig, slots: np.ndarray | None = None) -> np.ndarray:
     """One semi-implicit update of a (K, n, 2) stack of contours: per
@@ -265,8 +271,17 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     is always solvable. F_bal = kappa * outward unit normal, the normal
     perpendicular to the central-difference tangent (zero where the two
     neighbors coincide). I + tau A is built from its five cyclic bands
-    (``_system_matrix``) with the node count's cached plan. The result is
-    the (K, n, 2) stack of new nodes in the solver's order.
+    (``_system_matrix``, the same floats on any machine) with the node
+    count's cached plan; only the solve's floats can depend on the BLAS
+    kernel and thread count.
+
+    When K > 1, every contour samples the same beta row and
+    ``_columns_solve_alike`` holds for n, K and the BLAS pool, the K
+    systems are one matrix: it is built once and solved once against the
+    (n, 2K) right-hand sides side by side, which gives the bits of solving
+    them apart. Otherwise one ``np.linalg.solve`` takes the (K, n, n)
+    stack. The result is the C-contiguous (K, n, 2) stack of new nodes in
+    the solver's order.
     """
     count, n = nodes.shape[:2]
     height, width = vectors.shape[1:3]
@@ -292,15 +307,21 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     norm = np.hypot(normal[..., 0], normal[..., 1])[..., None]
     unit = np.divide(normal, norm, out=np.zeros(normal.shape), where=norm > _TINY)
 
-    lhs = _system_matrix(beta, params.alpha, config.time_step, ops)
+    shared = (count > 1 and (beta == beta[0]).all()
+              and _columns_solve_alike(n, count, blas.pool_size()))
+    lhs = _system_matrix(beta[:1] if shared else beta, params.alpha, config.time_step, ops)
     rhs = kappa * unit  # nodes + tau (external + kappa unit), in place
     rhs += external
     rhs *= config.time_step
     rhs += nodes
+    if shared:
+        lhs, rhs = lhs[0], rhs.transpose(1, 0, 2).reshape(n, 2 * count)
     try:
         new_nodes = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0
         raise EvolveError(f"internal error: singular evolution system ({exc})") from exc
+    if shared:
+        new_nodes = np.ascontiguousarray(new_nodes.reshape(n, count, 2).transpose(1, 0, 2))
     clamp_to_frame(new_nodes, height, width, out=new_nodes)
     if config.resample_each_step:
         new_nodes = np.stack([resample_closed(pts, n) for pts in new_nodes])

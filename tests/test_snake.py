@@ -1,11 +1,14 @@
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from contourflow import blas, snake as snake_module
 from contourflow.autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
+from contourflow.cli import _pin_blas
 from contourflow.edt import mask_to_dt
 from contourflow.fields import DEGENERATE_AREA, Circle, Contour, clamp_to_frame, rasterize
 from contourflow.flow import ForceField, lcdvf
@@ -498,14 +501,17 @@ class TestSolverMatchesReference:
             assert vectors.shape == (1, 64, 64, 2) and vectors.base is force.vectors
 
 
-def _group_case(seed, count, nodes, height=24, width=32, alpha=0.3, shared=False):
+def _group_case(seed, count, nodes, height=24, width=32, alpha=0.3, shared=False,
+                beta=None):
     """``count`` star starts around random points, one random force field
-    each (or one that all share) and random per-pixel beta >= 0 and kappa."""
+    each (or one that all share), random per-pixel kappa and random
+    per-pixel beta >= 0 (or the constant ``beta``)."""
     rng = np.random.default_rng(seed)
     fields = rng.uniform(-2.0, 2.0, size=(1 if shared else count, height, width, 2))
-    beta = rng.uniform(0.0, 1.0, size=(height, width))
-    beta[rng.random((height, width)) < 0.2] = 0.0
-    params = ParameterSet(alpha=alpha, beta=beta,
+    beta_map = rng.uniform(0.0, 1.0, size=(height, width))
+    beta_map[rng.random((height, width)) < 0.2] = 0.0
+    params = ParameterSet(alpha=alpha,
+                          beta=beta_map if beta is None else np.full((height, width), beta),
                           kappa=rng.uniform(-1.0, 1.0, size=(height, width)))
     starts = []
     for _ in range(count):
@@ -520,14 +526,16 @@ def _group_case(seed, count, nodes, height=24, width=32, alpha=0.3, shared=False
     return starts, fields, forces, params
 
 
-def _collapse_case(shared):
+def _collapse_case(shared, beta=None):
     """Six circles under a deflating balloon that collapses the small ones
     first, at distinct steps, with one random force field each (or one that
-    all share)."""
+    all share), under random per-pixel beta (or the constant ``beta``)."""
     rng = np.random.default_rng(5)
     height = width = 48
     fields = rng.uniform(-0.3, 0.3, size=(1 if shared else 6, height, width, 2))
-    params = ParameterSet(alpha=0.05, beta=rng.uniform(0.0, 0.2, (height, width)),
+    beta_map = rng.uniform(0.0, 0.2, (height, width))
+    params = ParameterSet(alpha=0.05,
+                          beta=beta_map if beta is None else np.full((height, width), beta),
                           kappa=rng.uniform(-1.5, -0.5, (height, width)))
     radii = [3.0, 20.0, 5.0, 8.0, 4.0, 19.0]
     starts = [circle_to_contour(Circle((24.0, 24.0), r), 40, width, height) for r in radii]
@@ -558,11 +566,16 @@ class TestEvolveGroup:
 
     @pytest.mark.parametrize("count", [1, 2, 9])
     @pytest.mark.parametrize("nodes", [3, 60, 100])
-    @pytest.mark.parametrize("variant", ["plain", "alpha0", "resample", "shared"])
+    @pytest.mark.parametrize("variant", ["plain", "alpha0", "resample", "shared",
+                                         "beta_tenth", "beta_third"])
     def test_final_contours_equal_reference(self, count, nodes, variant):
+        # a constant beta of 0.1 blends back exactly at most nodes, so most
+        # steps of a group share one solve where the BLAS solves columns
+        # alike; 1/3 often does not
         starts, fields, forces, params = _group_case(
             seed=1000 * count + nodes, count=count, nodes=nodes,
-            alpha=0.0 if variant == "alpha0" else 0.3, shared=variant == "shared")
+            alpha=0.0 if variant == "alpha0" else 0.3, shared=variant == "shared",
+            beta={"beta_tenth": 0.1, "beta_third": 1.0 / 3.0}.get(variant))
         config = SnakeConfig(iterations=8, time_step=0.2,
                              resample_each_step=variant == "resample")
         paths = evolve(starts, fields, params, config)
@@ -650,6 +663,148 @@ class TestEvolveGroup:
         starts = [Contour(random_star_polygon(rng)) for _ in range(3)]
         with pytest.raises(ValueError, match="2 force fields for 3 contours"):
             evolve(starts, np.zeros((2, 32, 32, 2)), uniform_params(32, 32), SnakeConfig())
+
+
+class TestSharedSystem:
+    """A step of K > 1 contours that all sample the same beta solves one
+    (n, n) matrix against their (n, 2K) right-hand sides where
+    ``_columns_solve_alike`` finds that the BLAS gives each column the bits
+    of solving it apart; every other step solves the (K, n, n) stack."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_matrix_solve_gives_the_stacked_bits_where_the_gate_holds(self, threads):
+        """The gate decides from random dense systems; here the snake's own
+        banded systems must then give the stacked solve's bits."""
+        setter = _pin_blas()
+        if threads > 1 and setter is None:
+            pytest.skip("no OpenBLAS thread-count setter resolves, so the pool "
+                        "cannot be set to 2 threads")
+        rng = np.random.default_rng(26)
+        try:
+            if setter is not None:
+                setter(threads)
+                assert blas.pool_size() == threads
+            for n in (3, 4, 5, 6, 9, 17, 32, 60, 64, 100, 127, 200):
+                ops = difference_operators(n)
+                for count in (2, 3, 5, 12, 16, 33, 64):
+                    if not snake_module._columns_solve_alike(n, count, blas.pool_size()):
+                        continue
+                    for beta in (0.1, rng.uniform(0.0, 1.0)):
+                        alpha = rng.choice([0.0, 0.01, 0.3])
+                        stack = _system_matrix(np.full((count, n), beta), alpha, 0.1, ops)
+                        rhs = rng.uniform(0.0, 64.0, (count, n, 2))
+                        one = np.linalg.solve(stack[0],
+                                              rhs.transpose(1, 0, 2).reshape(n, 2 * count))
+                        got = one.reshape(n, count, 2).transpose(1, 0, 2)
+                        assert got.tobytes() == np.linalg.solve(stack, rhs).tobytes(), (n, count)
+        finally:
+            if setter is not None:
+                setter(1)
+
+    def test_gate_refuses_a_blas_whose_wide_solve_differs(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def skewed(a, b):  # one last-bit change per column of a wide solve
+            x = solve(a, b)
+            return np.nextafter(x, np.inf) if b.shape[-1] > 2 else x
+
+        monkeypatch.setattr(snake_module.np.linalg, "solve", skewed)
+        assert not snake_module._columns_solve_alike.__wrapped__(60, 12, 1)
+
+    def test_no_shared_solve_where_the_pool_size_cannot_be_read(self, monkeypatch):
+        assert not snake_module._columns_solve_alike(60, 9, None)
+        monkeypatch.setattr(blas, "pool_size", lambda: None)
+        config = SnakeConfig(iterations=8, time_step=0.2)
+        starts, fields, _, params = _group_case(seed=2026, count=9, nodes=60, beta=0.1)
+        paths, calls = self._solves(monkeypatch, starts, fields, params, config)
+        assert calls == [((9, 60, 60), (9, 60, 2))] * config.iterations
+        assert all(path.error is None for path in paths)
+
+    @staticmethod
+    def _spy_on_solve(monkeypatch):
+        """The list that (matrix, right-hand side) shapes of every following
+        ``np.linalg.solve`` call made by ``evolve_step`` itself go to."""
+        calls = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            if sys._getframe(1).f_code is evolve_step.__code__:
+                calls.append((a.shape, b.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(snake_module.np.linalg, "solve", spy)
+        return calls
+
+    def _solves(self, monkeypatch, starts, fields, params, config):
+        """``evolve``'s paths and the shapes of the solves its steps made."""
+        calls = self._spy_on_solve(monkeypatch)
+        paths = evolve(starts, fields, params, config)
+        monkeypatch.undo()
+        return paths, calls
+
+    @staticmethod
+    def _expected(paths, params, config, n):
+        """The solve shapes of each step: one matrix when K > 1, the gate
+        holds and the beta rows sampled at the step's input nodes are equal,
+        else the stack."""
+        want = []
+        for step in range(config.iterations):
+            running = [path for path in paths if step in path.contours]
+            count = len(running)
+            rows = np.stack([bilinear_sample_reference(params.beta, path.contours[step].nodes)
+                             for path in running])
+            equal = (count > 1 and snake_module._columns_solve_alike(n, count, blas.pool_size())
+                     and (rows == rows[0]).all())
+            want.append(((n, n), (n, 2 * count)) if equal else ((count, n, n), (count, n, 2)))
+        return want
+
+    @pytest.mark.parametrize("beta, count", [(0.1, 9), (None, 9), (0.1, 1)])
+    def test_shared_path_runs_only_on_equal_systems(self, monkeypatch, beta, count):
+        """A constant 0.1 blends back exactly except at some coordinates
+        strictly between 0 and 0.5, so most steps of the 0.1 group share one
+        solve wherever the gate holds; a beta map and a lone contour never do."""
+        config = SnakeConfig(iterations=8, time_step=0.2)
+        starts, fields, _, params = _group_case(seed=2026, count=count, nodes=60, beta=beta)
+        paths, calls = self._solves(monkeypatch, starts, fields, params, config)
+        assert all(path.error is None for path in paths)
+        assert calls == self._expected(paths, params, config, 60)
+        gate = count > 1 and snake_module._columns_solve_alike(60, count, blas.pool_size())
+        assert any(len(a) == 2 for a, _ in calls) == (gate and beta is not None)
+
+    def test_group_collapsing_to_one_contour(self, monkeypatch):
+        """Radii 3, 20, 5 and 4: the small three collapse at distinct steps;
+        the last one left steps alone on the stacked path. Every path equals
+        the reference."""
+        starts, fields, forces, params = _collapse_case(shared=False, beta=0.1)
+        pick = [0, 1, 2, 4]
+        starts, fields = [starts[k] for k in pick], fields[pick]
+        config = SnakeConfig(iterations=60, time_step=0.1)
+        paths, calls = self._solves(monkeypatch, starts, fields, params, config)
+        running = [(a[0] if len(a) == 3 else b[1] // 2) for a, b in calls]
+        assert sorted(set(running), reverse=True) == [4, 3, 2, 1]
+        assert calls == self._expected(paths, params, config, 40)
+        assert sum(path.error is None for path in paths) == 1
+        for start, k, path in zip(starts, pick, paths):
+            want = _evolve_outcome(lambda: evolve_reference(start, forces[k], params, config))
+            _assert_same_outcome(_path_outcome(path), want)
+
+    @pytest.mark.parametrize("gate", [True, False])
+    @pytest.mark.parametrize("resample", [False, True])
+    def test_step_returns_a_c_contiguous_stack(self, monkeypatch, gate, resample):
+        # a strided result would make the next step's corner lookup copy
+        # and every kept contour hold a view; the gate is forced, so both
+        # paths run whatever the BLAS
+        monkeypatch.setattr(snake_module, "_columns_solve_alike", lambda *_: gate)
+        calls = self._spy_on_solve(monkeypatch)
+        for count in (1, 5):
+            starts, fields, _, params = _group_case(seed=9, count=count, nodes=30, beta=0.1)
+            nodes = np.stack([start.clamped(32, 24).nodes for start in starts])
+            stepped = evolve_step(nodes, fields, params,
+                                  SnakeConfig(resample_each_step=resample), np.arange(count))
+            assert stepped.shape == nodes.shape and stepped.flags.c_contiguous
+        # the lone contour solves a stack of one; the group of five shares
+        # one matrix where its start nodes sample 0.1 alike
+        assert [len(a) for a, _ in calls] == [3, 2 if gate else 3]
 
 
 class TestEvolveKeep:
