@@ -23,22 +23,12 @@ ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
 `run`, `batch` and `sweep` share one pipeline, ``run_pipeline``, over a
 group of items of one mask shape; every value is the one the item gets
 alone, and only `run`, a group of one, keeps every step and an energy
-trace. `batch` reads every manifest item's mask first, then runs its
-``_group_by_shape`` groups; rows stay in manifest order, an item's own
-failure (an unreadable mask, a map that does not fit it, a failed
-computation) is its row, the image column only labels the row, and
-`--jobs` has no effect. `sweep` reads its mask once, runs its `radius`,
-`init` and `field` rows in such groups (``_force_key`` gives `radius`
-and `init` rows one force) and an `iterations` sweep as one evolution
-read at each count, and keeps ``circle:<cu>,<cv>,<r>`` values whole; a
-map that does not fit the mask stops it before any row, and a failed
-computation is a row and makes it exit 1.
+trace.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import re
@@ -648,6 +638,11 @@ def _write_report(text: str, path: str | None, timer: StageTimer) -> None:
 
 
 def _cmd_batch(args) -> int:
+    """Read every manifest item's mask first, then run its
+    ``_group_by_shape`` groups. Rows stay in manifest order, an item's own
+    failure (an unreadable mask, a map that does not fit it, a failed
+    computation) is its row, the image column only labels the row, and
+    `--jobs` has no effect."""
     if args.jobs < 1:
         raise CliError("jobs must be >= 1")
     cfg, loaded = resolve_run_config(args)
@@ -687,6 +682,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """One CSV row per axis value, each scored as `run` scores the mask with
+    that value; a failed computation is a row and makes the sweep exit 1."""
     cfg, loaded = resolve_run_config(args)
     # a circle:<cu>,<cv>,<r> init spec is one value
     values = re.findall(r"\s*circle:[^,]*,[^,]*,[^,]*|[^,]+", args.values)
@@ -804,28 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the thread-count setters of the OpenBLAS builds that NumPy ships or links
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-@cache
-def _pin_blas():
-    """Run the OpenBLAS that NumPy loaded on one thread, once per process, and
-    return its thread-count setter: the solve's floats may depend on the
-    thread count, and a second thread only spins on these small systems.
-    Where no setter resolves, change nothing, say so on stderr, return None."""
-    setter = blas.function(_BLAS_SETTERS, [ctypes.c_int], None)
-    if setter is not None:
-        setter(1)
-        return setter
-    print(json.dumps({"warning": "BLAS thread count left as is: no OpenBLAS "
-                      "thread-count setter found"}), file=sys.stderr)
-    return None
-
-
 def main(argv=None) -> int:
-    _pin_blas()
+    blas.pin()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -11,15 +11,10 @@ the internal terms implicitly and the external/balloon forces
 explicitly, which keeps the stiff smoothing terms unconditionally
 stable.
 
-``evolve_step`` is the one solver step, on a (K, n, 2) stack of
-contours; its docstring gives the lookup, the build and the solve.
-``evolve`` is the one driver: it steps K contours together, one for a
-lone run, drops each at the step its area collapses and returns each
-contour's path of the steps its caller reads. The arithmetic per element
-is that of separate per-field lookups and a per-step node-by-node matrix
-build for one contour (kept in ``tests/oracles.py``), so every contour
-is bit-identical to theirs. ``contour_energies`` scores a whole trace in
-one pass.
+``evolve_step`` is the one solver step, ``evolve`` the one driver and
+``contour_energies`` the one scorer; each docstring states its own rules,
+and every float equals that of the one-contour loops kept in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -110,11 +105,8 @@ class EvolutionTrace:
 
     @property
     def displacements(self) -> np.ndarray:
-        moved = [0.0]
-        for prev, cur in zip(self.contours, self.contours[1:]):
-            delta = cur.nodes - prev.nodes
-            moved.append(float(np.hypot(delta[:, 0], delta[:, 1]).mean()))
-        return np.array(moved)
+        delta = np.diff(np.stack([contour.nodes for contour in self.contours]), axis=0)
+        return np.concatenate(([0.0], np.hypot(delta[..., 0], delta[..., 1]).mean(axis=1)))
 
 
 def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:

@@ -618,6 +618,16 @@ def energies_reference(contours, external, params) -> np.ndarray:
     return np.array(energies)
 
 
+def displacements_reference(contours) -> np.ndarray:
+    """The mean node travel of each step, one pair of contours at a time,
+    0.0 for the start."""
+    moved = [0.0]
+    for prev, cur in zip(contours, contours[1:]):
+        delta = cur.nodes - prev.nodes
+        moved.append(float(np.hypot(delta[:, 0], delta[:, 1]).mean()))
+    return np.array(moved)
+
+
 def energy_eval(contour, external, params) -> float:
     """Total energy of one contour against an external-energy map."""
     return float(contour_energies([contour], external, params)[0])

@@ -1,11 +1,19 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import contourflow
+from contourflow import blas
 from contourflow.autoinit import circle_to_contour, inscribed_circle
-from contourflow.cli import _pin_blas, main
+from contourflow.cli import main
 from contourflow.edt import mask_to_dt
 from contourflow.fileio import read_mask_pgm, read_pfm, write_mask_pgm, write_pfm, write_pgm
 from contourflow.flow import lcdvf
@@ -1474,7 +1482,7 @@ class TestProcessResources:
     def test_medical_evolution_same_bits_on_one_and_two_blas_threads(self):
         """`main` runs OpenBLAS on one thread; the medical profile's solves
         (n = 100) give the same bits on two."""
-        setter = _pin_blas()
+        setter = blas._function("set")
         if setter is None:
             pytest.skip("no OpenBLAS thread-count setter in this NumPy build")
         mask = random_blob_mask(np.random.default_rng(7), 256, 256)
@@ -1493,8 +1501,70 @@ class TestProcessResources:
         assert len(runs[0]) == 11 and runs[0] == runs[1]
 
     def test_no_blas_setter_changes_nothing_and_says_so(self, monkeypatch, capsys):
-        import contourflow.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "_BLAS_SETTERS", ("no_such_thread_setter",))
-        assert _pin_blas.__wrapped__() is None
+        monkeypatch.setattr(blas, "_libraries", lambda: ())
+        monkeypatch.setattr(blas, "_function", blas._function.__wrapped__)
+        assert blas.pin.__wrapped__() is None
         assert "BLAS thread count left as is" in capsys.readouterr().err
+
+    def test_lookup_prefers_numpys_ilp64_library_to_an_earlier_mapped_one(self, monkeypatch):
+        """The memory map lists libraries by address, so SciPy's LP64
+        OpenBLAS can come before NumPy's ILP64 one; the getter and the
+        setter both come from NumPy's."""
+        lp64 = SimpleNamespace(scipy_openblas_get_num_threads=SimpleNamespace(),
+                               scipy_openblas_set_num_threads=SimpleNamespace())
+        ilp64 = SimpleNamespace(scipy_openblas_get_num_threads64_=SimpleNamespace(),
+                                scipy_openblas_set_num_threads64_=SimpleNamespace())
+        monkeypatch.setattr(blas, "_libraries", lambda: (lp64, ilp64))
+        setter = blas._function.__wrapped__("set")
+        getter = blas._function.__wrapped__("get")
+        assert setter is ilp64.scipy_openblas_set_num_threads64_
+        assert getter is ilp64.scipy_openblas_get_num_threads64_
+        assert (setter.argtypes, setter.restype) == ([ctypes.c_int], None)
+        assert (getter.argtypes, getter.restype) == ([], ctypes.c_int)
+
+    def test_cli_pins_numpys_pool_with_scipy_loaded(self, tmp_path):
+        """With SciPy's OpenBLAS mapped beside NumPy's and a two-thread pool
+        asked for, a CLI call leaves NumPy's pool, read through the library
+        under NumPy's own directory, on one thread."""
+        pytest.importorskip("scipy.linalg")
+        if not Path("/proc/self/maps").exists():
+            pytest.skip("no memory map to find NumPy's OpenBLAS in")
+        write_mask_pgm(tmp_path / "disk.pgm", disk_mask(32, 32, (16.0, 16.0), 9.0))
+        script = """
+import ctypes, json, re, sys
+from pathlib import Path
+import numpy as np
+import scipy.linalg
+from contourflow.cli import main
+
+system, rhs = np.diag([2.0, 3.0, 4.0]), np.ones(3)
+scipy.linalg.solve(system, rhs)
+np.linalg.solve(system, rhs)
+maps = Path("/proc/self/maps").read_text()
+paths = [path for path in dict.fromkeys(re.findall(r"/\\S*openblas\\S*\\.so\\S*", maps))
+         if path.startswith(str(Path(np.__file__).parent))]
+library = ctypes.CDLL(paths[0]) if paths else None
+getters = [getattr(library, name, None) for name in (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads", "openblas_get_num_threads")]
+getter = next((g for g in getters if g is not None), None)
+if getter is None:
+    print(json.dumps(None))
+    sys.exit()
+before = getter()
+code = main(["dt", "--mask", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([before, code, getter()]))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": str(Path(contourflow.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "disk.pgm"),
+                               str(tmp_path / "dt.pfm")],
+                              env=env, capture_output=True, text=True, check=True)
+        read = json.loads(done.stdout.splitlines()[-1])
+        if read is None:
+            pytest.skip("no OpenBLAS with a thread-count getter under NumPy's directory")
+        before, code, after = read
+        if before == 1:
+            pytest.skip("NumPy's OpenBLAS pool already runs one thread")
+        assert code == 0
+        assert after == 1

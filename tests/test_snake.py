@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from contourflow import blas, snake as snake_module
 from contourflow.autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
-from contourflow.cli import _pin_blas
 from contourflow.edt import mask_to_dt
 from contourflow.fields import DEGENERATE_AREA, Circle, Contour, clamp_to_frame, rasterize
 from contourflow.flow import ForceField, lcdvf
@@ -18,8 +17,9 @@ from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeC
                                evolve_step)
 
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
-                     energies_reference, energy_eval, evolve_reference, evolve_step_reference,
-                     fd_gradient, internal_system, perimeter, rasterize_reference)
+                     displacements_reference, energies_reference, energy_eval,
+                     evolve_reference, evolve_step_reference, fd_gradient, internal_system,
+                     perimeter, rasterize_reference)
 from conftest import evolve_one, random_star_polygon
 
 
@@ -358,6 +358,8 @@ class TestEvolve:
         assert len(trace.contours) == 24
         assert len(final) == 60
         assert trace.displacements[0] == 0.0
+        want = displacements_reference(trace.contours)
+        assert trace.displacements.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         mask = disk_mask(64, 64, (32.0, 32.0), 18.0)
@@ -675,7 +677,7 @@ class TestSharedSystem:
     def test_one_matrix_solve_gives_the_stacked_bits_where_the_gate_holds(self, threads):
         """The gate decides from random dense systems; here the snake's own
         banded systems must then give the stacked solve's bits."""
-        setter = _pin_blas()
+        setter = blas._function("set")
         if threads > 1 and setter is None:
             pytest.skip("no OpenBLAS thread-count setter resolves, so the pool "
                         "cannot be set to 2 threads")
