@@ -23,7 +23,10 @@ ground truth has its mask's shape (`metrics` too: a mismatch exits 2).
 `run`, `batch` and `sweep` share one pipeline, ``run_pipeline``, over a
 group of items of one mask shape; every value is the one the item gets
 alone, and only `run`, a group of one, keeps every step and an energy
-trace.
+trace. A group whose forces come from its masks builds its EDTs and
+forces on a box of the frame (``_group_box``) and falls back to the
+frame the first time a contour leaves it; `learn` and `dt` always use
+the frame.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ import numpy as np
 from . import blas
 from .autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from .edt import edt_from_sites, mask_to_dt
-from .fields import Circle, Contour, boundary_mask, rasterize
+from .fields import Circle, Contour, boundary_mask, bounding_box, corner_box, rasterize
 from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
                      write_pfm, write_pgm)
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import fit_parameters
 from .metrics import MetricsReport, evaluate
-from .snake import EvolutionTrace, ParameterSet, SnakeConfig, evolve
+from .snake import EvolutionTrace, LeftBox, ParameterSet, SnakeConfig, evolve
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -59,6 +62,10 @@ EXIT_USAGE = 2
 # a group's force-field stack holds at most the field of one 256² run, and
 # its stack of (nodes, nodes) systems at most as many entries
 GROUP_PIXELS = 1 << 16
+
+# a group's mask forces are built on its foreground and known starts widened
+# by this many pixels, and one more for the gradient stencil
+BOX_MARGIN = 8
 
 # both profiles inflate: the settled contour then rests a fraction of a
 # pixel outside the distance-transform zero line, keeping the boundary
@@ -152,8 +159,10 @@ COMMAND_SETTINGS = {
 
 
 class StageTimer:
-    """Wall milliseconds per pipeline stage, in the order the stages ran.
+    """Wall milliseconds per pipeline stage, reported in pipeline order.
     Timing goes to stderr only, so output files stay deterministic."""
+
+    STAGES = ("read", "field", "init", "evolve", "rasterize", "metrics", "write")
 
     def __init__(self):
         self.ms: dict[str, float] = {}
@@ -166,25 +175,36 @@ class StageTimer:
         self._last = now
 
     def emit(self) -> None:
-        """One JSON line of the stage totals on stderr."""
-        stage_ms = {stage: round(ms, 3) for stage, ms in self.ms.items()}
+        """One JSON line of the stage totals on stderr, in ``STAGES`` order
+        (the starts a box needs are built before the field)."""
+        stages = sorted(self.ms, key=self.STAGES.index)
+        stage_ms = {stage: round(self.ms[stage], 3) for stage in stages}
         print(json.dumps({"stage_ms": stage_ms}), file=sys.stderr)
 
 
 @dataclass
 class Prepared:
-    """A mask and its ground truth, read once; ``dt`` is computed on first use
-    unless ``_share_dts`` set it from a stacked call."""
+    """A mask and its ground truth, read once; ``dt`` is the mask's EDT on
+    ``box`` (the frame when None), computed on first use unless
+    ``_share_dts`` set it from a stacked call. A prep keeps the box of the
+    last group it ran in, so a next group on the same box reuses the EDT."""
     mask: np.ndarray
     gt: np.ndarray
+    box: tuple[slice, slice] | None = None
 
     @cached_property
     def dt(self) -> np.ndarray:
-        return mask_to_dt(self.mask)
+        return mask_to_dt(self.mask[self.box or ...])
 
     def drop_dt(self) -> None:
         """Forget the EDT; it is computed again if read again."""
         self.__dict__.pop("dt", None)
+
+    def place(self, box: tuple[slice, slice] | None) -> None:
+        """Move the EDT to ``box``, dropping one computed on another."""
+        if box != self.box:
+            self.drop_dt()
+            self.box = box
 
 
 def prepare(mask_path: str, gt_path: str | None = None) -> Prepared:
@@ -375,28 +395,107 @@ def _start(cfg: RunConfig, loaded: _Loaded, prep: Prepared) -> Contour:
     elif circle == "inscribed":
         if not mask.any():  # an empty mask has no EDT to read
             raise ValueError("mask has no foreground")
-        # the field's EDT; mask_to_dt refuses a full frame, whose inner boundary is its border
-        dt = edt_from_sites(boundary_mask(mask)) if mask.all() else prep.dt
-        circle = inscribed_circle(mask, dt)
+        if mask.all():  # mask_to_dt refuses a full frame, whose inner boundary is its border
+            circle = inscribed_circle(mask, edt_from_sites(boundary_mask(mask)))
+        else:  # the field's EDT, on the box that holds the foreground
+            rows, cols = prep.box or (slice(0, None), slice(0, None))
+            circle = inscribed_circle(mask[rows, cols], prep.dt)
+            circle = Circle((circle.center[0] + cols.start, circle.center[1] + rows.start),
+                            circle.radius)
     return circle_to_contour(circle, cfg.nodes, mask.shape[1], mask.shape[0])
 
 
-def _share_dts(preps: list[Prepared]) -> list[Prepared]:
-    """Give each distinct prep that has no EDT yet and whose mask has one its
-    slice of stacked ``mask_to_dt`` calls, each over at most the rows of a
-    square ``GROUP_PIXELS`` image, as many as a 256² run's EDT (four 64²
-    masks), and return those preps. A lone prep, and an empty or full-frame
-    mask, keeps the lazy ``dt``, which raises as it does for a lone run."""
-    preps = [prep for prep in {id(prep): prep for prep in preps}.values()
+def _share_dts(preps: list[Prepared], box: tuple[slice, slice] | None) -> list[Prepared]:
+    """Move each distinct prep's EDT to ``box``; give each that has no EDT
+    yet and whose mask has one its slice of stacked ``mask_to_dt`` calls,
+    each over at most the rows of a square ``GROUP_PIXELS`` image, as many
+    as a 256² run's EDT (four 64² masks), and return those preps. A lone
+    prep, and an empty or full-frame mask, keeps the lazy ``dt``, which
+    raises as it does for a lone run."""
+    preps = list({id(prep): prep for prep in preps}.values())
+    for prep in preps:
+        prep.place(box)
+    preps = [prep for prep in preps
              if "dt" not in prep.__dict__ and prep.mask.any() and not prep.mask.all()]
     if len(preps) < 2:
         return []
-    per_call = max(1, math.isqrt(GROUP_PIXELS) // preps[0].mask.shape[0])
+    per_call = max(1, math.isqrt(GROUP_PIXELS) // preps[0].mask[box or ...].shape[0])
     for first in range(0, len(preps), per_call):
         chunk = preps[first:first + per_call]
-        for prep, dt in zip(chunk, mask_to_dt(np.stack([prep.mask for prep in chunk]))):
+        for prep, dt in zip(chunk, mask_to_dt(np.stack([prep.mask[box or ...] for prep in chunk]))):
             prep.dt = dt
     return preps
+
+
+def _group_box(items: list[tuple[Prepared, _Loaded]],
+               starts: list[Contour]) -> tuple[tuple[slice, slice], tuple[slice, slice]] | None:
+    """The box of the frame a group's EDTs and forces are built on, and the
+    part of it where they equal the frame's; None when a force does not
+    come from its mask (an ``energy:`` map) or the box is the frame.
+
+    The part holds every foreground pixel of the items and every bilinear
+    corner of ``starts`` (the starts known before the EDT), widened by
+    ``BOX_MARGIN`` and clipped to the frame; an inscribed start's corners
+    lie within two pixels of its foreground. The box adds one pixel on each
+    side short of the frame's edge, which the gradient's central
+    differences there read. Every boundary pixel, the EDT's sites, lies
+    inside, so the box's EDT holds the frame's integers."""
+    if not all(isinstance(loaded.field, str) for _, loaded in items):
+        return None
+    shape = items[0][0].mask.shape
+    spans = [bounding_box(mask) for mask in {id(prep.mask): prep.mask for prep, _ in items}.values()
+             if mask.any()]
+    spans += [corner_box(start.nodes, *shape) for start in starts]
+    if not spans:
+        return None
+    lo = np.min([(rows.start, cols.start) for rows, cols in spans], axis=0)
+    hi = np.max([(rows.stop, cols.stop) for rows, cols in spans], axis=0)
+    boxes = []
+    for pad in (BOX_MARGIN + 1, BOX_MARGIN):
+        first, stop = np.maximum(lo - pad, 0).tolist(), np.minimum(hi + pad, shape).tolist()
+        boxes.append(tuple(slice(a, b) for a, b in zip(first, stop)))
+    return None if boxes[0] == tuple(slice(0, n) for n in shape) else tuple(boxes)
+
+
+def _forces(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]], keys: list, shared: bool,
+            known: dict, box: tuple[slice, slice] | None, timer: StageTimer):
+    """Each item's force, built on ``box`` (the frame when None) once per
+    distinct ``_force_key`` and placed in a frame-sized field, and its
+    start (``known`` holds those that need no EDT, or their errors): the
+    shared force (None unless ``shared``), else the (K, H, W, 2) stack with
+    one slot per started item, the starts, and each failed item's error."""
+    height, width = items[0][0].mask.shape
+    stacked = _share_dts([prep for prep, loaded in items
+                          if isinstance(loaded.field, str) or loaded.init == "inscribed"], box)
+    vectors = None if shared else (np.zeros if box else np.empty)((len(items), height, width, 2))
+    force, starts, failed = None, [], {}
+    slot_of = {}  # force key -> the slot that holds the force built for it
+    for index, ((prep, loaded), key) in enumerate(zip(items, keys)):
+        try:
+            with _failing(EXIT_COMPUTE):
+                if key not in slot_of and (force is None or not shared):
+                    force = _build_force(cfg, loaded, prep)
+                timer.lap("field")
+                start = known[index] if index in known else _start(cfg, loaded, prep)
+                if isinstance(start, CliError):
+                    raise start
+                starts.append(start)
+                timer.lap("init")
+        except CliError as exc:
+            failed[index] = exc
+            continue
+        slot = len(starts) - 1
+        if key in slot_of:  # a force already built: copy its slot
+            vectors[slot] = vectors[slot_of[key]]
+        elif not shared:  # the item's slot holds a copy, and its force is dropped
+            vectors[slot][box or ...], force, slot_of[key] = force.vectors, None, slot
+    for prep in stacked:
+        prep.drop_dt()
+    if shared and box and force is not None:  # zeros outside the box, which no node reads
+        placed = ForceField(np.zeros((height, width, 2)), np.zeros((height, width)))
+        placed.vectors[box], placed.potential[box] = force.vectors, force.potential
+        force = placed
+    return force, vectors, starts, failed
 
 
 def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
@@ -411,55 +510,53 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     the items must share one force (else ``ValueError``).
 
     The items share one mask shape and ``cfg``'s weights (a map that does
-    not fit raises). Fit the maps; compute the EDTs in stacked calls; build
-    a force that drives every item once (read through a view), else each
-    distinct ``_force_key``'s once, into the slot of every item with that
-    key in a (K, H, W, 2) stack; build the starts; step
-    them in one ``evolve`` call; rasterize each item at each count and score
-    them all in one stacked ``evaluate`` call. A count at or past a collapse
+    not fit raises). Fit the maps; build the starts that need no EDT; take
+    the group's ``_group_box``; compute the EDTs on it in stacked calls;
+    build a force that drives every item once (read through a view), else
+    each distinct ``_force_key``'s once, into the slot of every item with
+    that key in a (K, H, W, 2) stack; build the inscribed starts; step them
+    in one ``evolve`` call, which checks that every node reads the box; the
+    first time one does not, build the forces and starts again on the frame
+    and step again. Rasterize every kept contour in one call and score them
+    all in one stacked ``evaluate`` call. A count at or past a collapse
     gets the collapse's message.
     """
     timer = timer or StageTimer()
     height, width = items[0][0].mask.shape
     beta, kappa = _fit_maps(cfg, items[0][1], (height, width))
     timer.lap("read")
-    stacked = _share_dts([prep for prep, loaded in items
-                          if isinstance(loaded.field, str) or loaded.init == "inscribed"])
     keys = [_force_key(*item) for item in items]
     shared = len(set(keys)) == 1
     tracing, counts = counts is None, counts or [cfg.iters]
     if tracing and not shared:
         raise ValueError("a traced run needs items that share one force")
-    vectors = None if shared else np.empty((len(items), height, width, 2))
-    force, starts, failed = None, [], {}
-    slot_of = {}  # force key -> the slot that holds the force built for it
-    for index, ((prep, loaded), key) in enumerate(zip(items, keys)):
-        try:
-            with _failing(EXIT_COMPUTE):
-                if key not in slot_of and (force is None or not shared):
-                    force = _build_force(cfg, loaded, prep)
-                timer.lap("field")
-                starts.append(_start(cfg, loaded, prep))
-                timer.lap("init")
-        except CliError as exc:
-            failed[index] = exc
-            continue
-        slot = len(starts) - 1
-        if key in slot_of:  # a force already built: copy its slot
-            vectors[slot] = vectors[slot_of[key]]
-        elif not shared:  # the item's slot holds a copy, and its force is dropped
-            vectors[slot], force, slot_of[key] = force.vectors, None, slot
-    for prep in stacked:
-        prep.drop_dt()
+    known = {}  # the starts that need no EDT, or their errors, by item
+    for index, (prep, loaded) in enumerate(items):
+        if loaded.init != "inscribed":
+            try:
+                with _failing(EXIT_COMPUTE):
+                    known[index] = _start(cfg, loaded, prep)
+            except CliError as exc:
+                known[index] = exc
+    timer.lap("init")
+    boxes = _group_box(items, [start for start in known.values() if isinstance(start, Contour)])
     with _failing(EXIT_COMPUTE):
         params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
-        paths, results = [], []
-        if starts:
-            stack = force.vectors[None] if shared else vectors[:len(starts)]
-            keep = None if tracing else set(counts)
-            paths = evolve(starts, stack, params, cfg.snake_config(), keep)
-        timer.lap("evolve")
-        started, gts = iter(paths), []
+    for box, inner in (boxes, (None, None)) if boxes else [(None, None)]:
+        force, vectors, starts, failed = _forces(cfg, items, keys, shared, known, box, timer)
+        try:
+            with _failing(EXIT_COMPUTE):
+                paths = []
+                if starts:
+                    stack = force.vectors[None] if shared else vectors[:len(starts)]
+                    keep = None if tracing else set(counts)
+                    paths = evolve(starts, stack, params, cfg.snake_config(), keep, inner)
+            break
+        except LeftBox:
+            continue
+    timer.lap("evolve")
+    with _failing(EXIT_COMPUTE):
+        started, kept, gts, results = iter(paths), [], [], []
         for index, (prep, _) in enumerate(items):
             if index in failed:
                 results += [failed[index]] * len(counts)
@@ -471,14 +568,17 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
                     continue
                 trace = (EvolutionTrace(list(path.contours.values()), force.potential, params)
                          if tracing else None)
-                prediction = rasterize(path.contours[count], width, height)
-                results.append(RunResult(prediction, None, trace))  # scored below
+                results.append(RunResult(None, None, trace))  # rasterized and scored below
+                kept.append(path.contours[count])
                 gts.append(prep.gt)
-        timer.lap("rasterize")
         done = [result for result in results if isinstance(result, RunResult)]
         if done:
-            reports = evaluate(np.stack([result.prediction for result in done]), np.stack(gts))
-            for result, report in zip(done, reports):
+            predictions = rasterize(kept, width, height)
+            for result, prediction in zip(done, predictions):
+                result.prediction = prediction
+        timer.lap("rasterize")
+        if done:
+            for result, report in zip(done, evaluate(predictions, np.stack(gts))):
                 result.report = report
         timer.lap("metrics")
     return results

@@ -115,6 +115,19 @@ def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
     return BilinearCorners(index, frac, 1.0 - frac)
 
 
+def corner_box(points, height: int, width: int) -> tuple[slice, slice]:
+    """Row and column slices of the smallest box holding the four corner
+    pixels ``bilinear_corners`` reads for each of a stack of (u, v) points
+    in the frame, as clamped contours' nodes are. A point's top-left
+    corner is its floor capped as there, and the others lie one row and
+    one column on (on the same pixel along a one-pixel side)."""
+    u, v = points[..., 0], points[..., 1]
+    umin, umax, vmin, vmax = u.min(), u.max(), v.min(), v.max()
+    capu, capv = max(width - 2, 0), max(height - 2, 0)  # int() floors the points, all >= 0
+    return (slice(min(int(vmin), capv), min(min(int(vmax), capv) + 2, height)),
+            slice(min(int(umin), capu), min(min(int(umax), capu) + 2, width)))
+
+
 def blend_corners(values: np.ndarray, corners: BilinearCorners) -> np.ndarray:
     """Bilinear values from the four corner values of the points ``corners``
     describes: a channel-major (C, 4, N) array whose C channels are
@@ -250,8 +263,9 @@ class Contour:
         return Contour(pts)
 
 
-def rasterize(contour: Contour, width: int, height: int) -> np.ndarray:
-    """Pixel-center even-odd rasterization of a closed polygon.
+def rasterize(contours, width: int, height: int, crop: bool = False):
+    """Pixel-center even-odd rasterization of a closed polygon, as an (H, W)
+    mask, or of each of a list of K of one node count, as a (K, H, W) stack.
 
     A pixel center is inside when an odd number of edges cross the
     horizontal ray extending to its right; an edge contributes over the
@@ -259,48 +273,66 @@ def rasterize(contour: Contour, width: int, height: int) -> np.ndarray:
     boundary-grazing centers deterministically (top-left convention).
     Degenerate contours rasterize to an all-zero mask.
 
-    All edge x row crossings are computed in one array, with the same
-    ``t = (row - av) / (bv - av)``, ``x = au + t * (bu - au)`` arithmetic
-    per crossing as a per-edge loop. A crossing lies strictly right of
-    the integer column ``c`` exactly when ``ceil(x) > c``, so a histogram
-    of ``clip(ceil(x), 0, width)`` per row, summed from the right, counts
-    the crossings right of every pixel center without sorting. Each
-    crossing is the same float as in that loop and is only compared with
-    integers afterwards, so the mask equals the loop's (kept as
-    ``rasterize_loop`` in ``tests/oracles.py``) bit for bit.
+    All edge x row crossings of all contours are computed in one array,
+    with the same ``t = (row - av) / (bv - av)``, ``x = au + t * (bu - au)``
+    arithmetic per crossing as a per-edge loop. A crossing lies strictly
+    right of the integer column ``c`` exactly when ``ceil(x) > c``. Each
+    crossing toggles one uint8 cell, at its contour, row and bin
+    ``clip(ceil(x), 0, width)``, and an XOR accumulated from the right
+    along each row gives the parity of the crossings right of every pixel
+    center, without sorting. Each crossing is the same float as in that
+    loop and is only compared with integers afterwards, so each mask
+    equals the loop's (kept as ``rasterize_loop`` in ``tests/oracles.py``)
+    bit for bit.
 
-    The histogram covers only the box of the crossings: the rows that
-    have one, and the columns from the smallest to the largest bin. A
-    pixel left of that column span has all of its row's crossings to its
-    right, and there is an even number of them: an edge crosses row r
-    exactly when one end has v <= r and the other v > r, which a closed
-    polygon does an even number of times. A pixel right of the span has
-    no crossing to its right. Both are outside, as in the loop. The box
-    is not taken from the nodes' ``ceil(min u)..ceil(max u)``: rounding
-    can carry ``x`` across an integer just outside that range.
+    The cells cover only the box of all the crossings: the rows that have
+    one, and the columns from the smallest to the largest bin. A pixel
+    left of a contour's bins in its row has all of that row's crossings
+    to its right, and there is an even number of them: an edge crosses
+    row r exactly when one end has v <= r and the other v > r, which a
+    closed polygon does an even number of times. A pixel right of them
+    has no crossing to its right. Both are outside, as in the loop. The
+    box is not taken from the nodes' ``ceil(min u)..ceil(max u)``:
+    rounding can carry ``x`` across an integer just outside that range.
+
+    With ``crop``, nothing frame-sized is built: the result is the box's
+    row and column slices of the frame and the (K, h, w) uint8 stack,
+    1 inside, of each contour's pixels in it (``0:0`` slices and an empty
+    stack when no contour crosses a row).
     """
-    out = np.zeros((height, width), dtype=bool)
-    if contour.is_degenerate:
-        return out
-    au, av = contour.nodes[:, 0], contour.nodes[:, 1]
-    bu, bv = np.roll(au, -1), np.roll(av, -1)
-    r0 = np.clip(np.ceil(np.minimum(av, bv)), 0, height).astype(np.intp)
-    r1 = np.clip(np.ceil(np.maximum(av, bv)), 0, height).astype(np.intp)
-    counts = r1 - r0  # 0 for horizontal edges and edges outside the rows
-    edge = np.repeat(np.arange(len(counts)), counts)
-    if not edge.size:
-        return out
-    rows = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts) + r0[edge]
-    t = (rows - av[edge]) / (bv[edge] - av[edge])
-    xs = au[edge] + t * (bu[edge] - au[edge])
-    bins = np.clip(np.ceil(xs), 0, width).astype(np.intp)
-    top, bottom = rows.min(), rows.max() + 1
-    left, right = bins.min(), bins.max()
-    span = right - left + 1
-    hist = np.bincount((rows - top) * span + (bins - left), minlength=(bottom - top) * span)
-    crossings = np.cumsum(hist.reshape(bottom - top, span)[:, ::-1], axis=1)[:, ::-1]
-    out[top:bottom, left:right] = crossings[:, 1:] & 1
-    return out
+    single = isinstance(contours, Contour)
+    stack = [contours] if single else list(contours)
+    live = [k for k, contour in enumerate(stack) if not contour.is_degenerate]
+    rows = cols = slice(0, 0)
+    inside = np.zeros((len(stack), 0, 0), dtype=np.uint8)
+    if live:
+        nodes = np.stack([stack[k].nodes for k in live])
+        au, av = nodes[..., 0].ravel(), nodes[..., 1].ravel()
+        bu, bv = np.roll(nodes, -1, axis=1).reshape(-1, 2).T
+        r0 = np.clip(np.ceil(np.minimum(av, bv)), 0, height).astype(np.intp)
+        r1 = np.clip(np.ceil(np.maximum(av, bv)), 0, height).astype(np.intp)
+        counts = r1 - r0  # 0 for horizontal edges and edges outside the rows
+        edge = np.repeat(np.arange(len(counts)), counts)
+        if edge.size:
+            row = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts) + r0[edge]
+            t = (row - av[edge]) / (bv[edge] - av[edge])
+            xs = au[edge] + t * (bu[edge] - au[edge])
+            bins = np.clip(np.ceil(xs), 0, width).astype(np.intp)
+            top, bottom = int(row.min()), int(row.max()) + 1
+            left, right = int(bins.min()), int(bins.max())
+            cells = np.zeros((len(stack), bottom - top, right - left + 1), dtype=np.uint8)
+            owner = np.array(live)[edge // nodes.shape[1]]
+            np.bitwise_xor.at(cells.reshape(-1),
+                              ((owner * (bottom - top) + row - top) * cells.shape[2]
+                               + bins - left), np.uint8(1))  # a uint8 one: no casting loop
+            flipped = cells[..., ::-1]
+            np.bitwise_xor.accumulate(flipped, axis=2, out=flipped)
+            rows, cols, inside = slice(top, bottom), slice(left, right), cells[..., 1:]
+    if crop:
+        return rows, cols, inside
+    out = np.zeros((len(stack), height, width), dtype=bool)
+    out[:, rows, cols] = inside
+    return out[0] if single else out
 
 
 def resample_closed(nodes, count: int) -> np.ndarray:

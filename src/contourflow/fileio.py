@@ -81,14 +81,17 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return pixels.reshape(height, width).copy(), maxval
 
 
+def _write_pgm_bytes(path, img: np.ndarray) -> None:
+    """Write a 2-d uint8 array as a maxval-255 PGM."""
+    height, width = img.shape
+    atomic_write_bytes(path, b"P5\n%d %d\n255\n" % (width, height) + img.tobytes())
+
+
 def write_pgm(path, image) -> None:
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError("PGM image must be 2-d")
-    img = np.clip(img, 0, 255).astype(np.uint8)
-    height, width = img.shape
-    header = b"P5\n%d %d\n255\n" % (width, height)
-    atomic_write_bytes(path, header + img.tobytes())
+    _write_pgm_bytes(path, np.clip(img, 0, 255).astype(np.uint8))
 
 
 def read_mask_pgm(path) -> np.ndarray:
@@ -98,7 +101,8 @@ def read_mask_pgm(path) -> np.ndarray:
 
 
 def write_mask_pgm(path, mask) -> None:
-    write_pgm(path, np.where(as_mask(mask), 255, 0))
+    """Foreground 255, background 0, from a uint8 payload built directly."""
+    _write_pgm_bytes(path, as_mask(mask).view(np.uint8) * np.uint8(255))
 
 
 def read_pfm(path) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import blas
 from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_corners, blend_corners,
-                     clamp_to_frame, rasterize, resample_closed, signed_areas)
+                     clamp_to_frame, corner_box, rasterize, resample_closed, signed_areas)
 
 _TINY = 1e-12
 _FLIP = np.array((1.0, -1.0))
@@ -36,6 +36,15 @@ _COMPONENTS = np.array((0, 1)).reshape(2, 1, 1)  # flat offsets of a force's u a
 
 class EvolveError(RuntimeError):
     """Evolution failed; the message carries the 1-based iteration index."""
+
+
+class LeftBox(Exception):
+    """A contour's bilinear corners left the box where its force field holds
+    the frame's values, at step ``iteration`` (0 for the start)."""
+
+    def __init__(self, iteration: int):
+        super().__init__(f"a contour left its force field's box at step {iteration}")
+        self.iteration = iteration
 
 
 @dataclass
@@ -114,33 +123,44 @@ def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
     external-energy map.
 
     The node terms of all contours come from one (K, n, 2) stack: one
-    corner lookup, one gather and one blend for the potential and beta,
-    and per-contour row sums over the same elements in the same order as
-    one contour's sums, so each energy is bit-identical to the former
-    per-contour loop (kept in ``tests/oracles.py``). The region term is
-    summed per contour over its rasterized interior; degenerate contours
-    enclose nothing and contribute node terms only.
+    corner lookup, a gather and a blend for the potential and then for
+    beta, and per-contour row sums over the same elements in the same
+    order as one contour's sums, so each energy is bit-identical to the
+    former per-contour loop (kept in ``tests/oracles.py``). The region term comes
+    from one cropped ``rasterize`` call: each contour sums ``kappa`` over
+    its inside pixels of the crossings' box in row-major order, the float
+    sequence of ``kappa[mask].sum()`` over its frame mask. Degenerate
+    contours enclose nothing and contribute node terms only.
     """
     ext = as_field(external)
     if ext.shape != params.beta.shape:
         raise ValueError(f"external map {ext.shape} does not match "
                          f"the parameter maps {params.beta.shape}")
+    height, width = ext.shape
+    # the region sums first, so that the raster's arrays are freed before the node terms'
+    rows, cols, inside = rasterize(contours, width, height, crop=True)
+    region = params.kappa[rows, cols]
+    sums = [None if contour.is_degenerate else float(region[inside[k].view(bool)].sum())
+            for k, contour in enumerate(contours)]
+    del inside
     pts = np.stack([c.nodes for c in contours])
     nxt = np.roll(pts, -1, axis=1)
     d1 = nxt - pts
-    d2 = nxt - 2.0 * pts + np.roll(pts, 1, axis=1)
+    continuity = params.alpha * (d1 * d1).reshape(len(pts), -1).sum(axis=1)
+    nxt -= 2.0 * pts
+    nxt += np.roll(pts, 1, axis=1)  # the second differences
+    bending = (nxt * nxt).sum(axis=2)
+    del d1, nxt
     corners = bilinear_corners(pts.reshape(-1, 2), *ext.shape)
-    gathered = np.empty((2,) + corners.index.shape)
-    ext.take(corners.index, out=gathered[0], mode="clip")
-    params.beta.take(corners.index, out=gathered[1], mode="clip")
-    potential, beta_nodes = blend_corners(gathered, corners).reshape(2, *pts.shape[:2])
-    totals = (potential.sum(axis=1)
-              + params.alpha * (d1 * d1).reshape(len(pts), -1).sum(axis=1)
-              + (beta_nodes * (d2 * d2).sum(axis=2)).sum(axis=1))
-    height, width = ext.shape
-    for k, contour in enumerate(contours):
-        if not contour.is_degenerate:
-            totals[k] += float(params.kappa[rasterize(contour, width, height)].sum())
+    gathered, sampled = np.empty((1,) + corners.index.shape), []
+    for field in (ext, params.beta):
+        field.take(corners.index, out=gathered[0], mode="clip")
+        sampled.append(blend_corners(gathered, corners).reshape(pts.shape[:2]))
+    potential, beta_nodes = sampled
+    totals = potential.sum(axis=1) + continuity + (beta_nodes * bending).sum(axis=1)
+    for k, total in enumerate(sums):
+        if total is not None:
+            totals[k] += total
     return totals
 
 
@@ -331,7 +351,8 @@ class ContourPath:
 
 
 def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
-           config: SnakeConfig, keep: set[int] | None = None) -> list[ContourPath]:
+           config: SnakeConfig, keep: set[int] | None = None,
+           box: tuple[slice, slice] | None = None) -> list[ContourPath]:
     """Run ``config.iterations`` steps on K contours of one node count
     together and return each contour's path, to the bit the one it takes
     alone, holding the steps in ``keep`` (every step when ``None``).
@@ -344,6 +365,13 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
     the stack at that step, its path ending in an ``EvolveError`` naming
     the 1-based iteration. A step that raises (unreachable for valid
     inputs) ends every contour still running. No energies are computed.
+
+    ``box``, the row and column slices of the frame, says where
+    ``vectors`` holds valid forces when they do not hold everywhere. The
+    clamped starts and every step's surviving contours must then keep all
+    four bilinear corners of every node in it (``corner_box``), so that
+    each force read, and each potential an energy trace reads, is valid;
+    the first time one does not, ``LeftBox`` is raised.
     """
     height, width = vectors.shape[1:3]
     if params.beta.shape != (height, width):
@@ -353,6 +381,7 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
         raise ValueError(f"{len(vectors)} force fields for {len(starts)} contours")
     paths = [ContourPath({0: start.clamped(width, height)}) for start in starts]
     nodes = np.stack([path.contours[0].nodes for path in paths])
+    _check_box(nodes, box, height, width, 0)
     running = list(range(len(paths)))  # the contours still in the stack
     slots = None if len(vectors) == 1 else np.array(running)
     for i in range(config.iterations):
@@ -374,7 +403,18 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
             slots = None if slots is None else np.array(running)
             if not running:
                 break
+        _check_box(nodes, box, height, width, i + 1)
         if keep is None or i + 1 in keep:
             for k, pts in zip(running, nodes):
                 paths[k].contours[i + 1] = Contour(pts)
     return paths
+
+
+def _check_box(nodes: np.ndarray, box: tuple[slice, slice] | None, height: int, width: int,
+               iteration: int) -> None:
+    """Raise ``LeftBox`` if a corner of a (K, n, 2) stack of nodes in the
+    (H, W) frame lies outside ``box``."""
+    if box is not None and not all(
+            inner.start <= span.start and span.stop <= inner.stop
+            for span, inner in zip(corner_box(nodes, height, width), box)):
+        raise LeftBox(iteration)

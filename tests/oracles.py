@@ -4,10 +4,11 @@ Everything here is deliberately naive (per-pixel loops, exhaustive
 enumeration) and shares no code with the production paths it checks,
 with the exceptions below. ``iterative_circle_fit`` starts from the exact
 circle constructions and cross-checks them by local search on the
-raster. ``rasterize_loop`` and ``inscribed_circle_full_frame`` are the
-former production implementations (per-edge and per-row loops; a
-distance transform over the whole frame), kept so that the vectorized
-and cropped versions can be required to match them exactly. Likewise
+raster. ``rasterize_loop``, ``rasterize_histogram`` and
+``inscribed_circle_full_frame`` are former production implementations
+(per-edge and per-row loops; one contour's int64 crossing histogram; a
+distance transform over the whole frame), kept so that the vectorized,
+stacked and cropped versions can be required to match them exactly. Likewise
 ``evolve_reference`` is the former solver loop: one bilinear lookup per
 field and force component, and a system matrix rebuilt every step
 (``force_at``, ``balloon_force``, ``assemble_internal_system``), whose
@@ -17,8 +18,8 @@ reuses the production ``Contour``, ``resample_closed`` and
 ``signed_area``. ``align_cyclic_reference`` is the former per-shift loop
 of ``align_cyclic``. ``energies_reference`` is the former per-contour
 energy trace: one corner lookup, one blend per field and one set of sums
-per contour, through the production ``bilinear_corners``,
-``blend_corners`` and ``rasterize``; ``energy_eval`` scores one contour
+per contour, through the production ``bilinear_corners`` and
+``blend_corners`` and ``rasterize_histogram``; ``energy_eval`` scores one contour
 through the production ``contour_energies``.
 ``bilinear_corners_reference`` is the former corner lookup, with
 ``np.clip`` clamps and the far corners guarded one by one.
@@ -104,6 +105,34 @@ def rasterize_loop(contour, width: int, height: int) -> np.ndarray:
         xs_sorted = np.sort(np.asarray(xs, dtype=np.float64))
         strictly_right = len(xs_sorted) - np.searchsorted(xs_sorted, cols, side="right")
         out[r] = (strictly_right % 2).astype(bool)
+    return out
+
+
+def rasterize_histogram(contour, width: int, height: int) -> np.ndarray:
+    """The former one-contour rasterizer: every edge x row crossing in one
+    array, an int64 histogram of ``clip(ceil(x), 0, width)`` per row over
+    the crossings' box, summed from the right, odd counts inside."""
+    out = np.zeros((height, width), dtype=bool)
+    if contour.is_degenerate:
+        return out
+    au, av = contour.nodes[:, 0], contour.nodes[:, 1]
+    bu, bv = np.roll(au, -1), np.roll(av, -1)
+    r0 = np.clip(np.ceil(np.minimum(av, bv)), 0, height).astype(np.intp)
+    r1 = np.clip(np.ceil(np.maximum(av, bv)), 0, height).astype(np.intp)
+    counts = r1 - r0
+    edge = np.repeat(np.arange(len(counts)), counts)
+    if not edge.size:
+        return out
+    rows = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts) + r0[edge]
+    t = (rows - av[edge]) / (bv[edge] - av[edge])
+    xs = au[edge] + t * (bu[edge] - au[edge])
+    bins = np.clip(np.ceil(xs), 0, width).astype(np.intp)
+    top, bottom = rows.min(), rows.max() + 1
+    left, right = bins.min(), bins.max()
+    span = right - left + 1
+    hist = np.bincount((rows - top) * span + (bins - left), minlength=(bottom - top) * span)
+    crossings = np.cumsum(hist.reshape(bottom - top, span)[:, ::-1], axis=1)[:, ::-1]
+    out[top:bottom, left:right] = crossings[:, 1:] & 1
     return out
 
 
@@ -597,7 +626,8 @@ def evolve_reference(initial, force, params, config) -> list:
 
 
 def energies_reference(contours, external, params) -> np.ndarray:
-    """The energy of each contour, scored one contour at a time."""
+    """The energy of each contour, scored one contour at a time, its region
+    term summed over the frame mask of the former one-contour rasterizer."""
     ext = as_field(external)
     height, width = ext.shape
     energies = []
@@ -613,7 +643,7 @@ def energies_reference(contours, external, params) -> np.ndarray:
             + (beta_nodes * (d2 * d2).sum(axis=1)).sum()
         )
         if not contour.is_degenerate:
-            total += float(params.kappa[rasterize(contour, width, height)].sum())
+            total += float(params.kappa[rasterize_histogram(contour, width, height)].sum())
         energies.append(total)
     return np.array(energies)
 

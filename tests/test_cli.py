@@ -1,4 +1,6 @@
+import contextlib
 import ctypes
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import contourflow
 from contourflow import blas
@@ -133,8 +136,12 @@ class TestRun:
         assert read_result(out)["metrics"]["iou"] >= 0.9
 
     def test_medical_run_computes_one_edt(self, tmp_path, disk_paths, monkeypatch):
-        """The inscribed init reads the field's EDT instead of computing its own."""
+        """The inscribed init reads the field's EDT instead of computing its own,
+        and that EDT covers the mask's box: its foreground widened by the
+        margin and the gradient's pixel, not the frame."""
+        from contourflow import cli
         from contourflow.edt import edt_from_sites
+        from contourflow.fields import bounding_box
         calls = []
 
         def counted(sites):
@@ -146,7 +153,11 @@ class TestRun:
         _, mask_path = disk_paths
         assert main(["run", "--mask", str(mask_path), "--profile", "medical",
                      "--out", str(tmp_path / "out")]) == 0
-        assert calls == [(64, 64)]
+        pad = cli.BOX_MARGIN + 1
+        box = tuple(min(span.stop + pad, size) - max(span.start - pad, 0)
+                    for span, size in zip(bounding_box(disk_paths[0]), (64, 64)))
+        assert box < (64, 64)
+        assert calls == [box]
 
     def test_full_frame_energy_field_inscribed_init(self, tmp_path, capsys):
         """A full-frame mask has no field EDT, but its inscribed circle exists:
@@ -1568,3 +1579,151 @@ print(json.dumps([before, code, getter()]))
             pytest.skip("NumPy's OpenBLAS pool already runs one thread")
         assert code == 0
         assert after == 1
+
+
+def _quiet(argv):
+    """Exit code, stdout, and the stderr lines other than the timings, of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), [line for line in err.getvalue().splitlines()
+                                  if not line.startswith('{"stage_ms"')]
+
+
+def _pixel(height, width, row, col):
+    mask = np.zeros((height, width), dtype=bool)
+    mask[row, col] = True
+    return mask
+
+
+@st.composite
+def _box_masks(draw):
+    """A small mask that touches the frame's edges, is one pixel, is one
+    pixel thin, or is two blobs in opposite corners."""
+    height, width = draw(st.integers(12, 48)), draw(st.integers(12, 48))
+    v, u = np.mgrid[:height, :width]
+    kind = draw(st.sampled_from(["edges", "pixel", "thin", "blobs"]))
+    mask = np.zeros((height, width), dtype=bool)
+    if kind == "edges":  # a disk cut by one or two of the frame's edges
+        cu = draw(st.sampled_from([0, width // 2, width - 1]))
+        cv = draw(st.sampled_from([0, height - 1]))
+        radius = draw(st.floats(2.0, 9.0))
+        mask = (u - cu) ** 2 + (v - cv) ** 2 <= radius * radius
+    elif kind == "pixel":
+        mask[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+    elif kind == "thin":  # a straight or diagonal line one pixel wide
+        length = draw(st.integers(2, min(height, width)))
+        top = draw(st.integers(0, height - length))
+        left = draw(st.integers(0, width - length))
+        dv, du = draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+        mask[top + dv * np.arange(length), left + du * np.arange(length)] = True
+    else:
+        radius = draw(st.floats(1.0, 3.0))
+        for cu, cv in ((3, 3), (width - 4, height - 4)):
+            mask |= (u - cu) ** 2 + (v - cv) ** 2 <= radius * radius
+    return mask
+
+
+class TestBox:
+    """A group whose forces come from its masks builds its EDTs and forces on
+    a box, and goes back to the frame the first time a contour leaves it.
+    `run --out` files, `batch` rows and `sweep` tables must equal those of
+    the frame path, which a margin wider than any frame forces, also where
+    large balloon weights, long time steps or far starts push contours out."""
+
+    @staticmethod
+    def outputs(tmp, argvs, margin):
+        """Under ``margin``: every command's exit code, stdout, error lines
+        and `run` files; and per command, the box of each ``evolve`` call
+        and the step of each exit from a box."""
+        from contourflow import cli
+        from contourflow.snake import LeftBox
+        boxes, exits = [], []
+
+        def spy(*args):
+            boxes[-1].append(args[5])
+            try:
+                return evolve(*args)
+            except LeftBox as exc:
+                exits[-1].append(exc.iteration)
+                raise
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BOX_MARGIN", margin)
+            patch.setattr(cli, "evolve", spy)
+            seen = []
+            for argv in argvs:
+                boxes.append([])
+                exits.append([])
+                out = tmp / f"run_{margin}"
+                seen.append(_quiet([a.format(out=out) for a in argv]))
+                if argv[0] == "run":
+                    seen.append({p.name: p.read_bytes() for p in sorted(out.glob("*"))})
+        return seen, boxes, exits
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask=_box_masks(), profile=st.sampled_from(["building", "medical"]),
+           init=st.sampled_from(["inscribed", "circumscribed", "far"]),
+           field=st.sampled_from(["lcdvf", "dvf", "energy"]),
+           kappa=st.sampled_from(["0.2", "3", "-0.5"]), tau=st.sampled_from(["0.1", "2"]),
+           iters=st.integers(0, 12), margin=st.sampled_from([0, 1, 2, 8]),
+           axis=st.sampled_from(["init", "field", "radius", "iterations"]))
+    # the balloon leaves the box at step 4, the last: its energy must read the frame
+    @example(mask=disk_mask(40, 30, (20.0, 0.0), 3.0), profile="building", init="circumscribed",
+             field="lcdvf", kappa="3", tau="2", iters=4, margin=8, axis="iterations")
+    # a one-pixel foreground's box must hold background: the EDT needs some
+    @example(mask=_pixel(12, 12, 0, 0), profile="building", init="inscribed", field="lcdvf",
+             kappa="0.2", tau="0.1", iters=0, margin=0, axis="init")
+    # a circumscribed start, a circle half a pixel out, widens the box
+    @example(mask=_pixel(12, 12, 5, 5), profile="building", init="circumscribed",
+             field="lcdvf", kappa="0.2", tau="0.1", iters=0, margin=0, axis="radius")
+    def test_outputs_equal_the_frame_path(self, mask, profile, init, field, kappa, tau, iters,
+                                          margin, axis):
+        import tempfile
+        height, width = mask.shape
+        far = f"circle:{width - 3.5},{height - 2.5},2.5"  # in the corner opposite a blob
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            write_mask_pgm(tmp / "mask.pgm", mask)
+            write_mask_pgm(tmp / "flipped.pgm", mask[::-1, ::-1])
+            write_pfm(tmp / "energy.pfm", np.hypot(*np.mgrid[:height, :width]))
+            (tmp / "manifest.txt").write_text(f"{tmp}/mask.pgm {tmp}/mask.pgm\n"
+                                              f"{tmp}/flipped.pgm {tmp}/flipped.pgm\n")
+            energy = f"energy:{tmp}/energy.pfm"
+            common = ["--profile", profile, "--init", far if init == "far" else init,
+                      "--field", energy if field == "energy" else field, "--kappa", kappa,
+                      "--tau", tau, "--iters", str(iters)]
+            values = {"init": f"inscribed,circumscribed,{far}", "field": f"lcdvf,dvf,{energy}",
+                      "radius": "2,5", "iterations": f"0,{iters}"}[axis]
+            argvs = [["run", "--mask", f"{tmp}/mask.pgm", *common, "--out", "{out}"],
+                     ["batch", "--manifest", f"{tmp}/manifest.txt", *common],
+                     ["sweep", "--mask", f"{tmp}/mask.pgm", *common, "--axis", axis,
+                      "--values", values]]
+            boxed, _, exits = self.outputs(tmp, argvs, margin)
+            framed, boxes, _ = self.outputs(tmp, argvs, 1 << 20)
+        assert all(box is None for calls in boxes for box in calls)
+        assert boxed == framed
+        for argv, steps in zip(argvs, exits):
+            # a start known before the EDT lies in its box, and with a margin
+            # of two pixels an inscribed one does too
+            if margin >= 2 or "inscribed" not in " ".join(argv):
+                assert 0 not in steps
+
+    def test_a_balloon_leaving_its_box_falls_back(self, tmp_path):
+        mask = disk_mask(64, 64, (32.0, 32.0), 6.0)
+        write_mask_pgm(tmp_path / "mask.pgm", mask)
+        argv = [["run", "--mask", f"{tmp_path}/mask.pgm", "--kappa", "5", "--iters", "30",
+                 "--out", "{out}"]]
+        boxed, _, [exits] = self.outputs(tmp_path, argv, 8)
+        assert exits and 0 not in exits
+        assert boxed == self.outputs(tmp_path, argv, 1 << 20)[0]
+
+    def test_a_box_covering_the_frame_runs_no_check(self, tmp_path, monkeypatch):
+        from contourflow import cli
+        boxes = []
+        monkeypatch.setattr(cli, "evolve", lambda *args: boxes.append(args[5]) or evolve(*args))
+        write_mask_pgm(tmp_path / "mask.pgm", disk_mask(24, 24, (12.0, 12.0), 5.0))
+        assert _quiet(["run", "--mask", f"{tmp_path}/mask.pgm", "--iters", "2"])[0] == 0
+        monkeypatch.setattr(cli, "BOX_MARGIN", 0)
+        assert _quiet(["run", "--mask", f"{tmp_path}/mask.pgm", "--iters", "2"])[0] == 0
+        assert boxes[0] is None and boxes[1] is not None

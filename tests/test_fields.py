@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from contourflow.fields import (Circle, Contour, bilinear_corners, blend_corners,
-                                boundary_mask, boundary_pixels, central_gradient, rasterize,
-                                resample_closed, signed_area, signed_areas)
+                                boundary_mask, boundary_pixels, central_gradient, corner_box,
+                                rasterize, resample_closed, signed_area, signed_areas)
 
 from oracles import (bilinear_corners_reference, bilinear_sample_reference, perimeter,
                      point_in_polygon, rasterize_loop, rasterize_reference)
@@ -97,6 +97,17 @@ class TestBilinearSample:
         for name in ("index", "frac", "rest"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 12),
+           width=st.integers(1, 12), count=st.integers(1, 30))
+    def test_corner_box_holds_exactly_the_corners_read(self, seed, height, width, count):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (count, 2)) * [width - 1.0, height - 1.0]
+        pts = np.where(rng.random((count, 1)) < 0.3, np.round(pts), pts)  # on pixel centers
+        rows, cols = np.divmod(bilinear_corners(pts, height, width).index, width)
+        assert corner_box(pts[None], height, width) == (slice(rows.min(), rows.max() + 1),
+                                                         slice(cols.min(), cols.max() + 1))
 
 
 class TestCentralGradient:
@@ -331,10 +342,11 @@ _FAR_COORDS = st.one_of(_COORDS, st.floats(-1e17, 1e17, allow_nan=False),
 
 
 @st.composite
-def _offframe_polygons(draw):
-    """Polygons moved partly or wholly off a (height, width) frame, some with
-    far nodes and some degenerate (collinear, repeated or zero net area)."""
-    height, width = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+def _offframe_polygons(draw, frame=None):
+    """Polygons moved partly or wholly off a (height, width) frame, ``frame``
+    or a drawn one, some with far nodes and some degenerate (collinear,
+    repeated or zero net area)."""
+    height, width = frame or (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
     kind = draw(st.sampled_from(["moved", "far", "collinear", "bowtie"]))
     if kind == "collinear":
         a, b = draw(st.tuples(_COORDS, _COORDS)), draw(st.tuples(_COORDS, _COORDS))
@@ -382,3 +394,45 @@ class TestRasterizeBoundingBox:
         right = Contour(np.array([[-6.0453361813226705, 6.59216740356073], [6.0, 2.0],
                                   [4.2358364448968056, 7.6378585592912485]]))
         assert rasterize(right, 10, 10)[2, 6]
+
+
+@st.composite
+def _contour_stacks(draw):
+    """A frame and one to six polygons on it, each moved off it or not, with
+    far nodes or degenerate, so the crossing boxes lie far apart; each is
+    padded to one node count by repeating its last node."""
+    frame = (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    polygons = [draw(_offframe_polygons(frame))[0] for _ in range(draw(st.integers(1, 6)))]
+    count = max(len(nodes) for nodes in polygons)
+    contours = [Contour(np.concatenate([nodes, nodes[-1:].repeat(count - len(nodes), axis=0)]))
+                for nodes in polygons]
+    return contours, frame[1], frame[0]
+
+
+class TestRasterizeStack:
+    """A list of K contours rasterizes in one call: each mask of the stack,
+    and each of the cropped uint8 masks over the union of the crossing
+    boxes, equals the per-edge loop on that contour alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_contour_stacks())
+    @example(case=([Contour(np.array([[0.5, 0.5], [2.5, 0.5], [1.5, 2.5]])),
+                    Contour(np.array([[30.0, 30.0], [30.0, 40.0], [30.0, 35.0]])),  # degenerate
+                    Contour(np.array([[16.5, 17.5], [19.5, 17.5], [18.0, 19.5]]))], 20, 20))
+    def test_each_mask_equals_the_loop(self, case):
+        contours, width, height = case
+        got = rasterize(contours, width, height)
+        assert got.dtype == bool and got.shape == (len(contours), height, width)
+        for mask, contour in zip(got, contours):
+            assert np.array_equal(mask, rasterize_loop(contour, width, height))
+        rows, cols, inside = rasterize(contours, width, height, crop=True)
+        assert inside.dtype == np.uint8 and inside.shape[0] == len(contours)
+        assert 0 <= rows.start <= rows.stop <= height and 0 <= cols.start <= cols.stop <= width
+        assert not (got.sum(axis=(1, 2)) - inside.sum(axis=(1, 2), dtype=np.intp)).any()
+        assert np.array_equal(got[:, rows, cols], inside.view(bool))
+
+    def test_no_crossing_gives_an_empty_box(self):
+        flat = Contour(np.array([[1.2, 3.2], [6.0, 3.4], [2.0, 3.8]]))  # no row center inside
+        rows, cols, inside = rasterize([flat, flat], 8, 8, crop=True)
+        assert inside.shape == (2, 0, 0) and rows == cols == slice(0, 0)
+        assert not rasterize([flat], 8, 8).any()

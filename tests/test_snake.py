@@ -104,6 +104,52 @@ class TestContourEnergies:
         for contour, energy in zip(contours, got):
             assert energy_eval(contour, potential, params) == energy
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_stack_equals_reference(self, seed):
+        """Degenerate, off-frame and far-apart contours of one node count,
+        whose crossing boxes span the frame and leave empty rows between."""
+        rng = np.random.default_rng(seed)
+        height, width, nodes = 40, 56, 12
+        params = ParameterSet(alpha=0.2, beta=rng.uniform(0.0, 1.0, (height, width)),
+                              kappa=rng.normal(0.0, 1.0, (height, width)))
+        potential = rng.normal(0.0, 2.0, (height, width))
+        ring = np.stack([np.cos(2 * np.pi * np.arange(nodes) / nodes),
+                         np.sin(2 * np.pi * np.arange(nodes) / nodes)], axis=1)
+        centers = [(2.0, 2.0), (53.0, 37.0), (-8.0, 20.0), (70.0, -9.0), (28.0, 45.0)]
+        # far apart, partly or wholly off the frame
+        radii = rng.uniform(0.5, 6.0, (len(centers), 1, 1)) * rng.uniform(0.7, 1.3, (nodes, 1))
+        contours = [Contour(center + radius * ring) for center, radius in zip(centers, radii)]
+        line = np.linspace(-3.0, 60.0, nodes)
+        contours.append(Contour(np.stack([line, line * 0.5], axis=1)))  # collinear
+        bowtie = [[10.0, 10.0], [14.0, 14.0], [14.0, 10.0], [10.0, 14.0]]
+        contours.append(Contour(np.tile(bowtie, (nodes // 4, 1))))  # zero net area
+        contours.append(Contour(np.full((nodes, 2), 7.25)))  # one point
+        rng.shuffle(contours)
+        assert sum(contour.is_degenerate for contour in contours) == 3
+        assert np.array_equal(contour_energies(contours, potential, params),
+                              energies_reference(contours, potential, params))
+
+    def test_peak_memory_at_most_the_per_contour_path(self):
+        """At 256², the trace of a medical run (11 contours of 100 nodes)
+        allocates no more at its peak than scoring one contour at a time."""
+        import tracemalloc
+        mask = random_blob_mask(np.random.default_rng(7), 256, 256)
+        dt = mask_to_dt(mask)
+        force = lcdvf(dt, 2.0)
+        params = ParameterSet.uniform(256, 256, alpha=0.01, beta=0.1, kappa=0.2)
+        start = circle_to_contour(inscribed_circle(mask, dt), 100, 256, 256)
+        _, trace = evolve_one(start, force, params, SnakeConfig(iterations=10))
+        peaks = []
+        for score in (contour_energies, energies_reference):
+            score(trace.contours, force.potential, params)  # warm every cache first
+            tracemalloc.start()
+            try:
+                score(trace.contours, force.potential, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
     def test_evolution_trace_equals_reference(self, rng):
         mask = random_blob_mask(rng, 64, 64)
         force = lcdvf(mask_to_dt(mask), 2.0)
