@@ -1,5 +1,8 @@
 """The OpenBLAS library that NumPy loaded, found in this process's memory
 map: the snake solve's floats may depend on its kernel and thread count.
+Besides the pool's thread count it binds the library's ``getrf`` and
+``getrs``, the two halves of the ``gesv`` that ``np.linalg.solve`` calls,
+so that a system can be factored once and solved against many steps.
 """
 
 from __future__ import annotations
@@ -11,12 +14,23 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 # the thread-count functions of the OpenBLAS builds that NumPy ships or
 # links, `{}` standing for get or set; NumPy's ILP64 names come first, as
 # the memory map lists libraries by address and another OpenBLAS (SciPy's
 # LP64 one) can be mapped before NumPy's
 _NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
           "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+
+# NumPy's own LAPACK routines in its ILP64 OpenBLAS, whose integers are 64-bit,
+# passed by reference; the arrays are passed by address
+_LAPACK = "scipy_d{}_64_"
+_INT = ctypes.c_int64
+_INTP, _DATA = ctypes.POINTER(_INT), ctypes.c_void_p
+_ARGS = {"getrf": [_INTP, _INTP, _DATA, _INTP, _DATA, _INTP],  # m n a lda ipiv info
+         # after the transpose flag: n nrhs a lda ipiv b ldb info
+         "getrs": [_INTP, _INTP, _DATA, _INTP, _DATA, _DATA, _INTP, _INTP]}
 
 
 @cache
@@ -63,3 +77,50 @@ def pin() -> None:
                           "thread-count setter found"}), file=sys.stderr)
     else:
         setter(1)
+
+
+@cache
+def _lapack(routine: str):
+    """NumPy's double-precision LAPACK ``routine`` ("getrf" or "getrs") with
+    its argument types; None where no mapped library exports it."""
+    for library in _libraries():
+        found = getattr(library, _LAPACK.format(routine), None)
+        if found is not None:
+            found.argtypes = ([ctypes.c_char_p] if routine == "getrs" else []) + _ARGS[routine]
+            found.restype = None
+            return found
+    return None
+
+
+def lu_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """getrf's LU factors of a square float64 matrix, column-major, and its
+    pivots, for ``lu_solve``; None where getrf or getrs does not resolve. A
+    zero pivot raises NumPy's ``LinAlgError("Singular matrix")``, as a
+    singular ``np.linalg.solve`` does."""
+    getrf = _lapack("getrf")
+    if getrf is None or _lapack("getrs") is None:
+        return None
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square float64 matrix, got {matrix.dtype} {matrix.shape}")
+    factors = np.array(matrix, order="F")  # a copy in LAPACK's column-major order
+    pivots = np.empty(len(factors), dtype=np.int64)
+    size, info = _INT(len(factors)), _INT()
+    getrf(size, size, factors.ctypes.data, size, pivots.ctypes.data, info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return factors, pivots
+
+
+def lu_solve(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> None:
+    """Solve the system ``factors`` came from against each row of the
+    C-contiguous float64 array ``rhs``, whose rows of n are LAPACK's
+    column-major right-hand sides, in place, with getrs: on one thread,
+    the second half of the ``gesv`` that ``np.linalg.solve`` calls."""
+    lu, pivots = factors
+    if (rhs.dtype != np.float64 or not rhs.flags.c_contiguous or not rhs.flags.writeable
+            or rhs.size % len(lu)):
+        raise ValueError(f"expected a writeable C-contiguous float64 array of rows of "
+                         f"{len(lu)}, got {rhs.dtype} {rhs.shape}")
+    size, info = _INT(len(lu)), _INT()
+    _lapack("getrs")(b"N", size, _INT(rhs.size // len(lu)), lu.ctypes.data, size,
+                     pivots.ctypes.data, rhs.ctypes.data, size, info)

@@ -47,7 +47,7 @@ import numpy as np
 from . import blas
 from .autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from .edt import edt_from_sites, mask_to_dt
-from .fields import Circle, Contour, boundary_mask, bounding_box, corner_box, rasterize
+from .fields import Box, Circle, Contour, boundary_mask, bounding_box, corner_box, rasterize
 from .fileio import (atomic_write_text, read_mask_pgm, read_pfm, write_mask_pgm,
                      write_pfm, write_pgm)
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
@@ -356,24 +356,26 @@ def _load(cfg: RunConfig) -> _Loaded:
                    _load_field(cfg.field, cfg.clip), _load_init(cfg.init))
 
 
-def _fit(name: str, values, spec: str, shape: tuple[int, int]) -> np.ndarray:
-    """A constant spread over ``shape``, or a map that must have it."""
-    if np.ndim(values) == 0:
-        return np.full(shape, values)
-    if values.shape != shape:
+def _fit(name: str, values, spec: str, shape: tuple[int, int]) -> None:
+    """Exit 2 unless ``values``, a constant or a map, fits the ``shape`` frame."""
+    if np.ndim(values) and values.shape != shape:
         raise CliError(f"{name} map {spec!r} has shape {values.shape}, expected {shape}")
-    return values
 
 
-def _fit_maps(cfg: RunConfig, loaded: _Loaded,
-              shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``beta`` and ``kappa`` over ``shape``, once every map the run reads (an
-    energy map too) is checked to have it; a map of another shape exits 2."""
-    beta = _fit("beta", loaded.beta, cfg.beta, shape)
-    kappa = _fit("kappa", loaded.kappa, cfg.kappa, shape)
+def _fit_maps(cfg: RunConfig, loaded: _Loaded, shape: tuple[int, int]) -> None:
+    """Check that every map the run reads (an energy map too) fits ``shape``."""
+    _fit("beta", loaded.beta, cfg.beta, shape)
+    _fit("kappa", loaded.kappa, cfg.kappa, shape)
     if isinstance(loaded.field, _EnergyField):
         _fit("energy", loaded.field.energy, loaded.field.path, shape)
-    return beta, kappa
+
+
+def _over(values, shape: tuple[int, int], box: Box | None) -> np.ndarray:
+    """A constant spread over ``box`` of the ``shape`` frame (the frame when
+    None), or a map of that frame read over ``box`` as a view."""
+    if np.ndim(values) == 0:
+        return np.full(box.shape if box else shape, values)
+    return values[box.rows, box.cols] if box else values
 
 
 def _force_key(prep: Prepared, loaded: _Loaded):
@@ -458,16 +460,20 @@ def _group_box(items: list[tuple[Prepared, _Loaded]],
 
 
 def _forces(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]], keys: list, shared: bool,
-            known: dict, box: tuple[slice, slice] | None, timer: StageTimer):
+            known: dict, box: tuple[slice, slice] | None, inner: Box | None,
+            timer: StageTimer):
     """Each item's force, built on ``box`` (the frame when None) once per
-    distinct ``_force_key`` and placed in a frame-sized field, and its
-    start (``known`` holds those that need no EDT, or their errors): the
-    shared force (None unless ``shared``), else the (K, H, W, 2) stack with
-    one slot per started item, the starts, and each failed item's error."""
-    height, width = items[0][0].mask.shape
+    distinct ``_force_key`` and read over ``inner``, the part of ``box``
+    where it equals the frame's, and its start (``known`` holds those that
+    need no EDT, or their errors): the shared force (None unless
+    ``shared``), a view, else the (K, h, w, 2) stack with one slot per
+    started item, the starts, and each failed item's error."""
+    crop = inner and tuple(slice(part.start - whole.start, part.stop - whole.start)
+                           for part, whole in zip((inner.rows, inner.cols), box))
     stacked = _share_dts([prep for prep, loaded in items
                           if isinstance(loaded.field, str) or loaded.init == "inscribed"], box)
-    vectors = None if shared else (np.zeros if box else np.empty)((len(items), height, width, 2))
+    shape = inner.shape if inner else items[0][0].mask.shape
+    vectors = None if shared else np.empty((len(items), *shape, 2))
     force, starts, failed = None, [], {}
     slot_of = {}  # force key -> the slot that holds the force built for it
     for index, ((prep, loaded), key) in enumerate(zip(items, keys)):
@@ -488,13 +494,11 @@ def _forces(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]], keys: list, s
         if key in slot_of:  # a force already built: copy its slot
             vectors[slot] = vectors[slot_of[key]]
         elif not shared:  # the item's slot holds a copy, and its force is dropped
-            vectors[slot][box or ...], force, slot_of[key] = force.vectors, None, slot
+            vectors[slot], force, slot_of[key] = force.vectors[crop or ...], None, slot
     for prep in stacked:
         prep.drop_dt()
-    if shared and box and force is not None:  # zeros outside the box, which no node reads
-        placed = ForceField(np.zeros((height, width, 2)), np.zeros((height, width)))
-        placed.vectors[box], placed.potential[box] = force.vectors, force.potential
-        force = placed
+    if crop and force is not None:
+        force = ForceField(force.vectors[crop], force.potential[crop])
     return force, vectors, starts, failed
 
 
@@ -514,16 +518,19 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
     the group's ``_group_box``; compute the EDTs on it in stacked calls;
     build a force that drives every item once (read through a view), else
     each distinct ``_force_key``'s once, into the slot of every item with
-    that key in a (K, H, W, 2) stack; build the inscribed starts; step them
-    in one ``evolve`` call, which checks that every node reads the box; the
-    first time one does not, build the forces and starts again on the frame
-    and step again. Rasterize every kept contour in one call and score them
+    that key in a (K, h, w, 2) stack; build the inscribed starts; spread
+    the weights over the part of the box where the forces equal the
+    frame's, which the forces are read over too; step the starts in one
+    ``evolve`` call, which checks that every node reads that part; the
+    first time one does not, build the forces, starts and weights again on
+    the frame and step again. Rasterize every kept contour in one call and score them
     all in one stacked ``evaluate`` call. A count at or past a collapse
     gets the collapse's message.
     """
     timer = timer or StageTimer()
     height, width = items[0][0].mask.shape
-    beta, kappa = _fit_maps(cfg, items[0][1], (height, width))
+    weights = items[0][1]
+    _fit_maps(cfg, weights, (height, width))
     timer.lap("read")
     keys = [_force_key(*item) for item in items]
     shared = len(set(keys)) == 1
@@ -540,13 +547,15 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
                 known[index] = exc
     timer.lap("init")
     boxes = _group_box(items, [start for start in known.values() if isinstance(start, Contour)])
-    with _failing(EXIT_COMPUTE):
-        params = ParameterSet(alpha=cfg.alpha, beta=beta, kappa=kappa)
     for box, inner in (boxes, (None, None)) if boxes else [(None, None)]:
-        force, vectors, starts, failed = _forces(cfg, items, keys, shared, known, box, timer)
+        inner = inner and Box(*inner, height, width)
+        force, vectors, starts, failed = _forces(cfg, items, keys, shared, known, box, inner,
+                                                 timer)
         try:
             with _failing(EXIT_COMPUTE):
                 paths = []
+                params = ParameterSet(cfg.alpha, *(_over(values, (height, width), inner)
+                                                   for values in (weights.beta, weights.kappa)))
                 if starts:
                     stack = force.vectors[None] if shared else vectors[:len(starts)]
                     keep = None if tracing else set(counts)
@@ -566,8 +575,8 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
                 if count not in path.contours:  # the path stopped before this count
                     results.append(CliError(str(path.error), EXIT_COMPUTE))
                     continue
-                trace = (EvolutionTrace(list(path.contours.values()), force.potential, params)
-                         if tracing else None)
+                trace = (EvolutionTrace(list(path.contours.values()), force.potential, params,
+                                        inner) if tracing else None)
                 results.append(RunResult(None, None, trace))  # rasterized and scored below
                 kept.append(path.contours[count])
                 gts.append(prep.gt)

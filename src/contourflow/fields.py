@@ -66,17 +66,36 @@ class BilinearCorners(NamedTuple):
     rest: np.ndarray
 
 
+class Box(NamedTuple):
+    """The row and column slices of an (height, width) frame that box-sized
+    arrays cover: element (r, c) of such an array is the frame's pixel
+    (rows.start + r, cols.start + c)."""
+
+    rows: slice
+    cols: slice
+    height: int
+    width: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.stop - self.rows.start, self.cols.stop - self.cols.start
+
+
 @functools.lru_cache(maxsize=32)
-def _grid_plan(height: int, width: int) -> tuple:
+def _grid_plan(height: int, width: int, stride: int | None = None, shift: int = 0) -> tuple:
     """The corner lookup's constants on an (H, W) grid, cached and read-only:
     the clamp bound (W - 1, H - 1), the top-left corner's cap (W - 2, H - 2)
-    (0 on a one-pixel side), the flat index stride (1, W) and the four
-    corners' flat offsets. On a square grid the bound and the cap are
-    scalars, which NumPy applies faster than a pair broadcast over (u, v)."""
+    (0 on a one-pixel side), the flat index stride (1, row stride) and the
+    four corners' flat offsets less ``shift``. The row stride is W, or a
+    box's width, whose origin's flat index is then ``shift``. On a square
+    grid the bound and the cap are scalars, which NumPy applies faster than
+    a pair broadcast over (u, v)."""
+    stride = width if stride is None else stride
     cap = (max(width - 2, 0), max(height - 2, 0))
-    su, sv = min(1, width - 1), min(width, (height - 1) * width)
+    su, sv = min(1, width - 1), min(stride, (height - 1) * stride)
     plan = [np.array((width - 1.0, height - 1.0)), np.array(cap, dtype=np.intp),
-            np.array((1, width), dtype=np.intp), np.array((0, su, sv, sv + su), dtype=np.intp)]
+            np.array((1, stride), dtype=np.intp),
+            np.array((0, su, sv, sv + su), dtype=np.intp) - shift]
     for array in plan:
         array.flags.writeable = False
     if height == width:
@@ -92,7 +111,7 @@ def clamp_to_frame(points, height: int, width: int, out=None) -> np.ndarray:
     return np.minimum(out, _grid_plan(height, width)[0], out=out)
 
 
-def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
+def bilinear_corners(points, height: int, width: int, box: Box | None = None) -> BilinearCorners:
     """Corner pixels and fractions of an (N, 2) array of (u, v) points.
 
     Points are clamped to the field rectangle, so the lookup is total.
@@ -101,12 +120,15 @@ def bilinear_corners(points, height: int, width: int) -> BilinearCorners:
     grid one pixel wide or high, where they coincide with it. The
     constants come from a plan cached per grid size; the clamped points
     are >= +0.0, so truncation is their floor, and the flat index is the
-    integer product ``(u0, v0) @ (1, W)``, exact.
+    integer product ``(u0, v0) @ (1, W)``, exact. Given a ``box`` of the
+    frame that holds every corner, the clamp and the fractions stay the
+    frame's and the flat indices are into the box's arrays.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
-    _, cap, stride, offsets = _grid_plan(height, width)
+    _, cap, stride, offsets = (_grid_plan(height, width) if box is None else _grid_plan(
+        height, width, box.shape[1], box.rows.start * box.shape[1] + box.cols.start))
     uv = clamp_to_frame(pts, height, width)
     uv0 = uv.astype(np.intp)
     np.minimum(uv0, cap, out=uv0)

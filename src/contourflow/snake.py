@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import blas
-from .fields import (DEGENERATE_AREA, Contour, as_field, bilinear_corners, blend_corners,
+from .fields import (DEGENERATE_AREA, Box, Contour, as_field, bilinear_corners, blend_corners,
                      clamp_to_frame, corner_box, rasterize, resample_closed, signed_areas)
 
 _TINY = 1e-12
@@ -79,6 +79,13 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.alpha, self.beta.copy(), self.kappa.copy())
 
+    @functools.cached_property
+    def constant_beta(self) -> bool:
+        """Whether every beta value is the same, as under both CLI profiles:
+        then a lone contour's systems repeat from step to step, which under
+        a varying map, as `learn` fits, they all but never do."""
+        return bool((self.beta == self.beta.flat[0]).all())
+
 
 @dataclass
 class SnakeConfig:
@@ -98,7 +105,8 @@ class EvolutionTrace:
     """The contours of one evolution, the clamped start first.
 
     ``potential`` and ``params`` are the external-energy map and weights
-    the run used, held by reference, not copied. Energies and mean node
+    the run used, held by reference, not copied, over ``box`` of the frame
+    (the frame when None). Energies and mean node
     displacements are computed from the contours each time they are read,
     so a caller that never reads them never pays for them; the energies
     of all contours come from one ``contour_energies`` call.
@@ -107,10 +115,11 @@ class EvolutionTrace:
     contours: list[Contour]
     potential: np.ndarray
     params: ParameterSet
+    box: Box | None = None
 
     @property
     def energies(self) -> np.ndarray:
-        return contour_energies(self.contours, self.potential, self.params)
+        return contour_energies(self.contours, self.potential, self.params, self.box)
 
     @property
     def displacements(self) -> np.ndarray:
@@ -118,9 +127,11 @@ class EvolutionTrace:
         return np.concatenate(([0.0], np.hypot(delta[..., 0], delta[..., 1]).mean(axis=1)))
 
 
-def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
+def contour_energies(contours, external, params: ParameterSet,
+                     box: Box | None = None) -> np.ndarray:
     """Total energy of each of K contours of one node count against an
-    external-energy map.
+    external-energy map of the parameter maps' shape, over ``box`` of the
+    frame (the frame when None), which must hold every node's corners.
 
     The node terms of all contours come from one (K, n, 2) stack: one
     corner lookup, a gather and a blend for the potential and then for
@@ -130,16 +141,18 @@ def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
     from one cropped ``rasterize`` call: each contour sums ``kappa`` over
     its inside pixels of the crossings' box in row-major order, the float
     sequence of ``kappa[mask].sum()`` over its frame mask. Degenerate
-    contours enclose nothing and contribute node terms only.
+    contours enclose nothing and contribute node terms only. The crossings'
+    box lies in that of the corners, so it lies in ``box``.
     """
-    ext = as_field(external)
+    ext = np.asarray(external, dtype=np.float64)
     if ext.shape != params.beta.shape:
         raise ValueError(f"external map {ext.shape} does not match "
                          f"the parameter maps {params.beta.shape}")
-    height, width = ext.shape
+    height, width = box[2:] if box else ext.shape
+    top, left = (box.rows.start, box.cols.start) if box else (0, 0)
     # the region sums first, so that the raster's arrays are freed before the node terms'
     rows, cols, inside = rasterize(contours, width, height, crop=True)
-    region = params.kappa[rows, cols]
+    region = params.kappa[rows.start - top:rows.stop - top, cols.start - left:cols.stop - left]
     sums = [None if contour.is_degenerate else float(region[inside[k].view(bool)].sum())
             for k, contour in enumerate(contours)]
     del inside
@@ -151,7 +164,7 @@ def contour_energies(contours, external, params: ParameterSet) -> np.ndarray:
     nxt += np.roll(pts, 1, axis=1)  # the second differences
     bending = (nxt * nxt).sum(axis=2)
     del d1, nxt
-    corners = bilinear_corners(pts.reshape(-1, 2), *ext.shape)
+    corners = bilinear_corners(pts.reshape(-1, 2), height, width, box)
     gathered, sampled = np.empty((1,) + corners.index.shape), []
     for field in (ext, params.beta):
         field.take(corners.index, out=gathered[0], mode="clip")
@@ -244,33 +257,59 @@ def _stack_entries(n: int, count: int) -> np.ndarray:
 
 
 @functools.cache
-def _columns_solve_alike(n: int, count: int, threads: int | None) -> bool:
-    """Whether this process's BLAS, on a pool of ``threads``, solves one
-    (n, n) matrix against 2K right-hand sides with each column's bits of K
-    solves against two. The kernel, n, the column count and the pool fix
-    the order of every column's operations, whatever the data, so four
-    dense systems of full-mantissa values settle it (sines of integers:
-    ``np.random`` would cost a lazy import of a few MB). False where the
-    pool size cannot be read, as a change to it could not be seen."""
+def _solves_alike(n: int, count: int, threads: int | None) -> tuple[bool, bool]:
+    """Which of two faster solves give this process's BLAS, on a pool of
+    ``threads``, the bits of K (n, n) systems solved apart against two
+    right-hand sides each: one matrix solved once against the 2K columns
+    side by side, and getrf's factors of it back-substituted by getrs
+    against them (``blas.lu_factor`` and ``lu_solve``). The kernel, n, the
+    column count and the pool fix the order of every column's operations,
+    whatever the data, so four dense systems of full-mantissa values settle
+    both (sines of integers: ``np.random`` would cost a lazy import of a few
+    MB). Both are False where the pool size cannot be read, as a change to
+    it could not be seen. The factored solve also needs a pool of one
+    thread: on more, getrf may split a system that ``gesv`` solves on one."""
     if threads is None:
-        return False
+        return False, False
     draws = np.sin(np.arange(1.0, 4 * n * (n + 2 * count) + 1.0)).reshape(4, n, -1)
     lhs = draws[..., :n] + n * np.eye(n)
     rhs = draws[..., n:].reshape(4, n, count, 2)
-    one = np.linalg.solve(lhs, draws[..., n:])
-    apart = np.linalg.solve(lhs[:, None], rhs.transpose(0, 2, 1, 3))
-    return one.tobytes() == apart.transpose(0, 2, 1, 3).tobytes()
+    apart = np.linalg.solve(lhs[:, None], rhs.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    one = np.linalg.solve(lhs, draws[..., n:]).tobytes() == apart.tobytes()
+    factored = threads == 1 and blas.lu_factor(lhs[0]) is not None
+    if factored:
+        columns = np.ascontiguousarray(rhs.transpose(0, 2, 3, 1))  # one row per column
+        for system, block in zip(lhs, columns):
+            blas.lu_solve(blas.lu_factor(system), block)
+        factored = columns.transpose(0, 3, 1, 2).tobytes() == apart.tobytes()
+    return one, factored
+
+
+@functools.lru_cache(maxsize=4)
+def _system_slot(alpha: float, tau: float, row: bytes) -> list:
+    """The slot of one K = 1 or shared system, keyed on what builds its
+    matrix: alpha, tau and the bytes of the sampled beta row, whose length
+    gives n (a zero alpha's sign changes no entry of the matrix, so equal
+    floats key it): empty until the key is first seen, then ``[None]``, then
+    ``[None, factors]`` once it repeats. Four slots of at most (n, n)
+    floats; keyed only on the matrix's inputs, like ``difference_operators``,
+    so which keys are held can change no bit of any output. Threads that
+    meet one key at once can at worst factor it twice, to the same bits."""
+    return []
 
 
 def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
-                config: SnakeConfig, slots: np.ndarray | None = None) -> np.ndarray:
+                config: SnakeConfig, slots: np.ndarray | None = None,
+                box: Box | None = None) -> np.ndarray:
     """One semi-implicit update of a (K, n, 2) stack of contours: per
     contour, solve (I + tau A) y' = y + tau (F_ext + F_bal) for both
     coordinate axes, clamp to image bounds, optionally resample.
 
     ``vectors`` is a (S, H, W, 2) stack of force fields; contour k reads
     slice ``slots[k]``, and every contour reads slice 0 when ``slots`` is
-    not given. The weights in ``params`` are shared by every contour. One
+    not given. The weights in ``params`` are shared by every contour. The
+    fields and weights cover ``box`` of the frame, which must hold every
+    node's corners, or the frame when ``box`` is None. One
     corner lookup serves every node, and one channel-major gather and one
     blend give each node its force, kappa and beta; the force's two
     components are one ``take`` of ``vectors`` at flat indices 2i and
@@ -288,21 +327,26 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     kernel and thread count.
 
     When K > 1, every contour samples the same beta row and
-    ``_columns_solve_alike`` holds for n, K and the BLAS pool, the K
-    systems are one matrix: it is built once and solved once against the
-    (n, 2K) right-hand sides side by side, which gives the bits of solving
-    them apart. Otherwise one ``np.linalg.solve`` takes the (K, n, n)
-    stack. The result is the C-contiguous (K, n, 2) stack of new nodes in
-    the solver's order.
+    ``_solves_alike`` finds the side-by-side solve alike for n, K and the
+    BLAS pool, the K systems are one matrix: it is built once and solved
+    once against the (n, 2K) right-hand sides side by side, which gives
+    the bits of solving them apart. Otherwise one ``np.linalg.solve`` takes
+    the (K, n, n) stack. A shared system, or a lone contour's under a
+    constant beta map, whose inputs repeat, where ``_solves_alike`` finds
+    the factored solve alike, is factored by getrf the second time and
+    back-substituted by getrs from then on, with the same bits and without
+    building the matrix again (``_system_slot``).
+    The result is the C-contiguous (K, n, 2) stack of new nodes in the
+    solver's order.
     """
     count, n = nodes.shape[:2]
-    height, width = vectors.shape[1:3]
+    height, width = box[2:] if box else vectors.shape[1:3]
     ops = difference_operators(n)
     # one lookup over the nodes of every contour, laid end to end
-    corners = bilinear_corners(nodes.reshape(-1, 2), height, width)
+    corners = bilinear_corners(nodes.reshape(-1, 2), height, width, box)
     in_slot = corners.index
     if slots is not None:
-        in_slot = in_slot + np.repeat(slots * (height * width), n)
+        in_slot = in_slot + np.repeat(slots * (vectors.shape[1] * vectors.shape[2]), n)
     # channel-major corner values: force u and v, kappa, beta
     gathered = np.empty((4,) + corners.index.shape)
     vectors.take(_COMPONENTS + 2 * in_slot, out=gathered[:2], mode="clip")
@@ -319,21 +363,33 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     norm = np.hypot(normal[..., 0], normal[..., 1])[..., None]
     unit = np.divide(normal, norm, out=np.zeros(normal.shape), where=norm > _TINY)
 
-    shared = (count > 1 and (beta == beta[0]).all()
-              and _columns_solve_alike(n, count, blas.pool_size()))
-    lhs = _system_matrix(beta[:1] if shared else beta, params.alpha, config.time_step, ops)
+    wide, factored = (_solves_alike(n, count, blas.pool_size())
+                      if count > 1 or params.constant_beta else (False, False))
+    shared = count > 1 and wide and (beta == beta[0]).all()
+    slot = (_system_slot(params.alpha, config.time_step, beta[0].tobytes())
+            if factored and (count == 1 or shared) else None)
+    factors = slot[-1] if slot else None
+    if factors is None:
+        lhs = _system_matrix(beta[:1] if shared else beta, params.alpha, config.time_step, ops)
     rhs = kappa * unit  # nodes + tau (external + kappa unit), in place
     rhs += external
     rhs *= config.time_step
     rhs += nodes
-    if shared:
-        lhs, rhs = lhs[0], rhs.transpose(1, 0, 2).reshape(n, 2 * count)
     try:
-        new_nodes = np.linalg.solve(lhs, rhs)
+        if slot is not None and factors is None:  # seen before: factor it now; else note it
+            slot.append(blas.lu_factor(lhs[0]) if slot else None)
+            factors = slot[-1]
+        if factors is not None:
+            columns = np.ascontiguousarray(rhs.transpose(0, 2, 1))  # one row per column
+            blas.lu_solve(factors, columns)
+            new_nodes = np.ascontiguousarray(columns.transpose(0, 2, 1))
+        elif shared:
+            new_nodes = np.linalg.solve(lhs[0], rhs.transpose(1, 0, 2).reshape(n, 2 * count))
+            new_nodes = np.ascontiguousarray(new_nodes.reshape(n, count, 2).transpose(1, 0, 2))
+        else:
+            new_nodes = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0
         raise EvolveError(f"internal error: singular evolution system ({exc})") from exc
-    if shared:
-        new_nodes = np.ascontiguousarray(new_nodes.reshape(n, count, 2).transpose(1, 0, 2))
     clamp_to_frame(new_nodes, height, width, out=new_nodes)
     if config.resample_each_step:
         new_nodes = np.stack([resample_closed(pts, n) for pts in new_nodes])
@@ -352,7 +408,7 @@ class ContourPath:
 
 def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
            config: SnakeConfig, keep: set[int] | None = None,
-           box: tuple[slice, slice] | None = None) -> list[ContourPath]:
+           box: Box | None = None) -> list[ContourPath]:
     """Run ``config.iterations`` steps on K contours of one node count
     together and return each contour's path, to the bit the one it takes
     alone, holding the steps in ``keep`` (every step when ``None``).
@@ -366,27 +422,26 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
     the 1-based iteration. A step that raises (unreachable for valid
     inputs) ends every contour still running. No energies are computed.
 
-    ``box``, the row and column slices of the frame, says where
-    ``vectors`` holds valid forces when they do not hold everywhere. The
-    clamped starts and every step's surviving contours must then keep all
-    four bilinear corners of every node in it (``corner_box``), so that
-    each force read, and each potential an energy trace reads, is valid;
+    Given a ``box`` of the frame, the fields and maps cover only that box.
+    The clamped starts and every step's surviving contours must then keep
+    all four bilinear corners of every node in it (``corner_box``), so that
+    each force read, and each potential an energy trace reads, lies in it;
     the first time one does not, ``LeftBox`` is raised.
     """
-    height, width = vectors.shape[1:3]
-    if params.beta.shape != (height, width):
+    if params.beta.shape != vectors.shape[1:3]:
         raise ValueError(f"parameter maps {params.beta.shape} do not match "
-                         f"the force field {(height, width)}")
+                         f"the force field {vectors.shape[1:3]}")
     if len(vectors) not in (1, len(starts)):
         raise ValueError(f"{len(vectors)} force fields for {len(starts)} contours")
+    height, width = box[2:] if box else vectors.shape[1:3]
     paths = [ContourPath({0: start.clamped(width, height)}) for start in starts]
     nodes = np.stack([path.contours[0].nodes for path in paths])
-    _check_box(nodes, box, height, width, 0)
+    _check_box(nodes, box, 0)
     running = list(range(len(paths)))  # the contours still in the stack
     slots = None if len(vectors) == 1 else np.array(running)
     for i in range(config.iterations):
         try:
-            nodes = evolve_step(nodes, vectors, params, config, slots)
+            nodes = evolve_step(nodes, vectors, params, config, slots, box)
         except Exception as exc:
             for k in running:
                 paths[k].error = EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
@@ -403,18 +458,17 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
             slots = None if slots is None else np.array(running)
             if not running:
                 break
-        _check_box(nodes, box, height, width, i + 1)
+        _check_box(nodes, box, i + 1)
         if keep is None or i + 1 in keep:
             for k, pts in zip(running, nodes):
                 paths[k].contours[i + 1] = Contour(pts)
     return paths
 
 
-def _check_box(nodes: np.ndarray, box: tuple[slice, slice] | None, height: int, width: int,
-               iteration: int) -> None:
-    """Raise ``LeftBox`` if a corner of a (K, n, 2) stack of nodes in the
-    (H, W) frame lies outside ``box``."""
+def _check_box(nodes: np.ndarray, box: Box | None, iteration: int) -> None:
+    """Raise ``LeftBox`` if a corner of a (K, n, 2) stack of nodes lies
+    outside ``box``."""
     if box is not None and not all(
             inner.start <= span.start and span.stop <= inner.stop
-            for span, inner in zip(corner_box(nodes, height, width), box)):
+            for span, inner in zip(corner_box(nodes, box.height, box.width), box)):
         raise LeftBox(iteration)

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
+from contourflow import blas
 from contourflow.snake import EvolutionTrace, evolve
+
+
+@pytest.fixture
+def one_thread():
+    """Run the test on a one-thread OpenBLAS pool, as every CLI command does,
+    and give the pool its former size back after it; skip where the pool
+    size cannot be set."""
+    setter, before = blas._function("set"), blas.pool_size()
+    if setter is None:
+        pytest.skip("no OpenBLAS thread-count setter resolves in this NumPy build")
+    setter(1)
+    yield
+    setter(before)
 
 
 def random_star_polygon(rng: np.random.Generator, center=(16.0, 16.0),

@@ -664,6 +664,28 @@ class TestBatchCommand:
         assert a["iou"] == b["iou"] and a["boundf"] == b["boundf"]
         assert a["index"] == 0 and b["index"] == 1
 
+    def test_a_start_that_failed_before_its_field_fails_the_row_as_alone(
+            self, tmp_path, disk_paths, capsys, monkeypatch):
+        """An ``energy:`` field needs no EDT, so an empty mask's circumscribed
+        start fails before its force is built, and the item fails only once
+        the force is (``cli._forces``); its batch row carries the error the
+        lone run exits 1 with."""
+        from contourflow import cli
+        _, mask_path = disk_paths
+        empty, energy = tmp_path / "empty.pgm", tmp_path / "energy.pfm"
+        write_mask_pgm(empty, np.zeros((64, 64), dtype=bool))
+        write_pfm(energy, np.hypot(*np.mgrid[:64, :64]))
+        built, build = [], cli._build_force
+        monkeypatch.setattr(cli, "_build_force", lambda *args: built.append(1) or build(*args))
+        common = ["--field", f"energy:{energy}", "--init", "circumscribed"]
+        assert main(["run", "--mask", str(empty), *common]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error == "mask has no foreground" and built == [1]
+        manifest = self._manifest(tmp_path, [(mask_path, mask_path), (empty, empty)])
+        assert main(["batch", "--manifest", str(manifest), *common]) == 1
+        rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert "error" not in rows[0] and rows[1]["error"] == error
+
     def test_failed_item_recorded_and_nonzero_exit(self, tmp_path, disk_paths, capsys):
         _, mask_path = disk_paths
         manifest = self._manifest(
@@ -1489,6 +1511,96 @@ class TestProcessResources:
         capsys.readouterr()
         assert code == 0
         assert peak <= 1638 * 1024
+
+    def test_boxed_run_peak(self, tmp_path, capsys):
+        """tracemalloc's peak over one 256² medical `run --out` call on
+        `run-large`'s blob03 at seed 4, caches warm. Its box is 34% of the
+        frame, and every array of the run but the mask, its ground truth
+        and the prediction is box-sized: it read 1773.7 KiB, against 3483.5
+        KiB when the weights, the force and the potential were frame-sized.
+        The bound is 60% of the 3416 KiB one `run_pipeline` call peaked at
+        then."""
+        rng = np.random.default_rng(4)
+        mask = [random_blob_mask(rng, 256, 256) for _ in range(4)][3]
+        write_mask_pgm(tmp_path / "blob03.pgm", mask)
+        argv = ["run", "--mask", str(tmp_path / "blob03.pgm"), "--profile", "medical",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 0.6 * 3416 * 1024
+
+    @staticmethod
+    def _solver_calls(monkeypatch):
+        """The "factor", "getrs" and "solve" calls ``evolve_step`` makes from
+        now on, in order, with the cached factors dropped first."""
+        from contourflow import snake
+        calls = []
+
+        def spy(name, function):
+            def spied(*args):
+                if sys._getframe(1).f_code is snake.evolve_step.__code__:
+                    calls.append(name)
+                return function(*args)
+            return spied
+
+        snake._system_slot.cache_clear()
+        monkeypatch.setattr(blas, "lu_factor", spy("factor", blas.lu_factor))
+        monkeypatch.setattr(blas, "lu_solve", spy("getrs", blas.lu_solve))
+        monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+        return calls
+
+    def test_a_medical_run_factors_at_most_twice(self, tmp_path, monkeypatch, capsys):
+        """The medical profile's constant beta samples the same row at nearly
+        every step of a 256² run: its ten solves factor the system at most
+        twice and back-substitute the rest, where the factored gate holds."""
+        from contourflow import snake
+        mask = random_blob_mask(np.random.default_rng(4), 256, 256)
+        write_mask_pgm(tmp_path / "blob.pgm", mask)
+        calls = self._solver_calls(monkeypatch)
+        assert main(["run", "--mask", str(tmp_path / "blob.pgm"), "--profile", "medical"]) == 0
+        capsys.readouterr()
+        assert calls.count("solve") + calls.count("getrs") == 10
+        assert calls.count("factor") <= 2
+        if snake._solves_alike(100, 1, blas.pool_size())[1]:
+            assert calls[:3] == ["solve", "factor", "getrs"] and calls.count("getrs") >= 7
+        else:
+            assert calls == ["solve"] * 10
+
+    def test_learn_factors_only_in_its_first_epoch(self, tmp_path, monkeypatch, capsys):
+        """`learn` starts from uniform maps, whose system repeats within the
+        first epoch; every later epoch fits per-pixel maps, so its steps
+        skip the lookup and solve as they did before the factored path."""
+        from contourflow import learning
+        write_mask_pgm(tmp_path / "disk.pgm", disk_mask(64, 64, (32.0, 32.0), 18.0))
+        calls = self._solver_calls(monkeypatch)
+        epochs, evolve_epoch = [], learning.evolve
+
+        def counted(*args):
+            epochs.append(len(calls))
+            return evolve_epoch(*args)
+
+        monkeypatch.setattr(learning, "evolve", counted)
+        assert main(["learn", "--gt", str(tmp_path / "disk.pgm"), "--epochs", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(epochs) == 3
+        first, later = calls[:epochs[1]], calls[epochs[1]:]
+        assert first.count("factor") <= 1
+        assert later == ["solve"] * 100
+
+    def test_no_lapack_no_factored_solve(self, monkeypatch):
+        from contourflow import snake
+        monkeypatch.setattr(blas, "_libraries", lambda: ())
+        monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)
+        assert blas.lu_factor(np.eye(3)) is None
+        assert snake._solves_alike.__wrapped__(5, 1, 1) == (True, False)
 
     def test_medical_evolution_same_bits_on_one_and_two_blas_threads(self):
         """`main` runs OpenBLAS on one thread; the medical profile's solves

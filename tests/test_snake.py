@@ -4,15 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from contourflow import blas, snake as snake_module
 from contourflow.autoinit import circle_to_contour, circumscribed_circle, inscribed_circle
 from contourflow.edt import mask_to_dt
-from contourflow.fields import DEGENERATE_AREA, Circle, Contour, clamp_to_frame, rasterize
+from contourflow.fields import (DEGENERATE_AREA, Box, Circle, Contour, clamp_to_frame,
+                                corner_box, rasterize)
 from contourflow.flow import ForceField, lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
-from contourflow.snake import (EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
+from contourflow.snake import (EvolutionTrace, EvolveError, LeftBox, ParameterSet, SnakeConfig,
                                _system_matrix, contour_energies, difference_operators, evolve,
                                evolve_step)
 
@@ -716,8 +717,11 @@ class TestEvolveGroup:
 class TestSharedSystem:
     """A step of K > 1 contours that all sample the same beta solves one
     (n, n) matrix against their (n, 2K) right-hand sides where
-    ``_columns_solve_alike`` finds that the BLAS gives each column the bits
-    of solving it apart; every other step solves the (K, n, n) stack."""
+    ``_solves_alike`` finds that the BLAS gives each column the bits of
+    solving it apart; every other step solves the (K, n, n) stack. A K = 1
+    or shared system that repeats is back-substituted by getrs instead,
+    where ``_solves_alike`` finds that alike too; the spies count those
+    solves as well, with the shapes of the solve they replace."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_matrix_solve_gives_the_stacked_bits_where_the_gate_holds(self, threads):
@@ -735,7 +739,7 @@ class TestSharedSystem:
             for n in (3, 4, 5, 6, 9, 17, 32, 60, 64, 100, 127, 200):
                 ops = difference_operators(n)
                 for count in (2, 3, 5, 12, 16, 33, 64):
-                    if not snake_module._columns_solve_alike(n, count, blas.pool_size()):
+                    if not snake_module._solves_alike(n, count, blas.pool_size())[0]:
                         continue
                     for beta in (0.1, rng.uniform(0.0, 1.0)):
                         alpha = rng.choice([0.0, 0.01, 0.3])
@@ -757,30 +761,60 @@ class TestSharedSystem:
             return np.nextafter(x, np.inf) if b.shape[-1] > 2 else x
 
         monkeypatch.setattr(snake_module.np.linalg, "solve", skewed)
-        assert not snake_module._columns_solve_alike.__wrapped__(60, 12, 1)
+        assert not snake_module._solves_alike.__wrapped__(60, 12, 1)[0]
+
+    def test_gate_refuses_a_blas_whose_back_substitution_differs(self, monkeypatch, one_thread):
+        if blas.lu_factor(np.eye(3)) is None:
+            pytest.skip("no getrf and getrs resolve in this NumPy build")
+        # a lone contour's two columns are alike under every kernel tried;
+        # a two-thread pool is refused whatever the bits
+        assert snake_module._solves_alike.__wrapped__(60, 1, 1)[1]
+        assert not snake_module._solves_alike.__wrapped__(60, 1, 2)[1]
+        solve = blas.lu_solve
+
+        def skewed(factors, rhs):  # one last-bit change in the last column
+            solve(factors, rhs)
+            rhs.reshape(-1, len(rhs.T))[-1] = np.nextafter(rhs.reshape(-1, len(rhs.T))[-1], 0.0)
+
+        monkeypatch.setattr(blas, "lu_solve", skewed)
+        assert not snake_module._solves_alike.__wrapped__(60, 1, 1)[1]
+        assert not snake_module._solves_alike.__wrapped__(60, 12, 1)[1]
 
     def test_no_shared_solve_where_the_pool_size_cannot_be_read(self, monkeypatch):
-        assert not snake_module._columns_solve_alike(60, 9, None)
+        assert snake_module._solves_alike(60, 9, None) == (False, False)
         monkeypatch.setattr(blas, "pool_size", lambda: None)
         config = SnakeConfig(iterations=8, time_step=0.2)
         starts, fields, _, params = _group_case(seed=2026, count=9, nodes=60, beta=0.1)
         paths, calls = self._solves(monkeypatch, starts, fields, params, config)
-        assert calls == [((9, 60, 60), (9, 60, 2))] * config.iterations
+        assert calls == [((9, 60, 60), (9, 60, 2), "solve")] * config.iterations
         assert all(path.error is None for path in paths)
 
     @staticmethod
     def _spy_on_solve(monkeypatch):
-        """The list that (matrix, right-hand side) shapes of every following
-        ``np.linalg.solve`` call made by ``evolve_step`` itself go to."""
+        """The list that the (matrix, right-hand side) shapes of every
+        following solve made by ``evolve_step`` itself go to, with "solve"
+        for ``np.linalg.solve`` and "getrs" for ``blas.lu_solve``, whose
+        shapes are those of the solve it replaces: (1, n, n) and (1, n, 2)
+        for one contour, (n, n) and (n, 2K) for K that share a system. The
+        cached factors are dropped first, so each system is new."""
         calls = []
-        solve = np.linalg.solve
+        solve, back_substitute = np.linalg.solve, blas.lu_solve
 
         def spy(a, b):
             if sys._getframe(1).f_code is evolve_step.__code__:
-                calls.append((a.shape, b.shape))
+                calls.append((a.shape, b.shape, "solve"))
             return solve(a, b)
 
+        def spy_getrs(factors, rhs):
+            if sys._getframe(1).f_code is evolve_step.__code__:
+                count, _, n = rhs.shape
+                calls.append(((1, n, n), (1, n, 2), "getrs") if count == 1
+                             else ((n, n), (n, 2 * count), "getrs"))
+            return back_substitute(factors, rhs)
+
+        snake_module._system_slot.cache_clear()
         monkeypatch.setattr(snake_module.np.linalg, "solve", spy)
+        monkeypatch.setattr(blas, "lu_solve", spy_getrs)
         return calls
 
     def _solves(self, monkeypatch, starts, fields, params, config):
@@ -792,18 +826,27 @@ class TestSharedSystem:
 
     @staticmethod
     def _expected(paths, params, config, n):
-        """The solve shapes of each step: one matrix when K > 1, the gate
-        holds and the beta rows sampled at the step's input nodes are equal,
-        else the stack."""
-        want = []
+        """The solves of each step: one matrix when K > 1, the gate holds
+        and the beta rows sampled at the step's input nodes are equal, else
+        the stack; by getrs when that one matrix, or a lone contour's under
+        a constant beta map, repeats one of the last four such systems and
+        the factored gate holds, else by ``np.linalg.solve``."""
+        want, recent = [], []  # the keys of the last four factored-gate systems, oldest first
         for step in range(config.iterations):
             running = [path for path in paths if step in path.contours]
             count = len(running)
             rows = np.stack([bilinear_sample_reference(params.beta, path.contours[step].nodes)
                              for path in running])
-            equal = (count > 1 and snake_module._columns_solve_alike(n, count, blas.pool_size())
-                     and (rows == rows[0]).all())
-            want.append(((n, n), (n, 2 * count)) if equal else ((count, n, n), (count, n, 2)))
+            wide, factored = snake_module._solves_alike(n, count, blas.pool_size())
+            equal = count > 1 and wide and (rows == rows[0]).all()
+            constant = (params.beta == params.beta.flat[0]).all()
+            method = "solve"
+            if factored and ((count == 1 and constant) or equal):
+                key = np.concatenate(((params.alpha, config.time_step), rows[0])).tobytes()
+                method = "getrs" if key in recent else "solve"
+                recent = [k for k in recent if k != key][-3:] + [key]
+            want.append(((n, n), (n, 2 * count), method) if equal
+                        else ((count, n, n), (count, n, 2), method))
         return want
 
     @pytest.mark.parametrize("beta, count", [(0.1, 9), (None, 9), (0.1, 1)])
@@ -816,8 +859,11 @@ class TestSharedSystem:
         paths, calls = self._solves(monkeypatch, starts, fields, params, config)
         assert all(path.error is None for path in paths)
         assert calls == self._expected(paths, params, config, 60)
-        gate = count > 1 and snake_module._columns_solve_alike(60, count, blas.pool_size())
-        assert any(len(a) == 2 for a, _ in calls) == (gate and beta is not None)
+        wide, factored = snake_module._solves_alike(60, count, blas.pool_size())
+        assert any(len(a) == 2 for a, _, _ in calls) == (count > 1 and wide and beta is not None)
+        # a constant beta repeats its system; a beta map moves with the nodes
+        backsolved = any(method == "getrs" for _, _, method in calls)
+        assert backsolved == (factored and beta is not None and (count == 1 or wide))
 
     def test_group_collapsing_to_one_contour(self, monkeypatch):
         """Radii 3, 20, 5 and 4: the small three collapse at distinct steps;
@@ -828,7 +874,7 @@ class TestSharedSystem:
         starts, fields = [starts[k] for k in pick], fields[pick]
         config = SnakeConfig(iterations=60, time_step=0.1)
         paths, calls = self._solves(monkeypatch, starts, fields, params, config)
-        running = [(a[0] if len(a) == 3 else b[1] // 2) for a, b in calls]
+        running = [(a[0] if len(a) == 3 else b[1] // 2) for a, b, _ in calls]
         assert sorted(set(running), reverse=True) == [4, 3, 2, 1]
         assert calls == self._expected(paths, params, config, 40)
         assert sum(path.error is None for path in paths) == 1
@@ -840,19 +886,24 @@ class TestSharedSystem:
     @pytest.mark.parametrize("resample", [False, True])
     def test_step_returns_a_c_contiguous_stack(self, monkeypatch, gate, resample):
         # a strided result would make the next step's corner lookup copy
-        # and every kept contour hold a view; the gate is forced, so both
-        # paths run whatever the BLAS
-        monkeypatch.setattr(snake_module, "_columns_solve_alike", lambda *_: gate)
+        # and every kept contour hold a view; the gates are forced, so every
+        # path runs whatever the BLAS, the factored one where getrf resolves
+        monkeypatch.setattr(snake_module, "_solves_alike", lambda *_: (gate, gate))
         calls = self._spy_on_solve(monkeypatch)
         for count in (1, 5):
             starts, fields, _, params = _group_case(seed=9, count=count, nodes=30, beta=0.1)
             nodes = np.stack([start.clamped(32, 24).nodes for start in starts])
-            stepped = evolve_step(nodes, fields, params,
-                                  SnakeConfig(resample_each_step=resample), np.arange(count))
-            assert stepped.shape == nodes.shape and stepped.flags.c_contiguous
+            for _ in range(2):  # the second step repeats the first one's system
+                stepped = evolve_step(nodes, fields, params,
+                                      SnakeConfig(resample_each_step=resample), np.arange(count))
+                assert stepped.shape == nodes.shape and stepped.flags.c_contiguous
         # the lone contour solves a stack of one; the group of five shares
-        # one matrix where its start nodes sample 0.1 alike
-        assert [len(a) for a, _ in calls] == [3, 2 if gate else 3]
+        # one matrix where its start nodes sample 0.1 alike, the lone
+        # contour's, so where the gate holds every solve after the first
+        # is back-substituted
+        again = "getrs" if gate and blas.lu_factor(np.eye(3)) is not None else "solve"
+        assert [(len(a), method) for a, _, method in calls] == [
+            (3, "solve"), (3, again), (2 if gate else 3, again), (2 if gate else 3, again)]
 
 
 class TestEvolveKeep:
@@ -928,6 +979,185 @@ def _bits(arrays):
     """The shape and bytes of each array: ``np.array_equal`` takes -0.0 for
     +0.0, so it cannot see a step that flips the sign of a zero."""
     return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestFactoredSolve:
+    """On a one-thread pool, getrf's factors back-substituted by getrs give
+    ``np.linalg.solve``'s bits: there its ``gesv`` is those two calls."""
+
+    @pytest.fixture(autouse=True)
+    def _lapack(self, one_thread):
+        if blas.lu_factor(np.eye(3)) is None:
+            pytest.skip("no getrf and getrs resolve in this NumPy build")
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(3, 200), count=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           pattern=st.lists(st.sampled_from([0.0, 0.1, 0.37, 1.0, 50.0]), min_size=1,
+                            max_size=5),
+           alpha=st.sampled_from([0.0, 0.01, 0.3]), tau=st.floats(0.05, 2.0))
+    @example(n=100, count=1, seed=0, pattern=[1.0], alpha=0.01, tau=0.1)
+    @example(n=120, count=12, seed=1, pattern=[0.0, 50.0], alpha=0.0, tau=1.0)
+    def test_back_substitution_gives_the_solve_bits(self, n, count, seed, pattern, alpha,
+                                                     tau):
+        """Weights tiled from a short pattern of zeros and large values make
+        the elimination swap rows; 2 or 2K right-hand sides."""
+        lhs = _system_matrix(np.resize(np.array(pattern), (1, n)), alpha, tau,
+                             difference_operators(n))[0]
+        rhs = np.random.default_rng(seed).uniform(0.0, 256.0, (n, 2 * count))
+        columns = np.ascontiguousarray(rhs.T)
+        blas.lu_solve(blas.lu_factor(lhs), columns)
+        assert columns.T.tobytes() == np.linalg.solve(lhs, rhs).tobytes()
+
+    def test_alternating_weights_swap_rows(self):
+        ops = difference_operators(60)
+        lhs = _system_matrix(np.resize([0.0, 50.0], (1, 60)), 0.01, 0.1, ops)[0]
+        _, pivots = blas.lu_factor(lhs)
+        assert (pivots != np.arange(1, 61)).sum() > 20
+
+    def test_lu_factor_leaves_its_matrix_and_solve_its_factors(self):
+        lhs = _system_matrix(np.full((1, 30), 0.1), 0.01, 0.1, difference_operators(30))[0]
+        kept = lhs.copy()
+        factors = blas.lu_factor(lhs)
+        saved = [array.copy() for array in factors]
+        blas.lu_solve(factors, np.ones((4, 30)))
+        assert lhs.tobytes() == kept.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(factors, saved))
+
+
+    def test_threads_sharing_the_cached_factors_keep_every_bit(self):
+        """Threads stepping contours whose systems repeat share the cached
+        slots; a race there can only repeat a factorization, so every path
+        equals the one its case gives alone."""
+        import threading
+        cases = [_group_case(seed=seed, count=count, nodes=40, beta=0.1)
+                 for seed, count in ((1, 1), (2, 3), (3, 1), (4, 5), (5, 1), (6, 2))]
+        config = SnakeConfig(iterations=12, time_step=0.2)
+        want = [[_path_outcome(path) for path in evolve(*case[:2], case[3], config)]
+                for case in cases]
+        got, interval = [[] for _ in cases], sys.getswitchinterval()
+
+        def work(index):
+            for _ in range(3):
+                snake_module._system_slot.cache_clear()
+                starts, fields, _, params = cases[index]
+                got[index].append([_path_outcome(path)
+                                   for path in evolve(starts, fields, params, config)])
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(len(cases))]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for runs, paths in zip(got, want):
+            assert len(runs) == 3
+            for run in runs:
+                for a, b in zip(run, paths):
+                    _assert_same_outcome(a, b)
+
+
+class TestSingularSystem:
+    """A planted singular system reaches both of ``evolve_step``'s singular
+    branches, ``np.linalg.solve``'s ``LinAlgError`` the first time and
+    getrf's zero pivot once the system repeats, with one message; ``evolve``
+    turns it into every running path's error."""
+
+    MESSAGE = "internal error: singular evolution system (Singular matrix)"
+
+    @pytest.fixture
+    def singular(self, monkeypatch):
+        monkeypatch.setattr(snake_module, "_system_matrix",  # all zeros, (K, n, n)
+                            lambda beta, alpha, tau, ops: np.zeros(beta.shape + beta.shape[1:]))
+        snake_module._system_slot.cache_clear()
+        factored, lu_factor = [], blas.lu_factor
+
+        def spy(matrix):  # the factorizations of ``evolve_step`` itself
+            if sys._getframe(1).f_code is evolve_step.__code__:
+                factored.append(matrix.shape)
+            return lu_factor(matrix)
+
+        monkeypatch.setattr(blas, "lu_factor", spy)
+        return factored
+
+    def test_both_branches_give_one_message(self, singular, one_thread):
+        starts, fields, _, params = _group_case(seed=4, count=1, nodes=20, beta=0.1)
+        nodes = starts[0].clamped(32, 24).nodes[None]
+        messages = []
+        for _ in range(2):
+            with pytest.raises(EvolveError) as raised:
+                evolve_step(nodes, fields, params, SnakeConfig())
+            messages.append(str(raised.value))
+        assert messages == [self.MESSAGE] * 2
+        if snake_module._solves_alike(20, 1, 1)[1]:
+            assert singular == [(20, 20)]  # the second step reached getrf
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_evolve_ends_every_running_path(self, singular, count):
+        starts, fields, _, params = _group_case(seed=4, count=count, nodes=20)
+        paths = evolve(starts, fields, params, SnakeConfig(iterations=5))
+        for path in paths:
+            assert list(path.contours) == [0]
+            assert str(path.error) == f"evolution failed at iteration 1: {self.MESSAGE}"
+
+
+class TestBoxedArrays:
+    """``evolve``, ``evolve_step`` and ``contour_energies`` on fields and
+    maps that cover only a box of the frame give the frame's bits while
+    every corner stays in the box, and ``LeftBox`` the first time one does
+    not."""
+
+    @staticmethod
+    def _case(seed, count):
+        starts, fields, _, params = _group_case(seed=seed, count=count, nodes=40,
+                                                height=40, width=48)
+        rng = np.random.default_rng(seed)
+        potential = rng.uniform(0.0, 4.0, (40, 48))
+        return starts, fields, params, potential
+
+    @staticmethod
+    def _crop(box, fields, params, potential):
+        rows, cols = box[:2]
+        return (fields[:, rows, cols],
+                ParameterSet(params.alpha, params.beta[rows, cols], params.kappa[rows, cols]),
+                potential[rows, cols])
+
+    @pytest.mark.parametrize("seed, count", [(1, 1), (2, 4), (3, 6)])
+    def test_paths_and_energies_equal_the_frame_ones(self, seed, count):
+        starts, fields, params, potential = self._case(seed, count)
+        config = SnakeConfig(iterations=12, time_step=0.2)
+        want = evolve(starts, fields, params, config)
+        held = [c.nodes for path in want for c in path.contours.values()]
+        rows, cols = corner_box(np.stack(held), 40, 48)
+        box = Box(rows, cols, 40, 48)
+        assert box.shape < (40, 48)
+        got = evolve(starts, *self._crop(box, fields, params, potential)[:2], config, box=box)
+        for a, b in zip(got, want):
+            _assert_same_outcome(_path_outcome(a), _path_outcome(b))
+            contours = list(b.contours.values())
+            energies = contour_energies(contours, potential, params)
+            _, boxed, cropped = self._crop(box, fields, params, potential)
+            assert contour_energies(contours, cropped, boxed, box).tobytes() == energies.tobytes()
+
+    def test_leaving_the_box_raises_with_the_step(self):
+        """A box that holds the corners of the start and the first three steps."""
+        starts, fields, params, potential = self._case(2, 4)
+        config = SnakeConfig(iterations=12, time_step=0.2)
+        paths = evolve(starts, fields, params, config)
+        assert all(path.error is None for path in paths)
+        held = [np.stack([path.contours[step].nodes for path in paths]) for step in range(13)]
+        box = Box(*corner_box(np.concatenate(held[:4]), 40, 48), 40, 48)
+        left = [step for step in range(13) if not all(
+            inner.start <= span.start and span.stop <= inner.stop
+            for span, inner in zip(corner_box(held[step], 40, 48), box))]
+        assert left and left[0] > 3
+        with pytest.raises(LeftBox) as raised:
+            evolve(starts, *self._crop(box, fields, params, potential)[:2], config, box=box)
+        assert raised.value.iteration == left[0]
 
 
 class TestStepTraps:
