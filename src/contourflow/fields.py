@@ -54,16 +54,16 @@ class BilinearCorners(NamedTuple):
 
     ``index`` is a (4, N) array of flat pixel indices ``v * W + u``, one
     row per corner in the order (v0, u0), (v0, u1), (v1, u0), (v1, u1).
-    ``frac`` holds each point's (fu, fv) offsets from (u0, v0) as an
-    (N, 2) array, and ``rest`` holds 1 - frac. A caller gathers the corners
-    of each of its C fields into a contiguous (4, N) block of one
+    ``weights`` is a (2, N, 2) array: each point's (gu, gv) = 1 - (fu, fv)
+    and its (fu, fv) offsets from (u0, v0), so that ``weights[..., 0]`` is
+    (gu, fu) and ``weights[..., 1]`` is (gv, fv). A caller gathers the
+    corners of each of its C fields into a contiguous (4, N) block of one
     channel-major (C, 4, N) array, ``field.take(index, out=values[c],
     mode="clip")``, and blends them at once.
     """
 
     index: np.ndarray
-    frac: np.ndarray
-    rest: np.ndarray
+    weights: np.ndarray
 
 
 class Box(NamedTuple):
@@ -86,21 +86,30 @@ def _grid_plan(height: int, width: int, stride: int | None = None, shift: int = 
     """The corner lookup's constants on an (H, W) grid, cached and read-only:
     the clamp bound (W - 1, H - 1), the top-left corner's cap (W - 2, H - 2)
     (0 on a one-pixel side), the flat index stride (1, row stride) and the
-    four corners' flat offsets less ``shift``. The row stride is W, or a
-    box's width, whose origin's flat index is then ``shift``. On a square
-    grid the bound and the cap are scalars, which NumPy applies faster than
-    a pair broadcast over (u, v)."""
+    four corners' flat offsets less ``shift``, as a (4, 1) column. The row
+    stride is W, or a box's width, whose origin's flat index is then
+    ``shift``. On a square grid the bound and the cap are scalars, which
+    NumPy applies faster than a pair broadcast over (u, v)."""
     stride = width if stride is None else stride
     cap = (max(width - 2, 0), max(height - 2, 0))
     su, sv = min(1, width - 1), min(stride, (height - 1) * stride)
     plan = [np.array((width - 1.0, height - 1.0)), np.array(cap, dtype=np.intp),
             np.array((1, stride), dtype=np.intp),
-            np.array((0, su, sv, sv + su), dtype=np.intp) - shift]
+            np.array((0, su, sv, sv + su), dtype=np.intp).reshape(4, 1) - shift]
     for array in plan:
         array.flags.writeable = False
     if height == width:
         plan[:2] = width - 1.0, cap[0]
     return tuple(plan)
+
+
+def grid_plan(height: int, width: int, box: Box | None = None) -> tuple:
+    """The cached corner-lookup plan of the (H, W) frame, or of ``box`` of
+    it: the clamp and the cap stay the frame's, and the flat indices are
+    into the box's arrays."""
+    if box is None:
+        return _grid_plan(height, width)
+    return _grid_plan(height, width, box.shape[1], box.rows.start * box.shape[1] + box.cols.start)
 
 
 def clamp_to_frame(points, height: int, width: int, out=None) -> np.ndarray:
@@ -114,27 +123,35 @@ def clamp_to_frame(points, height: int, width: int, out=None) -> np.ndarray:
 def bilinear_corners(points, height: int, width: int, box: Box | None = None) -> BilinearCorners:
     """Corner pixels and fractions of an (N, 2) array of (u, v) points.
 
-    Points are clamped to the field rectangle, so the lookup is total.
-    The top-left corner is clamped to column W - 2 and row H - 2, so the
-    other corners lie one column and one row further on, except on a
-    grid one pixel wide or high, where they coincide with it. The
-    constants come from a plan cached per grid size; the clamped points
-    are >= +0.0, so truncation is their floor, and the flat index is the
-    integer product ``(u0, v0) @ (1, W)``, exact. Given a ``box`` of the
-    frame that holds every corner, the clamp and the fractions stay the
-    frame's and the flat indices are into the box's arrays.
+    Points are checked to be finite and clamped to the field rectangle, so
+    the lookup is total; ``frame_corners`` does the rest. Given a ``box``
+    of the frame that holds every corner, the clamp and the fractions stay
+    the frame's and the flat indices are into the box's arrays.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
-    _, cap, stride, offsets = (_grid_plan(height, width) if box is None else _grid_plan(
-        height, width, box.shape[1], box.rows.start * box.shape[1] + box.cols.start))
-    uv = clamp_to_frame(pts, height, width)
+    return frame_corners(clamp_to_frame(pts, height, width), grid_plan(height, width, box))
+
+
+def frame_corners(uv: np.ndarray, plan: tuple) -> BilinearCorners:
+    """Corner pixels and fractions of an (N, 2) array of (u, v) points that
+    lie in the frame, >= +0.0 (as ``clamp_to_frame`` leaves them), on the
+    grid of a ``grid_plan``.
+
+    The top-left corner is clamped to column W - 2 and row H - 2, so the
+    other corners lie one column and one row further on, except on a
+    grid one pixel wide or high, where they coincide with it. The points
+    are >= +0.0, so truncation is their floor, and the flat index is the
+    integer product ``(u0, v0) @ (1, W)``, exact.
+    """
+    _, cap, stride, offsets = plan
     uv0 = uv.astype(np.intp)
     np.minimum(uv0, cap, out=uv0)
-    frac = uv - uv0
-    index = uv0 @ stride + offsets[:, None]
-    return BilinearCorners(index, frac, 1.0 - frac)
+    weights = np.empty((2,) + uv.shape)
+    np.subtract(uv, uv0, out=weights[1])
+    np.subtract(1.0, weights[1], out=weights[0])
+    return BilinearCorners(uv0 @ stride + offsets, weights)
 
 
 def corner_box(points, height: int, width: int) -> tuple[slice, slice]:
@@ -155,19 +172,16 @@ def blend_corners(values: np.ndarray, corners: BilinearCorners) -> np.ndarray:
     describes: a channel-major (C, 4, N) array whose C channels are
     blended together into a (C, N) array.
 
-    Six array operations give every channel the products of
+    Four array operations give every channel the products of
     ``(c00*gu + c01*fu)*gv + (c10*gu + c11*fu)*fv`` in that order (g = 1 - f):
-    the near corners of both rows times gu, plus the far ones times fu,
-    then the top row times gv plus the bottom row times fv.
+    all four corners times (gu, fu), the near and far products of each
+    row added, each row times (gv, fv), and the two rows added.
     """
-    fu, fv = corners.frac[..., 0], corners.frac[..., 1]
-    gu, gv = corners.rest[..., 0], corners.rest[..., 1]
-    values = values.swapaxes(0, 1)  # corner-major (4, C, N) view
-    rows = values[0::2] * gu
-    rows += values[1::2] * fu
-    out = rows[0] * gv
-    out += rows[1] * fv
-    return out
+    weights = corners.weights
+    products = values.reshape(len(values), 2, 2, -1) * weights[..., 0]
+    rows = products[:, :, 0] + products[:, :, 1]
+    rows *= weights[..., 1]
+    return rows[:, 0] + rows[:, 1]
 
 
 def central_gradient(field) -> np.ndarray:
@@ -225,10 +239,21 @@ def signed_area(nodes) -> float:
 def signed_areas(stack: np.ndarray) -> np.ndarray:
     """Shoelace signed area of each polygon of a (K, n, 2) stack, as a (K,)
     array; each row is summed as a lone polygon's products are. One product
-    of the nodes and their successors (v, u) gives both u_s v_{s+1} and
-    v_s u_{s+1}."""
-    cross = stack * np.concatenate((stack[:, 1:, ::-1], stack[:, :1, ::-1]), axis=1)
+    of the nodes and their successors (v, u), gathered by one ``take``,
+    gives both u_s v_{s+1} and v_s u_{s+1}."""
+    cross = stack * stack.take(_swapped_successors(*stack.shape[:2]))
     return 0.5 * (cross[..., 0] - cross[..., 1]).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=32)
+def _swapped_successors(count: int, n: int) -> np.ndarray:
+    """The flat positions of (v_{s+1}, u_{s+1}) for each node s of each
+    polygon of a (count, n, 2) stack, cyclic, as a read-only array of its
+    shape."""
+    first = 2 * ((np.arange(n) + 1) % n) + 2 * n * np.arange(count)[:, None]
+    flat = np.stack([first + 1, first], axis=2)
+    flat.flags.writeable = False
+    return flat
 
 
 @dataclass
@@ -266,6 +291,16 @@ class Contour:
         if signed_area(pts) < 0.0:
             pts = np.concatenate([pts[:1], pts[-1:0:-1]])  # reverse, keep node 0 first
         self.nodes = pts
+
+    @classmethod
+    def trusted(cls, nodes: np.ndarray) -> "Contour":
+        """A contour on ``nodes`` as they are, without the copy and the
+        checks: for a caller that holds an (L >= 3, 2) float64 array of its
+        own, finite and of positive signed area, which ``Contour(nodes)``
+        would only copy."""
+        contour = cls.__new__(cls)
+        contour.nodes = nodes
+        return contour
 
     def __len__(self) -> int:
         return self.nodes.shape[0]

@@ -64,7 +64,15 @@ def trace_boundary(mask) -> list[tuple[int, int]]:
     """Ordered (u, v) loop of the outer boundary of the foreground
     component containing the first foreground pixel (Moore tracing,
     stopped by Jacob's criterion: when the first move repeats, so a start
-    pixel that the boundary passes twice does not cut the loop short)."""
+    pixel that the boundary passes twice does not cut the loop short); the
+    lone start pixel when it has no foreground neighbor.
+
+    The walk leaves a pixel once per run of background cells in its ring
+    of eight neighbors, of which there are at most four, before its first
+    move repeats; so the loop holds at most four entries per foreground
+    pixel, and the walk's bound of four moves per pixel plus eight, which
+    only guards against a walk that never closes, is never what ends it.
+    The one exit after the loop serves both."""
     mask = as_mask(mask)
     height, width = mask.shape
     seeds = np.argwhere(mask)
@@ -75,8 +83,7 @@ def trace_boundary(mask) -> list[tuple[int, int]]:
     loop: list[tuple[int, int]] = []
     current, first = start, None
     back = 0  # backtrack direction index; west of the start pixel is background
-    max_steps = int(4 * mask.sum() + 8)
-    for _ in range(max_steps):
+    for _ in range(4 * int(mask.sum()) + 8):
         for step in range(1, 9):
             d = (back + step) % 8
             nu, nv = current[0] + _MOORE[d][0], current[1] + _MOORE[d][1]
@@ -89,7 +96,7 @@ def trace_boundary(mask) -> list[tuple[int, int]]:
             return [start]  # isolated pixel
         move = (current, (nu, nv))
         if move == first:
-            return loop
+            break
         first = first or move
         loop.append(current)
         current = (nu, nv)

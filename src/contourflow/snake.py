@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import blas
 from .fields import (DEGENERATE_AREA, Box, Contour, as_field, bilinear_corners, blend_corners,
-                     clamp_to_frame, corner_box, rasterize, resample_closed, signed_areas)
+                     clamp_to_frame, corner_box, frame_corners, grid_plan, rasterize,
+                     resample_closed, signed_areas)
 
 _TINY = 1e-12
-_FLIP = np.array((1.0, -1.0))
 _COMPONENTS = np.array((0, 1)).reshape(2, 1, 1)  # flat offsets of a force's u and v
 
 
@@ -183,9 +184,10 @@ class DifferenceOperators(NamedTuple):
     ``entries`` of the structural nonzeros of I + D1'D1 + D2'D2, the up
     to three curvature terms b_s * coef of each (coef = 2 D2[s,i] D2[s,j])
     as (3, m) ``src`` and ``coef`` in ascending node s (coef 0 pads),
-    D1'D1 and the identity there, and the cyclic ring of node indices
-    (n - 1, 0, 1, ..., n - 1, 0), whose entries s + 2 and s are node s's
-    next and previous node.
+    D1'D1 and the identity there, and the (2, 2, n) flat positions
+    ``normals`` in a row of n (u, v) nodes of the rows (v_{s+1}, u_{s-1})
+    and (v_{s-1}, u_{s+1}) over the nodes s, cyclic: their difference is
+    the outward normal (t_v, -t_u) of the central-difference tangent t.
     """
 
     entries: np.ndarray
@@ -193,7 +195,7 @@ class DifferenceOperators(NamedTuple):
     coef: np.ndarray
     d1td1: np.ndarray
     eye: np.ndarray
-    ring: np.ndarray
+    normals: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -220,49 +222,84 @@ def difference_operators(n: int) -> DifferenceOperators:
     offset = (col - row) % n
     eye = (offset == 0).astype(float)
     d1td1 = 2.0 * eye - np.isin(offset, (1, n - 1))
-    ring = np.concatenate(([n - 1], idx, [0]))
-    ops = DifferenceOperators(entries, src, coef, d1td1, eye, ring)
+    normals = np.array([[2 * nxt + 1, 2 * prv], [2 * prv + 1, 2 * nxt]])
+    ops = DifferenceOperators(entries, src, coef, d1td1, eye, normals)
     for array in ops:
         array.flags.writeable = False
     return ops
 
 
 def _system_matrix(beta: np.ndarray, alpha: float, tau: float,
-                   ops: DifferenceOperators) -> np.ndarray:
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The (K, n, n) stack I + tau (2 alpha D1'D1 + 2 D2' diag(b) D2) for
-    (K, n) curvature weights, built on the entries of ``ops`` without
-    BLAS. Each b_s * coef is exact (coef is a signed power of two) and
-    each entry sums them in ascending s, so every float is that of adding
-    the nodes' stencil blocks in turn, on any machine."""
+    (K, n) curvature weights, built on the entries of the node count's
+    plan without BLAS. Each b_s * coef is exact (coef is a signed power of
+    two) and each entry sums them in ascending s, so every float is that of
+    adding the nodes' stencil blocks in turn, on any machine. The stack is
+    written into the first K n² floats of the flat array ``out``, which
+    must be zero off the plan's entries, as a run's system buffer stays
+    (every step writes the same entries), or into a new one."""
     count, n = beta.shape
-    terms = beta.take(ops.src, axis=1)
+    ops = difference_operators(n)
+    src, entries = _stack_plan(n, count)
+    terms = beta.take(src)
     terms *= ops.coef
     band = terms[:, 0] + terms[:, 1]
     band += terms[:, 2]
-    band += (2.0 * alpha) * ops.d1td1
+    band += _continuity(n, alpha)
     band *= tau
     band += ops.eye
-    lhs = np.zeros(count * n * n)
-    lhs[_stack_entries(n, count)] = band.ravel()
+    lhs = np.zeros(count * n * n) if out is None else out[:count * n * n]
+    lhs[entries] = band.ravel()
     return lhs.reshape(count, n, n)
 
 
+@functools.lru_cache(maxsize=8)
+def _continuity(n: int, alpha: float) -> np.ndarray:
+    """2 alpha D1'D1 on the entries of the plan for n, read-only: it stays
+    the same over a run, whose steps add it to every system they build."""
+    band = (2.0 * alpha) * difference_operators(n).d1td1
+    band.flags.writeable = False
+    return band
+
+
 @functools.lru_cache(maxsize=64)
-def _stack_entries(n: int, count: int) -> np.ndarray:
-    """The flat positions of the plan's ``entries`` in a (count, n, n) stack,
-    read-only; one flat scatter fills them."""
-    flat = (np.arange(count)[:, None] * (n * n) + difference_operators(n).entries).ravel()
-    flat.flags.writeable = False
-    return flat
+def _stack_plan(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plan's ``src`` and ``entries`` as flat positions in a (count, n)
+    stack of weights and in a (count, n, n) stack of systems, read-only;
+    one flat gather and one flat scatter use them."""
+    ops, stack = difference_operators(n), np.arange(count)
+    src = stack[:, None, None] * n + ops.src
+    entries = (stack[:, None] * (n * n) + ops.entries).ravel()
+    for array in (src, entries):
+        array.flags.writeable = False
+    return src, entries
+
+
+def _raise_singular(error: str, flag: int):
+    """The error callback ``np.linalg.solve`` sets: the gufunc flags a
+    singular system as an invalid operation."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of float64 (..., n, n) systems against (..., n, m)
+    right-hand sides, without its wrapper's conversions and checks, which
+    every array here passes: the same LAPACK gufunc under the same error
+    state, so a singular system raises ``LinAlgError("Singular matrix")``
+    and no floating-point warning escapes."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 @functools.cache
 def _solves_alike(n: int, count: int, threads: int | None) -> tuple[bool, bool]:
     """Which of two faster solves give this process's BLAS, on a pool of
-    ``threads``, the bits of K (n, n) systems solved apart against two
-    right-hand sides each: one matrix solved once against the 2K columns
-    side by side, and getrf's factors of it back-substituted by getrs
-    against them (``blas.lu_factor`` and ``lu_solve``). The kernel, n, the
+    ``threads``, the bits of K (n, n) systems solved apart (``_solve``)
+    against two right-hand sides each: one matrix solved once against the
+    2K columns side by side, and getrf's factors of it back-substituted by
+    getrs against them (``blas.lu_factor`` and ``lu_solve``). The kernel, n, the
     column count and the pool fix the order of every column's operations,
     whatever the data, so four dense systems of full-mantissa values settle
     both (sines of integers: ``np.random`` would cost a lazy import of a few
@@ -274,8 +311,8 @@ def _solves_alike(n: int, count: int, threads: int | None) -> tuple[bool, bool]:
     draws = np.sin(np.arange(1.0, 4 * n * (n + 2 * count) + 1.0)).reshape(4, n, -1)
     lhs = draws[..., :n] + n * np.eye(n)
     rhs = draws[..., n:].reshape(4, n, count, 2)
-    apart = np.linalg.solve(lhs[:, None], rhs.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-    one = np.linalg.solve(lhs, draws[..., n:]).tobytes() == apart.tobytes()
+    apart = _solve(lhs[:, None], rhs.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    one = _solve(lhs, draws[..., n:]).tobytes() == apart.tobytes()
     factored = threads == 1 and blas.lu_factor(lhs[0]) is not None
     if factored:
         columns = np.ascontiguousarray(rhs.transpose(0, 2, 3, 1))  # one row per column
@@ -298,9 +335,42 @@ def _system_slot(alpha: float, tau: float, row: bytes) -> list:
     return []
 
 
+class StepPlan:
+    """What every step of one run of K contours of n nodes reuses, built
+    by ``evolve`` once and again each time contours leave its stack, and
+    by a direct ``evolve_step`` call for its one step: the corner-lookup
+    plan of the frame or box and the frame's sides, the flat positions of
+    each node's normal pairs (``DifferenceOperators``) in the node stack
+    and of each contour's force u and v in the force stack, the solve
+    gates for n, K and the BLAS pool (``_solves_alike``; False where a
+    lone contour's beta map varies), whether each step's nodes are known
+    to lie in the frame, and the flat system buffer, zero off the
+    difference plan's entries, which grows to the size of the stack a
+    step builds the first time one builds it. A plain class with slots:
+    a dataclass would cost a millisecond at import."""
+
+    __slots__ = ("grid", "height", "width", "normals", "components", "wide", "factored",
+                 "clamped", "system")
+
+    def __init__(self, count: int, n: int, vectors: np.ndarray, params: ParameterSet,
+                 slots: np.ndarray | None, box: Box | None, clamped: bool):
+        self.height, self.width = box[2:] if box else vectors.shape[1:3]
+        self.grid = grid_plan(self.height, self.width, box)
+        contours = np.arange(count).reshape(count, 1, 1, 1)
+        self.normals = contours * (2 * n) + difference_operators(n).normals
+        self.components = _COMPONENTS
+        if slots is not None:
+            field = vectors.shape[1] * vectors.shape[2]
+            self.components = _COMPONENTS + 2 * np.repeat(slots * field, n)
+        self.wide, self.factored = (_solves_alike(n, count, blas.pool_size())
+                                    if count > 1 or params.constant_beta else (False, False))
+        self.clamped = clamped
+        self.system = np.zeros(0)
+
+
 def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
                 config: SnakeConfig, slots: np.ndarray | None = None,
-                box: Box | None = None) -> np.ndarray:
+                box: Box | None = None, plan: StepPlan | None = None) -> np.ndarray:
     """One semi-implicit update of a (K, n, 2) stack of contours: per
     contour, solve (I + tau A) y' = y + tau (F_ext + F_bal) for both
     coordinate axes, clamp to image bounds, optionally resample.
@@ -309,28 +379,35 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     slice ``slots[k]``, and every contour reads slice 0 when ``slots`` is
     not given. The weights in ``params`` are shared by every contour. The
     fields and weights cover ``box`` of the frame, which must hold every
-    node's corners, or the frame when ``box`` is None. One
-    corner lookup serves every node, and one channel-major gather and one
-    blend give each node its force, kappa and beta; the force's two
-    components are one ``take`` of ``vectors`` at flat indices 2i and
-    2i + 1. The indices are in range, and ``mode="clip"`` spares each
-    ``take`` the buffered copy that ``out=`` costs under its default mode.
+    node's corners, or the frame when ``box`` is None. ``plan`` is the
+    ``StepPlan`` that ``evolve`` built from the same arguments. Without
+    one, the step builds its own, checks that the nodes are finite and
+    clamps them to the frame for the lookup; ``evolve`` guarantees both
+    (see there) and skips them. One corner lookup serves every node, and
+    one channel-major gather and one blend give each node its force,
+    kappa and beta; the force's two components are one ``take`` of
+    ``vectors`` at flat indices 2i and 2i + 1. The indices are in range,
+    and ``mode="clip"`` spares each ``take`` the buffered copy that
+    ``out=`` costs under its default mode.
 
     A = 2 alpha D1'D1 + 2 D2' diag(b) D2 is the exact Hessian of the
     internal energy with the curvature weights b frozen at the current
     nodes, symmetric positive semidefinite by construction, so I + tau A
     is always solvable. F_bal = kappa * outward unit normal, the normal
     perpendicular to the central-difference tangent (zero where the two
-    neighbors coincide). I + tau A is built from its five cyclic bands
-    (``_system_matrix``, the same floats on any machine) with the node
-    count's cached plan; only the solve's floats can depend on the BLAS
-    kernel and thread count.
+    neighbors coincide); it and the right-hand side are built in one
+    array, in place, with the floats of the one-contour loop except that
+    a zero's sign can differ, which the final clamp's -0.0 -> +0.0 hides
+    from every output. I + tau A is built from its five cyclic bands
+    (``_system_matrix``, the same floats on any machine) in the plan's
+    buffer; only the solve's floats can depend on the BLAS kernel and
+    thread count.
 
     When K > 1, every contour samples the same beta row and
     ``_solves_alike`` finds the side-by-side solve alike for n, K and the
     BLAS pool, the K systems are one matrix: it is built once and solved
     once against the (n, 2K) right-hand sides side by side, which gives
-    the bits of solving them apart. Otherwise one ``np.linalg.solve`` takes
+    the bits of solving them apart. Otherwise one ``_solve`` takes
     the (K, n, n) stack. A shared system, or a lone contour's under a
     constant beta map, whose inputs repeat, where ``_solves_alike`` finds
     the factored solve alike, is factored by getrf the second time and
@@ -340,57 +417,57 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     solver's order.
     """
     count, n = nodes.shape[:2]
-    height, width = box[2:] if box else vectors.shape[1:3]
-    ops = difference_operators(n)
+    if plan is None:
+        if not np.isfinite(nodes).all():
+            raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
+        plan = StepPlan(count, n, vectors, params, slots, box, clamped=False)
     # one lookup over the nodes of every contour, laid end to end
-    corners = bilinear_corners(nodes.reshape(-1, 2), height, width, box)
-    in_slot = corners.index
-    if slots is not None:
-        in_slot = in_slot + np.repeat(slots * (vectors.shape[1] * vectors.shape[2]), n)
+    uv = nodes.reshape(-1, 2)
+    corners = frame_corners(uv if plan.clamped else clamp_to_frame(uv, plan.height, plan.width),
+                            plan.grid)
     # channel-major corner values: force u and v, kappa, beta
     gathered = np.empty((4,) + corners.index.shape)
-    vectors.take(_COMPONENTS + 2 * in_slot, out=gathered[:2], mode="clip")
+    vectors.take(plan.components + 2 * corners.index, out=gathered[:2], mode="clip")
     params.kappa.take(corners.index, out=gathered[2], mode="clip")
     params.beta.take(corners.index, out=gathered[3], mode="clip")
     sampled = blend_corners(gathered, corners)
-    external = sampled[:2].T.reshape(count, n, 2)
-    kappa, beta = sampled[2].reshape(count, n, 1), sampled[3].reshape(count, n)
+    beta = sampled[3].reshape(count, n)
 
-    ring = nodes.take(ops.ring, axis=1)
-    tangent = ring[:, 2:] - ring[:, :-2]
-    # for positive-signed-area node order, (t_v, -t_u) points outward
-    normal = tangent[..., ::-1] * _FLIP
-    norm = np.hypot(normal[..., 0], normal[..., 1])[..., None]
-    unit = np.divide(normal, norm, out=np.zeros(normal.shape), where=norm > _TINY)
+    # for positive-signed-area node order, (t_v, -t_u) points outward; one
+    # row of n per coordinate, as getrs and the blend's channels lay them
+    pairs = nodes.take(plan.normals)
+    normal = pairs[:, 0] - pairs[:, 1]
+    norm = np.hypot(normal[:, 0], normal[:, 1])[:, None]
+    rhs = np.divide(normal, norm, out=np.zeros(normal.shape), where=norm > _TINY)
+    rhs *= sampled[2].reshape(count, 1, n)  # nodes + tau (kappa unit + external), in place
+    rhs += sampled[:2].reshape(2, count, n).transpose(1, 0, 2)
+    rhs *= config.time_step
+    rhs += nodes.transpose(0, 2, 1)
 
-    wide, factored = (_solves_alike(n, count, blas.pool_size())
-                      if count > 1 or params.constant_beta else (False, False))
-    shared = count > 1 and wide and (beta == beta[0]).all()
+    shared = count > 1 and plan.wide and (beta == beta[0]).all()
     slot = (_system_slot(params.alpha, config.time_step, beta[0].tobytes())
-            if factored and (count == 1 or shared) else None)
+            if plan.factored and (count == 1 or shared) else None)
     factors = slot[-1] if slot else None
     if factors is None:
-        lhs = _system_matrix(beta[:1] if shared else beta, params.alpha, config.time_step, ops)
-    rhs = kappa * unit  # nodes + tau (external + kappa unit), in place
-    rhs += external
-    rhs *= config.time_step
-    rhs += nodes
+        rows = beta[:1] if shared else beta
+        if plan.system.size < rows.size * n:
+            plan.system = np.zeros(rows.size * n)
+        lhs = _system_matrix(rows, params.alpha, config.time_step, plan.system)
     try:
         if slot is not None and factors is None:  # seen before: factor it now; else note it
             slot.append(blas.lu_factor(lhs[0]) if slot else None)
             factors = slot[-1]
         if factors is not None:
-            columns = np.ascontiguousarray(rhs.transpose(0, 2, 1))  # one row per column
-            blas.lu_solve(factors, columns)
-            new_nodes = np.ascontiguousarray(columns.transpose(0, 2, 1))
+            blas.lu_solve(factors, rhs)
+            new_nodes = np.ascontiguousarray(rhs.transpose(0, 2, 1))
         elif shared:
-            new_nodes = np.linalg.solve(lhs[0], rhs.transpose(1, 0, 2).reshape(n, 2 * count))
+            new_nodes = _solve(lhs[0], rhs.transpose(2, 0, 1).reshape(n, 2 * count))
             new_nodes = np.ascontiguousarray(new_nodes.reshape(n, count, 2).transpose(1, 0, 2))
         else:
-            new_nodes = np.linalg.solve(lhs, rhs)
+            new_nodes = _solve(lhs, rhs.transpose(0, 2, 1))
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0
         raise EvolveError(f"internal error: singular evolution system ({exc})") from exc
-    clamp_to_frame(new_nodes, height, width, out=new_nodes)
+    clamp_to_frame(new_nodes, plan.height, plan.width, out=new_nodes)
     if config.resample_each_step:
         new_nodes = np.stack([resample_closed(pts, n) for pts in new_nodes])
     return new_nodes
@@ -416,11 +493,15 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
     ``vectors`` is a (K, H, W, 2) stack of force fields, one per contour,
     or a (1, H, W, 2) stack that every contour shares; ``params`` is
     shared. Each iteration makes one ``evolve_step`` call for every
-    contour still running. A contour whose signed area falls below
-    ``DEGENERATE_AREA`` (collapsed, or reversed to a negative area) leaves
-    the stack at that step, its path ending in an ``EvolveError`` naming
-    the 1-based iteration. A step that raises (unreachable for valid
-    inputs) ends every contour still running. No energies are computed.
+    contour still running, with the ``StepPlan`` built once for them. A
+    contour whose signed area falls below ``DEGENERATE_AREA`` (collapsed,
+    reversed to a negative area, or NaN) leaves the stack at that step,
+    its path ending in an ``EvolveError`` naming the 1-based iteration,
+    so every node a step gets is finite; clamped too, unless the steps
+    resample, which can move a node an ulp past the frame. A step that
+    raises (unreachable for valid inputs) ends every contour still
+    running. No energies are computed. A kept step is a ``Contour`` on a
+    copy of its nodes, which passed every check ``Contour()`` makes.
 
     Given a ``box`` of the frame, the fields and maps cover only that box.
     The clamped starts and every step's surviving contours must then keep
@@ -435,13 +516,16 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
         raise ValueError(f"{len(vectors)} force fields for {len(starts)} contours")
     height, width = box[2:] if box else vectors.shape[1:3]
     paths = [ContourPath({0: start.clamped(width, height)}) for start in starts]
-    nodes = np.stack([path.contours[0].nodes for path in paths])
+    # the starts' -0.0 become +0.0 here, as each step's nodes do in its clamp
+    nodes = clamp_to_frame(np.stack([path.contours[0].nodes for path in paths]), height, width)
     _check_box(nodes, box, 0)
     running = list(range(len(paths)))  # the contours still in the stack
     slots = None if len(vectors) == 1 else np.array(running)
+    clamped = not config.resample_each_step
+    plan = StepPlan(len(running), nodes.shape[1], vectors, params, slots, box, clamped)
     for i in range(config.iterations):
         try:
-            nodes = evolve_step(nodes, vectors, params, config, slots, box)
+            nodes = evolve_step(nodes, vectors, params, config, slots, box, plan)
         except Exception as exc:
             for k in running:
                 paths[k].error = EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
@@ -455,13 +539,14 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
                                                  f"{i + 1} (signed area {area:.6g})")
             nodes = nodes[alive]
             running = [k for k, ok in zip(running, alive) if ok]
-            slots = None if slots is None else np.array(running)
             if not running:
                 break
+            slots = None if slots is None else np.array(running)
+            plan = StepPlan(len(running), nodes.shape[1], vectors, params, slots, box, clamped)
         _check_box(nodes, box, i + 1)
         if keep is None or i + 1 in keep:
             for k, pts in zip(running, nodes):
-                paths[k].contours[i + 1] = Contour(pts)
+                paths[k].contours[i + 1] = Contour.trusted(pts.copy())
     return paths
 
 

@@ -523,7 +523,7 @@ def bilinear_corners_reference(points, height: int, width: int) -> BilinearCorne
     row0 = uv0[..., 1] * width
     row1 = np.minimum(row0 + width, (height - 1) * width)
     index = np.stack([row0 + u0, row0 + u1, row1 + u0, row1 + u1])
-    return BilinearCorners(index, frac, 1.0 - frac)
+    return BilinearCorners(index, np.stack([1.0 - frac, frac]))
 
 
 def force_at(force, points) -> np.ndarray:

@@ -1426,6 +1426,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error" in json.loads(captured.err.strip().splitlines()[-1])
 
+    @staticmethod
+    def _command_raising(monkeypatch, error):
+        """Make every command ``main`` parses raise ``error``."""
+        from contourflow import cli
+
+        def command(args):
+            raise error
+
+        parsed = SimpleNamespace(func=command)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: SimpleNamespace(parse_args=lambda argv: parsed))
+
+    def test_interrupt_exits_130_and_says_nothing(self, monkeypatch, capsys):
+        self._command_raising(monkeypatch, KeyboardInterrupt())
+        assert main(["run"]) == 130
+        assert capsys.readouterr() == ("", "")
+
+    def test_unexpected_failure_is_one_json_error_line(self, monkeypatch, capsys):
+        self._command_raising(monkeypatch, RuntimeError("boom"))
+        assert main(["run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [json.dumps({"error": "unexpected failure: boom"})]
+
     def test_mask_without_foreground_is_a_sweep_row(self, tmp_path, capsys):
         empty = tmp_path / "empty.pgm"
         write_mask_pgm(empty, np.zeros((16, 16), dtype=bool))
@@ -1553,7 +1577,7 @@ class TestProcessResources:
         snake._system_slot.cache_clear()
         monkeypatch.setattr(blas, "lu_factor", spy("factor", blas.lu_factor))
         monkeypatch.setattr(blas, "lu_solve", spy("getrs", blas.lu_solve))
-        monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+        monkeypatch.setattr(snake, "_solve", spy("solve", snake._solve))
         return calls
 
     def test_a_medical_run_factors_at_most_twice(self, tmp_path, monkeypatch, capsys):
@@ -1613,14 +1637,14 @@ class TestProcessResources:
         start = circle_to_contour(inscribed_circle(mask, dt), 100, 256, 256)
         vectors = lcdvf(dt, 2.0).vectors[None]
         params = ParameterSet.uniform(256, 256, alpha=0.01, beta=0.1, kappa=0.2)
-        runs = []
+        runs, before = [], blas.pool_size()
         try:
             for threads in (2, 1):
                 setter(threads)
                 [path] = evolve([start], vectors, params, SnakeConfig(iterations=10))
                 runs.append([c.nodes.tobytes() for c in path.contours.values()])
         finally:
-            setter(1)
+            setter(before)
         assert len(runs[0]) == 11 and runs[0] == runs[1]
 
     def test_no_blas_setter_changes_nothing_and_says_so(self, monkeypatch, capsys):

@@ -94,7 +94,7 @@ class TestBilinearSample:
         pts = np.take_along_axis(kinds, rng.integers(0, len(kinds), (1,) + shape), 0)[0]
         got = bilinear_corners(pts, height, width)
         want = bilinear_corners_reference(pts, height, width)
-        for name in ("index", "frac", "rest"):
+        for name in ("index", "weights"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 

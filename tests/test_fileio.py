@@ -144,6 +144,23 @@ class TestAtomicWrites:
         assert (tmp_path / "out.bin").read_bytes() == b"payload"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch, failure):
+        # the target keeps its bytes and the error reaches the caller
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, b"first")
+        if failure == "write":
+            payload, error = "not bytes", TypeError
+        else:
+            def refused(src, dst):
+                raise PermissionError("replace refused")
+            monkeypatch.setattr(os, "replace", refused)
+            payload, error = b"second", PermissionError
+        with pytest.raises(error):
+            atomic_write_bytes(target, payload)
+        assert target.read_bytes() == b"first"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
     def test_overwrite_is_atomic(self, tmp_path):
         target = tmp_path / "out.bin"
         atomic_write_bytes(target, b"first")

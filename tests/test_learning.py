@@ -144,6 +144,35 @@ class TestContourFromMask:
         with pytest.raises(ValueError):
             contour_from_mask(np.zeros((8, 8), dtype=bool), 20)
 
+    @pytest.mark.parametrize("pixels", [[(3, 2)], [(0, 0), (4, 3), (5, 3)]],
+                             ids=["lone", "first-of-two-components"])
+    def test_isolated_start_pixel_is_its_own_loop(self, pixels):
+        mask = np.zeros((5, 7), dtype=bool)
+        for u, v in pixels:
+            mask[v, u] = True
+        assert trace_boundary(mask) == [pixels[0]]
+        with pytest.raises(ValueError, match="too small"):
+            contour_from_mask(mask, 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 9), width=st.integers(1, 9),
+           density=st.floats(0.2, 0.95))
+    def test_walk_closes_within_four_entries_per_pixel(self, seed, height, width, density):
+        """The first move repeats before the walk's bound: the loop is a
+        closed 8-connected walk through boundary pixels, at most four
+        entries per foreground pixel."""
+        from contourflow.fields import boundary_mask
+        rng = np.random.default_rng(seed)
+        mask = rng.random((height, width)) < density
+        if not mask.any():
+            return
+        loop = trace_boundary(mask)
+        assert len(loop) <= 4 * mask.sum()
+        border = boundary_mask(mask)
+        assert all(border[v, u] for u, v in loop)
+        for (au, av), (bu, bv) in zip(loop, loop[1:] + loop[:1]):
+            assert max(abs(au - bu), abs(av - bv)) == (len(loop) > 1)
+
     def test_start_pixel_passed_twice_keeps_the_whole_loop(self):
         # the boundary leaves the start pixel (1, 0) twice: east, then back
         # through it to the rest of the shape; stopping at its first return

@@ -250,11 +250,15 @@ class TestBandedSystem:
         # weights across 12 decades, with zeros
         beta = 10.0 ** rng.uniform(-6.0, 6.0, (count, nodes)) * rng.uniform(0.0, 1.0, (count, nodes))
         beta[rng.random((count, nodes)) < 0.2] = 0.0
-        got = _system_matrix(beta, alpha, tau, difference_operators(nodes))
+        got = _system_matrix(beta, alpha, tau)
         assert got.shape == (count, nodes, nodes)
         for k in range(count):
             want = np.eye(nodes) + tau * internal_system(alpha, beta[k])
             assert got[k].tobytes() == want.tobytes()
+        # a run's buffer, written by earlier steps of more contours, gives the same bits
+        buffer = np.zeros((count + 1) * nodes * nodes)
+        _system_matrix(rng.uniform(0.0, 9.0, (count + 1, nodes)), alpha, tau, buffer)
+        assert _system_matrix(beta, alpha, tau, buffer).tobytes() == got.tobytes()
 
     def test_entries_are_the_structural_nonzeros(self):
         for n in range(3, 41):
@@ -727,7 +731,7 @@ class TestSharedSystem:
     def test_one_matrix_solve_gives_the_stacked_bits_where_the_gate_holds(self, threads):
         """The gate decides from random dense systems; here the snake's own
         banded systems must then give the stacked solve's bits."""
-        setter = blas._function("set")
+        setter, before = blas._function("set"), blas.pool_size()
         if threads > 1 and setter is None:
             pytest.skip("no OpenBLAS thread-count setter resolves, so the pool "
                         "cannot be set to 2 threads")
@@ -737,13 +741,12 @@ class TestSharedSystem:
                 setter(threads)
                 assert blas.pool_size() == threads
             for n in (3, 4, 5, 6, 9, 17, 32, 60, 64, 100, 127, 200):
-                ops = difference_operators(n)
                 for count in (2, 3, 5, 12, 16, 33, 64):
                     if not snake_module._solves_alike(n, count, blas.pool_size())[0]:
                         continue
                     for beta in (0.1, rng.uniform(0.0, 1.0)):
                         alpha = rng.choice([0.0, 0.01, 0.3])
-                        stack = _system_matrix(np.full((count, n), beta), alpha, 0.1, ops)
+                        stack = _system_matrix(np.full((count, n), beta), alpha, 0.1)
                         rhs = rng.uniform(0.0, 64.0, (count, n, 2))
                         one = np.linalg.solve(stack[0],
                                               rhs.transpose(1, 0, 2).reshape(n, 2 * count))
@@ -751,16 +754,16 @@ class TestSharedSystem:
                         assert got.tobytes() == np.linalg.solve(stack, rhs).tobytes(), (n, count)
         finally:
             if setter is not None:
-                setter(1)
+                setter(before)
 
     def test_gate_refuses_a_blas_whose_wide_solve_differs(self, monkeypatch):
-        solve = np.linalg.solve
+        solve = snake_module._solve
 
         def skewed(a, b):  # one last-bit change per column of a wide solve
             x = solve(a, b)
             return np.nextafter(x, np.inf) if b.shape[-1] > 2 else x
 
-        monkeypatch.setattr(snake_module.np.linalg, "solve", skewed)
+        monkeypatch.setattr(snake_module, "_solve", skewed)
         assert not snake_module._solves_alike.__wrapped__(60, 12, 1)[0]
 
     def test_gate_refuses_a_blas_whose_back_substitution_differs(self, monkeypatch, one_thread):
@@ -793,12 +796,13 @@ class TestSharedSystem:
     def _spy_on_solve(monkeypatch):
         """The list that the (matrix, right-hand side) shapes of every
         following solve made by ``evolve_step`` itself go to, with "solve"
-        for ``np.linalg.solve`` and "getrs" for ``blas.lu_solve``, whose
-        shapes are those of the solve it replaces: (1, n, n) and (1, n, 2)
-        for one contour, (n, n) and (n, 2K) for K that share a system. The
-        cached factors are dropped first, so each system is new."""
+        for ``snake._solve`` (``np.linalg.solve``'s gufunc) and "getrs" for
+        ``blas.lu_solve``, whose shapes are those of the solve it replaces:
+        (1, n, n) and (1, n, 2) for one contour, (n, n) and (n, 2K) for K
+        that share a system. The cached factors are dropped first, so each
+        system is new."""
         calls = []
-        solve, back_substitute = np.linalg.solve, blas.lu_solve
+        solve, back_substitute = snake_module._solve, blas.lu_solve
 
         def spy(a, b):
             if sys._getframe(1).f_code is evolve_step.__code__:
@@ -813,7 +817,7 @@ class TestSharedSystem:
             return back_substitute(factors, rhs)
 
         snake_module._system_slot.cache_clear()
-        monkeypatch.setattr(snake_module.np.linalg, "solve", spy)
+        monkeypatch.setattr(snake_module, "_solve", spy)
         monkeypatch.setattr(blas, "lu_solve", spy_getrs)
         return calls
 
@@ -830,7 +834,7 @@ class TestSharedSystem:
         and the beta rows sampled at the step's input nodes are equal, else
         the stack; by getrs when that one matrix, or a lone contour's under
         a constant beta map, repeats one of the last four such systems and
-        the factored gate holds, else by ``np.linalg.solve``."""
+        the factored gate holds, else by ``snake._solve``."""
         want, recent = [], []  # the keys of the last four factored-gate systems, oldest first
         for step in range(config.iterations):
             running = [path for path in paths if step in path.contours]
@@ -904,6 +908,52 @@ class TestSharedSystem:
         again = "getrs" if gate and blas.lu_factor(np.eye(3)) is not None else "solve"
         assert [(len(a), method) for a, _, method in calls] == [
             (3, "solve"), (3, again), (2 if gate else 3, again), (2 if gate else 3, again)]
+
+
+class TestStepPlan:
+    """``evolve`` builds its steps' constants once per run (``StepPlan``)
+    and skips the finite check and the clamp of the corner lookup, which
+    its nodes always pass; over K 1-12 and n 3-200, shared and own force
+    fields, the frame and a box, constant and varying beta, with and
+    without resampling, each path is ``oracles.evolve_reference``'s byte
+    for byte, or ends in its message, and the boxed paths are the
+    frame's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12),
+           nodes=st.integers(3, 200), shared=st.booleans(), boxed=st.booleans(),
+           beta=st.sampled_from([None, 0.1]), resample=st.booleans(),
+           iterations=st.integers(1, 5))
+    @example(seed=0, count=12, nodes=200, shared=False, boxed=True, beta=None, resample=True,
+             iterations=5)
+    @example(seed=1, count=12, nodes=3, shared=True, boxed=True, beta=0.1, resample=False,
+             iterations=5)
+    @example(seed=2, count=1, nodes=60, shared=True, boxed=False, beta=0.1, resample=False,
+             iterations=5)
+    def test_paths_equal_the_reference(self, seed, count, nodes, shared, boxed, beta,
+                                       resample, iterations):
+        starts, fields, forces, params = _group_case(seed, count, nodes, height=40, width=48,
+                                                     shared=shared, beta=beta)
+        config = SnakeConfig(iterations=iterations, time_step=0.2, resample_each_step=resample)
+        paths = evolve(starts, fields, params, config)
+        for start, force, path in zip(starts, forces, paths):
+            want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
+            if isinstance(want, str):
+                assert str(path.error) == want
+            else:
+                assert path.error is None
+                assert _bits(c.nodes for c in path.contours.values()) == _bits(want)
+        if boxed:
+            held = np.stack([c.nodes for path in paths for c in path.contours.values()])
+            box = Box(*corner_box(held, 40, 48), 40, 48)
+            rows, cols = box[:2]
+            cropped = ParameterSet(params.alpha, params.beta[rows, cols],
+                                   params.kappa[rows, cols])
+            for got, want in zip(evolve(starts, fields[:, rows, cols], cropped, config, box=box),
+                                 paths):
+                assert str(got.error) == str(want.error)
+                assert (_bits(c.nodes for c in got.contours.values())
+                        == _bits(c.nodes for c in want.contours.values()))
 
 
 class TestEvolveKeep:
@@ -1002,21 +1052,19 @@ class TestFactoredSolve:
                                                      tau):
         """Weights tiled from a short pattern of zeros and large values make
         the elimination swap rows; 2 or 2K right-hand sides."""
-        lhs = _system_matrix(np.resize(np.array(pattern), (1, n)), alpha, tau,
-                             difference_operators(n))[0]
+        lhs = _system_matrix(np.resize(np.array(pattern), (1, n)), alpha, tau)[0]
         rhs = np.random.default_rng(seed).uniform(0.0, 256.0, (n, 2 * count))
         columns = np.ascontiguousarray(rhs.T)
         blas.lu_solve(blas.lu_factor(lhs), columns)
         assert columns.T.tobytes() == np.linalg.solve(lhs, rhs).tobytes()
 
     def test_alternating_weights_swap_rows(self):
-        ops = difference_operators(60)
-        lhs = _system_matrix(np.resize([0.0, 50.0], (1, 60)), 0.01, 0.1, ops)[0]
+        lhs = _system_matrix(np.resize([0.0, 50.0], (1, 60)), 0.01, 0.1)[0]
         _, pivots = blas.lu_factor(lhs)
         assert (pivots != np.arange(1, 61)).sum() > 20
 
     def test_lu_factor_leaves_its_matrix_and_solve_its_factors(self):
-        lhs = _system_matrix(np.full((1, 30), 0.1), 0.01, 0.1, difference_operators(30))[0]
+        lhs = _system_matrix(np.full((1, 30), 0.1), 0.01, 0.1)[0]
         kept = lhs.copy()
         factors = blas.lu_factor(lhs)
         saved = [array.copy() for array in factors]
@@ -1063,7 +1111,7 @@ class TestFactoredSolve:
 
 class TestSingularSystem:
     """A planted singular system reaches both of ``evolve_step``'s singular
-    branches, ``np.linalg.solve``'s ``LinAlgError`` the first time and
+    branches, ``snake._solve``'s ``LinAlgError`` the first time and
     getrf's zero pivot once the system repeats, with one message; ``evolve``
     turns it into every running path's error."""
 
@@ -1239,6 +1287,7 @@ class TestStepTraps:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_corrupted_node_raises(self, bad):
+        # a direct call keeps the check that evolve's own steps skip
         force, params = self._case(16, 16)
         nodes = square_contour(4.0, center=(8.0, 8.0)).nodes[None].copy()
         nodes[0, 2, 1] = bad
