@@ -155,10 +155,20 @@ def _circle_one_point(points, p):
 
 def _circle_two_points(points, p, q):
     """The smallest circle through ``p`` and ``q`` around ``points``: the
-    diameter circle if it holds them, else the smaller of two circumcircles
-    through ``p``, ``q`` and a point outside it, the one whose center lies
-    farthest left of ``pq`` and the one farthest right. Only those two get
-    radii."""
+    diameter circle if it holds them, else the circumcircle through ``p``,
+    ``q`` and the point outside it whose center lies farthest to that
+    point's side of ``pq``. Only that one gets a radius.
+
+    Welzl's invariant puts the points outside the diameter circle on one
+    side of ``pq``, none on its line: ``p`` and ``q`` lie on a circle that
+    holds ``points``. A point on the line outside the diameter circle
+    would put ``p`` or ``q`` strictly inside a chord of that circle, and a
+    circle through ``p`` and ``q`` holds a point outside the diameter
+    circle only if its center lies strictly on that point's side. For the
+    integer pixel centers ``circumscribed_circle`` passes, such a point
+    would lie a whole pixel past ``p`` or ``q``, and any point outside the
+    diameter circle lies a quarter of a squared pixel or more outside it,
+    far beyond ``_in_circle``'s relative margin of 1e-14."""
     circ = _diameter(p, q)
     left = right = None  # (side of the center, the third point, the center)
     px, py = p
@@ -168,8 +178,6 @@ def _circle_two_points(points, p, q):
             continue
         cross = ex * (r[1] - py) - ey * (r[0] - px)
         c = _circumcenter(p, q, r)
-        if c is None:
-            continue
         side = ex * (c[1] - py) - ey * (c[0] - px)
         if cross > 0.0 and (left is None or side > left[0]):
             left = (side, r, c)
@@ -177,12 +185,7 @@ def _circle_two_points(points, p, q):
             right = (side, r, c)
     if left is None and right is None:
         return circ
-    if left is None:
-        return _circumcircle(p, q, *right[1:])
-    if right is None:
-        return _circumcircle(p, q, *left[1:])
-    left, right = _circumcircle(p, q, *left[1:]), _circumcircle(p, q, *right[1:])
-    return left if left[2] <= right[2] else right
+    return _circumcircle(p, q, *(left or right)[1:])
 
 
 def _diameter(p, q):
@@ -197,7 +200,8 @@ def _diameter(p, q):
 
 
 def _circumcenter(p0, p1, p2):
-    # recentre on the bounding-box midpoint for numerical stability
+    # the points are not collinear (see _circle_two_points); recentre on the
+    # bounding-box midpoint for numerical stability
     (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
     # min() and max() of each axis, as the first extreme, without their calls
     lo = x1 if x1 < x0 else x0
@@ -210,8 +214,6 @@ def _circumcenter(p0, p1, p2):
     bx, by = x1 - ox, y1 - oy
     cx, cy = x2 - ox, y2 - oy
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    if d == 0.0:
-        return None
     x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
               + (cx * cx + cy * cy) * (ay - by)) / d
     y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)

@@ -16,21 +16,23 @@ from pathlib import Path
 
 import numpy as np
 
-# the thread-count functions of the OpenBLAS builds that NumPy ships or
-# links, `{}` standing for get or set; NumPy's ILP64 names come first, as
-# the memory map lists libraries by address and another OpenBLAS (SciPy's
-# LP64 one) can be mapped before NumPy's
-_NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-          "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
-
-# NumPy's own LAPACK routines in its ILP64 OpenBLAS, whose integers are 64-bit,
-# passed by reference; the arrays are passed by address
-_LAPACK = "scipy_d{}_64_"
+# the names each function may go by, in order: the thread-count getter and
+# setter of the OpenBLAS builds that NumPy ships or links, NumPy's ILP64 names
+# first, as the memory map lists libraries by address and another OpenBLAS
+# (SciPy's LP64 one) can be mapped before NumPy's; and NumPy's own LAPACK
+# routines in its ILP64 OpenBLAS, whose integers are 64-bit, passed by
+# reference, the arrays passed by address
+_NAMES = {verb: (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
+                 f"scipy_openblas_{verb}_num_threads", f"openblas_{verb}_num_threads")
+          for verb in ("get", "set")}
+_NAMES.update(getrf=("scipy_dgetrf_64_",), getrs=("scipy_dgetrs_64_",))
 _INT = ctypes.c_int64
 _INTP, _DATA = ctypes.POINTER(_INT), ctypes.c_void_p
-_ARGS = {"getrf": [_INTP, _INTP, _DATA, _INTP, _DATA, _INTP],  # m n a lda ipiv info
-         # after the transpose flag: n nrhs a lda ipiv b ldb info
-         "getrs": [_INTP, _INTP, _DATA, _INTP, _DATA, _DATA, _INTP, _INTP]}
+_TYPES = {"get": ([], ctypes.c_int), "set": ([ctypes.c_int], None),
+          "getrf": ([_INTP, _INTP, _DATA, _INTP, _DATA, _INTP], None),  # m n a lda ipiv info
+          # trans n nrhs a lda ipiv b ldb info
+          "getrs": ([ctypes.c_char_p, _INTP, _INTP, _DATA, _INTP, _DATA, _DATA, _INTP, _INTP],
+                    None)}
 
 
 @cache
@@ -46,15 +48,14 @@ def _libraries() -> tuple[ctypes.CDLL, ...]:
 
 @cache
 def _function(verb: str):
-    """The typed thread-count getter (``verb`` "get") or setter ("set") of
-    the first of ``_NAMES`` that a mapped library exports; None where none
-    does."""
-    for name in _NAMES:
+    """The thread-count getter (``verb`` "get") or setter ("set"), or
+    NumPy's double-precision LAPACK "getrf" or "getrs", typed: the first of
+    its ``_NAMES`` that a mapped library exports; None where none does."""
+    for name in _NAMES[verb]:
         for library in _libraries():
-            found = getattr(library, name.format(verb), None)
+            found = getattr(library, name, None)
             if found is not None:
-                found.argtypes, found.restype = (([], ctypes.c_int) if verb == "get"
-                                                 else ([ctypes.c_int], None))
+                found.argtypes, found.restype = _TYPES[verb]
                 return found
     return None
 
@@ -79,26 +80,13 @@ def pin() -> None:
         setter(1)
 
 
-@cache
-def _lapack(routine: str):
-    """NumPy's double-precision LAPACK ``routine`` ("getrf" or "getrs") with
-    its argument types; None where no mapped library exports it."""
-    for library in _libraries():
-        found = getattr(library, _LAPACK.format(routine), None)
-        if found is not None:
-            found.argtypes = ([ctypes.c_char_p] if routine == "getrs" else []) + _ARGS[routine]
-            found.restype = None
-            return found
-    return None
-
-
 def lu_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """getrf's LU factors of a square float64 matrix, column-major, and its
     pivots, for ``lu_solve``; None where getrf or getrs does not resolve. A
     zero pivot raises NumPy's ``LinAlgError("Singular matrix")``, as a
     singular ``np.linalg.solve`` does."""
-    getrf = _lapack("getrf")
-    if getrf is None or _lapack("getrs") is None:
+    getrf = _function("getrf")
+    if getrf is None or _function("getrs") is None:
         return None
     if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square float64 matrix, got {matrix.dtype} {matrix.shape}")
@@ -122,5 +110,5 @@ def lu_solve(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> None:
         raise ValueError(f"expected a writeable C-contiguous float64 array of rows of "
                          f"{len(lu)}, got {rhs.dtype} {rhs.shape}")
     size, info = _INT(len(lu)), _INT()
-    _lapack("getrs")(b"N", size, _INT(rhs.size // len(lu)), lu.ctypes.data, size,
-                     pivots.ctypes.data, rhs.ctypes.data, size, info)
+    _function("getrs")(b"N", size, _INT(rhs.size // len(lu)), lu.ctypes.data, size,
+                       pivots.ctypes.data, rhs.ctypes.data, size, info)

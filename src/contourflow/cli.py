@@ -861,25 +861,23 @@ def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process."""
+    """The parser of every subcommand, built once per process; ``main``
+    runs the command function ``_cmd_<command>`` it names."""
     parser = argparse.ArgumentParser(prog="contourflow",
                                      description="distance-transform driven active contours")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="segment one mask and report metrics")
     _add_settings(p_run, "run")
-    p_run.set_defaults(func=_cmd_run)
 
     p_metrics = sub.add_parser("metrics", help="score a prediction against a ground truth")
     p_metrics.add_argument("--pred", required=True)
     p_metrics.add_argument("--gt", required=True)
     p_metrics.add_argument("--json", action="store_true", help="emit a JSON object")
-    p_metrics.set_defaults(func=_cmd_metrics)
 
     p_dt = sub.add_parser("dt", help="distance transform of a mask boundary")
     p_dt.add_argument("--mask", required=True)
     p_dt.add_argument("--out", required=True, help="output PFM path")
-    p_dt.set_defaults(func=_cmd_dt)
 
     p_learn = sub.add_parser("learn", help="fit parameter maps on one image")
     _add_settings(p_learn, "learn")
@@ -887,7 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--lr", type=float, default=1e-3)
     p_learn.add_argument("--out", required=True, help="output directory for "
                          "alpha.json, beta.pfm, kappa.pfm, history.json")
-    p_learn.set_defaults(func=_cmd_learn)
 
     p_batch = sub.add_parser("batch", help="run a manifest of (image, mask) pairs; "
                              "the image column only labels each row")
@@ -897,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(must be >= 1); no effect: items of one mask shape are "
                          "evolved together in one process")
     p_batch.add_argument("--out", help="also write the JSONL report here")
-    p_batch.set_defaults(func=_cmd_batch)
 
     p_sweep = sub.add_parser("sweep", help="rerun one config across an axis of values")
     _add_settings(p_sweep, "sweep")
@@ -905,7 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("radius", "iterations", "field", "init"))
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--out", help="also write the CSV table here")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -914,7 +909,7 @@ def main(argv=None) -> int:
     blas.pin()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)  # per call: the parser is cached
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return exc.code

@@ -80,13 +80,6 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.alpha, self.beta.copy(), self.kappa.copy())
 
-    @functools.cached_property
-    def constant_beta(self) -> bool:
-        """Whether every beta value is the same, as under both CLI profiles:
-        then a lone contour's systems repeat from step to step, which under
-        a varying map, as `learn` fits, they all but never do."""
-        return bool((self.beta == self.beta.flat[0]).all())
-
 
 @dataclass
 class SnakeConfig:
@@ -323,16 +316,16 @@ def _solves_alike(n: int, count: int, threads: int | None) -> tuple[bool, bool]:
 
 
 @functools.lru_cache(maxsize=4)
-def _system_slot(alpha: float, tau: float, row: bytes) -> list:
-    """The slot of one K = 1 or shared system, keyed on what builds its
-    matrix: alpha, tau and the bytes of the sampled beta row, whose length
-    gives n (a zero alpha's sign changes no entry of the matrix, so equal
-    floats key it): empty until the key is first seen, then ``[None]``, then
-    ``[None, factors]`` once it repeats. Four slots of at most (n, n)
-    floats; keyed only on the matrix's inputs, like ``difference_operators``,
-    so which keys are held can change no bit of any output. Threads that
-    meet one key at once can at worst factor it twice, to the same bits."""
-    return []
+def _factored_system(alpha: float, tau: float, beta: float, n: int):
+    """getrf's factors of the (n, n) system of the constant curvature weight
+    ``beta`` (``blas.lu_factor``), built the first time these inputs are
+    seen. Every step whose sampled weights all equal ``beta`` has this
+    matrix to the bit: equal floats differ at most in a zero's sign, which
+    no entry keeps (each adds the identity's +0.0 or 1.0 last). Four
+    entries of (n, n) floats, keyed only on the matrix's inputs, so which
+    are held can change no bit of any output; threads that meet one key
+    at once can at worst factor it twice, to the same bits."""
+    return blas.lu_factor(_system_matrix(np.full((1, n), beta), alpha, tau)[0])
 
 
 class StepPlan:
@@ -341,15 +334,16 @@ class StepPlan:
     by a direct ``evolve_step`` call for its one step: the corner-lookup
     plan of the frame or box and the frame's sides, the flat positions of
     each node's normal pairs (``DifferenceOperators``) in the node stack
-    and of each contour's force u and v in the force stack, the solve
-    gates for n, K and the BLAS pool (``_solves_alike``; False where a
-    lone contour's beta map varies), whether each step's nodes are known
-    to lie in the frame, and the flat system buffer, zero off the
-    difference plan's entries, which grows to the size of the stack a
-    step builds the first time one builds it. A plain class with slots:
-    a dataclass would cost a millisecond at import."""
+    and of each contour's force u and v in the force stack, the beta map's
+    one value where it is constant (``constant``) and how a step then
+    solves its one matrix (``one_matrix``: "getrs", "gesv" or None, from
+    ``_solves_alike`` for n, K and the BLAS pool), whether each step's
+    nodes are known to lie in the frame, and the flat system buffer, zero
+    off the difference plan's entries, which grows to the size of the
+    stack a step builds the first time one builds it. A plain class with
+    slots: a dataclass would cost a millisecond at import."""
 
-    __slots__ = ("grid", "height", "width", "normals", "components", "wide", "factored",
+    __slots__ = ("grid", "height", "width", "normals", "components", "constant", "one_matrix",
                  "clamped", "system")
 
     def __init__(self, count: int, n: int, vectors: np.ndarray, params: ParameterSet,
@@ -362,8 +356,11 @@ class StepPlan:
         if slots is not None:
             field = vectors.shape[1] * vectors.shape[2]
             self.components = _COMPONENTS + 2 * np.repeat(slots * field, n)
-        self.wide, self.factored = (_solves_alike(n, count, blas.pool_size())
-                                    if count > 1 or params.constant_beta else (False, False))
+        self.constant = self.one_matrix = None
+        if (params.beta == params.beta.flat[0]).all():
+            wide, factored = _solves_alike(n, count, blas.pool_size())
+            self.constant = float(params.beta.flat[0])
+            self.one_matrix = "getrs" if factored else "gesv" if wide and count > 1 else None
         self.clamped = clamped
         self.system = np.zeros(0)
 
@@ -403,16 +400,16 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     buffer; only the solve's floats can depend on the BLAS kernel and
     thread count.
 
-    When K > 1, every contour samples the same beta row and
-    ``_solves_alike`` finds the side-by-side solve alike for n, K and the
-    BLAS pool, the K systems are one matrix: it is built once and solved
-    once against the (n, 2K) right-hand sides side by side, which gives
-    the bits of solving them apart. Otherwise one ``_solve`` takes
-    the (K, n, n) stack. A shared system, or a lone contour's under a
-    constant beta map, whose inputs repeat, where ``_solves_alike`` finds
-    the factored solve alike, is factored by getrf the second time and
-    back-substituted by getrs from then on, with the same bits and without
-    building the matrix again (``_system_slot``).
+    A step's K systems are one matrix exactly when the run's beta map is
+    constant and every sampled weight equals it: a function of alpha,
+    tau, that weight and n alone. Where ``_solves_alike`` finds that getrf
+    and getrs give the bits of solving each system apart, for n, K and the
+    BLAS pool, its factors, cached on those inputs (``_factored_system``),
+    are back-substituted against every right-hand side; else, for K > 1
+    where it finds the side-by-side solve alike, the matrix is built once
+    and solved once against the (n, 2K) right-hand sides. Every other step
+    solves the (K, n, n) stack in one ``_solve``, a group under a varying
+    map whose sampled rows happen to coincide included.
     The result is the C-contiguous (K, n, 2) stack of new nodes in the
     solver's order.
     """
@@ -444,23 +441,17 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     rhs *= config.time_step
     rhs += nodes.transpose(0, 2, 1)
 
-    shared = count > 1 and plan.wide and (beta == beta[0]).all()
-    slot = (_system_slot(params.alpha, config.time_step, beta[0].tobytes())
-            if plan.factored and (count == 1 or shared) else None)
-    factors = slot[-1] if slot else None
-    if factors is None:
-        rows = beta[:1] if shared else beta
+    one = plan.one_matrix if plan.one_matrix and (beta == plan.constant).all() else None
+    if one != "getrs":
+        rows = beta[:1] if one else beta
         if plan.system.size < rows.size * n:
             plan.system = np.zeros(rows.size * n)
         lhs = _system_matrix(rows, params.alpha, config.time_step, plan.system)
     try:
-        if slot is not None and factors is None:  # seen before: factor it now; else note it
-            slot.append(blas.lu_factor(lhs[0]) if slot else None)
-            factors = slot[-1]
-        if factors is not None:
-            blas.lu_solve(factors, rhs)
+        if one == "getrs":
+            blas.lu_solve(_factored_system(params.alpha, config.time_step, plan.constant, n), rhs)
             new_nodes = np.ascontiguousarray(rhs.transpose(0, 2, 1))
-        elif shared:
+        elif one:
             new_nodes = _solve(lhs[0], rhs.transpose(2, 0, 1).reshape(n, 2 * count))
             new_nodes = np.ascontiguousarray(new_nodes.reshape(n, count, 2).transpose(1, 0, 2))
         else:

@@ -1428,15 +1428,26 @@ class TestExitCodes:
 
     @staticmethod
     def _command_raising(monkeypatch, error):
-        """Make every command ``main`` parses raise ``error``."""
+        """Make the `run` command raise ``error``."""
         from contourflow import cli
 
         def command(args):
             raise error
 
-        parsed = SimpleNamespace(func=command)
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda: SimpleNamespace(parse_args=lambda argv: parsed))
+        monkeypatch.setattr(cli, "_cmd_run", command)
+
+    def test_a_patched_command_runs_after_the_parser_is_built(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """``build_parser`` is cached, so ``main`` must look up the command
+        function at each call: a patch made after a first call takes effect."""
+        from contourflow import cli
+        mask = tmp_path / "disk.pgm"
+        write_mask_pgm(mask, disk_mask(16, 16, (8.0, 8.0), 5.0))
+        argv = ["metrics", "--pred", str(mask), "--gt", str(mask)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_cmd_metrics", lambda args: 7)
+        assert main(argv) == 7
 
     def test_interrupt_exits_130_and_says_nothing(self, monkeypatch, capsys):
         self._command_raising(monkeypatch, KeyboardInterrupt())
@@ -1562,38 +1573,39 @@ class TestProcessResources:
 
     @staticmethod
     def _solver_calls(monkeypatch):
-        """The "factor", "getrs" and "solve" calls ``evolve_step`` makes from
-        now on, in order, with the cached factors dropped first."""
+        """The "factor", "getrs" and "solve" calls ``evolve_step`` and its
+        cached factors make from now on, in order, with those factors
+        dropped first."""
         from contourflow import snake
         calls = []
+        callers = (snake.evolve_step.__code__, snake._factored_system.__wrapped__.__code__)
 
         def spy(name, function):
             def spied(*args):
-                if sys._getframe(1).f_code is snake.evolve_step.__code__:
+                if sys._getframe(1).f_code in callers:
                     calls.append(name)
                 return function(*args)
             return spied
 
-        snake._system_slot.cache_clear()
+        snake._factored_system.cache_clear()
         monkeypatch.setattr(blas, "lu_factor", spy("factor", blas.lu_factor))
         monkeypatch.setattr(blas, "lu_solve", spy("getrs", blas.lu_solve))
         monkeypatch.setattr(snake, "_solve", spy("solve", snake._solve))
         return calls
 
     def test_a_medical_run_factors_at_most_twice(self, tmp_path, monkeypatch, capsys):
-        """The medical profile's constant beta samples the same row at nearly
-        every step of a 256² run: its ten solves factor the system at most
-        twice and back-substitute the rest, where the factored gate holds."""
+        """The medical profile's constant beta samples its one value at
+        every node of this 256² run: where the factored gate holds, getrf
+        factors the system once and getrs solves all ten steps, the first
+        included."""
         from contourflow import snake
         mask = random_blob_mask(np.random.default_rng(4), 256, 256)
         write_mask_pgm(tmp_path / "blob.pgm", mask)
         calls = self._solver_calls(monkeypatch)
         assert main(["run", "--mask", str(tmp_path / "blob.pgm"), "--profile", "medical"]) == 0
         capsys.readouterr()
-        assert calls.count("solve") + calls.count("getrs") == 10
-        assert calls.count("factor") <= 2
         if snake._solves_alike(100, 1, blas.pool_size())[1]:
-            assert calls[:3] == ["solve", "factor", "getrs"] and calls.count("getrs") >= 7
+            assert calls == ["factor"] + ["getrs"] * 10
         else:
             assert calls == ["solve"] * 10
 
@@ -1619,10 +1631,17 @@ class TestProcessResources:
         assert first.count("factor") <= 1
         assert later == ["solve"] * 100
 
+    def test_no_memory_map_no_library(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise PermissionError("no memory map")
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        assert blas._libraries.__wrapped__() == ()
+
     def test_no_lapack_no_factored_solve(self, monkeypatch):
         from contourflow import snake
         monkeypatch.setattr(blas, "_libraries", lambda: ())
-        monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)
+        monkeypatch.setattr(blas, "_function", blas._function.__wrapped__)
         assert blas.lu_factor(np.eye(3)) is None
         assert snake._solves_alike.__wrapped__(5, 1, 1) == (True, False)
 

@@ -719,13 +719,12 @@ class TestEvolveGroup:
 
 
 class TestSharedSystem:
-    """A step of K > 1 contours that all sample the same beta solves one
-    (n, n) matrix against their (n, 2K) right-hand sides where
-    ``_solves_alike`` finds that the BLAS gives each column the bits of
-    solving it apart; every other step solves the (K, n, n) stack. A K = 1
-    or shared system that repeats is back-substituted by getrs instead,
-    where ``_solves_alike`` finds that alike too; the spies count those
-    solves as well, with the shapes of the solve they replace."""
+    """A step whose K contours all sample a constant beta map's one value
+    solves one (n, n) matrix: getrf's factors of it, back-substituted by
+    getrs, where ``_solves_alike`` finds that alike, else for K > 1 the
+    matrix against their (n, 2K) right-hand sides where it finds that
+    alike; every other step solves the (K, n, n) stack. The spies count
+    getrs calls with the shapes of the solve they replace."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_matrix_solve_gives_the_stacked_bits_where_the_gate_holds(self, threads):
@@ -816,7 +815,7 @@ class TestSharedSystem:
                              else ((n, n), (n, 2 * count), "getrs"))
             return back_substitute(factors, rhs)
 
-        snake_module._system_slot.cache_clear()
+        snake_module._factored_system.cache_clear()
         monkeypatch.setattr(snake_module, "_solve", spy)
         monkeypatch.setattr(blas, "lu_solve", spy_getrs)
         return calls
@@ -830,44 +829,75 @@ class TestSharedSystem:
 
     @staticmethod
     def _expected(paths, params, config, n):
-        """The solves of each step: one matrix when K > 1, the gate holds
-        and the beta rows sampled at the step's input nodes are equal, else
-        the stack; by getrs when that one matrix, or a lone contour's under
-        a constant beta map, repeats one of the last four such systems and
-        the factored gate holds, else by ``snake._solve``."""
-        want, recent = [], []  # the keys of the last four factored-gate systems, oldest first
+        """The solves of each step: one matrix when the beta map is constant
+        and every weight sampled at the step's input nodes equals it, by
+        getrs where the factored gate holds, else for K > 1 by
+        ``snake._solve`` against the side-by-side columns where the wide
+        gate holds; else the stack, by ``snake._solve``."""
+        want = []
+        constant = (params.beta == params.beta.flat[0]).all()
         for step in range(config.iterations):
             running = [path for path in paths if step in path.contours]
             count = len(running)
             rows = np.stack([bilinear_sample_reference(params.beta, path.contours[step].nodes)
                              for path in running])
             wide, factored = snake_module._solves_alike(n, count, blas.pool_size())
-            equal = count > 1 and wide and (rows == rows[0]).all()
-            constant = (params.beta == params.beta.flat[0]).all()
-            method = "solve"
-            if factored and ((count == 1 and constant) or equal):
-                key = np.concatenate(((params.alpha, config.time_step), rows[0])).tobytes()
-                method = "getrs" if key in recent else "solve"
-                recent = [k for k in recent if k != key][-3:] + [key]
-            want.append(((n, n), (n, 2 * count), method) if equal
-                        else ((count, n, n), (count, n, 2), method))
+            one = constant and (rows == params.beta.flat[0]).all()
+            if one and factored:
+                want.append(((1, n, n), (1, n, 2), "getrs") if count == 1
+                            else ((n, n), (n, 2 * count), "getrs"))
+            elif one and wide and count > 1:
+                want.append(((n, n), (n, 2 * count), "solve"))
+            else:
+                want.append(((count, n, n), (count, n, 2), "solve"))
         return want
 
     @pytest.mark.parametrize("beta, count", [(0.1, 9), (None, 9), (0.1, 1)])
     def test_shared_path_runs_only_on_equal_systems(self, monkeypatch, beta, count):
         """A constant 0.1 blends back exactly except at some coordinates
-        strictly between 0 and 0.5, so most steps of the 0.1 group share one
-        solve wherever the gate holds; a beta map and a lone contour never do."""
+        strictly between 0 and 0.5, so most steps of the 0.1 runs solve one
+        matrix wherever a gate holds; a beta map never does."""
         config = SnakeConfig(iterations=8, time_step=0.2)
         starts, fields, _, params = _group_case(seed=2026, count=count, nodes=60, beta=beta)
         paths, calls = self._solves(monkeypatch, starts, fields, params, config)
         assert all(path.error is None for path in paths)
         assert calls == self._expected(paths, params, config, 60)
         wide, factored = snake_module._solves_alike(60, count, blas.pool_size())
-        assert any(len(a) == 2 for a, _, _ in calls) == (count > 1 and wide and beta is not None)
+        assert (any(len(a) == 2 for a, _, _ in calls)
+                == (count > 1 and (wide or factored) and beta is not None))
         # a constant beta repeats its system; a beta map moves with the nodes
         backsolved = any(method == "getrs" for _, _, method in calls)
-        assert backsolved == (factored and beta is not None and (count == 1 or wide))
+        assert backsolved == (factored and beta is not None)
+
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_a_constant_map_off_the_blend_keeps_one_factored_system(self, monkeypatch, count):
+        """A constant 1.3 blends back to 1.3 at fewer nodes than 0.1: the
+        steps whose weights all equal it solve one matrix, and getrf factors
+        it once, into one cache entry; every path is the reference's."""
+        config = SnakeConfig(iterations=10, time_step=0.2)
+        starts, fields, forces, params = _group_case(seed=4, count=count, nodes=100, beta=1.3)
+        paths, calls = self._solves(monkeypatch, starts, fields, params, config)
+        assert calls == self._expected(paths, params, config, 100)
+        entries = snake_module._factored_system.cache_info().currsize
+        factored = snake_module._solves_alike(100, count, blas.pool_size())[1]
+        assert entries == int(factored and any(m == "getrs" for _, _, m in calls))
+        for start, force, path in zip(starts, forces, paths):
+            want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
+            _assert_same_outcome(_path_outcome(path), want)
+
+    def test_a_varying_map_solves_the_stack_where_its_rows_coincide(self, monkeypatch):
+        """Under a varying beta map, K contours with the same nodes sample
+        equal rows, yet their systems are solved as a stack whatever the
+        gates: only a constant map's systems are one matrix."""
+        monkeypatch.setattr(snake_module, "_solves_alike", lambda *_: (True, True))
+        starts, fields, forces, params = _group_case(seed=5, count=1, nodes=30)
+        nodes = np.repeat(starts[0].clamped(32, 24).nodes[None], 4, axis=0)
+        calls = self._spy_on_solve(monkeypatch)
+        stepped = evolve_step(nodes, fields, params, SnakeConfig())
+        assert calls == [((4, 30, 30), (4, 30, 2), "solve")]
+        want = evolve_step_reference(starts[0].clamped(32, 24), forces[0], params, SnakeConfig())
+        for got in stepped:
+            assert got.tobytes() == want.tobytes()
 
     def test_group_collapsing_to_one_contour(self, monkeypatch):
         """Radii 3, 20, 5 and 4: the small three collapse at distinct steps;
@@ -901,13 +931,13 @@ class TestSharedSystem:
                 stepped = evolve_step(nodes, fields, params,
                                       SnakeConfig(resample_each_step=resample), np.arange(count))
                 assert stepped.shape == nodes.shape and stepped.flags.c_contiguous
-        # the lone contour solves a stack of one; the group of five shares
-        # one matrix where its start nodes sample 0.1 alike, the lone
-        # contour's, so where the gate holds every solve after the first
-        # is back-substituted
-        again = "getrs" if gate and blas.lu_factor(np.eye(3)) is not None else "solve"
-        assert [(len(a), method) for a, _, method in calls] == [
-            (3, "solve"), (3, again), (2 if gate else 3, again), (2 if gate else 3, again)]
+        # the start nodes sample 0.1 exactly, so where the gates hold every
+        # solve is of the one matrix, back-substituted from the first where
+        # getrf resolves; the lone contour's is spied as a stack of one
+        method = "getrs" if gate and blas.lu_factor(np.eye(3)) is not None else "solve"
+        group = 2 if gate else 3
+        assert [(len(a), m) for a, _, m in calls] == [
+            (3, method), (3, method), (group, method), (group, method)]
 
 
 class TestStepPlan:
@@ -1072,6 +1102,23 @@ class TestFactoredSolve:
         assert lhs.tobytes() == kept.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(factors, saved))
 
+    @pytest.mark.parametrize("matrix", [np.eye(3, dtype=np.float32), np.ones((3, 4)),
+                                        np.ones(9)], ids=["float32", "not_square", "flat"])
+    def test_lu_factor_refuses_what_getrf_cannot_take(self, matrix):
+        with pytest.raises(ValueError, match="expected a square float64 matrix"):
+            blas.lu_factor(matrix)
+
+    @pytest.mark.parametrize("rhs", [
+        np.ones((2, 5), dtype=np.float32), np.ones((5, 2)).T, np.ones((2, 4)),
+        np.broadcast_to(np.ones(5), (2, 5))], ids=["float32", "strided", "short_rows",
+                                                    "read_only"])
+    def test_lu_solve_refuses_what_getrs_cannot_take(self, rhs):
+        """getrs writes through the raw pointer of ``rhs``: each of these
+        would have it read or write out of place."""
+        factors = blas.lu_factor(np.eye(5) * 2.0)
+        with pytest.raises(ValueError, match="expected a writeable C-contiguous float64"):
+            blas.lu_solve(factors, rhs)
+
 
     def test_threads_sharing_the_cached_factors_keep_every_bit(self):
         """Threads stepping contours whose systems repeat share the cached
@@ -1087,7 +1134,7 @@ class TestFactoredSolve:
 
         def work(index):
             for _ in range(3):
-                snake_module._system_slot.cache_clear()
+                snake_module._factored_system.cache_clear()
                 starts, fields, _, params = cases[index]
                 got[index].append([_path_outcome(path)
                                    for path in evolve(starts, fields, params, config)])
@@ -1111,21 +1158,23 @@ class TestFactoredSolve:
 
 class TestSingularSystem:
     """A planted singular system reaches both of ``evolve_step``'s singular
-    branches, ``snake._solve``'s ``LinAlgError`` the first time and
-    getrf's zero pivot once the system repeats, with one message; ``evolve``
-    turns it into every running path's error."""
+    branches, ``snake._solve``'s ``LinAlgError`` under a varying beta map
+    and getrf's zero pivot under a constant one, with one message;
+    ``evolve`` turns it into every running path's error."""
 
     MESSAGE = "internal error: singular evolution system (Singular matrix)"
 
     @pytest.fixture
     def singular(self, monkeypatch):
-        monkeypatch.setattr(snake_module, "_system_matrix",  # all zeros, (K, n, n)
-                            lambda beta, alpha, tau, ops: np.zeros(beta.shape + beta.shape[1:]))
-        snake_module._system_slot.cache_clear()
+        def zeros(beta, alpha, tau, out=None):  # (K, n, n)
+            return np.zeros(beta.shape + beta.shape[1:])
+
+        monkeypatch.setattr(snake_module, "_system_matrix", zeros)
+        snake_module._factored_system.cache_clear()
         factored, lu_factor = [], blas.lu_factor
 
-        def spy(matrix):  # the factorizations of ``evolve_step`` itself
-            if sys._getframe(1).f_code is evolve_step.__code__:
+        def spy(matrix):  # the factorizations of the step's cached system
+            if sys._getframe(1).f_code is snake_module._factored_system.__wrapped__.__code__:
                 factored.append(matrix.shape)
             return lu_factor(matrix)
 
@@ -1133,16 +1182,16 @@ class TestSingularSystem:
         return factored
 
     def test_both_branches_give_one_message(self, singular, one_thread):
-        starts, fields, _, params = _group_case(seed=4, count=1, nodes=20, beta=0.1)
-        nodes = starts[0].clamped(32, 24).nodes[None]
         messages = []
-        for _ in range(2):
+        for beta in (None, 0.1):
+            starts, fields, _, params = _group_case(seed=4, count=1, nodes=20, beta=beta)
+            nodes = starts[0].clamped(32, 24).nodes[None]
             with pytest.raises(EvolveError) as raised:
                 evolve_step(nodes, fields, params, SnakeConfig())
             messages.append(str(raised.value))
         assert messages == [self.MESSAGE] * 2
         if snake_module._solves_alike(20, 1, 1)[1]:
-            assert singular == [(20, 20)]  # the second step reached getrf
+            assert singular == [(20, 20)]  # the constant map's step reached getrf
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_evolve_ends_every_running_path(self, singular, count):
