@@ -287,32 +287,27 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _solves_alike(n: int, count: int, threads: int | None) -> tuple[bool, bool]:
-    """Which of two faster solves give this process's BLAS, on a pool of
-    ``threads``, the bits of K (n, n) systems solved apart (``_solve``)
-    against two right-hand sides each: one matrix solved once against the
-    2K columns side by side, and getrf's factors of it back-substituted by
-    getrs against them (``blas.lu_factor`` and ``lu_solve``). The kernel, n, the
-    column count and the pool fix the order of every column's operations,
-    whatever the data, so four dense systems of full-mantissa values settle
-    both (sines of integers: ``np.random`` would cost a lazy import of a few
-    MB). Both are False where the pool size cannot be read, as a change to
-    it could not be seen. The factored solve also needs a pool of one
-    thread: on more, getrf may split a system that ``gesv`` solves on one."""
-    if threads is None:
-        return False, False
+def _factors_alike(n: int, count: int, threads: int | None) -> bool:
+    """Whether getrf's factors of an (n, n) system, back-substituted by
+    getrs against the 2K columns of K contours (``blas.lu_factor`` and
+    ``lu_solve``), give this process's BLAS, on a pool of ``threads``, the
+    bits of K copies of the system solved apart (``_solve``) against two
+    right-hand sides each. The kernel, n, the column count and the pool fix
+    the order of every column's operations, whatever the data, so four
+    dense systems of full-mantissa values settle it (sines of integers:
+    ``np.random`` would cost a lazy import of a few MB). False unless the
+    pool is one thread, which needs its size read (on more, getrf may split
+    a system that ``gesv`` solves on one), and getrf and getrs resolve."""
+    if threads != 1 or blas.lu_factor(np.eye(1)) is None:
+        return False
     draws = np.sin(np.arange(1.0, 4 * n * (n + 2 * count) + 1.0)).reshape(4, n, -1)
     lhs = draws[..., :n] + n * np.eye(n)
     rhs = draws[..., n:].reshape(4, n, count, 2)
     apart = _solve(lhs[:, None], rhs.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-    one = _solve(lhs, draws[..., n:]).tobytes() == apart.tobytes()
-    factored = threads == 1 and blas.lu_factor(lhs[0]) is not None
-    if factored:
-        columns = np.ascontiguousarray(rhs.transpose(0, 2, 3, 1))  # one row per column
-        for system, block in zip(lhs, columns):
-            blas.lu_solve(blas.lu_factor(system), block)
-        factored = columns.transpose(0, 3, 1, 2).tobytes() == apart.tobytes()
-    return one, factored
+    columns = np.ascontiguousarray(rhs.transpose(0, 2, 3, 1))  # one row per column
+    for system, block in zip(lhs, columns):
+        blas.lu_solve(blas.lu_factor(system), block)
+    return columns.transpose(0, 3, 1, 2).tobytes() == apart.tobytes()
 
 
 @functools.lru_cache(maxsize=4)
@@ -335,16 +330,15 @@ class StepPlan:
     plan of the frame or box and the frame's sides, the flat positions of
     each node's normal pairs (``DifferenceOperators``) in the node stack
     and of each contour's force u and v in the force stack, the beta map's
-    one value where it is constant (``constant``) and how a step then
-    solves its one matrix (``one_matrix``: "getrs", "gesv" or None, from
-    ``_solves_alike`` for n, K and the BLAS pool), whether each step's
+    one value (``constant``) where the map is constant and ``_factors_alike``
+    holds for n, K and the BLAS pool (else None), whether each step's
     nodes are known to lie in the frame, and the flat system buffer, zero
     off the difference plan's entries, which grows to the size of the
     stack a step builds the first time one builds it. A plain class with
     slots: a dataclass would cost a millisecond at import."""
 
-    __slots__ = ("grid", "height", "width", "normals", "components", "constant", "one_matrix",
-                 "clamped", "system")
+    __slots__ = ("grid", "height", "width", "normals", "components", "constant", "clamped",
+                 "system")
 
     def __init__(self, count: int, n: int, vectors: np.ndarray, params: ParameterSet,
                  slots: np.ndarray | None, box: Box | None, clamped: bool):
@@ -356,11 +350,9 @@ class StepPlan:
         if slots is not None:
             field = vectors.shape[1] * vectors.shape[2]
             self.components = _COMPONENTS + 2 * np.repeat(slots * field, n)
-        self.constant = self.one_matrix = None
-        if (params.beta == params.beta.flat[0]).all():
-            wide, factored = _solves_alike(n, count, blas.pool_size())
-            self.constant = float(params.beta.flat[0])
-            self.one_matrix = "getrs" if factored else "gesv" if wide and count > 1 else None
+        constant = (params.beta == params.beta.flat[0]).all()
+        self.constant = (float(params.beta.flat[0])
+                         if constant and _factors_alike(n, count, blas.pool_size()) else None)
         self.clamped = clamped
         self.system = np.zeros(0)
 
@@ -402,12 +394,10 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
 
     A step's K systems are one matrix exactly when the run's beta map is
     constant and every sampled weight equals it: a function of alpha,
-    tau, that weight and n alone. Where ``_solves_alike`` finds that getrf
+    tau, that weight and n alone. Where ``_factors_alike`` finds that getrf
     and getrs give the bits of solving each system apart, for n, K and the
     BLAS pool, its factors, cached on those inputs (``_factored_system``),
-    are back-substituted against every right-hand side; else, for K > 1
-    where it finds the side-by-side solve alike, the matrix is built once
-    and solved once against the (n, 2K) right-hand sides. Every other step
+    are back-substituted against every right-hand side. Every other step
     solves the (K, n, n) stack in one ``_solve``, a group under a varying
     map whose sampled rows happen to coincide included.
     The result is the C-contiguous (K, n, 2) stack of new nodes in the
@@ -441,20 +431,14 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     rhs *= config.time_step
     rhs += nodes.transpose(0, 2, 1)
 
-    one = plan.one_matrix if plan.one_matrix and (beta == plan.constant).all() else None
-    if one != "getrs":
-        rows = beta[:1] if one else beta
-        if plan.system.size < rows.size * n:
-            plan.system = np.zeros(rows.size * n)
-        lhs = _system_matrix(rows, params.alpha, config.time_step, plan.system)
     try:
-        if one == "getrs":
+        if plan.constant is not None and (beta == plan.constant).all():
             blas.lu_solve(_factored_system(params.alpha, config.time_step, plan.constant, n), rhs)
             new_nodes = np.ascontiguousarray(rhs.transpose(0, 2, 1))
-        elif one:
-            new_nodes = _solve(lhs[0], rhs.transpose(2, 0, 1).reshape(n, 2 * count))
-            new_nodes = np.ascontiguousarray(new_nodes.reshape(n, count, 2).transpose(1, 0, 2))
         else:
+            if plan.system.size < beta.size * n:
+                plan.system = np.zeros(beta.size * n)
+            lhs = _system_matrix(beta, params.alpha, config.time_step, plan.system)
             new_nodes = _solve(lhs, rhs.transpose(0, 2, 1))
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0
         raise EvolveError(f"internal error: singular evolution system ({exc})") from exc

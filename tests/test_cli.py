@@ -1524,18 +1524,7 @@ class TestProcessResources:
         seeded blobs), caches warm. The stacked scoring gathers its disks
         64 points at a time, so the peak stays the solver's: it read 1630.8
         KiB, against 1638.6 KiB when each item was scored alone."""
-        rng = np.random.default_rng(4)
-        masks = [fx.mask for fx in suite(64)] + [random_blob_mask(rng, 64, 64)
-                                                 for _ in range(7)]
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "inputs").mkdir()
-        lines = []
-        for i, mask in enumerate(masks):
-            write_mask_pgm(tmp_path / f"inputs/m{i:02d}.pgm", mask)
-            lines.append(f"inputs/m{i:02d}.pgm inputs/m{i:02d}.pgm\n")
-        (tmp_path / "manifest.txt").write_text("".join(lines))
-        argv = ["batch", "--manifest", "manifest.txt", "--profile", "building",
-                "--out", "report.jsonl"]
+        argv = self._twelve_mask_batch(tmp_path, monkeypatch)
         assert main(argv) == 0
         tracemalloc.start()
         try:
@@ -1546,6 +1535,24 @@ class TestProcessResources:
         capsys.readouterr()
         assert code == 0
         assert peak <= 1638 * 1024
+
+    @staticmethod
+    def _twelve_mask_batch(tmp_path, monkeypatch):
+        """The `batch` arguments over the twelve 64² masks of `batch-small`
+        at seed 4 (five suite fixtures, seven seeded blobs), written under
+        ``tmp_path``, the working directory from now on."""
+        rng = np.random.default_rng(4)
+        masks = [fx.mask for fx in suite(64)] + [random_blob_mask(rng, 64, 64)
+                                                 for _ in range(7)]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inputs").mkdir()
+        lines = []
+        for i, mask in enumerate(masks):
+            write_mask_pgm(tmp_path / f"inputs/m{i:02d}.pgm", mask)
+            lines.append(f"inputs/m{i:02d}.pgm inputs/m{i:02d}.pgm\n")
+        (tmp_path / "manifest.txt").write_text("".join(lines))
+        return ["batch", "--manifest", "manifest.txt", "--profile", "building",
+                "--out", "report.jsonl"]
 
     def test_boxed_run_peak(self, tmp_path, capsys):
         """tracemalloc's peak over one 256² medical `run --out` call on
@@ -1604,10 +1611,26 @@ class TestProcessResources:
         calls = self._solver_calls(monkeypatch)
         assert main(["run", "--mask", str(tmp_path / "blob.pgm"), "--profile", "medical"]) == 0
         capsys.readouterr()
-        if snake._solves_alike(100, 1, blas.pool_size())[1]:
+        if snake._factors_alike(100, 1, blas.pool_size()):
             assert calls == ["factor"] + ["getrs"] * 10
         else:
             assert calls == ["solve"] * 10
+
+    def test_a_twelve_mask_batch_factors_once(self, tmp_path, monkeypatch, capsys):
+        """The building profile's constant beta samples its one value at
+        every node of the one group of twelve 64² contours: where the
+        factored probe holds for n = 60 and K = 12, getrf factors the system
+        once and getrs solves all fifty steps; else every step solves the
+        stack."""
+        from contourflow import snake
+        argv = self._twelve_mask_batch(tmp_path, monkeypatch)
+        calls = self._solver_calls(monkeypatch)
+        assert main(argv) == 0
+        capsys.readouterr()
+        if snake._factors_alike(60, 12, 1):
+            assert calls == ["factor"] + ["getrs"] * 50
+        else:
+            assert calls == ["solve"] * 50
 
     def test_learn_factors_only_in_its_first_epoch(self, tmp_path, monkeypatch, capsys):
         """`learn` starts from uniform maps, whose system repeats within the
@@ -1643,7 +1666,7 @@ class TestProcessResources:
         monkeypatch.setattr(blas, "_libraries", lambda: ())
         monkeypatch.setattr(blas, "_function", blas._function.__wrapped__)
         assert blas.lu_factor(np.eye(3)) is None
-        assert snake._solves_alike.__wrapped__(5, 1, 1) == (True, False)
+        assert snake._factors_alike.__wrapped__(5, 1, 1) is False
 
     def test_medical_evolution_same_bits_on_one_and_two_blas_threads(self):
         """`main` runs OpenBLAS on one thread; the medical profile's solves

@@ -1,3 +1,4 @@
+import functools
 import re
 import sys
 from dataclasses import replace
@@ -17,6 +18,7 @@ from contourflow.snake import (EvolutionTrace, EvolveError, LeftBox, ParameterSe
                                _system_matrix, contour_energies, difference_operators, evolve,
                                evolve_step)
 
+import oracles
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
                      displacements_reference, energies_reference, energy_eval,
                      evolve_reference, evolve_step_reference, fd_gradient, internal_system,
@@ -623,8 +625,8 @@ class TestEvolveGroup:
                                          "beta_tenth", "beta_third"])
     def test_final_contours_equal_reference(self, count, nodes, variant):
         # a constant beta of 0.1 blends back exactly at most nodes, so most
-        # steps of a group share one solve where the BLAS solves columns
-        # alike; 1/3 often does not
+        # steps of a group back-substitute one factored system where the
+        # probe holds; 1/3 often does not
         starts, fields, forces, params = _group_case(
             seed=1000 * count + nodes, count=count, nodes=nodes,
             alpha=0.0 if variant == "alpha0" else 0.3, shared=variant == "shared",
@@ -721,57 +723,17 @@ class TestEvolveGroup:
 class TestSharedSystem:
     """A step whose K contours all sample a constant beta map's one value
     solves one (n, n) matrix: getrf's factors of it, back-substituted by
-    getrs, where ``_solves_alike`` finds that alike, else for K > 1 the
-    matrix against their (n, 2K) right-hand sides where it finds that
-    alike; every other step solves the (K, n, n) stack. The spies count
-    getrs calls with the shapes of the solve they replace."""
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_matrix_solve_gives_the_stacked_bits_where_the_gate_holds(self, threads):
-        """The gate decides from random dense systems; here the snake's own
-        banded systems must then give the stacked solve's bits."""
-        setter, before = blas._function("set"), blas.pool_size()
-        if threads > 1 and setter is None:
-            pytest.skip("no OpenBLAS thread-count setter resolves, so the pool "
-                        "cannot be set to 2 threads")
-        rng = np.random.default_rng(26)
-        try:
-            if setter is not None:
-                setter(threads)
-                assert blas.pool_size() == threads
-            for n in (3, 4, 5, 6, 9, 17, 32, 60, 64, 100, 127, 200):
-                for count in (2, 3, 5, 12, 16, 33, 64):
-                    if not snake_module._solves_alike(n, count, blas.pool_size())[0]:
-                        continue
-                    for beta in (0.1, rng.uniform(0.0, 1.0)):
-                        alpha = rng.choice([0.0, 0.01, 0.3])
-                        stack = _system_matrix(np.full((count, n), beta), alpha, 0.1)
-                        rhs = rng.uniform(0.0, 64.0, (count, n, 2))
-                        one = np.linalg.solve(stack[0],
-                                              rhs.transpose(1, 0, 2).reshape(n, 2 * count))
-                        got = one.reshape(n, count, 2).transpose(1, 0, 2)
-                        assert got.tobytes() == np.linalg.solve(stack, rhs).tobytes(), (n, count)
-        finally:
-            if setter is not None:
-                setter(before)
-
-    def test_gate_refuses_a_blas_whose_wide_solve_differs(self, monkeypatch):
-        solve = snake_module._solve
-
-        def skewed(a, b):  # one last-bit change per column of a wide solve
-            x = solve(a, b)
-            return np.nextafter(x, np.inf) if b.shape[-1] > 2 else x
-
-        monkeypatch.setattr(snake_module, "_solve", skewed)
-        assert not snake_module._solves_alike.__wrapped__(60, 12, 1)[0]
+    getrs, where ``_factors_alike`` finds that alike; every other step
+    solves the (K, n, n) stack. The spies count getrs calls with the
+    shapes of the stacked solve they replace."""
 
     def test_gate_refuses_a_blas_whose_back_substitution_differs(self, monkeypatch, one_thread):
         if blas.lu_factor(np.eye(3)) is None:
             pytest.skip("no getrf and getrs resolve in this NumPy build")
         # a lone contour's two columns are alike under every kernel tried;
         # a two-thread pool is refused whatever the bits
-        assert snake_module._solves_alike.__wrapped__(60, 1, 1)[1]
-        assert not snake_module._solves_alike.__wrapped__(60, 1, 2)[1]
+        assert snake_module._factors_alike.__wrapped__(60, 1, 1)
+        assert not snake_module._factors_alike.__wrapped__(60, 1, 2)
         solve = blas.lu_solve
 
         def skewed(factors, rhs):  # one last-bit change in the last column
@@ -779,11 +741,11 @@ class TestSharedSystem:
             rhs.reshape(-1, len(rhs.T))[-1] = np.nextafter(rhs.reshape(-1, len(rhs.T))[-1], 0.0)
 
         monkeypatch.setattr(blas, "lu_solve", skewed)
-        assert not snake_module._solves_alike.__wrapped__(60, 1, 1)[1]
-        assert not snake_module._solves_alike.__wrapped__(60, 12, 1)[1]
+        assert not snake_module._factors_alike.__wrapped__(60, 1, 1)
+        assert not snake_module._factors_alike.__wrapped__(60, 12, 1)
 
     def test_no_shared_solve_where_the_pool_size_cannot_be_read(self, monkeypatch):
-        assert snake_module._solves_alike(60, 9, None) == (False, False)
+        assert snake_module._factors_alike(60, 9, None) is False
         monkeypatch.setattr(blas, "pool_size", lambda: None)
         config = SnakeConfig(iterations=8, time_step=0.2)
         starts, fields, _, params = _group_case(seed=2026, count=9, nodes=60, beta=0.1)
@@ -791,15 +753,34 @@ class TestSharedSystem:
         assert calls == [((9, 60, 60), (9, 60, 2), "solve")] * config.iterations
         assert all(path.error is None for path in paths)
 
+    def test_no_getrf_a_constant_map_group_solves_the_stack(self, monkeypatch, one_thread):
+        """Where getrf does not resolve, the probe is False, so a group of
+        nine under a constant map solves its stack at every step, and each
+        path is its lone reference's to the bit."""
+        lookup = blas._function
+        monkeypatch.setattr(blas, "_function", lambda verb: None if verb == "getrf"
+                            else lookup(verb))
+        monkeypatch.setattr(snake_module, "_factors_alike",
+                            functools.cache(snake_module._factors_alike.__wrapped__))
+        assert blas.lu_factor(np.eye(3)) is None and blas.pool_size() == 1
+        config = SnakeConfig(iterations=8, time_step=0.2)
+        starts, fields, forces, params = _group_case(seed=2026, count=9, nodes=60, beta=0.1)
+        calls = self._spy_on_solve(monkeypatch)
+        paths = evolve(starts, fields, params, config)
+        assert calls == [((9, 60, 60), (9, 60, 2), "solve")] * config.iterations
+        for start, force, path in zip(starts, forces, paths):
+            assert path.error is None
+            want = evolve_reference(start, force, params, config)
+            assert _bits(c.nodes for c in path.contours.values()) == _bits(c.nodes for c in want)
+
     @staticmethod
     def _spy_on_solve(monkeypatch):
         """The list that the (matrix, right-hand side) shapes of every
         following solve made by ``evolve_step`` itself go to, with "solve"
         for ``snake._solve`` (``np.linalg.solve``'s gufunc) and "getrs" for
-        ``blas.lu_solve``, whose shapes are those of the solve it replaces:
-        (1, n, n) and (1, n, 2) for one contour, (n, n) and (n, 2K) for K
-        that share a system. The cached factors are dropped first, so each
-        system is new."""
+        ``blas.lu_solve``, whose shapes are those of the stacked solve it
+        replaces, (K, n, n) and (K, n, 2). The cached factors are dropped
+        first, so each system is new."""
         calls = []
         solve, back_substitute = snake_module._solve, blas.lu_solve
 
@@ -811,8 +792,7 @@ class TestSharedSystem:
         def spy_getrs(factors, rhs):
             if sys._getframe(1).f_code is evolve_step.__code__:
                 count, _, n = rhs.shape
-                calls.append(((1, n, n), (1, n, 2), "getrs") if count == 1
-                             else ((n, n), (n, 2 * count), "getrs"))
+                calls.append(((count, n, n), (count, n, 2), "getrs"))
             return back_substitute(factors, rhs)
 
         snake_module._factored_system.cache_clear()
@@ -829,11 +809,9 @@ class TestSharedSystem:
 
     @staticmethod
     def _expected(paths, params, config, n):
-        """The solves of each step: one matrix when the beta map is constant
-        and every weight sampled at the step's input nodes equals it, by
-        getrs where the factored gate holds, else for K > 1 by
-        ``snake._solve`` against the side-by-side columns where the wide
-        gate holds; else the stack, by ``snake._solve``."""
+        """The solves of each step: getrs when the beta map is constant,
+        every weight sampled at the step's input nodes equals it and the
+        factored probe holds; else the stack, by ``snake._solve``."""
         want = []
         constant = (params.beta == params.beta.flat[0]).all()
         for step in range(config.iterations):
@@ -841,30 +819,22 @@ class TestSharedSystem:
             count = len(running)
             rows = np.stack([bilinear_sample_reference(params.beta, path.contours[step].nodes)
                              for path in running])
-            wide, factored = snake_module._solves_alike(n, count, blas.pool_size())
+            factored = snake_module._factors_alike(n, count, blas.pool_size())
             one = constant and (rows == params.beta.flat[0]).all()
-            if one and factored:
-                want.append(((1, n, n), (1, n, 2), "getrs") if count == 1
-                            else ((n, n), (n, 2 * count), "getrs"))
-            elif one and wide and count > 1:
-                want.append(((n, n), (n, 2 * count), "solve"))
-            else:
-                want.append(((count, n, n), (count, n, 2), "solve"))
+            want.append(((count, n, n), (count, n, 2), "getrs" if one and factored else "solve"))
         return want
 
     @pytest.mark.parametrize("beta, count", [(0.1, 9), (None, 9), (0.1, 1)])
     def test_shared_path_runs_only_on_equal_systems(self, monkeypatch, beta, count):
         """A constant 0.1 blends back exactly except at some coordinates
         strictly between 0 and 0.5, so most steps of the 0.1 runs solve one
-        matrix wherever a gate holds; a beta map never does."""
+        matrix wherever the probe holds; a beta map never does."""
         config = SnakeConfig(iterations=8, time_step=0.2)
         starts, fields, _, params = _group_case(seed=2026, count=count, nodes=60, beta=beta)
         paths, calls = self._solves(monkeypatch, starts, fields, params, config)
         assert all(path.error is None for path in paths)
         assert calls == self._expected(paths, params, config, 60)
-        wide, factored = snake_module._solves_alike(60, count, blas.pool_size())
-        assert (any(len(a) == 2 for a, _, _ in calls)
-                == (count > 1 and (wide or factored) and beta is not None))
+        factored = snake_module._factors_alike(60, count, blas.pool_size())
         # a constant beta repeats its system; a beta map moves with the nodes
         backsolved = any(method == "getrs" for _, _, method in calls)
         assert backsolved == (factored and beta is not None)
@@ -879,7 +849,7 @@ class TestSharedSystem:
         paths, calls = self._solves(monkeypatch, starts, fields, params, config)
         assert calls == self._expected(paths, params, config, 100)
         entries = snake_module._factored_system.cache_info().currsize
-        factored = snake_module._solves_alike(100, count, blas.pool_size())[1]
+        factored = snake_module._factors_alike(100, count, blas.pool_size())
         assert entries == int(factored and any(m == "getrs" for _, _, m in calls))
         for start, force, path in zip(starts, forces, paths):
             want = _evolve_outcome(lambda: evolve_reference(start, force, params, config))
@@ -888,8 +858,8 @@ class TestSharedSystem:
     def test_a_varying_map_solves_the_stack_where_its_rows_coincide(self, monkeypatch):
         """Under a varying beta map, K contours with the same nodes sample
         equal rows, yet their systems are solved as a stack whatever the
-        gates: only a constant map's systems are one matrix."""
-        monkeypatch.setattr(snake_module, "_solves_alike", lambda *_: (True, True))
+        probe: only a constant map's systems are one matrix."""
+        monkeypatch.setattr(snake_module, "_factors_alike", lambda *_: True)
         starts, fields, forces, params = _group_case(seed=5, count=1, nodes=30)
         nodes = np.repeat(starts[0].clamped(32, 24).nodes[None], 4, axis=0)
         calls = self._spy_on_solve(monkeypatch)
@@ -908,7 +878,7 @@ class TestSharedSystem:
         starts, fields = [starts[k] for k in pick], fields[pick]
         config = SnakeConfig(iterations=60, time_step=0.1)
         paths, calls = self._solves(monkeypatch, starts, fields, params, config)
-        running = [(a[0] if len(a) == 3 else b[1] // 2) for a, b, _ in calls]
+        running = [a[0] for a, _, _ in calls]
         assert sorted(set(running), reverse=True) == [4, 3, 2, 1]
         assert calls == self._expected(paths, params, config, 40)
         assert sum(path.error is None for path in paths) == 1
@@ -920,9 +890,10 @@ class TestSharedSystem:
     @pytest.mark.parametrize("resample", [False, True])
     def test_step_returns_a_c_contiguous_stack(self, monkeypatch, gate, resample):
         # a strided result would make the next step's corner lookup copy
-        # and every kept contour hold a view; the gates are forced, so every
-        # path runs whatever the BLAS, the factored one where getrf resolves
-        monkeypatch.setattr(snake_module, "_solves_alike", lambda *_: (gate, gate))
+        # and every kept contour hold a view; the probe is forced, so both
+        # solves run whatever the BLAS, the factored one where getrf resolves
+        factored = gate and blas.lu_factor(np.eye(3)) is not None
+        monkeypatch.setattr(snake_module, "_factors_alike", lambda *_: factored)
         calls = self._spy_on_solve(monkeypatch)
         for count in (1, 5):
             starts, fields, _, params = _group_case(seed=9, count=count, nodes=30, beta=0.1)
@@ -931,13 +902,11 @@ class TestSharedSystem:
                 stepped = evolve_step(nodes, fields, params,
                                       SnakeConfig(resample_each_step=resample), np.arange(count))
                 assert stepped.shape == nodes.shape and stepped.flags.c_contiguous
-        # the start nodes sample 0.1 exactly, so where the gates hold every
-        # solve is of the one matrix, back-substituted from the first where
-        # getrf resolves; the lone contour's is spied as a stack of one
-        method = "getrs" if gate and blas.lu_factor(np.eye(3)) is not None else "solve"
-        group = 2 if gate else 3
-        assert [(len(a), m) for a, _, m in calls] == [
-            (3, method), (3, method), (group, method), (group, method)]
+        # the start nodes sample 0.1 exactly, so where the probe holds every
+        # solve is back-substituted from the first
+        method = "getrs" if factored else "solve"
+        assert [(a[0], m) for a, _, m in calls] == [
+            (1, method), (1, method), (5, method), (5, method)]
 
 
 class TestStepPlan:
@@ -984,6 +953,33 @@ class TestStepPlan:
                 assert str(got.error) == str(want.error)
                 assert (_bits(c.nodes for c in got.contours.values())
                         == _bits(c.nodes for c in want.contours.values()))
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["right", "bottom"])
+    def test_a_resampled_node_past_the_frame_is_clamped_for_its_lookup(self, monkeypatch,
+                                                                       axis):
+        """Resampling can leave a node an ulp past the frame, so a resampling
+        run keeps the corner lookup's clamp (``StepPlan.clamped`` is False).
+        A planted resampler, in ``evolve`` and in the reference alike, moves
+        the node furthest along ``axis`` one ulp past the frame's right or
+        bottom edge; every path must still be the reference's byte for
+        byte."""
+        edge = (31.0, 23.0)[axis]  # the 32 x 24 frame's last column or row
+        resample = snake_module.resample_closed
+
+        def past_the_edge(nodes, count):
+            out = resample(nodes, count)
+            out[out[:, axis].argmax(), axis] = np.nextafter(edge, np.inf)
+            return out
+
+        monkeypatch.setattr(snake_module, "resample_closed", past_the_edge)
+        monkeypatch.setattr(oracles, "resample_closed", past_the_edge)
+        starts, fields, forces, params = _group_case(seed=11, count=3, nodes=40)
+        config = SnakeConfig(iterations=6, time_step=0.2, resample_each_step=True)
+        paths = evolve(starts, fields, params, config)
+        for start, force, path in zip(starts, forces, paths):
+            want = evolve_reference(start, force, params, config)
+            assert path.error is None and len(path.contours) == len(want)
+            assert _bits(c.nodes for c in path.contours.values()) == _bits(c.nodes for c in want)
 
 
 class TestEvolveKeep:
@@ -1190,7 +1186,7 @@ class TestSingularSystem:
                 evolve_step(nodes, fields, params, SnakeConfig())
             messages.append(str(raised.value))
         assert messages == [self.MESSAGE] * 2
-        if snake_module._solves_alike(20, 1, 1)[1]:
+        if snake_module._factors_alike(20, 1, 1):
             assert singular == [(20, 20)]  # the constant map's step reached getrf
 
     @pytest.mark.parametrize("count", [1, 3])
