@@ -11,8 +11,7 @@ from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import (FitResult, align_cyclic, contour_from_mask, fit_parameters,
                        subgrad_alpha, subgrad_beta)
 from .metrics import MetricsReport, boundf, dice, evaluate, iou
-from .snake import (ContourPath, EvolutionTrace, EvolveError, ParameterSet, SnakeConfig,
-                    evolve, evolve_step)
+from .snake import ContourPath, EvolutionTrace, EvolveError, ParameterSet, SnakeConfig, evolve
 
 __all__ = [
     "Circle", "Contour", "ContourPath", "EvolutionTrace", "EvolveError", "FitResult",
@@ -21,7 +20,7 @@ __all__ = [
     "boundary_pixels", "boundf", "central_gradient", "circle_to_contour",
     "circumscribed_circle", "contour_from_mask", "dice", "dvf",
     "edt_from_sites", "energy_gradient_field",
-    "evaluate", "evolve", "evolve_step", "fit_parameters", "inscribed_circle",
+    "evaluate", "evolve", "fit_parameters", "inscribed_circle",
     "iou", "lcdvf", "mask_to_dt",
     "minimal_enclosing_circle", "rasterize", "resample_closed", "signed_area",
     "subgrad_alpha", "subgrad_beta",

@@ -325,55 +325,48 @@ def _factored_system(alpha: float, tau: float, beta: float, n: int):
 
 class StepPlan:
     """What every step of one run of K contours of n nodes reuses, built
-    by ``evolve`` once and again each time contours leave its stack, and
-    by a direct ``evolve_step`` call for its one step: the corner-lookup
-    plan of the frame or box and the frame's sides, the flat positions of
-    each node's normal pairs (``DifferenceOperators``) in the node stack
-    and of each contour's force u and v in the force stack, the beta map's
-    one value (``constant``) where the map is constant and ``_factors_alike``
-    holds for n, K and the BLAS pool (else None), whether each step's
-    nodes are known to lie in the frame, and the flat system buffer, zero
-    off the difference plan's entries, which grows to the size of the
-    stack a step builds the first time one builds it. A plain class with
-    slots: a dataclass would cost a millisecond at import."""
+    by ``evolve`` once and again each time contours leave its stack: the
+    corner-lookup plan of the frame or box and the frame's sides, the flat
+    positions of each node's normal pairs (``DifferenceOperators``) in the
+    node stack and of each contour's force u and v in the force stack
+    (contour k reads slot ``running[k]``, its start's index, or slot 0 of a
+    stack of one), the beta map's one value (``constant``) where the map
+    is constant and ``_factors_alike`` holds for n, K and the BLAS pool
+    (else None), and the flat system buffer, zero off the difference
+    plan's entries, which grows to the size of the stack a step builds the
+    first time one builds it. A plain class with slots: a dataclass would
+    cost a millisecond at import."""
 
-    __slots__ = ("grid", "height", "width", "normals", "components", "constant", "clamped",
-                 "system")
+    __slots__ = ("grid", "height", "width", "normals", "components", "constant", "system")
 
-    def __init__(self, count: int, n: int, vectors: np.ndarray, params: ParameterSet,
-                 slots: np.ndarray | None, box: Box | None, clamped: bool):
+    def __init__(self, running: list[int], n: int, vectors: np.ndarray, params: ParameterSet,
+                 box: Box | None):
+        count = len(running)
         self.height, self.width = box[2:] if box else vectors.shape[1:3]
         self.grid = grid_plan(self.height, self.width, box)
         contours = np.arange(count).reshape(count, 1, 1, 1)
         self.normals = contours * (2 * n) + difference_operators(n).normals
-        self.components = _COMPONENTS
-        if slots is not None:
-            field = vectors.shape[1] * vectors.shape[2]
-            self.components = _COMPONENTS + 2 * np.repeat(slots * field, n)
+        field = vectors.shape[1] * vectors.shape[2] if len(vectors) > 1 else 0
+        self.components = _COMPONENTS + 2 * field * np.repeat(running, n)
         constant = (params.beta == params.beta.flat[0]).all()
         self.constant = (float(params.beta.flat[0])
                          if constant and _factors_alike(n, count, blas.pool_size()) else None)
-        self.clamped = clamped
         self.system = np.zeros(0)
 
 
 def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
-                config: SnakeConfig, slots: np.ndarray | None = None,
-                box: Box | None = None, plan: StepPlan | None = None) -> np.ndarray:
+                config: SnakeConfig, plan: StepPlan) -> np.ndarray:
     """One semi-implicit update of a (K, n, 2) stack of contours: per
     contour, solve (I + tau A) y' = y + tau (F_ext + F_bal) for both
-    coordinate axes, clamp to image bounds, optionally resample.
+    coordinate axes, clamp to image bounds, optionally resample and clamp
+    again.
 
-    ``vectors`` is a (S, H, W, 2) stack of force fields; contour k reads
-    slice ``slots[k]``, and every contour reads slice 0 when ``slots`` is
-    not given. The weights in ``params`` are shared by every contour. The
-    fields and weights cover ``box`` of the frame, which must hold every
-    node's corners, or the frame when ``box`` is None. ``plan`` is the
-    ``StepPlan`` that ``evolve`` built from the same arguments. Without
-    one, the step builds its own, checks that the nodes are finite and
-    clamps them to the frame for the lookup; ``evolve`` guarantees both
-    (see there) and skips them. One corner lookup serves every node, and
-    one channel-major gather and one blend give each node its force,
+    ``vectors`` is a (S, H, W, 2) stack of force fields and ``params`` the
+    weights every contour shares, over the frame or the box of it named by
+    ``plan``, the ``StepPlan`` that ``evolve`` built, which also names the
+    slot each contour reads. The nodes are finite and lie in the frame, as
+    every node ``evolve`` holds does. One corner lookup serves every node,
+    and one channel-major gather and one blend give each node its force,
     kappa and beta; the force's two components are one ``take`` of
     ``vectors`` at flat indices 2i and 2i + 1. The indices are in range,
     and ``mode="clip"`` spares each ``take`` the buffered copy that
@@ -404,14 +397,7 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     solver's order.
     """
     count, n = nodes.shape[:2]
-    if plan is None:
-        if not np.isfinite(nodes).all():
-            raise ValueError("sample points contain NaN or Inf (corrupted contour state)")
-        plan = StepPlan(count, n, vectors, params, slots, box, clamped=False)
-    # one lookup over the nodes of every contour, laid end to end
-    uv = nodes.reshape(-1, 2)
-    corners = frame_corners(uv if plan.clamped else clamp_to_frame(uv, plan.height, plan.width),
-                            plan.grid)
+    corners = frame_corners(nodes.reshape(-1, 2), plan.grid)  # every node, end to end
     # channel-major corner values: force u and v, kappa, beta
     gathered = np.empty((4,) + corners.index.shape)
     vectors.take(plan.components + 2 * corners.index, out=gathered[:2], mode="clip")
@@ -443,8 +429,9 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
     except np.linalg.LinAlgError as exc:  # unreachable for tau>0, alpha,beta>=0
         raise EvolveError(f"internal error: singular evolution system ({exc})") from exc
     clamp_to_frame(new_nodes, plan.height, plan.width, out=new_nodes)
-    if config.resample_each_step:
+    if config.resample_each_step:  # which can move a node an ulp past the frame
         new_nodes = np.stack([resample_closed(pts, n) for pts in new_nodes])
+        clamp_to_frame(new_nodes, plan.height, plan.width, out=new_nodes)
     return new_nodes
 
 
@@ -472,8 +459,8 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
     contour whose signed area falls below ``DEGENERATE_AREA`` (collapsed,
     reversed to a negative area, or NaN) leaves the stack at that step,
     its path ending in an ``EvolveError`` naming the 1-based iteration,
-    so every node a step gets is finite; clamped too, unless the steps
-    resample, which can move a node an ulp past the frame. A step that
+    so every node a step gets, and every node a path holds, is finite and
+    lies in the frame (a resampling step clamps again). A step that
     raises (unreachable for valid inputs) ends every contour still
     running. No energies are computed. A kept step is a ``Contour`` on a
     copy of its nodes, which passed every check ``Contour()`` makes.
@@ -495,12 +482,10 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
     nodes = clamp_to_frame(np.stack([path.contours[0].nodes for path in paths]), height, width)
     _check_box(nodes, box, 0)
     running = list(range(len(paths)))  # the contours still in the stack
-    slots = None if len(vectors) == 1 else np.array(running)
-    clamped = not config.resample_each_step
-    plan = StepPlan(len(running), nodes.shape[1], vectors, params, slots, box, clamped)
+    plan = StepPlan(running, nodes.shape[1], vectors, params, box)
     for i in range(config.iterations):
         try:
-            nodes = evolve_step(nodes, vectors, params, config, slots, box, plan)
+            nodes = evolve_step(nodes, vectors, params, config, plan)
         except Exception as exc:
             for k in running:
                 paths[k].error = EvolveError(f"evolution failed at iteration {i + 1}: {exc}")
@@ -516,8 +501,7 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
             running = [k for k, ok in zip(running, alive) if ok]
             if not running:
                 break
-            slots = None if slots is None else np.array(running)
-            plan = StepPlan(len(running), nodes.shape[1], vectors, params, slots, box, clamped)
+            plan = StepPlan(running, nodes.shape[1], vectors, params, box)
         _check_box(nodes, box, i + 1)
         if keep is None or i + 1 in keep:
             for k, pts in zip(running, nodes):

@@ -14,7 +14,9 @@ field and force component, and a system matrix rebuilt every step
 (``force_at``, ``balloon_force``, ``assemble_internal_system``), whose
 ``internal_system`` adds each node's stencil block in ascending node
 order with no BLAS call, so its floats do not depend on the machine; it
-reuses the production ``Contour``, ``resample_closed`` and
+clips each step's nodes to the frame, and a resampling step's once more
+after resampling, so every node it holds lies in the frame, as in
+``evolve``; it reuses the production ``Contour``, ``resample_closed`` and
 ``signed_area``. ``align_cyclic_reference`` is the former per-shift loop
 of ``align_cyclic``. ``energies_reference`` is the former per-contour
 energy trace: one corner lookup, one blend per field and one set of sums
@@ -598,12 +600,17 @@ def evolve_step_reference(contour, force, params, config) -> np.ndarray:
     system = assemble_internal_system(contour, params)
     rhs = pts + config.time_step * (force_at(force, pts) + balloon_force(contour, params.kappa))
     lhs = np.eye(len(pts)) + config.time_step * system
-    new_pts = np.linalg.solve(lhs, rhs)
-    new_pts[:, 0] = np.clip(new_pts[:, 0], 0.0, width - 1.0)
-    new_pts[:, 1] = np.clip(new_pts[:, 1], 0.0, height - 1.0)
+    new_pts = _clip_to_frame(np.linalg.solve(lhs, rhs), width, height)
     if config.resample_each_step:
-        new_pts = resample_closed(new_pts, len(pts))
+        new_pts = _clip_to_frame(resample_closed(new_pts, len(pts)), width, height)
     return new_pts
+
+
+def _clip_to_frame(pts, width, height) -> np.ndarray:
+    """(N, 2) (u, v) points clipped to the frame in place, one axis at a time."""
+    pts[:, 0] = np.clip(pts[:, 0], 0.0, width - 1.0)
+    pts[:, 1] = np.clip(pts[:, 1], 0.0, height - 1.0)
+    return pts
 
 
 def evolve_reference(initial, force, params, config) -> list:

@@ -286,6 +286,12 @@ class TestEnclosingCircleCases:
             random.Random(0x5EED).shuffle(order)
             assert _shuffled(count).tolist() == order
 
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_no_points_refused(self, points):
+        with pytest.raises(ValueError) as raised:
+            minimal_enclosing_circle(points)
+        assert str(raised.value) == "need at least one point"
+
 
 class TestIterativeFit:
     def test_disk_close_to_exact(self):
@@ -341,6 +347,13 @@ class TestCircleToContour:
         from contourflow.fields import Circle
         contour = circle_to_contour(Circle((8.0, 8.0), 3.0), 12, 16, 16)
         assert contour.area > 0
+
+    @pytest.mark.parametrize("count", [2, 0])
+    def test_fewer_than_three_nodes_refused(self, count):
+        from contourflow.fields import Circle
+        with pytest.raises(ValueError) as raised:
+            circle_to_contour(Circle((8.0, 8.0), 3.0), count, 16, 16)
+        assert str(raised.value) == "a contour needs at least 3 nodes"
 
 
 class TestContainmentInvariants:

@@ -1470,6 +1470,68 @@ class TestExitCodes:
         assert len(rows) == 2 and rows[1].startswith("1,,,,") and "foreground" in rows[1]
 
 
+class TestInputChecks:
+    """A bad input file, config line or command value exits 2 with one JSON
+    error line that says what is wrong."""
+
+    @staticmethod
+    def _error(argv):
+        code, out, err = _quiet(argv)
+        assert out == "" and len(err) == 1
+        return code, json.loads(err[0])["error"]
+
+    @pytest.mark.parametrize("header, problem", [
+        (b"P5\n64 ab\n255\n", "bad PGM header (invalid literal for int() with base 10: b'ab')"),
+        (b"P5\n0 64\n255\n", "bad PGM dimensions 0x64"),
+        (b"P5\n64 0\n255\n", "bad PGM dimensions 64x0"),
+    ], ids=["token", "width", "height"])
+    def test_bad_pgm_header(self, tmp_path, disk_paths, header, problem):
+        _, mask_path = disk_paths
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + bytes(64 * 64))
+        assert self._error(["metrics", "--pred", str(bad), "--gt", str(mask_path)]) == (
+            2, f"{bad}: {problem}")
+
+    @pytest.mark.parametrize("payload, problem", [
+        (b"P5\n2 2\n255\n" + bytes(4), "not a single-channel (Pf) PFM file"),
+        (b"Pf\n2 2\nx\n" + bytes(16), "bad PFM header (could not convert string to float: b'x')"),
+        (b"Pf\n0 2\n-1.0\n", "bad PFM dimensions 0x2"),
+        (b"Pf\n2 1\n-1.0\n" + np.array([1.0, np.nan], dtype="<f4").tobytes(),
+         "PFM contains non-finite values"),
+    ], ids=["magic", "header", "dimensions", "nan"])
+    def test_bad_pfm(self, tmp_path, disk_paths, payload, problem):
+        _, mask_path = disk_paths
+        bad = tmp_path / "bad.pfm"
+        bad.write_bytes(payload)
+        assert self._error(["run", "--mask", str(mask_path), "--field", f"energy:{bad}"]) == (
+            2, f"cannot load energy map {str(bad)!r}: {bad}: {problem}")
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, disk_paths):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("\n   \n# a comment\n  # another\niters=2\n")
+        assert _quiet(["run", "--mask", str(mask_path), "--config", str(config),
+                       "--out", str(tmp_path / "out")])[0] == 0
+        assert read_result(tmp_path / "out")["config"]["iterations"] == 2
+
+    def test_config_line_without_equals(self, tmp_path, disk_paths):
+        _, mask_path = disk_paths
+        config = tmp_path / "run.cfg"
+        config.write_text("# iterations\niters 2\n")
+        assert self._error(["run", "--mask", str(mask_path), "--config", str(config)]) == (
+            2, f"{config}:2: expected key=value, got 'iters 2'")
+
+    def test_learn_without_ground_truth(self, tmp_path):
+        assert self._error(["learn", "--out", str(tmp_path / "params")]) == (
+            2, "learn requires a ground-truth mask (--gt)")
+
+    @pytest.mark.parametrize("values", [",", " , ,"])
+    def test_sweep_without_values(self, disk_paths, values):
+        _, mask_path = disk_paths
+        argv = ["sweep", "--mask", str(mask_path), "--axis", "iterations", "--values", values]
+        assert self._error(argv) == (2, "sweep needs at least one value")
+
+
 class TestWriteFailures:
     """An output that cannot be written is an I/O error: exit 2 and one JSON
     error line naming the path. The target sits under a regular file, so

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contourflow.fields import (Circle, Contour, bilinear_corners, blend_corners,
-                                boundary_mask, boundary_pixels, central_gradient, corner_box,
-                                rasterize, resample_closed, signed_area, signed_areas)
+from contourflow.fields import (Circle, Contour, as_field, as_mask, bilinear_corners,
+                                blend_corners, boundary_mask, boundary_pixels, central_gradient,
+                                corner_box, rasterize, resample_closed, signed_area, signed_areas)
 
 from oracles import (bilinear_corners_reference, bilinear_sample_reference, perimeter,
                      point_in_polygon, rasterize_loop, rasterize_reference)
@@ -334,6 +334,33 @@ class TestResample:
         before = perimeter(poly)
         after = perimeter(resample_closed(poly, 200))
         assert after == pytest.approx(before, rel=0.05)
+
+    def test_a_point_resamples_to_copies_of_it(self):
+        out = resample_closed(np.full((4, 2), 2.5), 6)
+        assert out.tolist() == [[2.5, 2.5]] * 6
+
+    @pytest.mark.parametrize("count", [2, 0, -1])
+    def test_fewer_than_three_nodes_refused(self, rng, count):
+        with pytest.raises(ValueError) as raised:
+            resample_closed(random_star_polygon(rng), count)
+        assert str(raised.value) == "resampling needs at least 3 target nodes"
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("check, kind", [(as_field, "field"), (as_mask, "mask")])
+    def test_a_non_2d_or_empty_array_is_refused(self, shape, check, kind):
+        with pytest.raises(ValueError) as raised:
+            check(np.zeros(shape))
+        assert str(raised.value) == f"expected a non-empty 2-d {kind}, got shape {shape}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_field_is_refused(self, bad):
+        values = np.zeros((3, 4))
+        values[1, 2] = bad
+        with pytest.raises(ValueError) as raised:
+            as_field(values)
+        assert str(raised.value) == "field contains NaN or Inf"
 
 
 # a node far from the others makes the rounding of x reach whole pixels

@@ -76,6 +76,13 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 3)])
+    def test_write_refuses_a_non_2d_image(self, tmp_path, shape):
+        with pytest.raises(ValueError) as raised:
+            write_pgm(tmp_path / "img.pgm", np.zeros(shape))
+        assert str(raised.value) == "PGM image must be 2-d"
+        assert not list(tmp_path.iterdir())
+
 
 class TestHeaderTokens:
     @settings(max_examples=500, deadline=None)

@@ -15,8 +15,8 @@ from contourflow.fields import (DEGENERATE_AREA, Box, Circle, Contour, clamp_to_
 from contourflow.flow import ForceField, lcdvf
 from contourflow.shapes import disk_mask, random_blob_mask, u_shape_mask
 from contourflow.snake import (EvolutionTrace, EvolveError, LeftBox, ParameterSet, SnakeConfig,
-                               _system_matrix, contour_energies, difference_operators, evolve,
-                               evolve_step)
+                               StepPlan, _system_matrix, contour_energies, difference_operators,
+                               evolve, evolve_step)
 
 import oracles
 from oracles import (assemble_internal_system, balloon_force, bilinear_sample_reference,
@@ -44,9 +44,18 @@ def zero_force(width, height):
     return ForceField(np.zeros((height, width, 2)), np.zeros((height, width)))
 
 
+def step_stack(nodes, vectors, params, config, running=None):
+    """One ``evolve_step`` of a (K, n, 2) node stack in the frame, on the
+    ``StepPlan`` that ``evolve`` builds for it: contour k reads force slot
+    ``running[k]`` (k when not given) of a stack of more than one."""
+    running = range(len(nodes)) if running is None else running
+    plan = StepPlan(running, nodes.shape[1], vectors, params, None)
+    return evolve_step(nodes, vectors, params, config, plan)
+
+
 def step_one(contour, force, params, config):
-    """The new nodes of one contour after one ``evolve_step``, as a stack of one."""
-    return evolve_step(contour.nodes[None], force.vectors[None], params, config)[0]
+    """The new nodes of one contour after one ``evolve_step``."""
+    return step_stack(contour.nodes[None], force.vectors[None], params, config)[0]
 
 
 class TestEnergyEval:
@@ -383,8 +392,8 @@ class TestEvolveStep:
         nodes = np.stack([random_star_polygon(rng, center=(10.0, 9.0), r_hi=8.0, n_lo=9, n_hi=9)
                           for _ in range(4)])
         slots = np.array([2, 0, 1, 2])
-        got = evolve_step(nodes, view, params, SnakeConfig(), slots)
-        want = evolve_step(nodes, np.ascontiguousarray(view), params, SnakeConfig(), slots)
+        got = step_stack(nodes, view, params, SnakeConfig(), slots)
+        want = step_stack(nodes, np.ascontiguousarray(view), params, SnakeConfig(), slots)
         assert got.tobytes() == want.tobytes()
 
     def test_resampling_preserves_node_count(self, rng):
@@ -863,7 +872,7 @@ class TestSharedSystem:
         starts, fields, forces, params = _group_case(seed=5, count=1, nodes=30)
         nodes = np.repeat(starts[0].clamped(32, 24).nodes[None], 4, axis=0)
         calls = self._spy_on_solve(monkeypatch)
-        stepped = evolve_step(nodes, fields, params, SnakeConfig())
+        stepped = step_stack(nodes, fields, params, SnakeConfig())
         assert calls == [((4, 30, 30), (4, 30, 2), "solve")]
         want = evolve_step_reference(starts[0].clamped(32, 24), forces[0], params, SnakeConfig())
         for got in stepped:
@@ -899,8 +908,8 @@ class TestSharedSystem:
             starts, fields, _, params = _group_case(seed=9, count=count, nodes=30, beta=0.1)
             nodes = np.stack([start.clamped(32, 24).nodes for start in starts])
             for _ in range(2):  # the second step repeats the first one's system
-                stepped = evolve_step(nodes, fields, params,
-                                      SnakeConfig(resample_each_step=resample), np.arange(count))
+                stepped = step_stack(nodes, fields, params,
+                                     SnakeConfig(resample_each_step=resample))
                 assert stepped.shape == nodes.shape and stepped.flags.c_contiguous
         # the start nodes sample 0.1 exactly, so where the probe holds every
         # solve is back-substituted from the first
@@ -911,11 +920,11 @@ class TestSharedSystem:
 
 class TestStepPlan:
     """``evolve`` builds its steps' constants once per run (``StepPlan``)
-    and skips the finite check and the clamp of the corner lookup, which
-    its nodes always pass; over K 1-12 and n 3-200, shared and own force
-    fields, the frame and a box, constant and varying beta, with and
-    without resampling, each path is ``oracles.evolve_reference``'s byte
-    for byte, or ends in its message, and the boxed paths are the
+    and every node it steps or holds is finite and lies in the frame; over
+    K 1-12 and n 3-200, shared and own force fields, the frame and a box,
+    constant and varying beta, with and without resampling, each path is
+    ``oracles.evolve_reference``'s byte for byte, or ends in its message,
+    every held node lies in the frame, and the boxed paths are the
     frame's."""
 
     @settings(max_examples=40, deadline=None)
@@ -942,6 +951,8 @@ class TestStepPlan:
             else:
                 assert path.error is None
                 assert _bits(c.nodes for c in path.contours.values()) == _bits(want)
+            held = np.stack([c.nodes for c in path.contours.values()])
+            assert (held >= 0.0).all() and (held <= (47.0, 39.0)).all()  # (u, v) in the frame
         if boxed:
             held = np.stack([c.nodes for path in paths for c in path.contours.values()])
             box = Box(*corner_box(held, 40, 48), 40, 48)
@@ -955,14 +966,13 @@ class TestStepPlan:
                         == _bits(c.nodes for c in want.contours.values()))
 
     @pytest.mark.parametrize("axis", [0, 1], ids=["right", "bottom"])
-    def test_a_resampled_node_past_the_frame_is_clamped_for_its_lookup(self, monkeypatch,
-                                                                       axis):
+    def test_a_resampled_node_past_the_frame_is_clamped(self, monkeypatch, axis):
         """Resampling can leave a node an ulp past the frame, so a resampling
-        run keeps the corner lookup's clamp (``StepPlan.clamped`` is False).
-        A planted resampler, in ``evolve`` and in the reference alike, moves
-        the node furthest along ``axis`` one ulp past the frame's right or
-        bottom edge; every path must still be the reference's byte for
-        byte."""
+        step clamps again. A planted resampler, in ``evolve`` and in the
+        reference alike, moves the node furthest along ``axis`` one ulp past
+        the frame's right or bottom edge: every held step's node furthest
+        along it must lie on the edge, and every path must still be the
+        reference's byte for byte."""
         edge = (31.0, 23.0)[axis]  # the 32 x 24 frame's last column or row
         resample = snake_module.resample_closed
 
@@ -979,6 +989,7 @@ class TestStepPlan:
         for start, force, path in zip(starts, forces, paths):
             want = evolve_reference(start, force, params, config)
             assert path.error is None and len(path.contours) == len(want)
+            assert [path.contours[step].nodes[:, axis].max() for step in range(1, 7)] == [edge] * 6
             assert _bits(c.nodes for c in path.contours.values()) == _bits(c.nodes for c in want)
 
 
@@ -1183,7 +1194,7 @@ class TestSingularSystem:
             starts, fields, _, params = _group_case(seed=4, count=1, nodes=20, beta=beta)
             nodes = starts[0].clamped(32, 24).nodes[None]
             with pytest.raises(EvolveError) as raised:
-                evolve_step(nodes, fields, params, SnakeConfig())
+                step_stack(nodes, fields, params, SnakeConfig())
             messages.append(str(raised.value))
         assert messages == [self.MESSAGE] * 2
         if snake_module._factors_alike(20, 1, 1):
@@ -1256,8 +1267,8 @@ class TestBoxedArrays:
 class TestStepTraps:
     """The cases where the step's lookup could part from the former one: a
     signed zero in the start, nodes on the last column and row, grids one
-    pixel wide or high, re-slotting after a collapse and a corrupted node.
-    Each path equals ``oracles.evolve_reference`` byte for byte."""
+    pixel wide or high and re-slotting after a collapse. Each path equals
+    ``oracles.evolve_reference`` byte for byte."""
 
     @staticmethod
     def _case(height, width, seed=3):
@@ -1270,7 +1281,7 @@ class TestStepTraps:
     @staticmethod
     def _assert_matches_reference(start, force, params, config):
         clamped = start.clamped(force.potential.shape[1], force.potential.shape[0])
-        got_step = evolve_step(clamped.nodes[None], force.vectors[None], params, config)[0]
+        got_step = step_one(clamped, force, params, config)
         assert _bits([got_step]) == _bits([evolve_step_reference(clamped, force, params,
                                                                  config)])
         [path] = evolve([start], force.vectors[None], params, config)
@@ -1329,16 +1340,6 @@ class TestStepTraps:
             else:
                 assert path.error is None
                 assert _bits(c.nodes for c in path.contours.values()) == _bits(want)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_corrupted_node_raises(self, bad):
-        # a direct call keeps the check that evolve's own steps skip
-        force, params = self._case(16, 16)
-        nodes = square_contour(4.0, center=(8.0, 8.0)).nodes[None].copy()
-        nodes[0, 2, 1] = bad
-        with pytest.raises(ValueError) as raised:
-            evolve_step(nodes, force.vectors[None], params, SnakeConfig())
-        assert str(raised.value) == "sample points contain NaN or Inf (corrupted contour state)"
 
 
 class TestCollapseGuard:
