@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "contourflow"
 # the lines, by (file, stripped text; None for every line), that no
 # in-process test can run, with the reason
 ALLOWED = {
-    ("cli.py", "sys.exit(main())"): "runs only under `python -m contourflow.cli`",
     ("__main__.py", None): "runs only under `python -m contourflow`",
 }
 

@@ -10,7 +10,7 @@ from .fields import (Circle, Contour, boundary_mask, boundary_pixels, central_gr
 from .flow import ForceField, dvf, energy_gradient_field, lcdvf
 from .learning import (FitResult, align_cyclic, contour_from_mask, fit_parameters,
                        subgrad_alpha, subgrad_beta)
-from .metrics import MetricsReport, boundf, dice, evaluate, iou
+from .metrics import MetricsReport, boundf, evaluate, iou
 from .snake import ContourPath, EvolutionTrace, EvolveError, ParameterSet, SnakeConfig, evolve
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "ForceField", "MetricsReport", "ParameterSet", "SnakeConfig",
     "align_cyclic", "boundary_mask",
     "boundary_pixels", "boundf", "central_gradient", "circle_to_contour",
-    "circumscribed_circle", "contour_from_mask", "dice", "dvf",
+    "circumscribed_circle", "contour_from_mask", "dvf",
     "edt_from_sites", "energy_gradient_field",
     "evaluate", "evolve", "fit_parameters", "inscribed_circle",
     "iou", "lcdvf", "mask_to_dt",

@@ -1,27 +1,27 @@
-"""The OpenBLAS library that NumPy loaded, found in this process's memory
-map: the snake solve's floats may depend on its kernel and thread count.
-Besides the pool's thread count it binds the library's ``getrf`` and
-``getrs``, the two halves of the ``gesv`` that ``np.linalg.solve`` calls,
-so that a system can be factored once and solved against many steps.
+"""The OpenBLAS library that NumPy loaded, looked up through the handle of
+``numpy.linalg._umath_linalg``, whose symbol search covers only that
+extension and the libraries it links. The snake solve's floats may depend
+on its kernel and thread count. Besides the pool's thread count it binds
+the library's ``getrf`` and ``getrs``, the two halves of the ``gesv`` that
+``np.linalg.solve`` calls, so that a system can be factored once and
+solved against many steps.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
-import re
 import sys
 from functools import cache
-from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
+_LIBRARY = ctypes.CDLL(_umath_linalg.__file__)
 # the names each function may go by, in order: the thread-count getter and
-# setter of the OpenBLAS builds that NumPy ships or links, NumPy's ILP64 names
-# first, as the memory map lists libraries by address and another OpenBLAS
-# (SciPy's LP64 one) can be mapped before NumPy's; and NumPy's own LAPACK
-# routines in its ILP64 OpenBLAS, whose integers are 64-bit, passed by
-# reference, the arrays passed by address
+# setter of the OpenBLAS builds that NumPy ships or links, and NumPy's own
+# LAPACK routines in its ILP64 OpenBLAS, whose integers are 64-bit, passed
+# by reference, the arrays passed by address
 _NAMES = {verb: (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
                  f"scipy_openblas_{verb}_num_threads", f"openblas_{verb}_num_threads")
           for verb in ("get", "set")}
@@ -36,27 +36,15 @@ _TYPES = {"get": ([], ctypes.c_int), "set": ([ctypes.c_int], None),
 
 
 @cache
-def _libraries() -> tuple[ctypes.CDLL, ...]:
-    try:
-        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
-    except OSError:  # no memory map to find the library in
-        return ()
-    # the mapped library itself, not a second copy
-    return tuple(ctypes.CDLL(path)
-                 for path in dict.fromkeys(re.findall(r"/\S*openblas\S*\.so\S*", maps)))
-
-
-@cache
 def _function(verb: str):
     """The thread-count getter (``verb`` "get") or setter ("set"), or
     NumPy's double-precision LAPACK "getrf" or "getrs", typed: the first of
-    its ``_NAMES`` that a mapped library exports; None where none does."""
+    its ``_NAMES`` that NumPy's library exports; None where none does."""
     for name in _NAMES[verb]:
-        for library in _libraries():
-            found = getattr(library, name, None)
-            if found is not None:
-                found.argtypes, found.restype = _TYPES[verb]
-                return found
+        found = getattr(_LIBRARY, name, None)
+        if found is not None:
+            found.argtypes, found.restype = _TYPES[verb]
+            return found
     return None
 
 

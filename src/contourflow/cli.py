@@ -918,7 +918,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # keep stderr machine-readable on surprises
         print(json.dumps({"error": f"unexpected failure: {exc}"}), file=sys.stderr)
         return EXIT_COMPUTE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

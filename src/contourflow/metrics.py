@@ -63,11 +63,6 @@ def iou(pred, gt) -> float:
     return _ratios(as_mask(pred), as_mask(gt))[0][0]
 
 
-def dice(pred, gt) -> float:
-    """Twice the overlap over the summed areas; 1 when both masks are empty."""
-    return _ratios(as_mask(pred), as_mask(gt))[0][1]
-
-
 def boundf(pred, gt):
     """Boundary F1 averaged over 1..5 px thresholds.
 
@@ -138,8 +133,8 @@ class MetricsReport:
 
 def evaluate(pred, gt):
     """The report of a pair of masks, or the list of reports of a pair of
-    (K, H, W) stacks, item by item; every value is the one ``iou``, ``dice``
-    and ``boundf`` give each pair alone."""
+    (K, H, W) stacks, item by item; every value is the one ``iou``,
+    ``_ratios`` (Dice) and ``boundf`` give each pair alone."""
     pred_s, gt_s = _stacks(pred, gt)
     reports = [MetricsReport(i, d, mean, per) for (i, d), (mean, per)
                in zip(_ratios(pred_s, gt_s), boundf(pred_s, gt_s))]

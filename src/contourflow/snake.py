@@ -330,12 +330,11 @@ class StepPlan:
     positions of each node's normal pairs (``DifferenceOperators``) in the
     node stack and of each contour's force u and v in the force stack
     (contour k reads slot ``running[k]``, its start's index, or slot 0 of a
-    stack of one), the beta map's one value (``constant``) where the map
-    is constant and ``_factors_alike`` holds for n, K and the BLAS pool
-    (else None), and the flat system buffer, zero off the difference
-    plan's entries, which grows to the size of the stack a step builds the
-    first time one builds it. A plain class with slots: a dataclass would
-    cost a millisecond at import."""
+    stack of one), the beta map's one value where ``evolve_step`` may take
+    the factored solve (``constant``, else None), and the flat system
+    buffer, zero off the difference plan's entries, which grows to the
+    size of the stack a step builds the first time one builds it. A plain
+    class with slots: a dataclass would cost a millisecond at import."""
 
     __slots__ = ("grid", "height", "width", "normals", "components", "constant", "system")
 
@@ -358,19 +357,18 @@ def evolve_step(nodes: np.ndarray, vectors: np.ndarray, params: ParameterSet,
                 config: SnakeConfig, plan: StepPlan) -> np.ndarray:
     """One semi-implicit update of a (K, n, 2) stack of contours: per
     contour, solve (I + tau A) y' = y + tau (F_ext + F_bal) for both
-    coordinate axes, clamp to image bounds, optionally resample and clamp
-    again.
+    coordinate axes, clamp to the frame, and where ``config`` resamples,
+    resample and clamp again.
 
     ``vectors`` is a (S, H, W, 2) stack of force fields and ``params`` the
     weights every contour shares, over the frame or the box of it named by
     ``plan``, the ``StepPlan`` that ``evolve`` built, which also names the
-    slot each contour reads. The nodes are finite and lie in the frame, as
-    every node ``evolve`` holds does. One corner lookup serves every node,
-    and one channel-major gather and one blend give each node its force,
-    kappa and beta; the force's two components are one ``take`` of
-    ``vectors`` at flat indices 2i and 2i + 1. The indices are in range,
-    and ``mode="clip"`` spares each ``take`` the buffered copy that
-    ``out=`` costs under its default mode.
+    slot each contour reads. One corner lookup serves every node, and one
+    channel-major gather and one blend give each node its force, kappa and
+    beta; the force's two components are one ``take`` of ``vectors`` at
+    flat indices 2i and 2i + 1. The nodes are ones ``evolve`` holds, so
+    the indices are in range, and ``mode="clip"`` spares each ``take`` the
+    buffered copy that ``out=`` costs under its default mode.
 
     A = 2 alpha D1'D1 + 2 D2' diag(b) D2 is the exact Hessian of the
     internal energy with the curvature weights b frozen at the current
@@ -459,11 +457,11 @@ def evolve(starts: list[Contour], vectors: np.ndarray, params: ParameterSet,
     contour whose signed area falls below ``DEGENERATE_AREA`` (collapsed,
     reversed to a negative area, or NaN) leaves the stack at that step,
     its path ending in an ``EvolveError`` naming the 1-based iteration,
-    so every node a step gets, and every node a path holds, is finite and
-    lies in the frame (a resampling step clamps again). A step that
-    raises (unreachable for valid inputs) ends every contour still
-    running. No energies are computed. A kept step is a ``Contour`` on a
-    copy of its nodes, which passed every check ``Contour()`` makes.
+    so every node a step gets, and every node a path holds, is finite and,
+    by each step's clamps, in the frame. A step that raises (unreachable
+    for valid inputs) ends every contour still running. No energies are
+    computed. A kept step is a ``Contour`` on a copy of its nodes, which
+    passed every check ``Contour()`` makes.
 
     Given a ``box`` of the frame, the fields and maps cover only that box.
     The clamped starts and every step's surviving contours must then keep

@@ -23,7 +23,7 @@ from contourflow.fields import (Circle, Contour, boundary_mask, boundary_pixels,
                                signed_area)
 from contourflow.flow import dvf, energy_gradient_field, lcdvf
 from contourflow.learning import fit_parameters, subgrad_alpha, subgrad_beta
-from contourflow.metrics import boundf, dice, iou
+from contourflow.metrics import boundf, evaluate, iou
 from contourflow.shapes import full_suite, random_blob_mask, u_shape_mask
 from contourflow.snake import ParameterSet, SnakeConfig
 
@@ -282,7 +282,7 @@ def test_ac8_metric_identities():
         pred = random_blob_mask(rng, 24, 24)
         gt = random_blob_mask(rng, 24, 24)
         i = iou(pred, gt)
-        worst_gap = max(worst_gap, abs(dice(pred, gt) - 2.0 * i / (1.0 + i)))
+        worst_gap = max(worst_gap, abs(evaluate(pred, gt).dice - 2.0 * i / (1.0 + i)))
 
     mask = random_blob_mask(rng, 32, 32)
     self_score, self_per = boundf(mask, mask)

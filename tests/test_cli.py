@@ -1716,16 +1716,9 @@ class TestProcessResources:
         assert first.count("factor") <= 1
         assert later == ["solve"] * 100
 
-    def test_no_memory_map_no_library(self, monkeypatch):
-        def unreadable(*args, **kwargs):
-            raise PermissionError("no memory map")
-
-        monkeypatch.setattr(Path, "read_text", unreadable)
-        assert blas._libraries.__wrapped__() == ()
-
     def test_no_lapack_no_factored_solve(self, monkeypatch):
         from contourflow import snake
-        monkeypatch.setattr(blas, "_libraries", lambda: ())
+        monkeypatch.setattr(blas, "_LIBRARY", SimpleNamespace())
         monkeypatch.setattr(blas, "_function", blas._function.__wrapped__)
         assert blas.lu_factor(np.eye(3)) is None
         assert snake._factors_alike.__wrapped__(5, 1, 1) is False
@@ -1752,26 +1745,30 @@ class TestProcessResources:
         assert len(runs[0]) == 11 and runs[0] == runs[1]
 
     def test_no_blas_setter_changes_nothing_and_says_so(self, monkeypatch, capsys):
-        monkeypatch.setattr(blas, "_libraries", lambda: ())
+        monkeypatch.setattr(blas, "_LIBRARY", SimpleNamespace())
         monkeypatch.setattr(blas, "_function", blas._function.__wrapped__)
         assert blas.pin.__wrapped__() is None
         assert "BLAS thread count left as is" in capsys.readouterr().err
 
-    def test_lookup_prefers_numpys_ilp64_library_to_an_earlier_mapped_one(self, monkeypatch):
-        """The memory map lists libraries by address, so SciPy's LP64
-        OpenBLAS can come before NumPy's ILP64 one; the getter and the
-        setter both come from NumPy's."""
-        lp64 = SimpleNamespace(scipy_openblas_get_num_threads=SimpleNamespace(),
-                               scipy_openblas_set_num_threads=SimpleNamespace())
-        ilp64 = SimpleNamespace(scipy_openblas_get_num_threads64_=SimpleNamespace(),
-                                scipy_openblas_set_num_threads64_=SimpleNamespace())
-        monkeypatch.setattr(blas, "_libraries", lambda: (lp64, ilp64))
-        setter = blas._function.__wrapped__("set")
-        getter = blas._function.__wrapped__("get")
-        assert setter is ilp64.scipy_openblas_set_num_threads64_
-        assert getter is ilp64.scipy_openblas_get_num_threads64_
-        assert (setter.argtypes, setter.restype) == ([ctypes.c_int], None)
-        assert (getter.argtypes, getter.restype) == ([], ctypes.c_int)
+    def test_every_symbol_lies_in_numpys_openblas_with_scipy_loaded(self):
+        """With SciPy's OpenBLAS mapped too, the getrf, getrs, getter and
+        setter that the lookup binds each lie in the mapping of the OpenBLAS
+        under NumPy's own directory."""
+        pytest.importorskip("scipy.linalg")
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("no memory map to find NumPy's OpenBLAS in")
+        numpys, spans = str(Path(np.__file__).parent), []
+        for fields in (line.split(maxsplit=5) for line in maps.read_text().splitlines()):
+            if len(fields) == 6 and "openblas" in fields[5] and fields[5].startswith(numpys):
+                spans.append([int(bound, 16) for bound in fields[0].split("-")])
+        if not spans:
+            pytest.skip("no OpenBLAS mapped under NumPy's directory")
+        for verb in ("getrf", "getrs", "get", "set"):
+            found = blas._function.__wrapped__(verb)
+            assert found is not None, verb
+            address = ctypes.cast(found, ctypes.c_void_p).value
+            assert any(start <= address < end for start, end in spans), verb
 
     def test_cli_pins_numpys_pool_with_scipy_loaded(self, tmp_path):
         """With SciPy's OpenBLAS mapped beside NumPy's and a two-thread pool

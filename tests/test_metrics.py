@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contourflow.metrics import boundf, dice, evaluate, iou
+from contourflow.metrics import boundf, evaluate, iou
 from contourflow.shapes import random_blob_mask, rectangle_mask
 
 from oracles import boundf_reference
@@ -44,19 +44,19 @@ class TestIou:
 class TestDice:
     def test_identical_masks(self, rng):
         mask = random_blob_mask(rng, 24, 24)
-        assert dice(mask, mask) == 1.0
+        assert evaluate(mask, mask).dice == 1.0
 
     def test_half_versus_full(self):
         full = np.ones((10, 10), dtype=bool)
         half = np.zeros((10, 10), dtype=bool)
         half[:, :5] = True
-        assert dice(half, full) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert evaluate(half, full).dice == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_identity_with_iou_on_random_pairs(self):
         for seed in range(500):
             pred, gt = random_pair(seed)
             i = iou(pred, gt)
-            assert dice(pred, gt) == pytest.approx(2.0 * i / (1.0 + i), abs=1e-12)
+            assert evaluate(pred, gt).dice == pytest.approx(2.0 * i / (1.0 + i), abs=1e-12)
 
 
 class TestBoundF:
@@ -181,7 +181,7 @@ class TestSymmetryAndInvariance:
     def test_symmetry(self, seed):
         pred, gt = random_pair(seed)
         assert iou(pred, gt) == iou(gt, pred)
-        assert dice(pred, gt) == dice(gt, pred)
+        assert evaluate(pred, gt).dice == evaluate(gt, pred).dice
         assert boundf(pred, gt)[0] == pytest.approx(boundf(gt, pred)[0], abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
