@@ -459,47 +459,46 @@ def _group_box(items: list[tuple[Prepared, _Loaded]],
     return None if boxes[0] == tuple(slice(0, n) for n in shape) else tuple(boxes)
 
 
-def _forces(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]], keys: list, shared: bool,
-            known: dict, box: tuple[slice, slice] | None, inner: Box | None,
-            timer: StageTimer):
-    """Each item's force, built on ``box`` (the frame when None) once per
-    distinct ``_force_key`` and read over ``inner``, the part of ``box``
-    where it equals the frame's, and its start (``known`` holds those that
-    need no EDT, or their errors): the shared force (None unless
-    ``shared``), a view, else the (K, h, w, 2) stack with one slot per
-    started item, the starts, and each failed item's error."""
-    crop = inner and tuple(slice(part.start - whole.start, part.stop - whole.start)
-                           for part, whole in zip((inner.rows, inner.cols), box))
+def _forces(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]], shared: bool,
+            starts: list[Contour | CliError | None], box: tuple[slice, slice] | None,
+            inner: Box | None, timer: StageTimer):
+    """Each item's force, built on ``box`` (the frame when None) and read
+    over ``inner``, the part of ``box`` where it equals the frame's, then
+    its start: ``starts`` holds each item's start, its error, or None for
+    an inscribed start, which is built here and written back, as is each
+    failed item's error. Returns the C-contiguous (S, h, w, 2) stack of
+    the forces, one slot when ``shared``, else one per started item, and
+    the shared force's potential over ``inner`` (None unless ``shared``)."""
+    crop = (inner and tuple(slice(part.start - whole.start, part.stop - whole.start)
+                            for part, whole in zip((inner.rows, inner.cols), box))) or ...
     stacked = _share_dts([prep for prep, loaded in items
                           if isinstance(loaded.field, str) or loaded.init == "inscribed"], box)
     shape = inner.shape if inner else items[0][0].mask.shape
-    vectors = None if shared else np.empty((len(items), *shape, 2))
-    force, starts, failed = None, [], {}
-    slot_of = {}  # force key -> the slot that holds the force built for it
-    for index, ((prep, loaded), key) in enumerate(zip(items, keys)):
+    vectors = np.empty((1 if shared else len(items), *shape, 2))
+    force, used = None, 0
+    for index, (prep, loaded) in enumerate(items):
         try:
             with _failing(EXIT_COMPUTE):
-                if key not in slot_of and (force is None or not shared):
+                if force is None or not shared:
                     force = _build_force(cfg, loaded, prep)
                 timer.lap("field")
-                start = known[index] if index in known else _start(cfg, loaded, prep)
-                if isinstance(start, CliError):
-                    raise start
-                starts.append(start)
+                if isinstance(starts[index], CliError):
+                    raise starts[index]
+                if starts[index] is None:
+                    starts[index] = _start(cfg, loaded, prep)
                 timer.lap("init")
         except CliError as exc:
-            failed[index] = exc
+            starts[index] = exc
             continue
-        slot = len(starts) - 1
-        if key in slot_of:  # a force already built: copy its slot
-            vectors[slot] = vectors[slot_of[key]]
-        elif not shared:  # the item's slot holds a copy, and its force is dropped
-            vectors[slot], force, slot_of[key] = force.vectors[crop or ...], None, slot
+        if not shared:  # the item's slot holds a copy, and its force is dropped
+            vectors[used], force = force.vectors[crop], None
+            used += 1
     for prep in stacked:
         prep.drop_dt()
-    if crop and force is not None:
-        force = ForceField(force.vectors[crop], force.potential[crop])
-    return force, vectors, starts, failed
+    if shared and force is not None:
+        vectors[0] = force.vectors[crop]
+        return vectors, force.potential[crop]
+    return vectors[:used], None
 
 
 def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
@@ -515,68 +514,62 @@ def run_pipeline(cfg: RunConfig, items: list[tuple[Prepared, _Loaded]],
 
     The items share one mask shape and ``cfg``'s weights (a map that does
     not fit raises). Fit the maps; build the starts that need no EDT; take
-    the group's ``_group_box``; compute the EDTs on it in stacked calls;
-    build a force that drives every item once (read through a view), else
-    each distinct ``_force_key``'s once, into the slot of every item with
-    that key in a (K, h, w, 2) stack; build the inscribed starts; spread
-    the weights over the part of the box where the forces equal the
-    frame's, which the forces are read over too; step the starts in one
-    ``evolve`` call, which checks that every node reads that part; the
-    first time one does not, build the forces, starts and weights again on
-    the frame and step again. Rasterize every kept contour in one call and score them
-    all in one stacked ``evaluate`` call. A count at or past a collapse
-    gets the collapse's message.
+    the group's ``_group_box``; build the forces on it into one stack
+    (``_forces``) and the inscribed starts; spread the weights over the
+    part of the box where the forces equal the frame's; step the starts in
+    one ``evolve`` call, which checks that every node reads that part; the
+    first time one does not, build the forces and weights again on the
+    frame and step the same starts again. Rasterize every kept contour in
+    one call and score them all in one stacked ``evaluate`` call. A count
+    at or past a collapse gets the collapse's message.
     """
     timer = timer or StageTimer()
     height, width = items[0][0].mask.shape
     weights = items[0][1]
     _fit_maps(cfg, weights, (height, width))
     timer.lap("read")
-    keys = [_force_key(*item) for item in items]
-    shared = len(set(keys)) == 1
+    shared = len({_force_key(*item) for item in items}) == 1
     tracing, counts = counts is None, counts or [cfg.iters]
     if tracing and not shared:
         raise ValueError("a traced run needs items that share one force")
-    known = {}  # the starts that need no EDT, or their errors, by item
-    for index, (prep, loaded) in enumerate(items):
-        if loaded.init != "inscribed":
-            try:
-                with _failing(EXIT_COMPUTE):
-                    known[index] = _start(cfg, loaded, prep)
-            except CliError as exc:
-                known[index] = exc
+    starts = []  # each item's start, its error, or None until its EDT exists
+    for prep, loaded in items:
+        try:
+            with _failing(EXIT_COMPUTE):
+                starts.append(None if loaded.init == "inscribed" else _start(cfg, loaded, prep))
+        except CliError as exc:
+            starts.append(exc)
     timer.lap("init")
-    boxes = _group_box(items, [start for start in known.values() if isinstance(start, Contour)])
+    boxes = _group_box(items, [start for start in starts if isinstance(start, Contour)])
     for box, inner in (boxes, (None, None)) if boxes else [(None, None)]:
         inner = inner and Box(*inner, height, width)
-        force, vectors, starts, failed = _forces(cfg, items, keys, shared, known, box, inner,
-                                                 timer)
+        vectors, potential = _forces(cfg, items, shared, starts, box, inner, timer)
         try:
             with _failing(EXIT_COMPUTE):
                 paths = []
                 params = ParameterSet(cfg.alpha, *(_over(values, (height, width), inner)
                                                    for values in (weights.beta, weights.kappa)))
-                if starts:
-                    stack = force.vectors[None] if shared else vectors[:len(starts)]
+                started = [start for start in starts if isinstance(start, Contour)]
+                if started:
                     keep = None if tracing else set(counts)
-                    paths = evolve(starts, stack, params, cfg.snake_config(), keep, inner)
+                    paths = evolve(started, vectors, params, cfg.snake_config(), keep, inner)
             break
         except LeftBox:
             continue
     timer.lap("evolve")
     with _failing(EXIT_COMPUTE):
-        started, kept, gts, results = iter(paths), [], [], []
-        for index, (prep, _) in enumerate(items):
-            if index in failed:
-                results += [failed[index]] * len(counts)
+        paths, kept, gts, results = iter(paths), [], [], []
+        for (prep, _), start in zip(items, starts):
+            if isinstance(start, CliError):
+                results += [start] * len(counts)
                 continue
-            path = next(started)
+            path = next(paths)
             for count in counts:
                 if count not in path.contours:  # the path stopped before this count
                     results.append(CliError(str(path.error), EXIT_COMPUTE))
                     continue
-                trace = (EvolutionTrace(list(path.contours.values()), force.potential, params,
-                                        inner) if tracing else None)
+                trace = (EvolutionTrace(list(path.contours.values()), potential, params, inner)
+                         if tracing else None)
                 results.append(RunResult(None, None, trace))  # rasterized and scored below
                 kept.append(path.contours[count])
                 gts.append(prep.gt)

@@ -49,9 +49,8 @@ def _stacks(pred, gt):
 
 
 def _ratios(pred, gt) -> list[tuple[float, float]]:
-    """(IoU, Dice) of each item of two stacks, from exact integer counts (the
-    union is both areas less the overlap); both are 1 when both masks are empty."""
-    pred, gt = _stacks(pred, gt)
+    """(IoU, Dice) of each item of two stacks that ``_stacks`` checked, from exact
+    integer counts (the union is both areas less the overlap); 1 when both are empty."""
     overlap = np.count_nonzero(pred & gt, axis=(1, 2)).tolist()
     areas = (np.count_nonzero(pred, axis=(1, 2)) + np.count_nonzero(gt, axis=(1, 2))).tolist()
     return [(float(i) / (total - i), 2.0 * float(i) / total) if total else (1.0, 1.0)
@@ -60,7 +59,7 @@ def _ratios(pred, gt) -> list[tuple[float, float]]:
 
 def iou(pred, gt) -> float:
     """Intersection over union; 1 when both masks are empty."""
-    return _ratios(as_mask(pred), as_mask(gt))[0][0]
+    return _ratios(*_stacks(as_mask(pred), as_mask(gt)))[0][0]
 
 
 def boundf(pred, gt):

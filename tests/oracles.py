@@ -33,6 +33,9 @@ scatter of the over-long vectors' scales. ``subgrad_kappa`` is the kappa
 subgradient that ``learning.fit_parameters`` takes straight from its
 rasters, through the production ``rasterize``. ``next_token_reference``
 is the former PGM/PFM header tokenizer, a loop over one byte at a time.
+``run_reference`` composes these references into the whole `run`
+pipeline on the frame, through the production containers ``Contour``,
+``ForceField``, ``ParameterSet`` and ``SnakeConfig`` alone.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from contourflow.edt import edt_from_sites
 from contourflow.fields import (DEGENERATE_AREA, BilinearCorners, Circle, Contour, as_field,
                                 as_mask, bilinear_corners, blend_corners, boundary_mask,
                                 rasterize, resample_closed, signed_area)
-from contourflow.snake import EvolveError, contour_energies
+from contourflow.flow import ForceField
+from contourflow.snake import EvolveError, ParameterSet, SnakeConfig, contour_energies
 
 
 def point_in_polygon(point, nodes) -> bool:
@@ -700,3 +704,57 @@ def next_token_reference(data: bytes, pos: int) -> tuple[bytes, int]:
     if start == pos:
         raise ValueError("truncated header")
     return data[start:pos], pos
+
+
+def run_reference(mask, gt, settings: dict) -> dict:
+    """The `run` ``result.json`` payload, unrounded, of ``mask`` scored
+    against ``gt`` under ``settings``: every key of that payload's
+    ``config``, and ``beta`` and ``kappa`` as constants. ``edt_brute`` on
+    the inner boundary; an ``np.gradient`` field, scaled by the distance
+    for ``lcdvf``, clipped by ``clip_vectors_masked``; the
+    ``inscribed_circle_full_frame`` or the
+    ``minimal_enclosing_circle_reference`` circle padded by half a pixel,
+    as a regular polygon; ``evolve_reference``; ``rasterize_loop``; the
+    integer IoU and Dice, ``boundf_reference``, ``energies_reference`` and
+    ``displacements_reference``. Raises ``ValueError`` or ``EvolveError``
+    with the message of `run`'s error where it exits 1, the field before
+    the start."""
+    mask, gt = np.asarray(mask, dtype=bool), np.asarray(gt, dtype=bool)
+    height, width = mask.shape
+    if mask.all() or not mask.any():
+        raise ValueError("mask needs at least one foreground and one background pixel")
+    dt = edt_brute(boundary_pixels_reference(mask), width, height)
+    d_dv, d_du = np.gradient(dt)
+    gradient = np.stack([d_du, d_dv], axis=-1)
+    if settings["field"] == "lcdvf":
+        force = ForceField(clip_vectors_masked(-dt[..., None] * gradient, settings["clip"]),
+                           0.5 * dt * dt)
+    else:
+        force = ForceField(clip_vectors_masked(-gradient, settings["clip"]), dt)
+    if settings["init"] == "inscribed":
+        circle = inscribed_circle_full_frame(mask)
+        (cu, cv), radius = circle.center, circle.radius
+    else:
+        cu, cv, radius = minimal_enclosing_circle_reference(boundary_pixels_reference(mask))
+        radius += 0.5
+    theta = 2.0 * np.pi * np.arange(settings["nodes"]) / settings["nodes"]
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    start = Contour(radius * ring + (cu, cv)).clamped(width, height)
+    params = ParameterSet(settings["alpha"], np.full((height, width), settings["beta"]),
+                          np.full((height, width), settings["kappa"]))
+    config = SnakeConfig(settings["iterations"], settings["tau"], settings["resample"])
+    contours = evolve_reference(start, force, params, config)
+    pred = rasterize_loop(contours[-1], width, height)
+    overlap, union = int((pred & gt).sum()), int((pred | gt).sum())
+    areas = int(pred.sum()) + int(gt.sum())
+    iou, dice = (overlap / union, 2.0 * overlap / areas) if areas else (1.0, 1.0)
+    boundf, per_threshold = boundf_reference(pred, gt)
+    config_keys = ("profile", "field", "init", "iterations", "tau", "nodes", "resample",
+                   "clip", "alpha")
+    return {
+        "metrics": {"iou": iou, "dice": dice, "boundf": boundf,
+                    "boundf_per_threshold": list(per_threshold)},
+        "trace": {"energies": energies_reference(contours, force.potential, params).tolist(),
+                  "mean_displacements": displacements_reference(contours).tolist()},
+        "config": {key: settings[key] for key in config_keys},
+    }

@@ -1260,11 +1260,11 @@ class TestSweepGroups:
                      "--values", "6,10,14,18"]) == 0
         assert len(calls) == 1
 
-    def test_repeated_field_values_build_each_force_once(self, disk_paths, capsys,
-                                                         monkeypatch, stacks):
-        """A repeated field row copies the force built for its value into
-        its own slot: one ``lcdvf`` and one ``dvf`` call for three rows,
-        and the rows of separate runs."""
+    def test_repeated_field_values_build_one_force_per_row(self, disk_paths, capsys,
+                                                           monkeypatch, stacks):
+        """A repeated field row builds its own force into its own slot: two
+        ``lcdvf`` calls and one ``dvf`` call for three rows, and the rows
+        of separate runs."""
         from contourflow.flow import dvf, lcdvf
         calls = []
 
@@ -1283,7 +1283,7 @@ class TestSweepGroups:
         assert main(["sweep", "--mask", str(mask_path), "--iters", "20", "--axis", "field",
                      "--values", "lcdvf,lcdvf,dvf"]) == 0
         assert capsys.readouterr().out == want
-        assert sorted(calls) == ["dvf", "lcdvf"]
+        assert sorted(calls) == ["dvf", "lcdvf", "lcdvf"]
         assert [nodes.shape for nodes in stacks] == [(3, 60, 2)] * 20
 
     @pytest.fixture
@@ -1955,6 +1955,32 @@ class TestBox:
         assert exits and 0 not in exits
         assert boxed == self.outputs(tmp_path, argv, 1 << 20)[0]
 
+    def test_a_boxed_run_steps_one_contiguous_force_stack(self, tmp_path, monkeypatch):
+        """A boxed medical run on a seed-4 256² blob hands ``evolve`` its
+        force as a C-contiguous (1, h, w, 2) stack over the box's valid part."""
+        from contourflow import cli
+        seen = []
+        monkeypatch.setattr(cli, "evolve", lambda *args: seen.append(args) or evolve(*args))
+        write_mask_pgm(tmp_path / "blob.pgm", random_blob_mask(np.random.default_rng(4), 256, 256))
+        assert _quiet(["run", "--mask", f"{tmp_path}/blob.pgm", "--profile", "medical"])[0] == 0
+        [(_, vectors, _, _, _, box)] = seen
+        assert box is not None and vectors.shape == (1, *box.shape, 2)
+        assert vectors.flags.c_contiguous
+
+    def test_a_fallback_builds_each_inscribed_start_once(self, tmp_path, monkeypatch):
+        """A balloon that leaves its box at step 7 steps the inscribed start
+        the box pass built again on the frame, and writes the frame's bytes."""
+        from contourflow import cli
+        write_mask_pgm(tmp_path / "mask.pgm", disk_mask(128, 128, (64.0, 64.0), 20.0))
+        argv = [["run", "--mask", f"{tmp_path}/mask.pgm", "--init", "inscribed", "--kappa", "3",
+                 "--tau", "1", "--iters", "20", "--out", "{out}"]]
+        calls = []
+        monkeypatch.setattr(cli, "inscribed_circle",
+                            lambda *args: calls.append(args) or inscribed_circle(*args))
+        boxed, _, [exits] = self.outputs(tmp_path, argv, 8)
+        assert exits == [7] and len(calls) == 1
+        assert boxed == self.outputs(tmp_path, argv, 1 << 20)[0]
+
     def test_a_box_covering_the_frame_runs_no_check(self, tmp_path, monkeypatch):
         from contourflow import cli
         boxes = []
@@ -1964,3 +1990,134 @@ class TestBox:
         monkeypatch.setattr(cli, "BOX_MARGIN", 0)
         assert _quiet(["run", "--mask", f"{tmp_path}/mask.pgm", "--iters", "2"])[0] == 0
         assert boxes[0] is None and boxes[1] is not None
+
+
+@st.composite
+def _reference_masks(draw, height=None, width=None):
+    """A 16² to 48² mask: one to three disks anywhere in the frame, which
+    may be cut by its edges, or a seeded blob."""
+    height = height or draw(st.integers(16, 48))
+    width = width or draw(st.integers(16, 48))
+    if draw(st.booleans()):
+        return random_blob_mask(np.random.default_rng(draw(st.integers(0, 99))), width, height)
+    v, u = np.mgrid[:height, :width]
+    mask = np.zeros((height, width), dtype=bool)
+    for _ in range(draw(st.integers(1, 3))):
+        cu, cv = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        radius = draw(st.floats(1.5, min(height, width) / 3))
+        mask |= (u - cu) ** 2 + (v - cv) ** 2 <= radius * radius
+    return mask
+
+
+@st.composite
+def _reference_manifests(draw):
+    """Two to four ``_reference_masks`` of one or two shapes."""
+    shapes = draw(st.lists(st.tuples(st.integers(16, 40), st.integers(16, 40)),
+                           min_size=1, max_size=2))
+    return [draw(_reference_masks(*shapes[i % len(shapes)]))
+            for i in range(draw(st.integers(2, 4)))]
+
+
+def _reference_settings(profile, field, init, kappa, tau, iters):
+    """The settings ``oracles.run_reference`` reads, resolved from these
+    flags over the profile's and ``RunConfig``'s defaults."""
+    return {"profile": profile, "field": field, "init": init, "iterations": iters,
+            "tau": float(tau), "nodes": 100 if profile == "medical" else 60,
+            "resample": False, "clip": 2.0, "alpha": 0.01, "beta": 0.1, "kappa": float(kappa)}
+
+
+def _reference_json(payload) -> str:
+    """``payload`` with every float rounded to six places, as `run` writes it."""
+    def rounded(value):
+        if isinstance(value, float):
+            return round(value, 6)
+        if isinstance(value, list):
+            return [rounded(v) for v in value]
+        if isinstance(value, dict):
+            return {k: rounded(v) for k, v in value.items()}
+        return value
+    return json.dumps(rounded(payload), indent=2) + "\n"
+
+
+_REFERENCE_CASES = dict(
+    profile=st.sampled_from(["building", "medical"]), field=st.sampled_from(["lcdvf", "dvf"]),
+    init=st.sampled_from(["inscribed", "circumscribed"]),
+    kappa=st.sampled_from(["0.2", "3", "-0.5"]), tau=st.sampled_from(["0.1", "1"]),
+    iters=st.integers(0, 16))
+
+
+class TestReferencePipeline:
+    """A `run` and the rows of a `batch` equal what ``oracles.run_reference``
+    composes from the kept references alone on the whole frame, so a fault
+    in ``run_pipeline``'s glue that every path shares (the EDT a start
+    reads, a force's slot, the step a count reads, the order of the scored
+    rows) shows. Where the reference raises, the command exits 1 with its
+    message."""
+
+    @staticmethod
+    def flags(profile, field, init, kappa, tau, iters):
+        return ["--profile", profile, "--field", field, "--init", init, "--kappa", kappa,
+                "--tau", tau, "--iters", str(iters)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask=_reference_masks(), **_REFERENCE_CASES)
+    # leaves its box at step 8, so the frame pass steps the box pass's inscribed start
+    @example(mask=disk_mask(40, 40, (20.0, 20.0), 6.0), profile="medical", field="lcdvf",
+             init="inscribed", kappa="3", tau="1", iters=12)
+    def test_run_writes_the_reference_result(self, mask, profile, field, init, kappa, tau,
+                                             iters):
+        import oracles
+        import tempfile
+        flags = self.flags(profile, field, init, kappa, tau, iters)
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            write_mask_pgm(tmp / "mask.pgm", mask)
+            code, _, errors = _quiet(["run", "--mask", f"{tmp}/mask.pgm", *flags,
+                                      "--out", f"{tmp}/out"])
+            try:
+                want = _reference_json(oracles.run_reference(
+                    mask, mask, _reference_settings(profile, field, init, kappa, tau, iters)))
+            except (ValueError, RuntimeError) as exc:
+                assert (code, errors) == (1, [json.dumps({"error": str(exc)})])
+            else:
+                assert code == 0
+                assert (tmp / "out/result.json").read_text() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(masks=_reference_manifests(), **_REFERENCE_CASES)
+    # one group whose balloons leave its box at step 8, each inscribed start
+    # read off its own mask's EDT
+    @example(masks=[disk_mask(40, 40, (20.0, 20.0), 6.0), disk_mask(40, 40, (14.0, 24.0), 9.0)],
+             profile="medical", field="lcdvf", init="inscribed", kappa="3", tau="1", iters=12)
+    def test_batch_rows_are_the_reference_rows(self, masks, profile, field, init, kappa, tau,
+                                               iters):
+        import oracles
+        import tempfile
+        count = len(masks)
+        settings_ = _reference_settings(profile, field, init, kappa, tau, iters)
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            for i, mask in enumerate(masks):
+                write_mask_pgm(tmp / f"m{i}.pgm", mask)
+            (tmp / "manifest.txt").write_text(
+                "".join(f"{tmp}/m{i}.pgm {tmp}/m{i}.pgm\n" for i in range(count)))
+            code, out, _ = _quiet(["batch", "--manifest", f"{tmp}/manifest.txt",
+                                   *self.flags(profile, field, init, kappa, tau, iters)])
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == count + 1
+        scores = []
+        for row, mask in zip(rows, masks):
+            try:
+                metrics = oracles.run_reference(mask, mask, settings_)["metrics"]
+            except (ValueError, RuntimeError) as exc:
+                assert row["error"] == str(exc)
+                continue
+            scores.append(metrics)
+            assert {key: row.get(key) for key in ("iou", "dice", "boundf")} == {
+                key: round(metrics[key], 6) for key in ("iou", "dice", "boundf")}
+        assert code == (0 if len(scores) == count else 1)
+        aggregate = rows[-1]
+        assert (aggregate["items"], aggregate["failed"]) == (count, count - len(scores))
+        for key, name in (("iou", "miou"), ("dice", "mean_dice"), ("boundf", "mean_boundf")):
+            mean = float(np.mean([m[key] for m in scores])) if scores else 0.0
+            assert aggregate[name] == round(mean, 6)
